@@ -9,7 +9,6 @@ from .archive import (
     IndividualRef,
     Leaf,
     Mutation,
-    Reference,
     seed_archive,
 )
 from .data import Dataset, SplitDataset, load_csv, save_csv, split_70_30, synthetic_dataset
@@ -58,7 +57,6 @@ __all__ = [
     "Mutation",
     "NonFiniteSemanticsError",
     "RankSumResult",
-    "Reference",
     "RunResult",
     "SplitDataset",
     "TreeGenConfig",

@@ -1,17 +1,32 @@
 """Append-only, generation-indexed archive of every individual ever created.
 
-Generation 0 holds plain syntax trees. Every later individual is a record
-that references earlier individuals plus the random trees its operator
-used; its semantics are computed once from the memoized semantics of its
-parents and stored. Nothing is ever re-expanded, which is what makes
-whole-history selection free: evaluating any individual in the archive is
-a dictionary lookup.
+An individual is stored as a payload, the record of how it was made, plus
+its memoized semantics. There are four payload kinds:
+
+- `Leaf`: a generation-0 syntax tree.
+- `IndividualRef`: reproduction, a bare reference to an earlier individual.
+  The child shares its parent's arrays and fitnesses.
+- `Crossover`: two earlier individuals and the random tree that weighs them.
+- `Mutation`: a base (a ref, or an inline `Crossover` made in the same
+  breeding step) plus the random trees and step of the perturbation.
+
+The archive evaluates over one stacked input matrix, the train rows followed
+by the test rows. A payload's semantics are one vector over those rows,
+computed once from the stored vectors of its parents and the outputs of its
+own random trees. `train_semantics` and `test_semantics` are views of that
+vector. Nothing is ever re-expanded, which is what makes whole-history
+selection free: reading any archived individual is a list lookup.
+
+`to_json` writes schema 2: each generation is a list of payloads, where a
+ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
+every other payload is an object with a "kind" of "leaf", "crossover" or
+"mutation". Semantics are not stored; `from_json` recomputes them.
 
 Completed generations are immutable; appending a generation requires
 exclusive access.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -26,7 +41,9 @@ from .exprtree import (
     tree_size,
     tree_to_json,
 )
-from .semantics import check_finite, rmse, semantics_of_tree, sigmoid
+from .semantics import check_finite, rmse, sigmoid
+
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -38,13 +55,6 @@ class IndividualRef:
 @dataclass(frozen=True)
 class Leaf:
     tree: ExprTree
-
-
-@dataclass(frozen=True)
-class Reference:
-    """Zero-cost reproduction: the child is semantically its parent."""
-
-    parent: IndividualRef
 
 
 @dataclass(frozen=True)
@@ -60,22 +70,32 @@ class Mutation:
 
     random_tree_b set: bounded two-tree form, child = base + step*(sig(Ra)-sig(Rb)).
     random_tree_b None: literal raw form, child = base + step*Ra.
-    base is an earlier individual, or an inline Crossover when a freshly
-    crossed child is mutated in the same breeding step.
+    base is an earlier individual's IndividualRef (a mutated reproduction)
+    or an inline Crossover (a freshly crossed child mutated in the same
+    breeding step). The base's semantics come from the same walker as any
+    payload's, over the stacked train-then-test rows, and the random trees
+    are evaluated once over those rows. In JSON (schema 2) the base is the
+    pair [g, i] or a nested crossover object.
     """
 
-    base: Union[IndividualRef, Crossover, Reference]
+    base: Union[IndividualRef, Crossover]
     random_tree_a: ExprTree
     random_tree_b: Optional[ExprTree]
     step: float
 
 
-Payload = Union[Leaf, Reference, Crossover, Mutation]
+Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
 
 
 @dataclass
 class Individual:
+    """A payload with its semantics over the stacked train-then-test rows.
+
+    train_semantics and test_semantics are views of `semantics`.
+    """
+
     payload: Payload
+    semantics: np.ndarray
     train_semantics: np.ndarray
     test_semantics: np.ndarray
     train_fitness: float
@@ -91,22 +111,21 @@ class Archive:
         self.test_inputs = split.test.inputs
         self.train_targets = split.train.targets
         self.test_targets = split.test.targets
+        self.inputs = np.concatenate([self.train_inputs, self.test_inputs])
+        self.n_train = split.train.rows
         self.fitness = fitness
         self.generations: list[list[Individual]] = []
 
     # -- addressing ---------------------------------------------------
 
     def individual(self, ref: IndividualRef) -> Individual:
-        self._check_ref(ref)
-        return self.generations[ref.generation][ref.index]
-
-    def _check_ref(self, ref: IndividualRef):
         if not 0 <= ref.generation < len(self.generations):
             raise ValueError(f"no generation {ref.generation} in archive")
         if not 0 <= ref.index < len(self.generations[ref.generation]):
             raise ValueError(
                 f"index {ref.index} out of range in generation {ref.generation}"
             )
+        return self.generations[ref.generation][ref.index]
 
     def best_of_generation(self, generation: int) -> IndividualRef:
         """Ref of the lowest-training-error individual (first on ties)."""
@@ -117,42 +136,46 @@ class Archive:
     # -- creation -----------------------------------------------------
 
     def make_individual(self, payload: Payload) -> Individual:
-        """Compute memoized semantics and fitness for a payload (not appended)."""
-        train = self._payload_semantics(payload, "train")
-        test = self._payload_semantics(payload, "test")
-        check_finite(train, "offspring semantics", split="train")
-        check_finite(test, "offspring semantics", split="test")
+        """Compute memoized semantics and fitness for a payload (not appended).
+
+        A reproduction (a bare IndividualRef) shares its parent's arrays and
+        fitnesses. Any other payload raises NonFiniteSemanticsError naming
+        the split and the row within it if a value is not finite.
+        """
+        if isinstance(payload, IndividualRef):
+            return replace(self.individual(payload), payload=payload)
+        values = self._semantics(payload)
+        train, test = values[: self.n_train], values[self.n_train :]
+        context = f"{type(payload).__name__} payload"
+        check_finite(train, context, split="train")
+        check_finite(test, context, split="test")
         return Individual(
             payload=payload,
+            semantics=values,
             train_semantics=train,
             test_semantics=test,
             train_fitness=self.fitness(train, self.train_targets),
             test_fitness=self.fitness(test, self.test_targets),
         )
 
-    def _payload_semantics(self, payload: Payload, which: str) -> np.ndarray:
-        inputs = self.train_inputs if which == "train" else self.test_inputs
-
-        def stored(ref):
-            ind = self.individual(ref)
-            return ind.train_semantics if which == "train" else ind.test_semantics
+    def _semantics(self, payload: Payload) -> np.ndarray:
+        """One vector over the stacked rows; refs read the stored vector."""
 
         def raw(tree):
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return eval_tree_many(tree, inputs)
+                return eval_tree_many(tree, self.inputs)
 
+        if isinstance(payload, IndividualRef):
+            return self.individual(payload).semantics
         if isinstance(payload, Leaf):
-            return semantics_of_tree(payload.tree, inputs)
-        if isinstance(payload, Reference):
-            return stored(payload.parent)
+            return raw(payload.tree)
         if isinstance(payload, Crossover):
             w = sigmoid(raw(payload.random_tree))
-            return w * stored(payload.parent1) + (1.0 - w) * stored(payload.parent2)
+            return w * self._semantics(payload.parent1) + (1.0 - w) * self._semantics(
+                payload.parent2
+            )
         if isinstance(payload, Mutation):
-            if isinstance(payload.base, IndividualRef):
-                base = stored(payload.base)
-            else:
-                base = self._payload_semantics(payload.base, which)
+            base = self._semantics(payload.base)
             if payload.random_tree_b is None:
                 delta = payload.step * raw(payload.random_tree_a)
             else:
@@ -162,31 +185,6 @@ class Archive:
                 )
             return base + delta
         raise TypeError(f"unknown payload {payload!r}")
-
-    def apply_crossover(
-        self, p1: IndividualRef, p2: IndividualRef, random_tree: ExprTree
-    ) -> Individual:
-        """Semantic crossover child of two archived individuals.
-
-        Per coordinate the child is sig(R(x))*p1 + (1-sig(R(x)))*p2, so it
-        lies between its parents on every row of both splits.
-        """
-        self._check_ref(p1)
-        self._check_ref(p2)
-        return self.make_individual(Crossover(p1, p2, random_tree))
-
-    def apply_mutation(
-        self,
-        parent: IndividualRef,
-        random_tree_a: ExprTree,
-        random_tree_b: Optional[ExprTree],
-        step: float,
-    ) -> Individual:
-        """Semantic mutation child; step 0 is allowed for tests."""
-        self._check_ref(parent)
-        if step < 0:
-            raise ValueError("mutation step must be >= 0")
-        return self.make_individual(Mutation(parent, random_tree_a, random_tree_b, step))
 
     def append_generation(self, individuals: list):
         if not individuals:
@@ -208,7 +206,6 @@ class Archive:
         only. Exceeding max_expansions payload visits raises instead of
         hanging.
         """
-        self._check_ref(ref)
         budget = [max_expansions]
 
         def eval_payload(payload):
@@ -218,18 +215,17 @@ class Archive:
                     f"naive_eval exceeded {max_expansions} payload expansions; "
                     "archive too large for the oracle"
                 )
+            if isinstance(payload, IndividualRef):
+                return eval_payload(self.individual(payload).payload)
             if isinstance(payload, Leaf):
                 return eval_tree(payload.tree, x)
-            if isinstance(payload, Reference):
-                return eval_ref(payload.parent)
             if isinstance(payload, Crossover):
                 w = sigmoid(eval_tree(payload.random_tree, x))
-                return w * eval_ref(payload.parent1) + (1.0 - w) * eval_ref(payload.parent2)
+                return w * eval_payload(payload.parent1) + (1.0 - w) * eval_payload(
+                    payload.parent2
+                )
             if isinstance(payload, Mutation):
-                if isinstance(payload.base, IndividualRef):
-                    base = eval_ref(payload.base)
-                else:
-                    base = eval_payload(payload.base)
+                base = eval_payload(payload.base)
                 if payload.random_tree_b is None:
                     return base + payload.step * eval_tree(payload.random_tree_a, x)
                 return base + payload.step * (
@@ -238,10 +234,7 @@ class Archive:
                 )
             raise TypeError(f"unknown payload {payload!r}")
 
-        def eval_ref(r):
-            return eval_payload(self.individual(r).payload)
-
-        return eval_payload(self.individual(ref).payload)
+        return eval_payload(ref)
 
     # -- accounting ---------------------------------------------------
 
@@ -252,24 +245,23 @@ class Archive:
     def count_nodes(self) -> int:
         """Records plus nodes of every distinct stored tree.
 
-        Trees shared between records (reproduction copies) count once;
-        nothing here ever expands ancestry.
+        Trees shared between records count once; nothing here ever expands
+        ancestry.
         """
         seen = {}
 
         def visit(payload):
             if isinstance(payload, Leaf):
                 trees = [payload.tree]
-            elif isinstance(payload, Reference):
-                trees = []
             elif isinstance(payload, Crossover):
                 trees = [payload.random_tree]
-            else:
+            elif isinstance(payload, Mutation):
                 trees = [payload.random_tree_a]
                 if payload.random_tree_b is not None:
                     trees.append(payload.random_tree_b)
-                if not isinstance(payload.base, IndividualRef):
-                    visit(payload.base)
+                visit(payload.base)
+            else:
+                trees = []
             for t in trees:
                 if id(t) not in seen:
                     seen[id(t)] = tree_size(t)
@@ -282,9 +274,9 @@ class Archive:
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form of the structure; semantics are recomputed on load."""
+        """JSON form of the structure (schema 2); semantics are recomputed on load."""
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "generations": [
                 [_payload_to_json(ind.payload) for ind in gen]
                 for gen in self.generations
@@ -293,38 +285,47 @@ class Archive:
 
     @classmethod
     def from_json(cls, obj: dict, split: SplitDataset) -> "Archive":
+        """Rebuild an archive from `to_json` output.
+
+        Foreign input raises ValueError naming the generation and slot: an
+        unknown kind, a missing key, or a ref that does not point into an
+        earlier generation.
+        """
+        version = obj.get("schema_version")
+        if version != SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported archive schema_version {version!r}, expected {SCHEMA_VERSION}"
+            )
         archive = cls(split)
-        for gen in obj["generations"]:
-            individuals = [
-                archive.make_individual(_payload_from_json(p)) for p in gen
-            ]
+        for g, gen in enumerate(obj["generations"]):
+            individuals = []
+            for i, item in enumerate(gen):
+                try:
+                    payload = _payload_from_json(item, archive.generations)
+                except KeyError as exc:
+                    raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"generation {g}, slot {i}: {exc}") from None
+                individuals.append(archive.make_individual(payload))
             archive.append_generation(individuals)
         return archive
 
 
-def _ref_to_json(ref: IndividualRef):
-    return [ref.generation, ref.index]
-
-
-def _payload_to_json(payload: Payload) -> dict:
+def _payload_to_json(payload: Payload):
+    if isinstance(payload, IndividualRef):
+        return [payload.generation, payload.index]
     if isinstance(payload, Leaf):
         return {"kind": "leaf", "tree": tree_to_json(payload.tree)}
-    if isinstance(payload, Reference):
-        return {"kind": "reference", "parent": _ref_to_json(payload.parent)}
     if isinstance(payload, Crossover):
         return {
             "kind": "crossover",
-            "parent1": _ref_to_json(payload.parent1),
-            "parent2": _ref_to_json(payload.parent2),
+            "parent1": _payload_to_json(payload.parent1),
+            "parent2": _payload_to_json(payload.parent2),
             "random_tree": tree_to_json(payload.random_tree),
         }
     return {
         "kind": "mutation",
-        "base": (
-            _ref_to_json(payload.base)
-            if isinstance(payload.base, IndividualRef)
-            else _payload_to_json(payload.base)
-        ),
+        "base": _payload_to_json(payload.base),
         "random_tree_a": tree_to_json(payload.random_tree_a),
         "random_tree_b": (
             None if payload.random_tree_b is None else tree_to_json(payload.random_tree_b)
@@ -333,28 +334,34 @@ def _payload_to_json(payload: Payload) -> dict:
     }
 
 
-def _payload_from_json(obj: dict) -> Payload:
+def _ref_from_json(obj, earlier: list) -> IndividualRef:
+    """Parse a `[g, i]` pair that must point into the `earlier` generations."""
+    if not (isinstance(obj, list) and len(obj) == 2 and all(type(v) is int for v in obj)):
+        raise ValueError(f"ref {obj!r} is not a [generation, index] pair")
+    g, i = obj
+    if not 0 <= g < len(earlier):
+        raise ValueError(f"ref {obj} is not to an earlier generation")
+    if not 0 <= i < len(earlier[g]):
+        raise ValueError(f"ref {obj} index out of range")
+    return IndividualRef(g, i)
+
+
+def _payload_from_json(obj, earlier: list) -> Payload:
+    if isinstance(obj, list):
+        return _ref_from_json(obj, earlier)
     kind = obj["kind"]
     if kind == "leaf":
         return Leaf(tree_from_json(obj["tree"]))
-    if kind == "reference":
-        g, i = obj["parent"]
-        return Reference(IndividualRef(g, i))
     if kind == "crossover":
-        g1, i1 = obj["parent1"]
-        g2, i2 = obj["parent2"]
         return Crossover(
-            IndividualRef(g1, i1), IndividualRef(g2, i2), tree_from_json(obj["random_tree"])
+            _ref_from_json(obj["parent1"], earlier),
+            _ref_from_json(obj["parent2"], earlier),
+            tree_from_json(obj["random_tree"]),
         )
     if kind == "mutation":
-        base = obj["base"]
-        if isinstance(base, list):
-            base = IndividualRef(base[0], base[1])
-        else:
-            base = _payload_from_json(base)
         rb = obj["random_tree_b"]
         return Mutation(
-            base,
+            _payload_from_json(obj["base"], earlier),
             tree_from_json(obj["random_tree_a"]),
             None if rb is None else tree_from_json(rb),
             float(obj["step"]),

@@ -76,11 +76,16 @@ def load_csv(path, has_header: bool = False, name: str = None) -> Dataset:
             parsed = []
             for col, cell in enumerate(record, start=1):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvFormatError(
                         f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
                     ) from None
+                if not math.isfinite(value):
+                    raise CsvFormatError(
+                        f"{path}: non-finite cell {cell!r} at row {lineno}, column {col}"
+                    )
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")

@@ -13,14 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import (
-    Archive,
-    Crossover,
-    IndividualRef,
-    Mutation,
-    Reference,
-    seed_archive,
-)
+from .archive import Archive, Crossover, IndividualRef, Mutation, seed_archive
 from .data import SplitDataset
 from .errors import NonFiniteSemanticsError
 from .exprtree import TreeGenConfig, gen_tree, ramp_schedule
@@ -119,16 +112,16 @@ def next_generation(
         if rng.random() < cfg.crossover_rate:
             base = Crossover(select(), select(), random_tree())
         else:
-            base = select()  # reproduction: ref used directly
+            base = select()  # reproduction: the bare ref is the payload
         if rng.random() < cfg.mutation_rate:
             rb = random_tree() if cfg.bounded_mutation else None
             return Mutation(base, random_tree(), rb, cfg.mutation_step)
-        return base if isinstance(base, Crossover) else Reference(base)
+        return base
 
     individuals = []
     if cfg.elitism:
         elite = archive.best_of_generation(current - 1)
-        individuals.append(archive.make_individual(Reference(elite)))
+        individuals.append(archive.make_individual(elite))
     while len(individuals) < cfg.population_size:
         for attempt in range(_SLOT_RETRIES + 1):
             try:

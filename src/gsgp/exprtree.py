@@ -215,12 +215,3 @@ def tree_from_json(obj) -> ExprTree:
         return Variable(int(obj["var"]))
     return BinaryOp(obj["op"], tree_from_json(obj["left"]), tree_from_json(obj["right"]))
 
-
-def format_tree(tree: ExprTree) -> str:
-    """Infix rendering, mainly for debugging."""
-    if isinstance(tree, Constant):
-        return f"{tree.value:g}"
-    if isinstance(tree, Variable):
-        return f"x{tree.index}"
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[tree.kind]
-    return f"({format_tree(tree.left)} {sym} {format_tree(tree.right)})"

@@ -6,7 +6,8 @@ generation. With UniformLastK(1) both stages collapse to standard
 previous-generation tournament selection.
 
 Offsets are counted from the latest completed generation: offset 0 means
-"the generation just before the one being built".
+"the generation just before the one being built". Any object with
+sample(current, rng) -> generation index works as a distribution.
 """
 
 from dataclasses import dataclass
@@ -54,11 +55,6 @@ class Geometric:
 
     def label(self) -> str:
         return f"g:{self.p:g}"
-
-
-# Any object with sample(current, rng) -> generation index works as a
-# distribution; these two are the ones the experiments use.
-SelectionDistribution = object
 
 
 def parse_distribution(spec: str):

@@ -46,15 +46,6 @@ def rmse(pred, target) -> float:
     return float(np.sqrt(np.mean(d * d)))
 
 
-def mae(pred, target) -> float:
-    """Mean absolute error. Alternative fitness hook; untested surface."""
-    p = np.asarray(pred, dtype=float)
-    t = np.asarray(target, dtype=float)
-    if p.shape != t.shape or p.size == 0:
-        raise ValueError("mae expects equal-length non-empty vectors")
-    return float(np.mean(np.abs(p - t)))
-
-
 def check_finite(values: np.ndarray, context: str, split: str = None) -> np.ndarray:
     """Raise NonFiniteSemanticsError naming the first offending row."""
     bad = ~np.isfinite(values)

@@ -11,7 +11,6 @@ from gsgp.archive import (
     IndividualRef,
     Leaf,
     Mutation,
-    Reference,
     seed_archive,
 )
 from gsgp.data import synthetic_dataset, split_70_30
@@ -25,6 +24,11 @@ def two_leaf_archive():
     """Leaves with train semantics [1,2] and [3,4] (test split mirrors train)."""
     split = make_split([[1.0], [2.0]], [0.0, 0.0])
     return seeded_archive([Variable(0), BinaryOp("add", Variable(0), Constant(2.0))], split)
+
+
+def crossover(i, j, random_tree):
+    """Crossover payload of two generation-0 individuals."""
+    return Crossover(IndividualRef(0, i), IndividualRef(0, j), random_tree)
 
 
 def evolved_archive(pop=8, gens=5, seed=9, rows=20):
@@ -86,41 +90,41 @@ def test_seed_retry_bound(small_split):
 
 def test_crossover_midpoint():
     archive = two_leaf_archive()
-    child = archive.apply_crossover(IndividualRef(0, 0), IndividualRef(0, 1), Constant(0.0))
+    child = archive.make_individual(crossover(0, 1, Constant(0.0)))
     assert np.array_equal(child.train_semantics, [2.0, 3.0])
 
 
 def test_crossover_saturated_weight_returns_first_parent():
     archive = two_leaf_archive()
-    child = archive.apply_crossover(IndividualRef(0, 0), IndividualRef(0, 1), Constant(1e9))
+    child = archive.make_individual(crossover(0, 1, Constant(1e9)))
     p1 = archive.generations[0][0]
     assert np.allclose(child.train_semantics, p1.train_semantics, atol=1e-9)
 
 
 def test_crossover_of_equal_parents_is_identity():
     archive = two_leaf_archive()
-    child = archive.apply_crossover(IndividualRef(0, 0), IndividualRef(0, 0), Constant(0.0))
+    child = archive.make_individual(crossover(0, 0, Constant(0.0)))
     assert np.array_equal(child.train_semantics, archive.generations[0][0].train_semantics)
 
 
 def test_crossover_rejects_bad_refs():
     archive = two_leaf_archive()
     with pytest.raises(ValueError):
-        archive.apply_crossover(IndividualRef(0, 0), IndividualRef(1, 0), Constant(0.0))
+        archive.make_individual(Crossover(IndividualRef(0, 0), IndividualRef(1, 0), Constant(0.0)))
     with pytest.raises(ValueError):
-        archive.apply_crossover(IndividualRef(0, 5), IndividualRef(0, 0), Constant(0.0))
+        archive.make_individual(Crossover(IndividualRef(0, 5), IndividualRef(0, 0), Constant(0.0)))
 
 
 def test_mutation_step_zero_is_identity():
     archive = two_leaf_archive()
-    child = archive.apply_mutation(IndividualRef(0, 0), Constant(3.0), Constant(-1.0), 0.0)
+    child = archive.make_individual(Mutation(IndividualRef(0, 0), Constant(3.0), Constant(-1.0), 0.0))
     assert np.array_equal(child.train_semantics, archive.generations[0][0].train_semantics)
 
 
 def test_mutation_equal_trees_cancel():
     archive = two_leaf_archive()
     tree = BinaryOp("mul", Variable(0), Constant(0.7))
-    child = archive.apply_mutation(IndividualRef(0, 0), tree, tree, 0.1)
+    child = archive.make_individual(Mutation(IndividualRef(0, 0), tree, tree, 0.1))
     assert np.array_equal(child.train_semantics, archive.generations[0][0].train_semantics)
 
 
@@ -130,13 +134,13 @@ def test_mutation_bounded_by_step(rng):
     parent = archive.generations[0][0]
     for _ in range(100):
         ra, rb = gen_tree(cfg, "grow", rng), gen_tree(cfg, "grow", rng)
-        child = archive.apply_mutation(IndividualRef(0, 0), ra, rb, 0.1)
+        child = archive.make_individual(Mutation(IndividualRef(0, 0), ra, rb, 0.1))
         assert np.all(np.abs(child.train_semantics - parent.train_semantics) <= 0.1 + 1e-12)
 
 
 def test_mutation_raw_single_tree_form():
     archive = two_leaf_archive()
-    child = archive.apply_mutation(IndividualRef(0, 0), Constant(5.0), None, 0.1)
+    child = archive.make_individual(Mutation(IndividualRef(0, 0), Constant(5.0), None, 0.1))
     parent = archive.generations[0][0]
     assert np.allclose(child.train_semantics, parent.train_semantics + 0.5)
 
@@ -149,7 +153,7 @@ def test_crossover_betweenness_sweep(rng):
         g1, g2 = rng.integers(len(gens), size=2)
         r1 = IndividualRef(int(g1), int(rng.integers(len(gens[g1]))))
         r2 = IndividualRef(int(g2), int(rng.integers(len(gens[g2]))))
-        child = archive.apply_crossover(r1, r2, gen_tree(cfg, "grow", rng))
+        child = archive.make_individual(Crossover(r1, r2, gen_tree(cfg, "grow", rng)))
         for which in ("train_semantics", "test_semantics"):
             c = getattr(child, which)
             a = getattr(archive.individual(r1), which)
@@ -161,9 +165,13 @@ def test_crossover_betweenness_sweep(rng):
 
 def test_reference_shares_parent_semantics():
     archive = two_leaf_archive()
-    ind = archive.make_individual(Reference(IndividualRef(0, 1)))
-    assert ind.train_semantics is archive.generations[0][1].train_semantics
-    assert ind.train_fitness == archive.generations[0][1].train_fitness
+    parent = archive.generations[0][1]
+    ind = archive.make_individual(IndividualRef(0, 1))
+    assert ind.payload == IndividualRef(0, 1)
+    assert ind.train_semantics is parent.train_semantics
+    assert ind.test_semantics is parent.test_semantics
+    assert ind.train_fitness == parent.train_fitness
+    assert ind.test_fitness == parent.test_fitness
 
 
 def test_naive_eval_leaf_equals_eval_tree():
@@ -176,7 +184,7 @@ def test_naive_eval_leaf_equals_eval_tree():
 def test_naive_eval_crossover_hand_expansion():
     archive = two_leaf_archive()
     rt = BinaryOp("mul", Variable(0), Constant(0.3))
-    child = archive.apply_crossover(IndividualRef(0, 0), IndividualRef(0, 1), rt)
+    child = archive.make_individual(crossover(0, 1, rt))
     archive.append_generation([child, child])
     t1 = archive.generations[0][0].payload.tree
     t2 = archive.generations[0][1].payload.tree
@@ -235,7 +243,7 @@ def test_record_count_linear_in_generations():
 def test_generation_size_is_enforced():
     archive = two_leaf_archive()
     with pytest.raises(ValueError, match="size"):
-        archive.append_generation([archive.make_individual(Reference(IndividualRef(0, 0)))])
+        archive.append_generation([archive.make_individual(IndividualRef(0, 0))])
     with pytest.raises(ValueError, match="empty"):
         archive.append_generation([])
 
@@ -251,6 +259,89 @@ def test_json_round_trip_recomputes_identical_semantics():
             assert np.array_equal(a.train_semantics, b.train_semantics)
             assert np.array_equal(a.test_semantics, b.test_semantics)
             assert a.train_fitness == b.train_fitness
+
+
+def json_archive_with(**overrides):
+    """An evolved archive's JSON and split, with generation 1 slot 2 replaced."""
+    archive = evolved_archive(pop=6, gens=2)
+    blob = archive.to_json()
+    payload = {
+        "kind": "crossover",
+        "parent1": [0, 0],
+        "parent2": [0, 1],
+        "random_tree": {"const": 0.0},
+    }
+    payload.update(overrides)
+    blob["generations"][1][2] = {k: v for k, v in payload.items() if v is not None}
+    return blob, archive.split
+
+
+def test_json_schema_2_writes_refs_as_pairs():
+    archive = evolved_archive(pop=6, gens=2)
+    blob = archive.to_json()
+    assert blob["schema_version"] == 2
+    elite = blob["generations"][1][0]
+    assert elite == [0, archive.best_of_generation(0).index]
+    clone = Archive.from_json(json.loads(json.dumps(blob)), archive.split)
+    assert clone.generations[1][0].payload == archive.generations[1][0].payload
+
+
+def test_json_rejects_other_schema_version():
+    blob, split = json_archive_with()
+    blob["schema_version"] = 1
+    with pytest.raises(ValueError, match="schema_version 1"):
+        Archive.from_json(blob, split)
+
+
+def test_json_rejects_unknown_kind():
+    blob, split = json_archive_with(kind="reference")
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: unknown payload kind 'reference'"):
+        Archive.from_json(blob, split)
+
+
+def test_json_rejects_missing_key():
+    blob, split = json_archive_with(random_tree=None)
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: missing key 'random_tree'"):
+        Archive.from_json(blob, split)
+
+
+def test_json_rejects_ref_to_same_generation():
+    blob, split = json_archive_with(parent2=[1, 0])
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: .*not to an earlier generation"):
+        Archive.from_json(blob, split)
+
+
+def test_json_rejects_ref_to_later_generation():
+    blob, split = json_archive_with(parent1=[2, 0])
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: .*not to an earlier generation"):
+        Archive.from_json(blob, split)
+
+
+def test_json_rejects_out_of_range_index():
+    blob, split = json_archive_with(parent1=[0, 6])
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: .*index out of range"):
+        Archive.from_json(blob, split)
+
+
+def test_nonfinite_semantics_names_split_and_row_within_it():
+    split = make_split([[0.5], [1.0]], [0.0, 0.0], [[0.25], [10.0]], [0.0, 0.0])
+    archive = seeded_archive([Variable(0)], split)
+    blowup = BinaryOp("mul", Variable(0), Constant(1e308))
+    with pytest.raises(NonFiniteSemanticsError) as exc:
+        archive.make_individual(Mutation(IndividualRef(0, 0), blowup, None, 1.0))
+    assert exc.value.split == "test"
+    assert exc.value.row == 1
+
+
+def test_train_and_test_semantics_are_slices_of_one_vector():
+    archive = evolved_archive(pop=6, gens=2)
+    n_train = len(archive.train_inputs)
+    for gen in archive.generations:
+        for ind in gen:
+            assert ind.train_semantics.base is ind.semantics
+            assert ind.test_semantics.base is ind.semantics
+            assert np.array_equal(ind.semantics[:n_train], ind.train_semantics)
+            assert np.array_equal(ind.semantics[n_train:], ind.test_semantics)
 
 
 def test_mutation_of_inline_crossover_payload():

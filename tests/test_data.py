@@ -41,6 +41,13 @@ def test_load_csv_names_bad_cell_position(tmp_path):
         load_csv(write(tmp_path, rows))
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_cell(tmp_path, cell):
+    rows = f"1,2,3\n4,5,6\n7,8,{cell}\n"
+    with pytest.raises(CsvFormatError, match=rf"non-finite cell '{cell}' at row 3, column 3"):
+        load_csv(write(tmp_path, rows))
+
+
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(CsvFormatError, match="ragged"):
         load_csv(write(tmp_path, "1,2,3\n1,2\n"))

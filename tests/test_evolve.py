@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gsgp.archive import Crossover, Leaf, Mutation, Reference
+from gsgp.archive import Crossover, IndividualRef, Leaf, Mutation
 from gsgp.data import split_70_30, synthetic_dataset
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
 from gsgp.selection import Geometric, UniformLastK
@@ -23,13 +23,12 @@ def test_reproduction_only_copies_semantics(split):
     result = run_evolution(cfg, split, keep_archive=True)
     archive = result.archive
     for g in range(1, len(archive.generations)):
-        previous = archive.generations[g - 1]
         for ind in archive.generations[g]:
-            assert isinstance(ind.payload, Reference)
-            assert any(
-                np.array_equal(ind.train_semantics, other.train_semantics)
-                for other in previous
-            )
+            assert isinstance(ind.payload, IndividualRef)
+            assert ind.payload.generation == g - 1
+            parent = archive.individual(ind.payload)
+            assert ind.train_semantics is parent.train_semantics
+            assert ind.test_semantics is parent.test_semantics
 
 
 def test_elitism_makes_best_train_monotone(split):
@@ -39,10 +38,13 @@ def test_elitism_makes_best_train_monotone(split):
 
 
 def test_without_elitism_monotonicity_can_break(split):
-    # not guaranteed to break on every seed; this seed does regress somewhere
-    result = run_evolution(small_cfg(elitism=False, seed=5), split)
-    curve = result.train_rmse
-    assert any(curve[i + 1] > curve[i] for i in range(len(curve) - 1))
+    def regresses(elitism, seed):
+        curve = run_evolution(small_cfg(elitism=elitism, seed=seed), split).train_rmse
+        return any(b > a for a, b in zip(curve, curve[1:]))
+
+    seeds = range(10)
+    assert any(regresses(False, seed) for seed in seeds)
+    assert not any(regresses(True, seed) for seed in seeds)
 
 
 def test_run_is_deterministic(split):
@@ -82,9 +84,7 @@ def test_elite_slot_is_reference_to_previous_best(split):
     archive = result.archive
     for g in range(1, len(archive.generations)):
         payload = archive.generations[g][0].payload
-        assert isinstance(payload, Reference)
-        best_prev = archive.best_of_generation(g - 1)
-        assert payload.parent == best_prev
+        assert payload == archive.best_of_generation(g - 1)
 
 
 def test_forced_crossover_and_mutation_compose(split):

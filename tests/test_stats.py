@@ -144,3 +144,24 @@ def test_result_fields():
     assert isinstance(r, RankSumResult)
     assert 0.0 <= r.p_value <= 1.0
     assert not math.isnan(r.u_statistic)
+
+
+def test_matches_scipy_mannwhitneyu():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(2022)
+    checked = {"exact": 0, "normal-approx": 0}
+    for case in range(300):
+        n, m = rng.integers(1, 16, size=2)
+        if case % 2:  # ties: a few distinct values
+            a, b = rng.integers(0, 6, size=n), rng.integers(0, 6, size=m)
+        else:
+            a, b = rng.normal(size=n), rng.normal(size=m)
+        ours = rank_sum_test(a, b)
+        if ours.degenerate:
+            continue
+        method = "exact" if ours.method == "exact" else "asymptotic"
+        ref = stats.mannwhitneyu(a, b, use_continuity=True, alternative="two-sided", method=method)
+        assert ours.u_statistic == ref.statistic, (case, a, b)
+        assert abs(ours.p_value - ref.pvalue) <= 1e-12, (case, a, b)
+        checked[ours.method] += 1
+    assert min(checked.values()) > 50
