@@ -17,13 +17,25 @@ own random trees. `train_semantics` and `test_semantics` are views of that
 vector. Nothing is ever re-expanded, which is what makes whole-history
 selection free: reading any archived individual is a list lookup.
 
+`make_generation` evaluates a list of payloads in blocks of children sized
+so that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
+evaluates each random tree once into a row of a reused buffer, applies one
+`sigmoid` to the rows that need it, mixes crossovers and adds mutation
+deltas as matrix operations, checks finiteness once and computes each
+split's fitness once, row by row. Every entry undergoes the same IEEE
+operations, in the same order, as evaluating the payload alone would apply,
+so the block size never changes a result. The first non-finite slot, in
+slot order, raises NonFiniteSemanticsError; `make_individual` is a
+generation of one.
+
 `to_json` writes schema 2: each generation is a list of payloads, where a
 ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
 every other payload is an object with a "kind" of "leaf", "crossover" or
 "mutation". Semantics are not stored; `from_json` recomputes them.
 
-Completed generations are immutable; appending a generation requires
-exclusive access.
+Completed generations are immutable; appending a generation, and evaluating
+payloads (which writes the archive's block buffers), require exclusive
+access.
 """
 
 from dataclasses import dataclass, replace
@@ -44,6 +56,10 @@ from .exprtree import (
 from .semantics import check_finite, rmse, sigmoid
 
 SCHEMA_VERSION = 2
+
+# Children are evaluated in blocks of at most this many stacked values
+# (children x rows), so the buffers behind a block stay small at any row count.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,10 +88,11 @@ class Mutation:
     random_tree_b None: literal raw form, child = base + step*Ra.
     base is an earlier individual's IndividualRef (a mutated reproduction)
     or an inline Crossover (a freshly crossed child mutated in the same
-    breeding step). The base's semantics come from the same walker as any
-    payload's, over the stacked train-then-test rows, and the random trees
-    are evaluated once over those rows. In JSON (schema 2) the base is the
-    pair [g, i] or a nested crossover object.
+    breeding step). The base's semantics, the stored vector of the ref or
+    the crossover's mix, are computed in the same block as the child's, and
+    the random trees are evaluated once over the stacked train-then-test
+    rows. In JSON (schema 2) the base is the pair [g, i] or a nested
+    crossover object.
     """
 
     base: Union[IndividualRef, Crossover]
@@ -103,7 +120,11 @@ class Individual:
 
 
 class Archive:
-    """All generations of one run, with memoized train/test semantics."""
+    """All generations of one run, with memoized train/test semantics.
+
+    fitness(pred, targets) takes a 2-d block with one vector per row and
+    returns one error per row, as `rmse` does.
+    """
 
     def __init__(self, split: SplitDataset, fitness=rmse):
         self.split = split
@@ -115,6 +136,7 @@ class Archive:
         self.n_train = split.train.rows
         self.fitness = fitness
         self.generations: list[list[Individual]] = []
+        self._buffers = {}
 
     # -- addressing ---------------------------------------------------
 
@@ -136,55 +158,136 @@ class Archive:
     # -- creation -----------------------------------------------------
 
     def make_individual(self, payload: Payload) -> Individual:
-        """Compute memoized semantics and fitness for a payload (not appended).
+        """The individual of one payload (not appended); see make_generation."""
+        return self.make_generation([payload])[0]
+
+    def make_generation(self, payloads: list) -> list:
+        """Individuals of these payloads, in order (not appended).
 
         A reproduction (a bare IndividualRef) shares its parent's arrays and
-        fitnesses. Any other payload raises NonFiniteSemanticsError naming
-        the split and the row within it if a value is not finite.
+        fitnesses. The other payloads are evaluated in blocks of at most
+        _BLOCK_ELEMENTS stacked values, each child getting its own copy of
+        its row. If a value is not finite, NonFiniteSemanticsError names
+        the first such slot in order, the split and the row within it.
         """
-        if isinstance(payload, IndividualRef):
-            return replace(self.individual(payload), payload=payload)
-        values = self._semantics(payload)
-        train, test = values[: self.n_train], values[self.n_train :]
-        context = f"{type(payload).__name__} payload"
-        check_finite(train, context, split="train")
-        check_finite(test, context, split="test")
-        return Individual(
-            payload=payload,
-            semantics=values,
-            train_semantics=train,
-            test_semantics=test,
-            train_fitness=self.fitness(train, self.train_targets),
-            test_fitness=self.fitness(test, self.test_targets),
-        )
-
-    def _semantics(self, payload: Payload) -> np.ndarray:
-        """One vector over the stacked rows; refs read the stored vector."""
-
-        def raw(tree):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return eval_tree_many(tree, self.inputs)
-
-        if isinstance(payload, IndividualRef):
-            return self.individual(payload).semantics
-        if isinstance(payload, Leaf):
-            return raw(payload.tree)
-        if isinstance(payload, Crossover):
-            w = sigmoid(raw(payload.random_tree))
-            return w * self._semantics(payload.parent1) + (1.0 - w) * self._semantics(
-                payload.parent2
-            )
-        if isinstance(payload, Mutation):
-            base = self._semantics(payload.base)
-            if payload.random_tree_b is None:
-                delta = payload.step * raw(payload.random_tree_a)
+        individuals = [None] * len(payloads)
+        fresh = []
+        for slot, payload in enumerate(payloads):
+            if isinstance(payload, IndividualRef):
+                individuals[slot] = replace(self.individual(payload), payload=payload)
             else:
-                delta = payload.step * (
-                    sigmoid(raw(payload.random_tree_a))
-                    - sigmoid(raw(payload.random_tree_b))
+                fresh.append(slot)
+        size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
+        for start in range(0, len(fresh), size):
+            slots = fresh[start : start + size]
+            block = self._evaluate([payloads[i] for i in slots])
+            try:
+                check_finite(block, "offspring block")
+            except NonFiniteSemanticsError as exc:
+                self._raise_nonfinite(payloads, slots[exc.slot], block[exc.slot])
+            train_fitness = self.fitness(block[:, : self.n_train], self.train_targets)
+            test_fitness = self.fitness(block[:, self.n_train :], self.test_targets)
+            for i, slot in enumerate(slots):
+                values = block[i].copy()
+                individuals[slot] = Individual(
+                    payload=payloads[slot],
+                    semantics=values,
+                    train_semantics=values[: self.n_train],
+                    test_semantics=values[self.n_train :],
+                    train_fitness=float(train_fitness[i]),
+                    test_fitness=float(test_fitness[i]),
                 )
-            return base + delta
-        raise TypeError(f"unknown payload {payload!r}")
+        return individuals
+
+    def _raise_nonfinite(self, payloads, slot, values):
+        """Raise for a slot's non-finite values, naming a train row before a test row."""
+        context = f"{type(payloads[slot]).__name__} payload in slot {slot}"
+        check_finite(values[: self.n_train], context, split="train", slot=slot)
+        check_finite(values[self.n_train :], context, split="test", slot=slot)
+
+    def _evaluate(self, payloads: list) -> np.ndarray:
+        """Stacked semantics of non-reference payloads, one row each.
+
+        Each random tree is evaluated once into a row of a tree buffer; the
+        trees under a sigmoid come first and go through one sigmoid call.
+        Crossover mixing and mutation deltas are then whole-matrix
+        operations, in the order child = w*p1 + (1-w)*p2 and
+        child = base + step*(sig(a) - sig(b)) (or base + step*a for raw
+        mutation). The result is a view of a buffer the next call reuses.
+        """
+        block = self._buffer("block", len(payloads))
+        leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
+        for row, payload in enumerate(payloads):
+            base = payload.base if isinstance(payload, Mutation) else payload
+            if isinstance(base, Leaf):
+                leaves.append((row, base.tree))
+            elif isinstance(base, Crossover):
+                crossovers.append((row, base))
+            elif isinstance(base, IndividualRef):
+                ref_bases.append((row, base))
+            else:
+                raise TypeError(f"unknown payload {payload!r}")
+            if isinstance(payload, Mutation):
+                (raw if payload.random_tree_b is None else bounded).append((row, payload))
+        n_cross, n_bounded = len(crossovers), len(bounded)
+        n_sigmoid = n_cross + 2 * n_bounded
+        trees = self._buffer("trees", n_sigmoid + len(raw))
+        tree_list = (
+            [c.random_tree for _, c in crossovers]
+            + [m.random_tree_a for _, m in bounded]
+            + [m.random_tree_b for _, m in bounded]
+            + [m.random_tree_a for _, m in raw]
+        )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for j, tree in enumerate(tree_list):
+                trees[j] = eval_tree_many(tree, self.inputs)
+            for row, tree in leaves:
+                block[row] = eval_tree_many(tree, self.inputs)
+            for row, ref in ref_bases:
+                block[row] = self.individual(ref).semantics
+            if n_sigmoid:
+                sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
+            if crossovers:
+                w = trees[:n_cross]
+                p1 = self._stack("parent1", [c.parent1 for _, c in crossovers])
+                p2 = self._stack("parent2", [c.parent2 for _, c in crossovers])
+                np.multiply(w, p1, out=p1)
+                np.subtract(1.0, w, out=w)
+                np.multiply(w, p2, out=p2)
+                block[[row for row, _ in crossovers]] = np.add(p1, p2, out=p1)
+            if bounded:
+                delta = trees[n_cross : n_cross + n_bounded]
+                np.subtract(delta, trees[n_cross + n_bounded : n_sigmoid], out=delta)
+                self._add_steps(block, bounded, delta)
+            if raw:
+                self._add_steps(block, raw, trees[n_sigmoid:])
+        return block
+
+    def _add_steps(self, block, mutations, delta):
+        """block[row] += step * delta[j] for the j-th (row, mutation) pair."""
+        steps = np.array([[m.step] for _, m in mutations])
+        np.multiply(steps, delta, out=delta)
+        rows = [row for row, _ in mutations]
+        # The crossovers are mixed by now, so their buffer is free; a mode
+        # other than "raise" lets take write into it unbuffered (rows are valid).
+        base = np.take(block, rows, axis=0, out=self._buffer("parent1", len(rows)), mode="clip")
+        block[rows] = np.add(base, delta, out=base)
+
+    def _stack(self, name, refs) -> np.ndarray:
+        """The semantics of these refs, one per row, in the named buffer."""
+        rows = [self.individual(ref).semantics for ref in refs]
+        return np.stack(rows, out=self._buffer(name, len(rows)))
+
+    def _buffer(self, name, rows) -> np.ndarray:
+        """A rows x stacked-rows view of a buffer kept for this archive.
+
+        A buffer is allocated once, at the size of the first request, and
+        again only when a later request is larger.
+        """
+        buffer = self._buffers.get(name)
+        if buffer is None or len(buffer) < rows:
+            buffer = self._buffers[name] = np.empty((rows, len(self.inputs)))
+        return buffer[:rows]
 
     def append_generation(self, individuals: list):
         if not individuals:
@@ -298,16 +401,15 @@ class Archive:
             )
         archive = cls(split)
         for g, gen in enumerate(obj["generations"]):
-            individuals = []
+            payloads = []
             for i, item in enumerate(gen):
                 try:
-                    payload = _payload_from_json(item, archive.generations)
+                    payloads.append(_payload_from_json(item, archive.generations))
                 except KeyError as exc:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
-                individuals.append(archive.make_individual(payload))
-            archive.append_generation(individuals)
+            archive.append_generation(archive.make_generation(payloads))
         return archive
 
 
@@ -359,9 +461,12 @@ def _payload_from_json(obj, earlier: list) -> Payload:
             tree_from_json(obj["random_tree"]),
         )
     if kind == "mutation":
+        base = _payload_from_json(obj["base"], earlier)
+        if not isinstance(base, (IndividualRef, Crossover)):
+            raise ValueError("mutation base is neither a ref nor a crossover")
         rb = obj["random_tree_b"]
         return Mutation(
-            _payload_from_json(obj["base"], earlier),
+            base,
             tree_from_json(obj["random_tree_a"]),
             None if rb is None else tree_from_json(rb),
             float(obj["step"]),

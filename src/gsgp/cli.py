@@ -83,6 +83,11 @@ def build_parser() -> _Parser:
     return p
 
 
+def _number(value, spec: str) -> str:
+    """value formatted with spec; "n/a" for a strategy that completed no run."""
+    return "n/a" if value is None else format(value, spec)
+
+
 def _print_summary(report):
     print(f"dataset: {report.dataset_name} "
           f"({report.dataset_rows} rows x {report.dataset_features} features)")
@@ -91,8 +96,8 @@ def _print_summary(report):
     for entry in body["strategies"]:
         line = (
             f"  {entry['name']:>8}  "
-            f"median train {entry['median_train_rmse']:.4f}  "
-            f"median test {entry['median_test_rmse']:.4f}"
+            f"median train {_number(entry['median_train_rmse'], '.4f')}  "
+            f"median test {_number(entry['median_test_rmse'], '.4f')}"
         )
         if entry["p_value_vs_baseline"] is not None:
             line += f"  p vs {body['baseline']} = {entry['p_value_vs_baseline']:.4g}"

@@ -2,12 +2,17 @@
 
 
 class NonFiniteSemanticsError(ValueError):
-    """A program produced NaN/Inf on some dataset row."""
+    """A program produced NaN/Inf on some dataset row.
 
-    def __init__(self, message, split=None, row=None):
+    split and row locate the value; slot, when set, is the position of the
+    offending vector among those checked together.
+    """
+
+    def __init__(self, message, split=None, row=None, slot=None):
         super().__init__(message)
         self.split = split
         self.row = row
+        self.slot = slot
 
 
 class EvalBudgetExceededError(RuntimeError):

@@ -5,6 +5,13 @@ a crossover of two tournament winners, otherwise a reproduction of one;
 independently, with probability mutation_rate the result is wrapped in a
 mutation record. Slot 0 is the previous generation's best individual when
 elitism is on, exempt from variation.
+
+A generation is built in two phases: every slot's payload is drawn, in slot
+order, and then `Archive.make_generation` evaluates them all in blocks. A
+draw with non-finite semantics is redrawn under the replay rule of
+`next_generation`, which keeps the RNG stream, the offset histogram and the
+selection trace exactly what evaluating each slot as soon as it is drawn
+would give.
 """
 
 import time
@@ -72,7 +79,9 @@ class RunResult:
     test_rmse[g] the test RMSE of that same individual (the test set never
     steers selection). Lengths are generations+1, including generation 0.
     offset_histogram counts the generation offsets of every tournament
-    entrant drawn during the run.
+    entrant drawn during the run. nonfinite_retries counts the offspring
+    draws rejected for non-finite semantics and redrawn, seed_regenerations
+    the generation-0 trees regenerated for the same reason.
     """
 
     train_rmse: list
@@ -82,6 +91,8 @@ class RunResult:
     duration_seconds: float
     selection_trace: Optional[list] = None
     archive: Optional[Archive] = None
+    nonfinite_retries: int = 0
+    seed_regenerations: int = 0
 
 
 def next_generation(
@@ -90,8 +101,19 @@ def next_generation(
     rng: np.random.Generator,
     offset_counts=None,
     trace=None,
+    rejects=None,
 ) -> list:
-    """Breed, evaluate, and append one generation; returns its individuals."""
+    """Breed, evaluate, and append one generation; returns its individuals.
+
+    Every slot's payload is drawn first, in slot order, and then the whole
+    generation is evaluated at once. A draw whose semantics are not finite
+    is redrawn exactly as if each slot were evaluated as soon as it was
+    drawn: the RNG state, offset_counts and trace go back to the last
+    checkpoint, the draws are replayed up to and including the failed one
+    (so its draws stay consumed and tallied) and drawing resumes at the
+    failed slot. Each rejected draw's error is appended to `rejects` when
+    given; a slot that fails _SLOT_RETRIES + 1 times in a row aborts.
+    """
     if not archive.generations:
         raise ValueError("archive has no seeded generation")
     current = len(archive.generations)
@@ -118,18 +140,38 @@ def next_generation(
             return Mutation(base, random_tree(), rb, cfg.mutation_step)
         return base
 
-    individuals = []
-    if cfg.elitism:
-        elite = archive.best_of_generation(current - 1)
-        individuals.append(archive.make_individual(elite))
-    while len(individuals) < cfg.population_size:
-        for attempt in range(_SLOT_RETRIES + 1):
-            try:
-                individuals.append(archive.make_individual(build_slot()))
-                break
-            except NonFiniteSemanticsError:
-                if attempt == _SLOT_RETRIES:
-                    raise
+    def checkpoint():
+        counts = None if offset_counts is None else offset_counts.copy()
+        return rng.bit_generator.state, counts, None if trace is None else len(trace)
+
+    def restore(mark):
+        state, counts, traced = mark
+        rng.bit_generator.state = state
+        if counts is not None:
+            offset_counts[:] = counts
+        if traced is not None:
+            del trace[traced:]
+
+    # Slots before `settled` hold their final payloads.
+    payloads = [archive.best_of_generation(current - 1)] if cfg.elitism else []
+    settled = len(payloads)
+    failures = 0
+    while True:
+        mark = checkpoint()
+        payloads[settled:] = [build_slot() for _ in range(cfg.population_size - settled)]
+        try:
+            individuals = archive.make_generation(payloads)
+            break
+        except NonFiniteSemanticsError as exc:
+            if rejects is not None:
+                rejects.append(exc)
+            failures = failures + 1 if exc.slot == settled else 1
+            if failures > _SLOT_RETRIES:
+                raise
+            restore(mark)
+            for _ in range(exc.slot + 1 - settled):
+                build_slot()
+            settled = exc.slot
     archive.append_generation(individuals)
     return individuals
 
@@ -146,15 +188,22 @@ def run_evolution(
     tree_cfg = cfg.resolved_tree_gen(split.train.n_features)
     schedule = ramp_schedule(tree_cfg, cfg.population_size)
 
+    regenerated = []
+
     def slot_tree(slot, slot_rng):
         depth, method = schedule[slot]
         return gen_tree(replace(tree_cfg, max_depth=depth), method, slot_rng)
 
+    def regenerate(slot, slot_rng):
+        regenerated.append(slot)
+        return slot_tree(slot, slot_rng)
+
     trees = [slot_tree(i, rng) for i in range(cfg.population_size)]
-    archive = seed_archive(trees, split, regenerate=slot_tree, rng=rng)
+    archive = seed_archive(trees, split, regenerate=regenerate, rng=rng)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
     trace = [] if record_trace else None
+    rejects = []
     train_curve = []
     test_curve = []
 
@@ -165,7 +214,9 @@ def run_evolution(
 
     record_best(0)
     for _ in range(cfg.generations):
-        next_generation(archive, cfg, rng, offset_counts=offset_counts, trace=trace)
+        next_generation(
+            archive, cfg, rng, offset_counts=offset_counts, trace=trace, rejects=rejects
+        )
         record_best(len(archive.generations) - 1)
 
     histogram = {
@@ -179,4 +230,6 @@ def run_evolution(
         duration_seconds=time.perf_counter() - start,
         selection_trace=trace,
         archive=archive if keep_archive else None,
+        nonfinite_retries=len(rejects),
+        seed_regenerations=len(regenerated),
     )

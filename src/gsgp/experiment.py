@@ -211,7 +211,12 @@ def _evolution_echo(cfg: EvolutionConfig) -> dict:
 
 
 def run_campaign(campaign: Campaign) -> CampaignReport:
-    """Execute runs x strategies seeded evolutions and assemble the report."""
+    """Execute runs x strategies seeded evolutions and assemble the report.
+
+    A run that raises is recorded in its strategy's failures, by its message
+    for NonFiniteSemanticsError and as "<Type>: message" for any other
+    exception, and the other runs go on.
+    """
     strategies = resolve_strategies(campaign.strategies)
     labels = [_strategy_label(s) for s in strategies]
     started = datetime.now(timezone.utc).isoformat()
@@ -235,16 +240,13 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
             return task, one_run(strategies[si], labels[si], r), None
         except NonFiniteSemanticsError as exc:
             return task, None, str(exc)
+        except Exception as exc:  # one crashed run must not discard the campaign
+            return task, None, f"{type(exc).__name__}: {exc}"
 
-    if campaign.jobs == 1:
-        completed = map(worker, tasks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=campaign.jobs)
-        completed = pool.map(worker, tasks)
-    for task, result, error in completed:
-        outcomes[task] = (result, error)
-    if campaign.jobs != 1:
-        pool.shutdown()
+    with ThreadPoolExecutor(max_workers=campaign.jobs) as pool:
+        completed = pool.map(worker, tasks) if campaign.jobs > 1 else map(worker, tasks)
+        for task, result, error in completed:
+            outcomes[task] = (result, error)
 
     results = []
     for si, label in enumerate(labels):

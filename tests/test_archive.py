@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_split, seeded_archive
 
+import gsgp.archive as archive_module
 from gsgp.archive import (
     Archive,
     Crossover,
@@ -383,3 +386,68 @@ def test_mutation_of_inline_crossover_payload():
     delta = child.train_semantics - midpoint.train_semantics
     assert np.all(np.abs(delta) <= 0.1 + 1e-12)
     assert np.all(delta > 0.09)  # sig(9) - sig(-9) is nearly 1
+
+
+def test_json_rejects_mutation_of_a_mutation():
+    blob, split = json_archive_with()
+    raw = {"random_tree_a": {"const": 1.0}, "random_tree_b": None, "step": 0.1}
+    inner = {"kind": "mutation", "base": [0, 0], **raw}
+    blob["generations"][1][2] = {"kind": "mutation", "base": inner, **raw}
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: mutation base is neither"):
+        Archive.from_json(blob, split)
+
+
+def test_nonfinite_generation_names_the_first_failing_slot():
+    split = make_split([[0.5], [1.0]], [0.0, 0.0], [[0.25], [10.0]], [0.0, 0.0])
+    archive = seeded_archive([Variable(0)], split)
+    ok = Mutation(IndividualRef(0, 0), Constant(1.0), None, 1.0)
+    blowup = BinaryOp("mul", Variable(0), Constant(1e308))
+    test_blowup = Mutation(IndividualRef(0, 0), blowup, None, 1.0)
+    train_blowup = Leaf(Constant(float("nan")))
+    payloads = [IndividualRef(0, 0), ok, test_blowup, ok, train_blowup]
+    first = r"Mutation payload in slot 2 at row 1"
+    with pytest.raises(NonFiniteSemanticsError, match=first) as exc:
+        archive.make_generation(payloads)
+    assert (exc.value.slot, exc.value.split, exc.value.row) == (2, "test", 1)
+    with pytest.raises(NonFiniteSemanticsError) as exc:
+        archive.make_generation(payloads[:2] + payloads[3:])
+    assert (exc.value.slot, exc.value.split, exc.value.row) == (3, "train", 0)
+
+
+_TREE_CFG = TreeGenConfig(max_depth=3, n_features=2)
+_trees = st.integers(0, 2**32 - 1).map(
+    lambda seed: gen_tree(_TREE_CFG, "grow", np.random.default_rng(seed))
+)
+_refs = st.builds(IndividualRef, st.integers(0, 1), st.integers(0, 3))
+_crossovers = st.builds(Crossover, _refs, _refs, _trees)
+_steps = st.floats(0.0, 2.0)
+_payloads = st.one_of(
+    st.builds(Leaf, _trees),
+    _refs,
+    _crossovers,
+    st.builds(Mutation, st.one_of(_refs, _crossovers), _trees, _trees, _steps),
+    st.builds(Mutation, st.one_of(_refs, _crossovers), _trees, st.none(), _steps),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_payloads, min_size=1, max_size=12))
+def test_block_size_never_changes_semantics_or_fitness(payloads):
+    split = split_70_30(synthetic_dataset("polynomial", 12, 2, 0.0, seed=5), seed=1)
+    trees = [gen_tree(_TREE_CFG, "grow", np.random.default_rng(i)) for i in range(4)]
+    archive = seed_archive(trees, split)
+    archive.append_generation(
+        archive.make_generation([crossover(i, (i + 1) % 4, trees[i]) for i in range(4)])
+    )
+    whole = archive.make_generation(payloads)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)  # one child per block
+        single = archive.make_generation(payloads)
+    for a, b in zip(whole, single):
+        assert np.array_equal(a.semantics, b.semantics)
+        assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
+    archive.generations.append(whole)
+    for i, ind in enumerate(whole):
+        for x, memo in zip(archive.inputs, ind.semantics):
+            naive = archive.naive_eval(IndividualRef(2, i), x)
+            assert abs(naive - memo) <= 1e-9 * (1.0 + abs(naive))

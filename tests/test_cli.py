@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import gsgp.experiment as experiment
 from gsgp.cli import build_parser, main, parse_synthetic_spec
+from gsgp.errors import NonFiniteSemanticsError
 
 
 def test_synthetic_spec_parsing():
@@ -81,3 +83,17 @@ def test_cli_bad_evolution_params(capsys):
         ["--synthetic", "polynomial:40:2:0.0", "--crossover-rate", "1.5", "--runs", "1"]
     )
     assert code == 1
+
+
+def test_cli_summary_when_every_run_fails(monkeypatch, capsys):
+    def diverge(cfg, split):
+        raise NonFiniteSemanticsError("non-finite semantics in Leaf payload at row 0")
+
+    monkeypatch.setattr(experiment, "run_evolution", diverge)
+    code = main(["--synthetic", "polynomial:40:2:0.0", "--runs", "2", "--strategy", "u:3"])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    summary = [line for line in lines if "median train" in line]
+    assert len(summary) == 2
+    assert all("median train n/a  median test n/a" in line for line in summary)
+    assert all("[INCOMPLETE: 2 runs failed]" in line for line in summary)

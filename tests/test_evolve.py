@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+import gsgp.evolve as evolve
 from gsgp.archive import Crossover, IndividualRef, Leaf, Mutation
 from gsgp.data import split_70_30, synthetic_dataset
+from gsgp.errors import NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
+from gsgp.exprtree import Constant
 from gsgp.selection import Geometric, UniformLastK
 
 
@@ -151,3 +156,38 @@ def test_default_config_matches_benchmark_table():
     assert cfg.tournament_size == 4
     assert cfg.elitism is True
     assert cfg.distribution == UniformLastK(1)
+
+
+def test_slot_failing_every_redraw_aborts_after_the_retry_cap(split, rng, monkeypatch):
+    archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
+
+    def overflowing_tree(cfg, method, tree_rng):
+        tree_rng.random()  # draws stay consumed like a real tree's
+        return Constant(math.inf)
+
+    monkeypatch.setattr(evolve, "gen_tree", overflowing_tree)
+    cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
+    rejects = []
+    with pytest.raises(NonFiniteSemanticsError) as exc:
+        next_generation(archive, cfg, rng, rejects=rejects)
+    assert exc.value.slot == 1  # slot 0 is the elite
+    assert [e.slot for e in rejects] == [1] * (evolve._SLOT_RETRIES + 1)
+    assert rejects[-1] is exc.value
+    assert len(archive.generations) == 1
+
+
+def test_retry_cap_counts_one_slot_in_a_row(split, monkeypatch):
+    archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
+
+    def often_overflowing_tree(cfg, method, tree_rng):
+        return Constant(math.inf if tree_rng.random() < 0.8 else 1.0)
+
+    monkeypatch.setattr(evolve, "gen_tree", often_overflowing_tree)
+    cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
+    rejects = []
+    individuals = next_generation(archive, cfg, np.random.default_rng(3), rejects=rejects)
+    assert len(rejects) > evolve._SLOT_RETRIES + 1  # more than the cap, over many slots
+    slots = [e.slot for e in rejects]
+    assert slots == sorted(slots)
+    assert max(slots.count(s) for s in set(slots)) <= evolve._SLOT_RETRIES
+    assert all(np.isfinite(ind.semantics).all() for ind in individuals)

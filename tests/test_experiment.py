@@ -146,6 +146,27 @@ def test_run_failures_are_recorded_and_campaign_continues(monkeypatch):
     assert body["strategies"][0]["complete"] is False
 
 
+def test_unexpected_exception_is_recorded_by_type(monkeypatch, tmp_path):
+    real = experiment.run_evolution
+    doomed = run_seed(11, "u:3", 1)
+
+    def crashing(cfg, split, **kw):
+        if cfg.seed == doomed:
+            raise RuntimeError("injected crash")
+        return real(cfg, split, **kw)
+
+    monkeypatch.setattr(experiment, "run_evolution", crashing)
+    bodies = []
+    for jobs in (1, 2):
+        report = run_campaign(tiny_campaign(jobs=jobs))
+        assert report.strategy("u:1").complete
+        u3 = report.strategy("u:3")
+        assert u3.failures == [[1, "RuntimeError: injected crash"]]
+        assert u3.runs_completed == 2
+        bodies.append(write_outputs(report, tmp_path / f"jobs{jobs}")["report"].read_bytes())
+    assert bodies[0] == bodies[1]
+
+
 def test_write_outputs_files(tmp_path):
     report = run_campaign(tiny_campaign())
     paths = write_outputs(report, tmp_path / "exp")

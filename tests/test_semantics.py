@@ -5,7 +5,7 @@ import pytest
 
 from gsgp.errors import NonFiniteSemanticsError
 from gsgp.exprtree import BinaryOp, Constant, TreeGenConfig, Variable, eval_tree, gen_tree
-from gsgp.semantics import rmse, semantics_of_tree, sigmoid
+from gsgp.semantics import check_finite, rmse, semantics_of_tree, sigmoid
 
 
 def test_sigmoid_symmetry_point():
@@ -84,6 +84,40 @@ def test_rmse_contract_violations():
         rmse([1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match="empty"):
         rmse([], [])
+
+
+def test_rmse_of_a_block_is_each_row_bitwise(rng):
+    for width in (1, 7, 8, 9, 140, 1000, 4200, 6000):
+        block = rng.normal(scale=100.0, size=(6, width + 3))[:, :width]
+        target = rng.normal(size=width)
+        errors = rmse(block, target)
+        assert errors.shape == (6,)
+        assert [float(e) for e in errors] == [rmse(row, target) for row in block]
+    with pytest.raises(ValueError, match="mismatch"):
+        rmse(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match="2-d block"):
+        rmse(np.zeros((2, 3, 4)), np.zeros(4))
+
+
+def test_sigmoid_into_out_matches_plain_call(rng):
+    values = rng.normal(scale=300.0, size=(4, 50))
+    values[0, :3] = [math.inf, -math.inf, math.nan]
+    expected = sigmoid(values)
+    out = np.empty_like(values)
+    assert sigmoid(values, out=out) is out
+    assert np.array_equal(out, expected, equal_nan=True)
+    assert sigmoid(values, out=values) is values
+    assert np.array_equal(values, expected, equal_nan=True)
+
+
+def test_check_finite_block_names_first_vector_and_row():
+    block = np.zeros((4, 3))
+    assert check_finite(block, "block") is block
+    block[3, 0] = math.nan
+    block[1, 2] = math.inf
+    with pytest.raises(NonFiniteSemanticsError, match="row 2") as err:
+        check_finite(block, "block")
+    assert (err.value.slot, err.value.row) == (1, 2)
 
 
 def test_semantics_constant_tree(rng):
