@@ -23,16 +23,12 @@ from .exprtree import (
     eval_tree,
     eval_tree_many,
     gen_tree,
-    ramped_half_and_half,
 )
 from .experiment import Campaign, CampaignReport, emit_boxplot_data, run_campaign, write_outputs
 from .selection import (
     Geometric,
     UniformLastK,
-    best_of,
-    geometric_offsets,
     parse_distribution,
-    sample_source_generation,
     tournament_select,
 )
 from .semantics import rmse, semantics_of_tree, sigmoid
@@ -62,22 +58,18 @@ __all__ = [
     "TreeGenConfig",
     "UniformLastK",
     "Variable",
-    "best_of",
     "emit_boxplot_data",
     "eval_tree",
     "eval_tree_many",
     "gen_tree",
-    "geometric_offsets",
     "load_csv",
     "median",
     "next_generation",
     "parse_distribution",
-    "ramped_half_and_half",
     "rank_sum_test",
     "rmse",
     "run_campaign",
     "run_evolution",
-    "sample_source_generation",
     "save_csv",
     "seed_archive",
     "semantics_of_tree",

@@ -47,10 +47,10 @@ from .data import SplitDataset
 from .errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from .exprtree import (
     ExprTree,
+    _finite_number,
     eval_tree,
     eval_tree_many,
     tree_from_json,
-    tree_size,
     tree_to_json,
 )
 from .semantics import check_finite, rmse, sigmoid
@@ -60,6 +60,10 @@ SCHEMA_VERSION = 2
 # Children are evaluated in blocks of at most this many stacked values
 # (children x rows), so the buffers behind a block stay small at any row count.
 _BLOCK_ELEMENTS = 1 << 16
+
+# A slot whose semantics come out non-finite is redrawn, in seeding and in
+# breeding alike; one that fails _SLOT_RETRIES + 1 times in a row aborts.
+_SLOT_RETRIES = 25
 
 
 @dataclass(frozen=True)
@@ -345,35 +349,6 @@ class Archive:
         """Stored individual records: population size x generation count."""
         return sum(len(g) for g in self.generations)
 
-    def count_nodes(self) -> int:
-        """Records plus nodes of every distinct stored tree.
-
-        Trees shared between records count once; nothing here ever expands
-        ancestry.
-        """
-        seen = {}
-
-        def visit(payload):
-            if isinstance(payload, Leaf):
-                trees = [payload.tree]
-            elif isinstance(payload, Crossover):
-                trees = [payload.random_tree]
-            elif isinstance(payload, Mutation):
-                trees = [payload.random_tree_a]
-                if payload.random_tree_b is not None:
-                    trees.append(payload.random_tree_b)
-                visit(payload.base)
-            else:
-                trees = []
-            for t in trees:
-                if id(t) not in seen:
-                    seen[id(t)] = tree_size(t)
-
-        for gen in self.generations:
-            for ind in gen:
-                visit(ind.payload)
-        return self.record_count() + sum(seen.values())
-
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
@@ -390,21 +365,31 @@ class Archive:
     def from_json(cls, obj: dict, split: SplitDataset) -> "Archive":
         """Rebuild an archive from `to_json` output.
 
-        Foreign input raises ValueError naming the generation and slot: an
-        unknown kind, a missing key, or a ref that does not point into an
-        earlier generation.
+        Foreign input raises ValueError. Within a payload the message names
+        the generation and slot: an unknown kind, a missing key, a ref that
+        does not point into an earlier generation, a tree that
+        `tree_from_json` rejects, or a step that is not a finite number >= 0.
         """
+        if not isinstance(obj, dict):
+            raise ValueError(f"archive JSON is a {type(obj).__name__}, not an object")
         version = obj.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported archive schema_version {version!r}, expected {SCHEMA_VERSION}"
             )
+        generations = obj.get("generations")
+        if not isinstance(generations, list):
+            raise ValueError("archive JSON has no list of generations")
         archive = cls(split)
-        for g, gen in enumerate(obj["generations"]):
+        for g, gen in enumerate(generations):
+            if not isinstance(gen, list):
+                raise ValueError(f"generation {g} is not a list of payloads")
             payloads = []
             for i, item in enumerate(gen):
                 try:
-                    payloads.append(_payload_from_json(item, archive.generations))
+                    payloads.append(
+                        _payload_from_json(item, archive.generations, split.train.n_features)
+                    )
                 except KeyError as exc:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
                 except (TypeError, ValueError) as exc:
@@ -448,28 +433,31 @@ def _ref_from_json(obj, earlier: list) -> IndividualRef:
     return IndividualRef(g, i)
 
 
-def _payload_from_json(obj, earlier: list) -> Payload:
+def _payload_from_json(obj, earlier: list, n_features: int) -> Payload:
     if isinstance(obj, list):
         return _ref_from_json(obj, earlier)
     kind = obj["kind"]
     if kind == "leaf":
-        return Leaf(tree_from_json(obj["tree"]))
+        return Leaf(tree_from_json(obj["tree"], n_features))
     if kind == "crossover":
         return Crossover(
             _ref_from_json(obj["parent1"], earlier),
             _ref_from_json(obj["parent2"], earlier),
-            tree_from_json(obj["random_tree"]),
+            tree_from_json(obj["random_tree"], n_features),
         )
     if kind == "mutation":
-        base = _payload_from_json(obj["base"], earlier)
+        base = _payload_from_json(obj["base"], earlier, n_features)
         if not isinstance(base, (IndividualRef, Crossover)):
             raise ValueError("mutation base is neither a ref nor a crossover")
         rb = obj["random_tree_b"]
+        step = obj["step"]
+        if not (_finite_number(step) and step >= 0):
+            raise ValueError(f"mutation step {step!r} is not a finite number >= 0")
         return Mutation(
             base,
-            tree_from_json(obj["random_tree_a"]),
-            None if rb is None else tree_from_json(rb),
-            float(obj["step"]),
+            tree_from_json(obj["random_tree_a"], n_features),
+            None if rb is None else tree_from_json(rb, n_features),
+            float(step),
         )
     raise ValueError(f"unknown payload kind {kind!r}")
 
@@ -479,31 +467,29 @@ def seed_archive(
     split: SplitDataset,
     *,
     regenerate=None,
-    rng=None,
-    max_retries: int = 25,
     fitness=rmse,
 ) -> Archive:
     """Build a one-generation archive from generation-0 trees.
 
     A tree whose semantics come out non-finite (protected division keeps
-    this rare) is regenerated via `regenerate(slot_index, rng)` up to
-    max_retries times; without a regenerator, or past the bound, the seed
-    aborts with the diagnostic rather than clamping values.
+    this rare) is replaced by `regenerate(slot)`, a new tree for that slot.
+    Without a regenerator, or when a slot fails _SLOT_RETRIES + 1 times in a
+    row, the seed aborts with the diagnostic rather than clamping values.
     """
     if not trees:
         raise ValueError("cannot seed an archive from an empty tree list")
     archive = Archive(split, fitness=fitness)
     individuals = []
     for slot, tree in enumerate(trees):
-        attempt = 0
+        failures = 0
         while True:
             try:
                 individuals.append(archive.make_individual(Leaf(tree)))
                 break
             except NonFiniteSemanticsError:
-                attempt += 1
-                if regenerate is None or attempt > max_retries:
+                failures += 1
+                if regenerate is None or failures > _SLOT_RETRIES:
                     raise
-                tree = regenerate(slot, rng)
+                tree = regenerate(slot)
     archive.append_generation(individuals)
     return archive

@@ -20,13 +20,11 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import Archive, Crossover, IndividualRef, Mutation, seed_archive
+from .archive import _SLOT_RETRIES, Archive, Crossover, IndividualRef, Mutation, seed_archive
 from .data import SplitDataset
 from .errors import NonFiniteSemanticsError
 from .exprtree import TreeGenConfig, gen_tree, ramp_schedule
 from .selection import UniformLastK, tournament_select
-
-_SLOT_RETRIES = 25
 
 
 @dataclass
@@ -44,13 +42,14 @@ class EvolutionConfig:
     elitism: bool = True
     seed: int = 0
     bounded_mutation: bool = True  # False: raw single-tree perturbation
-    tree_gen: Optional[TreeGenConfig] = None
 
     def __post_init__(self):
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
+        if self.max_initial_depth < 0:
+            raise ValueError("max_initial_depth must be >= 0")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -59,16 +58,6 @@ class EvolutionConfig:
             raise ValueError("mutation_step must be >= 0")
         if self.tournament_size < 1:
             raise ValueError("tournament_size must be >= 1")
-
-    def resolved_tree_gen(self, n_features: int) -> TreeGenConfig:
-        if self.tree_gen is not None:
-            if self.tree_gen.n_features > n_features:
-                raise ValueError(
-                    f"tree_gen uses {self.tree_gen.n_features} features but the "
-                    f"dataset has {n_features}"
-                )
-            return self.tree_gen
-        return TreeGenConfig(max_depth=self.max_initial_depth, n_features=n_features)
 
 
 @dataclass
@@ -112,12 +101,13 @@ def next_generation(
     checkpoint, the draws are replayed up to and including the failed one
     (so its draws stay consumed and tallied) and drawing resumes at the
     failed slot. Each rejected draw's error is appended to `rejects` when
-    given; a slot that fails _SLOT_RETRIES + 1 times in a row aborts.
+    given; a slot that fails _SLOT_RETRIES + 1 times in a row aborts, the
+    same cap that seed_archive applies to generation 0.
     """
     if not archive.generations:
         raise ValueError("archive has no seeded generation")
     current = len(archive.generations)
-    tree_cfg = cfg.resolved_tree_gen(archive.train_inputs.shape[1])
+    tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=archive.inputs.shape[1])
 
     def select():
         ref = tournament_select(
@@ -185,21 +175,21 @@ def run_evolution(
     """Seed generation 0 and apply next_generation cfg.generations times."""
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    tree_cfg = cfg.resolved_tree_gen(split.train.n_features)
+    tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=split.train.n_features)
     schedule = ramp_schedule(tree_cfg, cfg.population_size)
 
     regenerated = []
 
-    def slot_tree(slot, slot_rng):
+    def slot_tree(slot):
         depth, method = schedule[slot]
-        return gen_tree(replace(tree_cfg, max_depth=depth), method, slot_rng)
+        return gen_tree(replace(tree_cfg, max_depth=depth), method, rng)
 
-    def regenerate(slot, slot_rng):
+    def regenerate(slot):
         regenerated.append(slot)
-        return slot_tree(slot, slot_rng)
+        return slot_tree(slot)
 
-    trees = [slot_tree(i, rng) for i in range(cfg.population_size)]
-    archive = seed_archive(trees, split, regenerate=regenerate, rng=rng)
+    trees = [slot_tree(i) for i in range(cfg.population_size)]
+    archive = seed_archive(trees, split, regenerate=regenerate)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
     trace = [] if record_trace else None

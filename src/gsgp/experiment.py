@@ -176,18 +176,13 @@ class CampaignReport:
         return any(not s.complete for s in self.strategies)
 
 
-def _strategy_label(strategy) -> str:
-    label = getattr(strategy, "label", None)
-    return label() if callable(label) else str(strategy)
-
-
 def resolve_strategies(strategies) -> list:
     """Parse specs, dedupe by label, and put the u:1 baseline first if absent."""
     resolved = []
     labels = set()
     for s in strategies:
         dist = parse_distribution(s) if isinstance(s, str) else s
-        name = _strategy_label(dist)
+        name = dist.label()
         if name not in labels:
             labels.add(name)
             resolved.append(dist)
@@ -218,7 +213,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     exception, and the other runs go on.
     """
     strategies = resolve_strategies(campaign.strategies)
-    labels = [_strategy_label(s) for s in strategies]
+    labels = [s.label() for s in strategies]
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
 

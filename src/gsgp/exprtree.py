@@ -5,7 +5,8 @@ variation happens in semantic space (see the archive module). The function
 set is {+, -, *, protected /} over variables and ephemeral constants.
 """
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -36,35 +37,32 @@ class BinaryOp:
 ExprTree = Union[Constant, Variable, BinaryOp]
 
 
+# Terminals are ephemeral constants, drawn uniformly from CONSTANT_RANGE,
+# with probability P_CONSTANT, and variables otherwise. The grow method
+# stops early at a node below max_depth with probability P_GROW_TERMINAL.
+CONSTANT_RANGE = (-1.0, 1.0)
+P_CONSTANT = 0.3
+P_GROW_TERMINAL = 0.3
+
+
 @dataclass(frozen=True)
 class TreeGenConfig:
-    """Knobs for random tree generation.
+    """Depth limit and feature count for random tree generation.
 
     max_depth uses the root-at-depth-0 convention: a lone leaf has depth 0.
-    p_constant is the probability that a terminal is an ephemeral constant
-    (drawn uniformly from constant_range) rather than a variable;
-    p_grow_terminal is the chance the grow method stops early at a node
-    below max_depth.
+    Variables index the features 0..n_features-1. The terminal and grow
+    probabilities are the module constants P_CONSTANT, CONSTANT_RANGE and
+    P_GROW_TERMINAL.
     """
 
     max_depth: int = 4
     n_features: int = 1
-    constant_range: tuple = (-1.0, 1.0)
-    p_constant: float = 0.3
-    p_grow_terminal: float = 0.3
 
     def __post_init__(self):
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.n_features < 1:
             raise ValueError("n_features must be >= 1")
-        lo, hi = self.constant_range
-        if not lo <= hi:
-            raise ValueError("constant_range must be a non-empty interval")
-        if not 0.0 <= self.p_constant <= 1.0:
-            raise ValueError("p_constant must be in [0, 1]")
-        if not 0.0 <= self.p_grow_terminal <= 1.0:
-            raise ValueError("p_grow_terminal must be in [0, 1]")
 
 
 def gen_tree(cfg: TreeGenConfig, method: str, rng: np.random.Generator) -> ExprTree:
@@ -77,15 +75,15 @@ def gen_tree(cfg: TreeGenConfig, method: str, rng: np.random.Generator) -> ExprT
         raise ValueError(f"unknown method {method!r}, expected 'grow' or 'full'")
 
     def terminal():
-        if rng.random() < cfg.p_constant:
-            lo, hi = cfg.constant_range
+        if rng.random() < P_CONSTANT:
+            lo, hi = CONSTANT_RANGE
             return Constant(float(rng.uniform(lo, hi)))
         return Variable(int(rng.integers(cfg.n_features)))
 
     def build(depth):
         if depth >= cfg.max_depth:
             return terminal()
-        if method == "grow" and rng.random() < cfg.p_grow_terminal:
+        if method == "grow" and rng.random() < P_GROW_TERMINAL:
             return terminal()
         kind = OP_KINDS[int(rng.integers(len(OP_KINDS)))]
         return BinaryOp(kind, build(depth + 1), build(depth + 1))
@@ -111,14 +109,6 @@ def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
         method = "grow" if i % 2 == 0 else "full"
         slots.append((depth, method))
     return slots
-
-
-def ramped_half_and_half(cfg: TreeGenConfig, count: int, rng: np.random.Generator) -> list:
-    """Generate `count` trees with the ramped half-and-half scheme."""
-    return [
-        gen_tree(replace(cfg, max_depth=depth), method, rng)
-        for depth, method in ramp_schedule(cfg, count)
-    ]
 
 
 def eval_tree(tree: ExprTree, x) -> float:
@@ -189,13 +179,6 @@ def tree_depth(tree: ExprTree) -> int:
     return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
 
 
-def tree_size(tree: ExprTree) -> int:
-    """Total node count."""
-    if isinstance(tree, (Constant, Variable)):
-        return 1
-    return 1 + tree_size(tree.left) + tree_size(tree.right)
-
-
 def tree_to_json(tree: ExprTree):
     if isinstance(tree, Constant):
         return {"const": tree.value}
@@ -208,10 +191,38 @@ def tree_to_json(tree: ExprTree):
     }
 
 
-def tree_from_json(obj) -> ExprTree:
-    if "const" in obj:
-        return Constant(float(obj["const"]))
-    if "var" in obj:
-        return Variable(int(obj["var"]))
-    return BinaryOp(obj["op"], tree_from_json(obj["left"]), tree_from_json(obj["right"]))
+def _finite_number(value) -> bool:
+    """Whether a parsed JSON value is a finite int or float (a bool is not)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
+
+def tree_from_json(obj, n_features: int) -> ExprTree:
+    """Parse `tree_to_json` output for inputs with n_features columns.
+
+    A variable must be a non-bool int in [0, n_features), an operator one
+    of OP_KINDS, and a constant a finite number; anything else raises
+    ValueError, so a foreign tree never evaluates a column it does not name.
+    """
+    if "const" in obj:
+        value = obj["const"]
+        if not _finite_number(value):
+            raise ValueError(f"constant {value!r} is not a finite number")
+        return Constant(float(value))
+    if "var" in obj:
+        index = obj["var"]
+        if type(index) is not int or not 0 <= index < n_features:
+            raise ValueError(
+                f"variable {index!r} is not a feature index in [0, {n_features})"
+            )
+        return Variable(index)
+    if obj["op"] not in OP_KINDS:
+        raise ValueError(f"unknown operator kind {obj['op']!r}")
+    return BinaryOp(
+        obj["op"],
+        tree_from_json(obj["left"], n_features),
+        tree_from_json(obj["right"], n_features),
+    )

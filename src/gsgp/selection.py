@@ -6,8 +6,11 @@ generation. With UniformLastK(1) both stages collapse to standard
 previous-generation tournament selection.
 
 Offsets are counted from the latest completed generation: offset 0 means
-"the generation just before the one being built". Any object with
-sample(current, rng) -> generation index works as a distribution.
+"the generation just before the one being built". A distribution is any
+object with two methods: sample(current, rng), which returns a generation
+index in [0, current-1] for current >= 1, and label(), which returns the
+spec that parse_distribution reads back (campaigns name and seed their
+strategies by it).
 """
 
 from dataclasses import dataclass
@@ -54,7 +57,7 @@ class Geometric:
         return max(0, current - 1 - offset)
 
     def label(self) -> str:
-        return f"g:{self.p:g}"
+        return f"g:{float(self.p)!r}"
 
 
 def parse_distribution(spec: str):
@@ -70,31 +73,6 @@ def parse_distribution(spec: str):
     raise ValueError(f"bad distribution spec {spec!r}: expected u:<k> or g:<p>")
 
 
-def sample_source_generation(d, current: int, rng: np.random.Generator) -> int:
-    """Pick the generation an entrant comes from, in [0, current-1]."""
-    if current < 1:
-        raise ValueError("no completed generation to select from")
-    return d.sample(current, rng)
-
-
-def geometric_offsets(p: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Bulk unclamped offsets with law p*(1-p)^o, for law checks and tooling."""
-    return rng.geometric(p, size=size) - 1
-
-
-def best_of(archive: Archive, refs: list) -> IndividualRef:
-    """Entrant with minimum training error; ties go to the earliest drawn."""
-    if not refs:
-        raise ValueError("empty tournament")
-    best = refs[0]
-    best_fit = archive.individual(best).train_fitness
-    for ref in refs[1:]:
-        fit = archive.individual(ref).train_fitness
-        if fit < best_fit:
-            best, best_fit = ref, fit
-    return best
-
-
 def tournament_select(
     archive: Archive,
     d,
@@ -104,20 +82,25 @@ def tournament_select(
 ) -> IndividualRef:
     """Run one size-t tournament over the archive under distribution d.
 
-    Entrants are drawn independently with replacement. When offset_counts
-    (an integer array indexed by offset) is given, each entrant's
-    generation offset is tallied into it.
+    Entrants are drawn independently with replacement, each as a source
+    generation from d and then a uniform index inside it. The winner is the
+    entrant with the lowest training error, the first drawn on ties. When
+    offset_counts (an integer array indexed by offset) is given, each
+    entrant's generation offset is tallied into it.
     """
     if t < 1:
         raise ValueError("tournament size must be >= 1")
-    current = len(archive.generations)
+    generations = archive.generations
+    current = len(generations)
     if current == 0:
         raise ValueError("archive has no completed generation")
-    entrants = []
+    best = None
     for _ in range(t):
-        gen = sample_source_generation(d, current, rng)
-        idx = int(rng.integers(len(archive.generations[gen])))
+        gen = d.sample(current, rng)
+        idx = int(rng.integers(len(generations[gen])))
         if offset_counts is not None:
             offset_counts[current - 1 - gen] += 1
-        entrants.append(IndividualRef(gen, idx))
-    return best_of(archive, entrants)
+        fit = generations[gen][idx].train_fitness
+        if best is None or fit < best_fit:
+            best, best_fit = (gen, idx), fit
+    return IndividualRef(*best)

@@ -17,8 +17,6 @@ import numpy as np
 from .errors import NonFiniteSemanticsError
 from .exprtree import ExprTree, eval_tree_many
 
-SemanticVector = np.ndarray
-
 # Bounds of sigmoid's finite outputs: the floats next to 0 and 1 inside (0, 1).
 _OPEN_LO = math.nextafter(0.0, 1.0)
 _OPEN_HI = math.nextafter(1.0, 0.0)
@@ -102,7 +100,7 @@ def check_finite(values: np.ndarray, context: str, split: str = None, slot: int 
     )
 
 
-def semantics_of_tree(tree: ExprTree, inputs) -> SemanticVector:
+def semantics_of_tree(tree: ExprTree, inputs) -> np.ndarray:
     """Outputs of a tree over every row of `inputs`, as a float64 vector."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = eval_tree_many(tree, inputs)

@@ -67,7 +67,7 @@ def test_seeding_is_deterministic(small_split, rng):
 def test_seed_regenerates_nonfinite_trees(small_split):
     calls = []
 
-    def regenerate(slot, rng):
+    def regenerate(slot):
         calls.append(slot)
         return Constant(1.0)
 
@@ -84,11 +84,16 @@ def test_seed_without_regenerator_aborts(small_split):
 
 
 def test_seed_retry_bound(small_split):
-    def regenerate(slot, rng):
+    calls = []
+
+    def regenerate(slot):
+        calls.append(slot)
         return Constant(float("inf"))
 
     with pytest.raises(NonFiniteSemanticsError):
-        seed_archive([Constant(float("inf"))], small_split, regenerate=regenerate, max_retries=3)
+        seed_archive([Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate)
+    # the same cap as breeding: the slot aborts on its _SLOT_RETRIES + 1-th failure
+    assert calls == [1] * archive_module._SLOT_RETRIES
 
 
 def test_crossover_midpoint():
@@ -250,15 +255,6 @@ def test_record_count_after_seeding(small_split, rng):
     trees = [gen_tree(TreeGenConfig(max_depth=3, n_features=2), "grow", rng) for _ in range(12)]
     archive = seed_archive(trees, small_split)
     assert archive.record_count() == 12
-    assert archive.count_nodes() == 12 + sum(
-        _tree_size(ind.payload.tree) for ind in archive.generations[0]
-    )
-
-
-def _tree_size(tree):
-    from gsgp.exprtree import tree_size
-
-    return tree_size(tree)
 
 
 def test_record_count_append_only_arithmetic():
@@ -354,6 +350,44 @@ def test_json_rejects_ref_to_later_generation():
 def test_json_rejects_out_of_range_index():
     blob, split = json_archive_with(parent1=[0, 6])
     with pytest.raises(ValueError, match=r"generation 1, slot 2: .*index out of range"):
+        Archive.from_json(blob, split)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"random_tree": {"var": -1}}, r"variable -1 is not a feature index in \[0, 2\)"),
+        ({"random_tree": {"var": 2}}, r"variable 2 is not a feature index"),
+        ({"random_tree": {"var": 1.7}}, r"variable 1.7 is not a feature index"),
+        ({"random_tree": {"var": True}}, r"variable True is not a feature index"),
+        ({"random_tree": {"op": "pow", "left": {"var": 0}, "right": {"var": 1}}},
+         r"unknown operator kind 'pow'"),
+        ({"random_tree": {"const": float("inf")}}, r"constant inf is not a finite number"),
+        ({"random_tree": {"const": "0.5"}}, r"constant '0.5' is not a finite number"),
+        (
+            {"kind": "mutation", "base": [0, 0], "random_tree_a": {"const": 1.0},
+             "random_tree_b": {"const": 0.0}, "step": -0.1},
+            r"mutation step -0.1 is not a finite number >= 0",
+        ),
+        (
+            {"kind": "mutation", "base": [0, 0], "random_tree_a": {"const": 1.0},
+             "random_tree_b": {"const": 0.0}, "step": float("nan")},
+            r"mutation step nan is not a finite number >= 0",
+        ),
+    ],
+)
+def test_json_rejects_foreign_trees_and_steps(overrides, message):
+    blob, split = json_archive_with(**overrides)
+    with pytest.raises(ValueError, match=r"generation 1, slot 2: " + message):
+        Archive.from_json(blob, split)
+
+
+def test_json_rejects_a_top_level_without_generations():
+    blob, split = json_archive_with()
+    with pytest.raises(ValueError, match="list, not an object"):
+        Archive.from_json([blob], split)
+    del blob["generations"]
+    with pytest.raises(ValueError, match="no list of generations"):
         Archive.from_json(blob, split)
 
 

@@ -83,6 +83,12 @@ def test_cli_bad_evolution_params(capsys):
         ["--synthetic", "polynomial:40:2:0.0", "--crossover-rate", "1.5", "--runs", "1"]
     )
     assert code == 1
+    code = main(
+        ["--synthetic", "friedman-like:30:5:0", "--runs", "1", "--pop", "4",
+         "--generations", "2", "--max-depth", "-1"]
+    )
+    assert code == 1
+    assert "max_initial_depth must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_summary_when_every_run_fails(monkeypatch, capsys):

@@ -143,6 +143,8 @@ def test_config_validation():
         EvolutionConfig(population_size=0)
     with pytest.raises(ValueError):
         EvolutionConfig(tournament_size=0)
+    with pytest.raises(ValueError, match="max_initial_depth"):
+        EvolutionConfig(max_initial_depth=-1)
 
 
 def test_default_config_matches_benchmark_table():

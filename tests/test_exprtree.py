@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gsgp.data import split_70_30, synthetic_dataset
+from gsgp.evolve import EvolutionConfig, run_evolution
 from gsgp.exprtree import (
     BinaryOp,
     Constant,
@@ -10,12 +12,18 @@ from gsgp.exprtree import (
     eval_tree_many,
     gen_tree,
     ramp_schedule,
-    ramped_half_and_half,
     tree_depth,
     tree_from_json,
-    tree_size,
     tree_to_json,
 )
+
+
+def generation_zero_trees(population_size, seed, n_features=2):
+    """The ramped half-and-half trees run_evolution seeds, in slot order."""
+    data = synthetic_dataset("polynomial", 20, n_features, 0.0, seed=1)
+    cfg = EvolutionConfig(population_size=population_size, generations=0, seed=seed)
+    archive = run_evolution(cfg, split_70_30(data, seed=2), keep_archive=True).archive
+    return [ind.payload.tree for ind in archive.generations[0]]
 
 
 def leaf_depths(tree, depth=0):
@@ -79,9 +87,9 @@ def test_ramp_schedule_odd_remainder_goes_to_grow():
     assert [m for _, m in slots].count("grow") == 4
 
 
-def test_ramped_trees_match_their_slots(rng):
+def test_ramped_trees_match_their_slots():
     cfg = TreeGenConfig(max_depth=4, n_features=2)
-    trees = ramped_half_and_half(cfg, 100, np.random.default_rng(7))
+    trees = generation_zero_trees(100, seed=7)
     for (depth, method), tree in zip(ramp_schedule(cfg, 100), trees):
         if method == "full":
             assert leaf_depths(tree) == [depth] * len(leaf_depths(tree))
@@ -89,8 +97,9 @@ def test_ramped_trees_match_their_slots(rng):
             assert tree_depth(tree) <= depth
 
 
-def test_ramped_single_tree(rng):
-    assert len(ramped_half_and_half(TreeGenConfig(max_depth=4), 1, rng)) == 1
+def test_ramped_single_tree():
+    (tree,) = generation_zero_trees(1, seed=0)
+    assert tree_depth(tree) <= 2  # slot 0 is grow at the lowest ramp depth
 
 
 def test_ramped_low_max_depth_falls_back_to_grow():
@@ -99,10 +108,9 @@ def test_ramped_low_max_depth_falls_back_to_grow():
 
 
 def test_ramped_same_seed_identical():
-    cfg = TreeGenConfig(max_depth=4, n_features=3)
-    a = ramped_half_and_half(cfg, 40, np.random.default_rng(5))
-    b = ramped_half_and_half(cfg, 40, np.random.default_rng(5))
-    assert a == b
+    a = generation_zero_trees(40, seed=5, n_features=3)
+    assert generation_zero_trees(40, seed=5, n_features=3) == a
+    assert generation_zero_trees(40, seed=6, n_features=3) != a
 
 
 def test_eval_constant():
@@ -151,13 +159,7 @@ def test_tree_json_round_trip(rng):
     cfg = TreeGenConfig(max_depth=4, n_features=3)
     for _ in range(20):
         t = gen_tree(cfg, "grow", rng)
-        assert tree_from_json(tree_to_json(t)) == t
-
-
-def test_tree_size_counts_nodes():
-    t = BinaryOp("add", Variable(0), BinaryOp("mul", Variable(1), Constant(2.0)))
-    assert tree_size(t) == 5
-    assert tree_size(Constant(1.0)) == 1
+        assert tree_from_json(tree_to_json(t), 3) == t
 
 
 def test_config_validation():
@@ -165,7 +167,3 @@ def test_config_validation():
         TreeGenConfig(max_depth=-1)
     with pytest.raises(ValueError):
         TreeGenConfig(n_features=0)
-    with pytest.raises(ValueError):
-        TreeGenConfig(constant_range=(1.0, -1.0))
-    with pytest.raises(ValueError):
-        TreeGenConfig(p_constant=1.5)

@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_split, seeded_archive
 
-from gsgp.archive import IndividualRef
+from gsgp.archive import Archive, IndividualRef, Leaf
 from gsgp.exprtree import Constant
-from gsgp.selection import (
-    Geometric,
-    UniformLastK,
-    best_of,
-    geometric_offsets,
-    parse_distribution,
-    sample_source_generation,
-    tournament_select,
-)
+from gsgp.selection import Geometric, UniformLastK, parse_distribution, tournament_select
 
 
 def constant_archive(fitnesses, generations=1):
@@ -30,7 +24,7 @@ def constant_archive(fitnesses, generations=1):
 
 def test_uniform_k1_is_degenerate(rng):
     d = UniformLastK(1)
-    assert all(sample_source_generation(d, 7, rng) == 6 for _ in range(100))
+    assert all(d.sample(7, rng) == 6 for _ in range(100))
 
 
 def test_uniform_k1_consumes_no_randomness():
@@ -42,20 +36,20 @@ def test_uniform_k1_consumes_no_randomness():
 
 def test_uniform_window(rng):
     d = UniformLastK(3)
-    draws = {sample_source_generation(d, 10, rng) for _ in range(2000)}
+    draws = {d.sample(10, rng) for _ in range(2000)}
     assert draws == {7, 8, 9}
 
 
 def test_uniform_short_history_uses_all_generations(rng):
     d = UniformLastK(10)
-    draws = {sample_source_generation(d, 3, rng) for _ in range(2000)}
+    draws = {d.sample(3, rng) for _ in range(2000)}
     assert draws == {0, 1, 2}
 
 
 def test_geometric_frequencies(rng):
     d = Geometric(0.5)
     n = 10**5
-    draws = np.array([sample_source_generation(d, 10, rng) for _ in range(n)])
+    draws = np.array([d.sample(10, rng) for _ in range(n)])
     assert np.mean(draws == 9) == pytest.approx(0.5, abs=0.01)
     assert np.mean(draws == 8) == pytest.approx(0.25, abs=0.01)
 
@@ -63,7 +57,7 @@ def test_geometric_frequencies(rng):
 def test_geometric_clamp_to_initial_population(rng):
     d = Geometric(0.25)
     n = 10**5
-    draws = np.array([sample_source_generation(d, 2, rng) for _ in range(n)])
+    draws = np.array([d.sample(2, rng) for _ in range(n)])
     assert set(np.unique(draws)) == {0, 1}
     assert np.mean(draws == 1) == pytest.approx(0.25, abs=0.01)
     # every overflow draw lands on generation 0
@@ -73,17 +67,25 @@ def test_geometric_clamp_to_initial_population(rng):
 def test_sample_range_invariant(rng):
     for d in (UniformLastK(1), UniformLastK(5), Geometric(0.25), Geometric(0.75)):
         for current in (1, 2, 3, 17):
-            draws = [sample_source_generation(d, current, rng) for _ in range(500)]
+            draws = [d.sample(current, rng) for _ in range(500)]
             assert all(0 <= g <= current - 1 for g in draws)
 
 
 def test_sample_requires_history(rng):
-    with pytest.raises(ValueError):
-        sample_source_generation(UniformLastK(1), 0, rng)
+    # tournament_select checks for a completed generation before any draw
+    empty = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
+    before = rng.bit_generator.state
+    for d in (UniformLastK(1), UniformLastK(3), Geometric(0.5)):
+        with pytest.raises(ValueError, match="no completed generation"):
+            tournament_select(empty, d, 2, rng)
+    assert rng.bit_generator.state == before
 
 
 def test_geometric_offsets_law(rng):
-    offsets = geometric_offsets(0.25, 10**5, rng)
+    # a history far longer than any drawn offset, so no draw is clamped
+    current = 10**4
+    d = Geometric(0.25)
+    offsets = np.array([current - 1 - d.sample(current, rng) for _ in range(10**5)])
     assert np.mean(offsets) == pytest.approx(3.0, rel=0.03)
     for o in range(4):
         assert np.mean(offsets == o) == pytest.approx(0.25 * 0.75**o, abs=0.01)
@@ -100,17 +102,59 @@ def test_parse_distribution():
 def test_labels_round_trip():
     assert UniformLastK(5).label() == "u:5"
     assert Geometric(0.25).label() == "g:0.25"
-    assert parse_distribution(Geometric(0.25).label()) == Geometric(0.25)
+    assert Geometric(0.5).label() == "g:0.5"
+    for d in (UniformLastK(1), UniformLastK(37)):
+        assert parse_distribution(d.label()) == d
+    # more than six significant digits, where "%g" would merge neighbours
+    for p in (0.25, 0.1234567, 0.1234568, 1e-7, 1 / 3, 0.9999999999):
+        assert parse_distribution(Geometric(p).label()) == Geometric(p)
 
 
-def test_best_of_argmin_and_tie_break():
-    archive = constant_archive([5.0, 1.0, 3.0])
-    refs = [IndividualRef(0, i) for i in range(3)]
-    assert best_of(archive, refs) == IndividualRef(0, 1)
-    ties = constant_archive([2.0, 2.0, 2.0])
-    assert best_of(ties, [IndividualRef(0, 2), IndividualRef(0, 0)]) == IndividualRef(0, 2)
-    with pytest.raises(ValueError):
-        best_of(archive, [])
+# Train RMSEs of Constant(c) leaves against zero targets: |c|, and inf for
+# 1e200, whose square overflows. Three values, so ties cross generations.
+_FITNESS_CONSTANTS = (1.0, 2.0, 1e200)
+
+
+@st.composite
+def _tied_archives(draw):
+    """Archives of 1-4 generations of 1-5 leaves with at most 3 distinct fitnesses."""
+    pop = draw(st.integers(1, 5))
+    generations = draw(st.integers(1, 4))
+    values = st.lists(st.sampled_from(_FITNESS_CONSTANTS), min_size=pop, max_size=pop)
+    archive = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
+    with np.errstate(over="ignore"):
+        for _ in range(generations):
+            leaves = [Leaf(Constant(c)) for c in draw(values)]
+            archive.append_generation(archive.make_generation(leaves))
+    return archive
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _tied_archives(),
+    st.integers(1, 8),
+    st.sampled_from(["u:1", "u:3", "g:0.5"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_tournament_winner_is_first_minimal_entrant(archive, t, spec, seed):
+    d = parse_distribution(spec)
+    current = len(archive.generations)
+    counts = np.arange(4, dtype=np.int64)  # earlier tallies are kept
+    expected = counts.copy()
+    rng = np.random.default_rng(seed)
+    winner = tournament_select(archive, d, t, rng, offset_counts=counts)
+
+    twin = np.random.default_rng(seed)
+    entrants = []
+    for _ in range(t):
+        gen = d.sample(current, twin)
+        entrants.append(IndividualRef(gen, int(twin.integers(len(archive.generations[gen])))))
+        expected[current - 1 - gen] += 1
+    fitnesses = [archive.individual(ref).train_fitness for ref in entrants]
+    assert winner == entrants[fitnesses.index(min(fitnesses))]
+    assert np.array_equal(counts, expected)
+    assert counts.sum() == np.arange(4).sum() + t
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_tournament_size_one_returns_single_entrant(rng):
