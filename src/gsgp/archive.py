@@ -24,9 +24,10 @@ evaluates each random tree once into a row of a reused buffer, applies one
 deltas as matrix operations, checks finiteness once and computes each
 split's fitness once, row by row. Every entry undergoes the same IEEE
 operations, in the same order, as evaluating the payload alone would apply,
-so the block size never changes a result. The first non-finite slot, in
-slot order, raises NonFiniteSemanticsError; `make_individual` is a
-generation of one.
+so the block size never changes a result. `evaluate` reports every slot
+whose semantics are not finite and computes no fitness for it;
+`make_generation` raises the first such slot's NonFiniteSemanticsError, and
+`make_individual` is a generation of one.
 
 `to_json` writes schema 2: each generation is a list of payloads, where a
 ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
@@ -168,46 +169,70 @@ class Archive:
     def make_generation(self, payloads: list) -> list:
         """Individuals of these payloads, in order (not appended).
 
+        If a value is not finite, the NonFiniteSemanticsError of the first
+        such slot in order is raised; see `evaluate`.
+        """
+        individuals, rejects = self.evaluate(payloads, range(len(payloads)))
+        if rejects:
+            raise rejects[0]
+        return individuals
+
+    def evaluate(self, payloads: list, slots) -> tuple:
+        """(individuals, rejects) of payloads[s] for s in slots, in order.
+
         A reproduction (a bare IndividualRef) shares its parent's arrays and
         fitnesses. The other payloads are evaluated in blocks of at most
         _BLOCK_ELEMENTS stacked values, each child getting its own copy of
-        its row. If a value is not finite, NonFiniteSemanticsError names
-        the first such slot in order, the split and the row within it.
+        its row. A slot whose semantics are not all finite gets None in
+        `individuals` and one NonFiniteSemanticsError in `rejects` naming
+        the slot, the split and the row within it; rejects are in slot
+        order, and no fitness is computed for them.
         """
-        individuals = [None] * len(payloads)
+        slots = list(slots)
+        individuals = [None] * len(slots)
         fresh = []
-        for slot, payload in enumerate(payloads):
+        for pos, slot in enumerate(slots):
+            payload = payloads[slot]
             if isinstance(payload, IndividualRef):
-                individuals[slot] = replace(self.individual(payload), payload=payload)
+                individuals[pos] = replace(self.individual(payload), payload=payload)
             else:
-                fresh.append(slot)
+                fresh.append(pos)
+        rejects = []
         size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
         for start in range(0, len(fresh), size):
-            slots = fresh[start : start + size]
-            block = self._evaluate([payloads[i] for i in slots])
+            positions = fresh[start : start + size]
+            block = self._evaluate([payloads[slots[pos]] for pos in positions])
             try:
                 check_finite(block, "offspring block")
-            except NonFiniteSemanticsError as exc:
-                self._raise_nonfinite(payloads, slots[exc.slot], block[exc.slot])
+            except NonFiniteSemanticsError:
+                finite = np.isfinite(block).all(axis=1)
+                for i in np.flatnonzero(~finite).tolist():
+                    slot = slots[positions[i]]
+                    rejects.append(self._nonfinite(payloads[slot], slot, block[i]))
+                positions = [pos for pos, ok in zip(positions, finite.tolist()) if ok]
+                block = block[finite]
             train_fitness = self.fitness(block[:, : self.n_train], self.train_targets)
             test_fitness = self.fitness(block[:, self.n_train :], self.test_targets)
-            for i, slot in enumerate(slots):
+            for i, pos in enumerate(positions):
                 values = block[i].copy()
-                individuals[slot] = Individual(
-                    payload=payloads[slot],
+                individuals[pos] = Individual(
+                    payload=payloads[slots[pos]],
                     semantics=values,
                     train_semantics=values[: self.n_train],
                     test_semantics=values[self.n_train :],
                     train_fitness=float(train_fitness[i]),
                     test_fitness=float(test_fitness[i]),
                 )
-        return individuals
+        return individuals, rejects
 
-    def _raise_nonfinite(self, payloads, slot, values):
-        """Raise for a slot's non-finite values, naming a train row before a test row."""
-        context = f"{type(payloads[slot]).__name__} payload in slot {slot}"
-        check_finite(values[: self.n_train], context, split="train", slot=slot)
-        check_finite(values[self.n_train :], context, split="test", slot=slot)
+    def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
+        """The error for a slot's non-finite values, naming a train row before a test row."""
+        context = f"{type(payload).__name__} payload in slot {slot}"
+        try:
+            check_finite(values[: self.n_train], context, split="train", slot=slot)
+            check_finite(values[self.n_train :], context, split="test", slot=slot)
+        except NonFiniteSemanticsError as exc:
+            return exc
 
     def _evaluate(self, payloads: list) -> np.ndarray:
         """Stacked semantics of non-reference payloads, one row each.
@@ -365,10 +390,12 @@ class Archive:
     def from_json(cls, obj: dict, split: SplitDataset) -> "Archive":
         """Rebuild an archive from `to_json` output.
 
-        Foreign input raises ValueError. Within a payload the message names
-        the generation and slot: an unknown kind, a missing key, a ref that
-        does not point into an earlier generation, a tree that
-        `tree_from_json` rejects, or a step that is not a finite number >= 0.
+        Foreign input raises ValueError. A generation that is empty or not
+        of generation 0's size is named by its index. Within a payload the
+        message names the generation and slot: an unknown kind, a missing
+        key, a ref that does not point into an earlier generation, a tree
+        that `tree_from_json` rejects (one deeper than MAX_TREE_DEPTH among
+        them), or a step that is not a finite number >= 0.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"archive JSON is a {type(obj).__name__}, not an object")
@@ -384,6 +411,13 @@ class Archive:
         for g, gen in enumerate(generations):
             if not isinstance(gen, list):
                 raise ValueError(f"generation {g} is not a list of payloads")
+            if not gen:
+                raise ValueError(f"generation {g} is empty")
+            if archive.generations and len(gen) != len(archive.generations[0]):
+                raise ValueError(
+                    f"generation {g} has {len(gen)} payloads, not the population size "
+                    f"{len(archive.generations[0])}"
+                )
             payloads = []
             for i, item in enumerate(gen):
                 try:

@@ -6,25 +6,43 @@ independently, with probability mutation_rate the result is wrapped in a
 mutation record. Slot 0 is the previous generation's best individual when
 elitism is on, exempt from variation.
 
-A generation is built in two phases: every slot's payload is drawn, in slot
-order, and then `Archive.make_generation` evaluates them all in blocks. A
-draw with non-finite semantics is redrawn under the replay rule of
-`next_generation`, which keeps the RNG stream, the offset histogram and the
-selection trace exactly what evaluating each slot as soon as it is drawn
-would give.
+Randomness follows RNG stream 2 (RNG_STREAM). A run first draws its
+generation-0 trees, one `gen_tree` call over the `ramp_schedule` slots; a
+seed tree with non-finite semantics is replaced at once by a `gen_tree`
+call for its slot alone. Then `next_generation` draws the payloads of its
+k open slots in bulk, one draw per kind, in this order:
+
+1. crossover coins, `rng.random(k)`;
+2. mutation coins, `rng.random(k)`;
+3. one `tournament_select` call for all k + (crossovers) tournaments: the
+   entrants' source generations, then their indices;
+4. one `gen_tree` call for all random trees, grow at max_initial_depth:
+   one per crossover and two per bounded mutation (one per raw mutation).
+
+Winners and trees are handed out in slot order: a crossover takes the
+next two winners and the next tree, a reproduction the next winner, and a
+mutation then takes the next tree as random_tree_a and, when bounded, the
+one after it as random_tree_b. The whole generation is then evaluated at
+once. The slots whose semantics are not finite are drawn again the same
+way, with k the number of failed slots, and only they are evaluated
+again. A rejected draw stays consumed: its entrants stay tallied in
+offset_counts and its winners in the selection trace.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .archive import _SLOT_RETRIES, Archive, Crossover, IndividualRef, Mutation, seed_archive
 from .data import SplitDataset
-from .errors import NonFiniteSemanticsError
-from .exprtree import TreeGenConfig, gen_tree, ramp_schedule
+from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, gen_tree, ramp_schedule
 from .selection import UniformLastK, tournament_select
+
+# The order in which a run draws its randomness (see the module docstring);
+# campaign reports record it.
+RNG_STREAM = 2
 
 
 @dataclass
@@ -50,6 +68,8 @@ class EvolutionConfig:
             raise ValueError("generations must be >= 0")
         if self.max_initial_depth < 0:
             raise ValueError("max_initial_depth must be >= 0")
+        if self.max_initial_depth > MAX_TREE_DEPTH:
+            raise ValueError(f"max_initial_depth must be <= MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must be in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
@@ -94,74 +114,62 @@ def next_generation(
 ) -> list:
     """Breed, evaluate, and append one generation; returns its individuals.
 
-    Every slot's payload is drawn first, in slot order, and then the whole
-    generation is evaluated at once. A draw whose semantics are not finite
-    is redrawn exactly as if each slot were evaluated as soon as it was
-    drawn: the RNG state, offset_counts and trace go back to the last
-    checkpoint, the draws are replayed up to and including the failed one
-    (so its draws stay consumed and tallied) and drawing resumes at the
-    failed slot. Each rejected draw's error is appended to `rejects` when
-    given; a slot that fails _SLOT_RETRIES + 1 times in a row aborts, the
-    same cap that seed_archive applies to generation 0.
+    Every open slot's payload is drawn in bulk and the generation is
+    evaluated at once (see the module docstring). A slot whose semantics
+    are not finite is redrawn and evaluated again on its own, with the
+    other failed slots of its round; each rejected draw's error is
+    appended to `rejects` when given. A slot that fails _SLOT_RETRIES + 1
+    times aborts the generation with its error, the same cap that
+    seed_archive applies to generation 0.
     """
     if not archive.generations:
         raise ValueError("archive has no seeded generation")
     current = len(archive.generations)
     tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=archive.inputs.shape[1])
+    trees_per_mutation = 2 if cfg.bounded_mutation else 1
 
-    def select():
-        ref = tournament_select(
-            archive, cfg.distribution, cfg.tournament_size, rng, offset_counts
+    def draw(k):
+        crossover = (rng.random(k) < cfg.crossover_rate).tolist()
+        mutation = (rng.random(k) < cfg.mutation_rate).tolist()
+        winners = tournament_select(
+            archive, cfg.distribution, cfg.tournament_size, k + sum(crossover), rng,
+            offset_counts,
         )
         if trace is not None:
-            trace.append(ref)
-        return ref
+            trace.extend(winners)
+        n_trees = sum(crossover) + trees_per_mutation * sum(mutation)
+        winners = iter(winners)
+        trees = iter(gen_tree(tree_cfg, [(tree_cfg.max_depth, "grow")] * n_trees, rng))
+        payloads = []
+        for crossed, mutated in zip(crossover, mutation):
+            base = Crossover(next(winners), next(winners), next(trees)) if crossed else next(winners)
+            if mutated:
+                ra = next(trees)
+                rb = next(trees) if cfg.bounded_mutation else None
+                base = Mutation(base, ra, rb, cfg.mutation_step)
+            payloads.append(base)
+        return payloads
 
-    def random_tree():
-        return gen_tree(tree_cfg, "grow", rng)
-
-    def build_slot():
-        if rng.random() < cfg.crossover_rate:
-            base = Crossover(select(), select(), random_tree())
-        else:
-            base = select()  # reproduction: the bare ref is the payload
-        if rng.random() < cfg.mutation_rate:
-            rb = random_tree() if cfg.bounded_mutation else None
-            return Mutation(base, random_tree(), rb, cfg.mutation_step)
-        return base
-
-    def checkpoint():
-        counts = None if offset_counts is None else offset_counts.copy()
-        return rng.bit_generator.state, counts, None if trace is None else len(trace)
-
-    def restore(mark):
-        state, counts, traced = mark
-        rng.bit_generator.state = state
-        if counts is not None:
-            offset_counts[:] = counts
-        if traced is not None:
-            del trace[traced:]
-
-    # Slots before `settled` hold their final payloads.
     payloads = [archive.best_of_generation(current - 1)] if cfg.elitism else []
-    settled = len(payloads)
-    failures = 0
+    payloads += draw(cfg.population_size - len(payloads))
+    individuals = [None] * len(payloads)
+    failures = [0] * len(payloads)
+    slots = range(len(payloads))
     while True:
-        mark = checkpoint()
-        payloads[settled:] = [build_slot() for _ in range(cfg.population_size - settled)]
-        try:
-            individuals = archive.make_generation(payloads)
+        made, failed = archive.evaluate(payloads, slots)
+        for slot, individual in zip(slots, made):
+            individuals[slot] = individual
+        if not failed:
             break
-        except NonFiniteSemanticsError as exc:
-            if rejects is not None:
-                rejects.append(exc)
-            failures = failures + 1 if exc.slot == settled else 1
-            if failures > _SLOT_RETRIES:
-                raise
-            restore(mark)
-            for _ in range(exc.slot + 1 - settled):
-                build_slot()
-            settled = exc.slot
+        if rejects is not None:
+            rejects.extend(failed)
+        for exc in failed:
+            failures[exc.slot] += 1
+            if failures[exc.slot] > _SLOT_RETRIES:
+                raise exc
+        slots = [exc.slot for exc in failed]
+        for slot, payload in zip(slots, draw(len(slots))):
+            payloads[slot] = payload
     archive.append_generation(individuals)
     return individuals
 
@@ -180,16 +188,11 @@ def run_evolution(
 
     regenerated = []
 
-    def slot_tree(slot):
-        depth, method = schedule[slot]
-        return gen_tree(replace(tree_cfg, max_depth=depth), method, rng)
-
     def regenerate(slot):
         regenerated.append(slot)
-        return slot_tree(slot)
+        return gen_tree(tree_cfg, [schedule[slot]], rng)[0]
 
-    trees = [slot_tree(i) for i in range(cfg.population_size)]
-    archive = seed_archive(trees, split, regenerate=regenerate)
+    archive = seed_archive(gen_tree(tree_cfg, schedule, rng), split, regenerate=regenerate)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
     trace = [] if record_trace else None

@@ -7,8 +7,11 @@ the rank-sum test. Run r of every strategy shares the same 70/30 split
 the strategy so searches differ.
 
 Outputs: report.json (deterministic: identical campaign config gives
-byte-identical bytes), metadata.json (timestamps, durations), runs.csv
-(per-run finals), boxplot.csv (per-strategy final test RMSE columns).
+byte-identical bytes; schema 2 records the RNG stream and, per strategy,
+each completed run's non-finite offspring redraws and regenerated seed
+trees, aligned with final_test_rmse), metadata.json (timestamps,
+durations), runs.csv (per-run finals), boxplot.csv (per-strategy final
+test RMSE columns).
 """
 
 import csv
@@ -25,11 +28,11 @@ import numpy as np
 
 from .data import Dataset, split_70_30
 from .errors import NonFiniteSemanticsError
-from .evolve import EvolutionConfig, run_evolution
+from .evolve import RNG_STREAM, EvolutionConfig, run_evolution
 from .selection import UniformLastK, parse_distribution
 from .stats import median, rank_sum_test
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 BASELINE_LABEL = "u:1"
 _SEED_MASK = (1 << 63) - 1
 
@@ -78,6 +81,8 @@ class StrategyResult:
     offset_histograms: list
     failures: list  # [run_index, message] pairs
     durations: list
+    nonfinite_retries: list
+    seed_regenerations: list
 
     @property
     def complete(self) -> bool:
@@ -126,6 +131,8 @@ class CampaignReport:
                 "offset_histograms": [
                     {str(k): h[k] for k in sorted(h)} for h in s.offset_histograms
                 ],
+                "nonfinite_retries": s.nonfinite_retries,
+                "seed_regenerations": s.seed_regenerations,
                 "failures": s.failures,
                 "p_value_vs_baseline": None,
                 "u_statistic_vs_baseline": None,
@@ -152,6 +159,7 @@ class CampaignReport:
                 "runs": self.runs,
                 "base_seed": self.base_seed,
                 "paired_splits": True,
+                "rng_stream": RNG_STREAM,
                 "evolution": self.evolution,
             },
             "baseline": self.baseline,
@@ -253,6 +261,8 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
             offset_histograms=[],
             failures=[],
             durations=[],
+            nonfinite_retries=[],
+            seed_regenerations=[],
         )
         for r in range(campaign.runs):
             run, error = outcomes[(si, r)]
@@ -263,6 +273,8 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
             sr.final_test_rmse.append(run.test_rmse[-1])
             sr.offset_histograms.append(run.offset_histogram)
             sr.durations.append(run.duration_seconds)
+            sr.nonfinite_retries.append(run.nonfinite_retries)
+            sr.seed_regenerations.append(run.seed_regenerations)
         results.append(sr)
 
     return CampaignReport(

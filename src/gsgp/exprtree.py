@@ -3,6 +3,22 @@
 Trees are immutable and are never modified after creation; all later
 variation happens in semantic space (see the archive module). The function
 set is {+, -, *, protected /} over variables and ephemeral constants.
+
+Random trees are drawn in bulk (RNG stream 2). `gen_tree` lays every tree
+it draws out on a heap of depth max_depth, where node j sits at depth
+floor(log2(j + 1)) and has children 2j + 1 and 2j + 2, and makes five array
+draws over all the trees at once, in this order:
+
+1. grow-stop uniforms, one per internal node (`rng.random`);
+2. operators, one per internal node (`rng.integers(len(OP_KINDS))`);
+3. constant flags, one per node (`rng.random`);
+4. constant values, one per node (`rng.uniform(*CONSTANT_RANGE)`);
+5. variable indices, one per node (`rng.integers(n_features)`).
+
+A tree is the live part of its heap: the root, and both children of every
+live node that is an operator. The draws of dead nodes are consumed unread.
+No tree is deeper than MAX_TREE_DEPTH, which bounds the heap, the recursion
+of evaluation and the trees `tree_from_json` accepts.
 """
 
 import math
@@ -15,6 +31,10 @@ OP_KINDS = ("add", "sub", "mul", "div")
 
 # Protected division: |denominator| <= DIV_EPS yields 1.0.
 DIV_EPS = 1e-9
+
+# Deepest tree (root at depth 0) that is generated, evaluated or parsed. A
+# heap of this depth has 2^(MAX_TREE_DEPTH+1) - 1 nodes per tree.
+MAX_TREE_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -39,7 +59,8 @@ ExprTree = Union[Constant, Variable, BinaryOp]
 
 # Terminals are ephemeral constants, drawn uniformly from CONSTANT_RANGE,
 # with probability P_CONSTANT, and variables otherwise. The grow method
-# stops early at a node below max_depth with probability P_GROW_TERMINAL.
+# stops early at a node above its depth limit with probability
+# P_GROW_TERMINAL.
 CONSTANT_RANGE = (-1.0, 1.0)
 P_CONSTANT = 0.3
 P_GROW_TERMINAL = 0.3
@@ -50,45 +71,67 @@ class TreeGenConfig:
     """Depth limit and feature count for random tree generation.
 
     max_depth uses the root-at-depth-0 convention: a lone leaf has depth 0.
-    Variables index the features 0..n_features-1. The terminal and grow
-    probabilities are the module constants P_CONSTANT, CONSTANT_RANGE and
-    P_GROW_TERMINAL.
+    It is at most MAX_TREE_DEPTH and is the depth of the heap `gen_tree`
+    draws on. Variables index the features 0..n_features-1. The terminal and
+    grow probabilities are the module constants P_CONSTANT, CONSTANT_RANGE
+    and P_GROW_TERMINAL.
     """
 
     max_depth: int = 4
     n_features: int = 1
 
     def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
+        if not 0 <= self.max_depth <= MAX_TREE_DEPTH:
+            raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}]")
         if self.n_features < 1:
             raise ValueError("n_features must be >= 1")
 
 
-def gen_tree(cfg: TreeGenConfig, method: str, rng: np.random.Generator) -> ExprTree:
-    """Generate one random tree with the grow or full method.
+def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
+    """One random tree per (depth, method) slot, from five bulk draws.
 
-    full puts every leaf at exactly cfg.max_depth; grow may stop early at
-    any node below it. max_depth 0 degenerates to a single terminal.
+    A slot's depth is at most cfg.max_depth, the depth of the heap every
+    tree is drawn on (see the module docstring for the draw order). A heap
+    node above the slot's depth is an operator, except that under the grow
+    method its grow-stop uniform makes it a terminal with probability
+    P_GROW_TERMINAL; a node at the slot's depth is a terminal. So full puts
+    every leaf at exactly the slot's depth, and depth 0 gives a single
+    terminal. A terminal is a constant with probability P_CONSTANT and a
+    variable otherwise.
     """
-    if method not in ("grow", "full"):
-        raise ValueError(f"unknown method {method!r}, expected 'grow' or 'full'")
+    depths = []
+    grow = []
+    for depth, method in slots:
+        if method not in ("grow", "full"):
+            raise ValueError(f"unknown method {method!r}, expected 'grow' or 'full'")
+        if not 0 <= depth <= cfg.max_depth:
+            raise ValueError(f"slot depth {depth} is not in [0, {cfg.max_depth}]")
+        depths.append(depth)
+        grow.append(method == "grow")
+    n = len(depths)
+    internal = (1 << cfg.max_depth) - 1
+    nodes = 2 * internal + 1
+    stop = rng.random((n, internal)) < P_GROW_TERMINAL
+    ops = rng.integers(len(OP_KINDS), size=(n, internal))
+    constant = rng.random((n, nodes)) < P_CONSTANT
+    values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes))
+    variables = rng.integers(cfg.n_features, size=(n, nodes))
 
-    def terminal():
-        if rng.random() < P_CONSTANT:
-            lo, hi = CONSTANT_RANGE
-            return Constant(float(rng.uniform(lo, hi)))
-        return Variable(int(rng.integers(cfg.n_features)))
+    node_depth = np.repeat(np.arange(cfg.max_depth), 1 << np.arange(cfg.max_depth))
+    branch = node_depth < np.array(depths, dtype=int)[:, None]
+    branch &= ~(stop & np.array(grow, dtype=bool)[:, None])
+    trees = []
+    rows = zip(branch.tolist(), ops.tolist(), constant.tolist(), values.tolist(),
+               variables.tolist())
+    for is_op, op, is_const, value, var in rows:
 
-    def build(depth):
-        if depth >= cfg.max_depth:
-            return terminal()
-        if method == "grow" and rng.random() < P_GROW_TERMINAL:
-            return terminal()
-        kind = OP_KINDS[int(rng.integers(len(OP_KINDS)))]
-        return BinaryOp(kind, build(depth + 1), build(depth + 1))
+        def build(j):
+            if j < internal and is_op[j]:
+                return BinaryOp(OP_KINDS[op[j]], build(2 * j + 1), build(2 * j + 2))
+            return Constant(value[j]) if is_const[j] else Variable(var[j])
 
-    return build(0)
+        trees.append(build(0))
+    return trees
 
 
 def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
@@ -204,25 +247,29 @@ def tree_from_json(obj, n_features: int) -> ExprTree:
     """Parse `tree_to_json` output for inputs with n_features columns.
 
     A variable must be a non-bool int in [0, n_features), an operator one
-    of OP_KINDS, and a constant a finite number; anything else raises
-    ValueError, so a foreign tree never evaluates a column it does not name.
+    of OP_KINDS, a constant a finite number, and no node deeper than
+    MAX_TREE_DEPTH; anything else raises ValueError, so a foreign tree
+    never evaluates a column it does not name and never recurses past the
+    cap.
     """
-    if "const" in obj:
-        value = obj["const"]
-        if not _finite_number(value):
-            raise ValueError(f"constant {value!r} is not a finite number")
-        return Constant(float(value))
-    if "var" in obj:
-        index = obj["var"]
-        if type(index) is not int or not 0 <= index < n_features:
-            raise ValueError(
-                f"variable {index!r} is not a feature index in [0, {n_features})"
-            )
-        return Variable(index)
-    if obj["op"] not in OP_KINDS:
-        raise ValueError(f"unknown operator kind {obj['op']!r}")
-    return BinaryOp(
-        obj["op"],
-        tree_from_json(obj["left"], n_features),
-        tree_from_json(obj["right"], n_features),
-    )
+
+    def parse(obj, depth):
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
+        if "const" in obj:
+            value = obj["const"]
+            if not _finite_number(value):
+                raise ValueError(f"constant {value!r} is not a finite number")
+            return Constant(float(value))
+        if "var" in obj:
+            index = obj["var"]
+            if type(index) is not int or not 0 <= index < n_features:
+                raise ValueError(
+                    f"variable {index!r} is not a feature index in [0, {n_features})"
+                )
+            return Variable(index)
+        if obj["op"] not in OP_KINDS:
+            raise ValueError(f"unknown operator kind {obj['op']!r}")
+        return BinaryOp(obj["op"], parse(obj["left"], depth + 1), parse(obj["right"], depth + 1))
+
+    return parse(obj, 0)

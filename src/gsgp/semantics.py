@@ -62,7 +62,11 @@ def rmse(pred, target):
     """Root mean squared componentwise error of a vector against a target.
 
     A 2-d `pred` holds one vector per row and gives an array with one RMSE
-    per row, each bitwise what that row alone would give.
+    per row, each bitwise what that row alone would give. Only a finite
+    vector whose squared errors overflow is measured again, on its errors
+    scaled down by the power of two above the largest magnitude in it and
+    the target, so its RMSE is finite unless the RMSE itself exceeds the
+    largest float.
     """
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
@@ -72,10 +76,29 @@ def rmse(pred, target):
         raise ValueError(f"length mismatch: {p.shape[-1]} vs {t.shape[0]}")
     if t.size == 0:
         raise ValueError("rmse of empty vectors is undefined")
-    d = p - t
-    d *= d
-    errors = np.sqrt(np.mean(d, axis=-1))
+    with np.errstate(over="ignore"):
+        d = p - t
+        d *= d
+        errors = np.sqrt(np.mean(d, axis=-1))
+        if not np.isfinite(errors).all():
+            errors = np.array(errors, ndmin=1)
+            rows = np.array(p, ndmin=2)
+            for i in np.flatnonzero(~np.isfinite(errors) & np.isfinite(rows).all(axis=1)):
+                errors[i] = _scaled_rmse(rows[i], t)
+            errors = errors.reshape(p.shape[:-1])
     return float(errors) if p.ndim == 1 else errors
+
+
+def _scaled_rmse(p, t):
+    """RMSE of finite p against t, computed on errors scaled by 2^-k.
+
+    k is the exponent of the largest magnitude in p and t, so the scaled
+    errors are at most 2 and their squares cannot overflow; scaling by a
+    power of two is exact apart from underflow.
+    """
+    _, k = np.frexp(max(np.max(np.abs(p)), np.max(np.abs(t))))
+    d = np.ldexp(p, -k) - np.ldexp(t, -k)
+    return np.ldexp(np.sqrt(np.mean(d * d)), k)
 
 
 def check_finite(values: np.ndarray, context: str, split: str = None, slot: int = None):

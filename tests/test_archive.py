@@ -19,7 +19,15 @@ from gsgp.archive import (
 from gsgp.data import synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, run_evolution
-from gsgp.exprtree import BinaryOp, Constant, TreeGenConfig, Variable, eval_tree, gen_tree
+from gsgp.exprtree import (
+    MAX_TREE_DEPTH,
+    BinaryOp,
+    Constant,
+    TreeGenConfig,
+    Variable,
+    eval_tree,
+    gen_tree,
+)
 from gsgp.semantics import sigmoid
 
 
@@ -41,7 +49,7 @@ def evolved_archive(pop=8, gens=5, seed=9, rows=20):
 
 
 def test_seed_archive_shape(small_split, rng):
-    trees = [gen_tree(TreeGenConfig(max_depth=3, n_features=2), "grow", rng) for _ in range(100)]
+    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 100, rng)
     archive = seed_archive(trees, small_split)
     assert len(archive.generations) == 1
     assert len(archive.generations[0]) == 100
@@ -56,7 +64,7 @@ def test_mean_constant_leaf_fitness_is_population_std(small_split):
 
 
 def test_seeding_is_deterministic(small_split, rng):
-    trees = [gen_tree(TreeGenConfig(max_depth=3, n_features=2), "grow", rng) for _ in range(10)]
+    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 10, rng)
     a = seed_archive(trees, small_split)
     b = seed_archive(trees, small_split)
     for x, y in zip(a.generations[0], b.generations[0]):
@@ -141,7 +149,7 @@ def test_mutation_bounded_by_step(rng):
     cfg = TreeGenConfig(max_depth=4, n_features=1)
     parent = archive.generations[0][0]
     for _ in range(100):
-        ra, rb = gen_tree(cfg, "grow", rng), gen_tree(cfg, "grow", rng)
+        ra, rb = gen_tree(cfg, [(cfg.max_depth, "grow")] * 2, rng)
         child = archive.make_individual(Mutation(IndividualRef(0, 0), ra, rb, 0.1))
         assert np.all(np.abs(child.train_semantics - parent.train_semantics) <= 0.1 + 1e-12)
 
@@ -161,7 +169,8 @@ def test_crossover_betweenness_sweep(rng):
         g1, g2 = rng.integers(len(gens), size=2)
         r1 = IndividualRef(int(g1), int(rng.integers(len(gens[g1]))))
         r2 = IndividualRef(int(g2), int(rng.integers(len(gens[g2]))))
-        child = archive.make_individual(Crossover(r1, r2, gen_tree(cfg, "grow", rng)))
+        (tree,) = gen_tree(cfg, [(cfg.max_depth, "grow")], rng)
+        child = archive.make_individual(Crossover(r1, r2, tree))
         for which in ("train_semantics", "test_semantics"):
             c = getattr(child, which)
             a = getattr(archive.individual(r1), which)
@@ -252,7 +261,7 @@ def test_naive_eval_budget_guard():
 
 
 def test_record_count_after_seeding(small_split, rng):
-    trees = [gen_tree(TreeGenConfig(max_depth=3, n_features=2), "grow", rng) for _ in range(12)]
+    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 12, rng)
     archive = seed_archive(trees, small_split)
     assert archive.record_count() == 12
 
@@ -382,6 +391,37 @@ def test_json_rejects_foreign_trees_and_steps(overrides, message):
         Archive.from_json(blob, split)
 
 
+def nested_tree(depth):
+    """A chain of `add` nodes `depth` levels deep, built without recursion."""
+    tree = {"var": 0}
+    for _ in range(depth):
+        tree = {"op": "add", "left": tree, "right": {"const": 1.0}}
+    return tree
+
+
+def test_json_rejects_a_tree_deeper_than_the_cap():
+    deeper = rf"generation 1, slot 2: tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}"
+    for depth in (MAX_TREE_DEPTH + 1, 3000):
+        blob, split = json_archive_with(random_tree=nested_tree(depth))
+        with pytest.raises(ValueError, match=deeper):
+            Archive.from_json(blob, split)
+    blob, split = json_archive_with(random_tree=nested_tree(MAX_TREE_DEPTH))
+    Archive.from_json(blob, split)
+
+
+def test_json_rejects_a_generation_that_is_empty_or_the_wrong_size():
+    blob, split = json_archive_with()
+    blob["generations"][1].pop()
+    with pytest.raises(ValueError, match=r"^generation 1 has 5 payloads, not the population size 6$"):
+        Archive.from_json(blob, split)
+    blob["generations"][1] = []
+    with pytest.raises(ValueError, match=r"^generation 1 is empty$"):
+        Archive.from_json(blob, split)
+    blob["generations"] = [[]]
+    with pytest.raises(ValueError, match=r"^generation 0 is empty$"):
+        Archive.from_json(blob, split)
+
+
 def test_json_rejects_a_top_level_without_generations():
     blob, split = json_archive_with()
     with pytest.raises(ValueError, match="list, not an object"):
@@ -450,7 +490,7 @@ def test_nonfinite_generation_names_the_first_failing_slot():
 
 _TREE_CFG = TreeGenConfig(max_depth=3, n_features=2)
 _trees = st.integers(0, 2**32 - 1).map(
-    lambda seed: gen_tree(_TREE_CFG, "grow", np.random.default_rng(seed))
+    lambda seed: gen_tree(_TREE_CFG, [(3, "grow")], np.random.default_rng(seed))[0]
 )
 _refs = st.builds(IndividualRef, st.integers(0, 1), st.integers(0, 3))
 _crossovers = st.builds(Crossover, _refs, _refs, _trees)
@@ -468,7 +508,7 @@ _payloads = st.one_of(
 @given(st.lists(_payloads, min_size=1, max_size=12))
 def test_block_size_never_changes_semantics_or_fitness(payloads):
     split = split_70_30(synthetic_dataset("polynomial", 12, 2, 0.0, seed=5), seed=1)
-    trees = [gen_tree(_TREE_CFG, "grow", np.random.default_rng(i)) for i in range(4)]
+    trees = [gen_tree(_TREE_CFG, [(3, "grow")], np.random.default_rng(i))[0] for i in range(4)]
     archive = seed_archive(trees, split)
     archive.append_generation(
         archive.make_generation([crossover(i, (i + 1) % 4, trees[i]) for i in range(4)])

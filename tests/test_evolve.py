@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import gsgp.archive as archive_module
 import gsgp.evolve as evolve
-from gsgp.archive import Crossover, IndividualRef, Leaf, Mutation
-from gsgp.data import split_70_30, synthetic_dataset
+from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
+from gsgp.data import Dataset, split_70_30, synthetic_dataset
 from gsgp.errors import NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
-from gsgp.exprtree import Constant
+from gsgp.exprtree import MAX_TREE_DEPTH, Constant, eval_tree_many
 from gsgp.selection import Geometric, UniformLastK
 
 
@@ -145,6 +146,9 @@ def test_config_validation():
         EvolutionConfig(tournament_size=0)
     with pytest.raises(ValueError, match="max_initial_depth"):
         EvolutionConfig(max_initial_depth=-1)
+    EvolutionConfig(max_initial_depth=MAX_TREE_DEPTH)
+    with pytest.raises(ValueError, match="max_initial_depth must be <= MAX_TREE_DEPTH"):
+        EvolutionConfig(max_initial_depth=MAX_TREE_DEPTH + 1)
 
 
 def test_default_config_matches_benchmark_table():
@@ -163,33 +167,97 @@ def test_default_config_matches_benchmark_table():
 def test_slot_failing_every_redraw_aborts_after_the_retry_cap(split, rng, monkeypatch):
     archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
 
-    def overflowing_tree(cfg, method, tree_rng):
-        tree_rng.random()  # draws stay consumed like a real tree's
-        return Constant(math.inf)
+    def overflowing_trees(cfg, slots, tree_rng):
+        tree_rng.random(len(slots))  # draws stay consumed like real trees'
+        return [Constant(math.inf) for _ in slots]
 
-    monkeypatch.setattr(evolve, "gen_tree", overflowing_tree)
+    monkeypatch.setattr(evolve, "gen_tree", overflowing_trees)
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
     rejects = []
     with pytest.raises(NonFiniteSemanticsError) as exc:
         next_generation(archive, cfg, rng, rejects=rejects)
-    assert exc.value.slot == 1  # slot 0 is the elite
-    assert [e.slot for e in rejects] == [1] * (evolve._SLOT_RETRIES + 1)
-    assert rejects[-1] is exc.value
+    # every slot but the elite (slot 0) fails in every round
+    assert exc.value.slot == 1
+    assert [e.slot for e in rejects] == list(range(1, 20)) * (evolve._SLOT_RETRIES + 1)
+    assert rejects[-19] is exc.value
     assert len(archive.generations) == 1
+
+
+def rounds(slots):
+    """Split a run of reject slots into the rounds that drew them, each in slot order."""
+    split = [[]]
+    for slot in slots:
+        if split[-1] and slot <= split[-1][-1]:
+            split.append([])
+        split[-1].append(slot)
+    return split
 
 
 def test_retry_cap_counts_one_slot_in_a_row(split, monkeypatch):
     archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
 
-    def often_overflowing_tree(cfg, method, tree_rng):
-        return Constant(math.inf if tree_rng.random() < 0.8 else 1.0)
+    def often_overflowing_trees(cfg, slots, tree_rng):
+        return [Constant(math.inf if u < 0.8 else 1.0) for u in tree_rng.random(len(slots))]
 
-    monkeypatch.setattr(evolve, "gen_tree", often_overflowing_tree)
+    monkeypatch.setattr(evolve, "gen_tree", often_overflowing_trees)
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
     rejects = []
     individuals = next_generation(archive, cfg, np.random.default_rng(3), rejects=rejects)
     assert len(rejects) > evolve._SLOT_RETRIES + 1  # more than the cap, over many slots
     slots = [e.slot for e in rejects]
-    assert slots == sorted(slots)
     assert max(slots.count(s) for s in set(slots)) <= evolve._SLOT_RETRIES
+    drawn = rounds(slots)
+    assert all(set(later) <= set(earlier) for earlier, later in zip(drawn, drawn[1:]))
     assert all(np.isfinite(ind.semantics).all() for ind in individuals)
+
+
+def random_trees(payload) -> int:
+    """The random and generation-0 trees a payload evaluates."""
+    if isinstance(payload, IndividualRef):
+        return 0
+    if isinstance(payload, (Leaf, Crossover)):
+        return 1
+    return random_trees(payload.base) + (1 if payload.random_tree_b is None else 2)
+
+
+def test_redraw_evaluates_only_the_failed_slots(monkeypatch):
+    # inputs x 1e150: products of three inputs overflow, so some offspring fail
+    data = synthetic_dataset("friedman-like", 200, 5, 0.0, seed=3)
+    split = split_70_30(Dataset("scaled", data.inputs * 1e150, data.targets), seed=1)
+    cfg = EvolutionConfig(
+        population_size=30, generations=0, seed=11, distribution=Geometric(0.25),
+        bounded_mutation=False,
+    )
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    seen = []
+    calls = []
+    evaluate = Archive.evaluate
+
+    def counting_eval(tree, inputs):
+        seen.append(tree)
+        return eval_tree_many(tree, inputs)
+
+    def recording_evaluate(self, payloads, slots):
+        before = len(seen)
+        made, failed = evaluate(self, payloads, slots)
+        evaluated = [payloads[s] for s in slots]
+        calls.append((list(slots), evaluated, len(seen) - before, [e.slot for e in failed]))
+        return made, failed
+
+    monkeypatch.setattr(archive_module, "eval_tree_many", counting_eval)
+    monkeypatch.setattr(Archive, "evaluate", recording_evaluate)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(30):
+        calls.clear()
+        next_generation(archive, cfg, rng)
+        if len(calls) > 1:
+            break
+    assert len(calls) > 1, "no generation redrew a slot"
+    assert calls[0][0] == list(range(cfg.population_size))
+    for (_, _, _, failed), (slots, _, _, _) in zip(calls, calls[1:]):
+        assert slots == failed
+    for _, payloads, trees, _ in calls:
+        assert trees == sum(random_trees(p) for p in payloads)
+    first = calls[0][2]
+    redrawn = sum(trees for _, _, trees, _ in calls[1:])
+    assert 0 < redrawn < first  # a whole-generation redraw would see >= first again

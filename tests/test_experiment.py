@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gsgp.experiment as experiment
-from gsgp.data import split_70_30, synthetic_dataset
+from gsgp.data import Dataset, split_70_30, synthetic_dataset
 from gsgp.errors import NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, run_evolution
 from gsgp.experiment import (
@@ -80,10 +80,30 @@ def test_report_is_deterministic_across_runs_and_jobs(tmp_path):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+def test_run_counts_are_byte_identical_across_jobs(tmp_path):
+    # inputs x 1e150: products of three inputs overflow, so runs redraw
+    data = synthetic_dataset("friedman-like", 60, 5, 0.0, seed=3)
+    scaled = Dataset("scaled", data.inputs * 1e150, data.targets)
+    bodies = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        write_outputs(run_campaign(tiny_campaign(dataset=scaled, jobs=jobs)), out)
+        bodies.append((out / "report.json").read_bytes())
+    assert bodies[0] == bodies[1]
+    entries = json.loads(bodies[0])["strategies"]
+    for entry in entries:
+        assert entry["complete"]
+        assert len(entry["nonfinite_retries"]) == len(entry["final_test_rmse"]) == 3
+        assert len(entry["seed_regenerations"]) == 3
+    assert sum(sum(e["nonfinite_retries"]) for e in entries) > 0
+    assert sum(sum(e["seed_regenerations"]) for e in entries) > 0
+
+
 def test_report_contents():
     report = run_campaign(tiny_campaign())
     body = report.report_dict()
-    assert body["schema_version"] == 1
+    assert body["schema_version"] == 2
+    assert body["campaign"]["rng_stream"] == 2
     assert body["baseline"] == BASELINE_LABEL
     names = [s["name"] for s in body["strategies"]]
     assert names == ["u:1", "u:3"]
@@ -93,6 +113,7 @@ def test_report_contents():
     assert isinstance(u3["improved_vs_baseline"], bool)
     assert len(u1["final_test_rmse"]) == 3
     assert len(u1["offset_histograms"]) == 3
+    assert u1["nonfinite_retries"] == u1["seed_regenerations"] == [0, 0, 0]
     assert u1["complete"] and u3["complete"]
     assert body["dataset"]["rows"] == 50
     assert body["campaign"]["paired_splits"] is True

@@ -23,41 +23,41 @@ def constant_archive(fitnesses, generations=1):
 
 
 def test_uniform_k1_is_degenerate(rng):
-    d = UniformLastK(1)
-    assert all(d.sample(7, rng) == 6 for _ in range(100))
+    draws = UniformLastK(1).sample_many(7, 100, rng)
+    assert draws.shape == (100,)
+    assert (draws == 6).all()
 
 
 def test_uniform_k1_consumes_no_randomness():
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
-    UniformLastK(1).sample(9, rng)
+    UniformLastK(1).sample_many(9, 50, rng)
+    UniformLastK(5).sample_many(1, 50, rng)  # a one-generation history as well
     assert rng.bit_generator.state == before
 
 
 def test_uniform_window(rng):
-    d = UniformLastK(3)
-    draws = {d.sample(10, rng) for _ in range(2000)}
-    assert draws == {7, 8, 9}
+    draws = UniformLastK(3).sample_many(10, 30000, rng)
+    assert set(draws.tolist()) == {7, 8, 9}
+    for g in (7, 8, 9):
+        assert np.mean(draws == g) == pytest.approx(1 / 3, abs=0.01)
 
 
 def test_uniform_short_history_uses_all_generations(rng):
-    d = UniformLastK(10)
-    draws = {d.sample(3, rng) for _ in range(2000)}
-    assert draws == {0, 1, 2}
+    draws = UniformLastK(10).sample_many(3, 2000, rng)
+    assert set(draws.tolist()) == {0, 1, 2}
 
 
 def test_geometric_frequencies(rng):
-    d = Geometric(0.5)
     n = 10**5
-    draws = np.array([d.sample(10, rng) for _ in range(n)])
+    draws = Geometric(0.5).sample_many(10, n, rng)
     assert np.mean(draws == 9) == pytest.approx(0.5, abs=0.01)
     assert np.mean(draws == 8) == pytest.approx(0.25, abs=0.01)
 
 
 def test_geometric_clamp_to_initial_population(rng):
-    d = Geometric(0.25)
     n = 10**5
-    draws = np.array([d.sample(2, rng) for _ in range(n)])
+    draws = Geometric(0.25).sample_many(2, n, rng)
     assert set(np.unique(draws)) == {0, 1}
     assert np.mean(draws == 1) == pytest.approx(0.25, abs=0.01)
     # every overflow draw lands on generation 0
@@ -67,8 +67,9 @@ def test_geometric_clamp_to_initial_population(rng):
 def test_sample_range_invariant(rng):
     for d in (UniformLastK(1), UniformLastK(5), Geometric(0.25), Geometric(0.75)):
         for current in (1, 2, 3, 17):
-            draws = [d.sample(current, rng) for _ in range(500)]
-            assert all(0 <= g <= current - 1 for g in draws)
+            draws = d.sample_many(current, 500, rng)
+            assert draws.shape == (500,)
+            assert ((0 <= draws) & (draws <= current - 1)).all()
 
 
 def test_sample_requires_history(rng):
@@ -77,15 +78,14 @@ def test_sample_requires_history(rng):
     before = rng.bit_generator.state
     for d in (UniformLastK(1), UniformLastK(3), Geometric(0.5)):
         with pytest.raises(ValueError, match="no completed generation"):
-            tournament_select(empty, d, 2, rng)
+            tournament_select(empty, d, 2, 3, rng)
     assert rng.bit_generator.state == before
 
 
 def test_geometric_offsets_law(rng):
     # a history far longer than any drawn offset, so no draw is clamped
     current = 10**4
-    d = Geometric(0.25)
-    offsets = np.array([current - 1 - d.sample(current, rng) for _ in range(10**5)])
+    offsets = current - 1 - Geometric(0.25).sample_many(current, 10**5, rng)
     assert np.mean(offsets) == pytest.approx(3.0, rel=0.03)
     for o in range(4):
         assert np.mean(offsets == o) == pytest.approx(0.25 * 0.75**o, abs=0.01)
@@ -110,8 +110,9 @@ def test_labels_round_trip():
         assert parse_distribution(Geometric(p).label()) == Geometric(p)
 
 
-# Train RMSEs of Constant(c) leaves against zero targets: |c|, and inf for
-# 1e200, whose square overflows. Three values, so ties cross generations.
+# Train RMSEs of Constant(c) leaves against zero targets: |c|. Three
+# values, so ties cross generations; 1e200 is finite only because rmse
+# rescales an error whose square overflows.
 _FITNESS_CONSTANTS = (1.0, 2.0, 1e200)
 
 
@@ -122,10 +123,9 @@ def _tied_archives(draw):
     generations = draw(st.integers(1, 4))
     values = st.lists(st.sampled_from(_FITNESS_CONSTANTS), min_size=pop, max_size=pop)
     archive = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
-    with np.errstate(over="ignore"):
-        for _ in range(generations):
-            leaves = [Leaf(Constant(c)) for c in draw(values)]
-            archive.append_generation(archive.make_generation(leaves))
+    for _ in range(generations):
+        leaves = [Leaf(Constant(c)) for c in draw(values)]
+        archive.append_generation(archive.make_generation(leaves))
     return archive
 
 
@@ -133,40 +133,45 @@ def _tied_archives(draw):
 @given(
     _tied_archives(),
     st.integers(1, 8),
+    st.integers(0, 5),
     st.sampled_from(["u:1", "u:3", "g:0.5"]),
     st.integers(0, 2**32 - 1),
 )
-def test_tournament_winner_is_first_minimal_entrant(archive, t, spec, seed):
+def test_tournament_winner_is_first_minimal_entrant(archive, t, n, spec, seed):
     d = parse_distribution(spec)
     current = len(archive.generations)
     counts = np.arange(4, dtype=np.int64)  # earlier tallies are kept
     expected = counts.copy()
     rng = np.random.default_rng(seed)
-    winner = tournament_select(archive, d, t, rng, offset_counts=counts)
+    winners = tournament_select(archive, d, t, n, rng, offset_counts=counts)
 
+    # entrant j of tournament i is draw i*t + j of each of the two draws
     twin = np.random.default_rng(seed)
-    entrants = []
-    for _ in range(t):
-        gen = d.sample(current, twin)
-        entrants.append(IndividualRef(gen, int(twin.integers(len(archive.generations[gen])))))
-        expected[current - 1 - gen] += 1
-    fitnesses = [archive.individual(ref).train_fitness for ref in entrants]
-    assert winner == entrants[fitnesses.index(min(fitnesses))]
+    gens = d.sample_many(current, n * t, twin).tolist()
+    idx = twin.integers(len(archive.generations[0]), size=n * t).tolist()
+    entrants = [IndividualRef(g, i) for g, i in zip(gens, idx)]
+    for g in gens:
+        expected[current - 1 - g] += 1
+    assert isinstance(winners, tuple) and len(winners) == n
+    for i, winner in enumerate(winners):
+        drawn = entrants[i * t : (i + 1) * t]
+        fitnesses = [archive.individual(ref).train_fitness for ref in drawn]
+        assert winner == drawn[fitnesses.index(min(fitnesses))]
     assert np.array_equal(counts, expected)
-    assert counts.sum() == np.arange(4).sum() + t
+    assert counts.sum() == np.arange(4).sum() + n * t
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_tournament_size_one_returns_single_entrant(rng):
     archive = constant_archive([5.0, 1.0, 3.0])
-    seen = {tournament_select(archive, UniformLastK(1), 1, rng).index for _ in range(200)}
-    assert seen == {0, 1, 2}  # fitness is irrelevant at t=1
+    winners = tournament_select(archive, UniformLastK(1), 1, 200, rng)
+    assert {w.index for w in winners} == {0, 1, 2}  # fitness is irrelevant at t=1
 
 
 def test_tournament_winner_is_generation_minimum_for_big_t(rng):
     fitnesses = list(rng.uniform(1.0, 9.0, size=10))
     archive = constant_archive(fitnesses)
-    winner = tournament_select(archive, UniformLastK(1), 64 * 10, rng)
+    (winner,) = tournament_select(archive, UniformLastK(1), 64 * 10, 1, rng)
     assert archive.individual(winner).train_fitness == min(
         archive.individual(IndividualRef(0, i)).train_fitness for i in range(10)
     )
@@ -174,27 +179,25 @@ def test_tournament_winner_is_generation_minimum_for_big_t(rng):
 
 def test_tournament_winner_not_worse_than_any_possible_entrant(rng):
     archive = constant_archive(list(rng.uniform(1.0, 9.0, size=8)), generations=4)
-    for _ in range(100):
-        winner = tournament_select(archive, Geometric(0.5), 4, rng)
-        assert archive.individual(winner).train_fitness <= max(
-            ind.train_fitness for gen in archive.generations for ind in gen
-        )
+    worst = max(ind.train_fitness for gen in archive.generations for ind in gen)
+    for winner in tournament_select(archive, Geometric(0.5), 4, 100, rng):
+        assert archive.individual(winner).train_fitness <= worst
 
 
 def test_tournament_offset_tally(rng):
     archive = constant_archive([1.0, 2.0], generations=5)
     counts = np.zeros(10, dtype=np.int64)
-    tournament_select(archive, UniformLastK(3), 4, rng, offset_counts=counts)
-    assert counts.sum() == 4
+    tournament_select(archive, UniformLastK(3), 4, 3, rng, offset_counts=counts)
+    assert counts.sum() == 12
     assert counts[3:].sum() == 0  # u:3 never reaches past offset 2
 
 
 def test_tournament_requires_archive_and_positive_t(rng):
     archive = constant_archive([1.0])
     with pytest.raises(ValueError):
-        tournament_select(archive, UniformLastK(1), 0, rng)
+        tournament_select(archive, UniformLastK(1), 0, 1, rng)
     from gsgp.archive import Archive
 
     empty = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
     with pytest.raises(ValueError):
-        tournament_select(empty, UniformLastK(1), 2, rng)
+        tournament_select(empty, UniformLastK(1), 2, 1, rng)

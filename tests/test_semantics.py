@@ -99,6 +99,23 @@ def test_rmse_of_a_block_is_each_row_bitwise(rng):
         rmse(np.zeros((2, 3, 4)), np.zeros(4))
 
 
+def test_rmse_of_errors_whose_squares_overflow():
+    # errors near 1e160 square past the largest float; the RMSE does not, and
+    # no overflow warning is raised (pytest turns RuntimeWarnings into errors)
+    pred = np.array([1e160, -3e160, 2e160, 0.5])
+    target = np.array([0.0, 0.0, 1.0, 0.5])
+    single = rmse(pred, target)
+    assert single == pytest.approx(1e160 * math.sqrt(14 / 4), rel=1e-15)
+    block = np.stack([target + 1.0, pred, pred * 1e-100])
+    rows = rmse(block, target)
+    assert rows[1] == single
+    assert [rows[0], rows[2]] == [rmse(block[0], target), rmse(block[2], target)]
+    assert rows[0] == 1.0
+    huge = np.array([1.7e308, -1.7e308])
+    assert rmse(huge, np.zeros(2)) == 1.7e308
+    assert rmse(huge, -huge) == math.inf  # the RMSE itself exceeds the largest float
+
+
 def test_sigmoid_into_out_matches_plain_call(rng):
     values = rng.normal(scale=300.0, size=(4, 50))
     values[0, :3] = [math.inf, -math.inf, math.nan]
@@ -135,7 +152,7 @@ def test_semantics_variable_tree_returns_column(rng):
 
 def test_semantics_matches_eval_loop(rng):
     X = rng.normal(size=(5, 3))
-    tree = gen_tree(TreeGenConfig(max_depth=3, n_features=3), "full", rng)
+    (tree,) = gen_tree(TreeGenConfig(max_depth=3, n_features=3), [(3, "full")], rng)
     out = semantics_of_tree(tree, X)
     assert np.array_equal(out, [eval_tree(tree, row) for row in X])
 
