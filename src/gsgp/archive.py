@@ -67,25 +67,25 @@ _BLOCK_ELEMENTS = 1 << 16
 _SLOT_RETRIES = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndividualRef:
     generation: int
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     tree: ExprTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Crossover:
     parent1: IndividualRef
     parent2: IndividualRef
     random_tree: ExprTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mutation:
     """Semantic mutation record.
 
@@ -109,7 +109,7 @@ class Mutation:
 Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     """A payload with its semantics over the stacked train-then-test rows.
 
@@ -202,10 +202,8 @@ class Archive:
         for start in range(0, len(fresh), size):
             positions = fresh[start : start + size]
             block = self._evaluate([payloads[slots[pos]] for pos in positions])
-            try:
-                check_finite(block, "offspring block")
-            except NonFiniteSemanticsError:
-                finite = np.isfinite(block).all(axis=1)
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
                 for i in np.flatnonzero(~finite).tolist():
                     slot = slots[positions[i]]
                     rejects.append(self._nonfinite(payloads[slot], slot, block[i]))
@@ -319,11 +317,12 @@ class Archive:
         return buffer[:rows]
 
     def append_generation(self, individuals: list):
+        g = len(self.generations)
         if not individuals:
-            raise ValueError("cannot append an empty generation")
+            raise ValueError(f"generation {g} is empty")
         if self.generations and len(individuals) != len(self.generations[0]):
             raise ValueError(
-                f"generation size {len(individuals)} != population size "
+                f"generation {g} has {len(individuals)} payloads, not the population size "
                 f"{len(self.generations[0])}"
             )
         self.generations.append(list(individuals))
@@ -411,13 +410,6 @@ class Archive:
         for g, gen in enumerate(generations):
             if not isinstance(gen, list):
                 raise ValueError(f"generation {g} is not a list of payloads")
-            if not gen:
-                raise ValueError(f"generation {g} is empty")
-            if archive.generations and len(gen) != len(archive.generations[0]):
-                raise ValueError(
-                    f"generation {g} has {len(gen)} payloads, not the population size "
-                    f"{len(archive.generations[0])}"
-                )
             payloads = []
             for i, item in enumerate(gen):
                 try:

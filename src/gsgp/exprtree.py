@@ -37,17 +37,17 @@ DIV_EPS = 1e-9
 MAX_TREE_DEPTH = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryOp:
     kind: str
     left: "ExprTree"
@@ -66,7 +66,7 @@ P_CONSTANT = 0.3
 P_GROW_TERMINAL = 0.3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeGenConfig:
     """Depth limit and feature count for random tree generation.
 
@@ -111,27 +111,51 @@ def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
     n = len(depths)
     internal = (1 << cfg.max_depth) - 1
     nodes = 2 * internal + 1
-    stop = rng.random((n, internal)) < P_GROW_TERMINAL
-    ops = rng.integers(len(OP_KINDS), size=(n, internal))
-    constant = rng.random((n, nodes)) < P_CONSTANT
-    values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes))
-    variables = rng.integers(cfg.n_features, size=(n, nodes))
-
     node_depth = np.repeat(np.arange(cfg.max_depth), 1 << np.arange(cfg.max_depth))
-    branch = node_depth < np.array(depths, dtype=int)[:, None]
-    branch &= ~(stop & np.array(grow, dtype=bool)[:, None])
-    trees = []
-    rows = zip(branch.tolist(), ops.tolist(), constant.tolist(), values.tolist(),
-               variables.tolist())
-    for is_op, op, is_const, value, var in rows:
+    is_op = np.zeros((n, nodes), dtype=bool)
+    is_op[:, :internal] = node_depth < np.array(depths, dtype=int)[:, None]
+    stop = rng.random((n, internal)) < P_GROW_TERMINAL
+    is_op[:, :internal] &= ~(stop & np.array(grow, dtype=bool)[:, None])
+    # Level by level, the children of a live operator are live.
+    live = np.zeros((n, nodes), dtype=bool)
+    live[:, 0] = True
+    for level in range(cfg.max_depth):
+        first, end = (1 << level) - 1, (2 << level) - 1
+        kids = live[:, first:end] & is_op[:, first:end]
+        live[:, 2 * first + 1 : 2 * end + 1] = np.repeat(kids, 2, axis=1)
 
-        def build(j):
-            if j < internal and is_op[j]:
-                return BinaryOp(OP_KINDS[op[j]], build(2 * j + 1), build(2 * j + 2))
-            return Constant(value[j]) if is_const[j] else Variable(var[j])
+    # Each later draw covers the whole heap but is cut down to the live
+    # nodes that read it at once, so one heap-sized array is alive at a time.
+    rows, cols = np.nonzero(live)
+    branch = is_op[rows, cols]
+    ops = rng.integers(len(OP_KINDS), size=(n, internal))[rows[branch], cols[branch]]
+    leaf_rows, leaf_cols = rows[~branch], cols[~branch]
+    constant = (rng.random((n, nodes)) < P_CONSTANT)[leaf_rows, leaf_cols]
+    values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes))[
+        leaf_rows[constant], leaf_cols[constant]
+    ]
+    variables = rng.integers(cfg.n_features, size=(n, nodes))[
+        leaf_rows[~constant], leaf_cols[~constant]
+    ]
 
-        trees.append(build(0))
-    return trees
+    # Every live node gets a place in `objects`: leaves first, in live order,
+    # then operators in reverse live order, so that an operator's children
+    # (higher heap index, adjacent in live order) are made before it.
+    keys = rows * nodes + cols
+    place = np.empty(len(keys), dtype=int)
+    place[~branch] = np.arange(len(leaf_rows))
+    place[branch] = np.arange(len(keys) - 1, len(leaf_rows) - 1, -1)
+    left = np.searchsorted(keys, keys[branch] + cols[branch] + 1)  # right child: left + 1
+    leaves = np.empty(len(leaf_rows), dtype=object)
+    leaves[constant] = [Constant(v) for v in values.tolist()]
+    leaves[~constant] = [Variable(x) for x in variables.tolist()]
+    objects = leaves.tolist()
+    for kind, a, b in zip(
+        ops[::-1].tolist(), place[left][::-1].tolist(), place[left + 1][::-1].tolist()
+    ):
+        objects.append(BinaryOp(OP_KINDS[kind], objects[a], objects[b]))
+    roots = np.searchsorted(keys, np.arange(n) * nodes)
+    return [objects[i] for i in place[roots].tolist()]
 
 
 def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:

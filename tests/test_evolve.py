@@ -220,14 +220,18 @@ def random_trees(payload) -> int:
     return random_trees(payload.base) + (1 if payload.random_tree_b is None else 2)
 
 
-def test_redraw_evaluates_only_the_failed_slots(monkeypatch):
-    # inputs x 1e150: products of three inputs overflow, so some offspring fail
+def evaluation_rounds(monkeypatch, cfg, wanted):
+    """The evaluation rounds of the first generation for which wanted(rounds) holds.
+
+    The archive is seeded from inputs x 1e150, where products of three
+    inputs overflow, so some offspring fail. A round is one
+    Archive.evaluate call: (slots, their payloads, trees evaluated, failed
+    slots). Each round's trees are checked against its payloads, and each
+    round after the first must evaluate exactly the slots that failed in the
+    one before it.
+    """
     data = synthetic_dataset("friedman-like", 200, 5, 0.0, seed=3)
     split = split_70_30(Dataset("scaled", data.inputs * 1e150, data.targets), seed=1)
-    cfg = EvolutionConfig(
-        population_size=30, generations=0, seed=11, distribution=Geometric(0.25),
-        bounded_mutation=False,
-    )
     archive = run_evolution(cfg, split, keep_archive=True).archive
     seen = []
     calls = []
@@ -250,14 +254,35 @@ def test_redraw_evaluates_only_the_failed_slots(monkeypatch):
     for _ in range(30):
         calls.clear()
         next_generation(archive, cfg, rng)
-        if len(calls) > 1:
+        if wanted(calls):
             break
-    assert len(calls) > 1, "no generation redrew a slot"
+    assert wanted(calls), "no generation redrew the wanted slots"
     assert calls[0][0] == list(range(cfg.population_size))
     for (_, _, _, failed), (slots, _, _, _) in zip(calls, calls[1:]):
         assert slots == failed
     for _, payloads, trees, _ in calls:
         assert trees == sum(random_trees(p) for p in payloads)
+    return calls
+
+
+def test_redraw_evaluates_only_the_failed_slots(monkeypatch):
+    cfg = EvolutionConfig(
+        population_size=30, generations=0, seed=11, distribution=Geometric(0.25),
+        bounded_mutation=False,
+    )
+    calls = evaluation_rounds(monkeypatch, cfg, lambda calls: len(calls) > 1)
     first = calls[0][2]
     redrawn = sum(trees for _, _, trees, _ in calls[1:])
     assert 0 < redrawn < first  # a whole-generation redraw would see >= first again
+
+
+def test_without_elitism_a_failed_slot_0_is_redrawn_on_its_own(monkeypatch):
+    # without elitism slot 0 is drawn like any other, not the elite ref
+    cfg = EvolutionConfig(
+        population_size=30, generations=0, seed=11, distribution=Geometric(0.25),
+        bounded_mutation=False, elitism=False,
+    )
+    calls = evaluation_rounds(monkeypatch, cfg, lambda calls: 0 in calls[0][3])
+    assert not isinstance(calls[0][1][0], IndividualRef)
+    assert [slots for slots, _, _, _ in calls[1:]] == [[0]]
+    assert calls[1][2] == random_trees(calls[1][1][0]) > 0

@@ -29,7 +29,7 @@ CONFIGS = {
     "u:5": dict(distribution="u:5"),
     "g:0.25": dict(distribution="g:0.25"),
     "raw-mutation": dict(distribution="g:0.25", bounded_mutation=False),
-    "no-elitism": dict(distribution="u:5", elitism=False),
+    "no-elitism": dict(distribution="g:0.25", elitism=False),
 }
 
 
@@ -47,9 +47,8 @@ def datasets():
 # Offspring draws rejected as non-finite per run of the scaled dataset, and
 # seed trees regenerated (the same for all five: the seed is shared). Each
 # failed slot of an evaluation round is one reject; only those slots are
-# drawn and evaluated again. The no-elitism run happens to draw no
-# non-finite offspring at this seed.
-SCALED_REJECTS = {"u:1": 4, "u:5": 4, "g:0.25": 6, "raw-mutation": 29, "no-elitism": 0}
+# drawn and evaluated again. Every run redraws at least one slot.
+SCALED_REJECTS = {"u:1": 4, "u:5": 4, "g:0.25": 6, "raw-mutation": 29, "no-elitism": 3}
 SCALED_REGENERATIONS = 4
 
 
@@ -89,7 +88,7 @@ def test_scaled_runs_count_their_redraws_and_regenerations():
     results = golden_results()
     for cfg_name, rejects in SCALED_REJECTS.items():
         result = results[f"friedman-like-1e150/{cfg_name}"]
-        assert result.nonfinite_retries == rejects, cfg_name
+        assert result.nonfinite_retries == rejects > 0, cfg_name
         assert result.seed_regenerations == SCALED_REGENERATIONS > 0, cfg_name
     for name, result in results.items():
         if not name.startswith("friedman-like-1e150/"):

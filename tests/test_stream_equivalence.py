@@ -23,7 +23,7 @@ def test_an_engine_is_equivalent_to_itself():
     src = str(ROOT / "src")
     done = subprocess.run(
         [sys.executable, str(TOOL), "--a", src, "--b", src, "--runs", "3", "--pop", "10",
-         "--generations", "3", "--rows", "30", "--datasets", "polynomial"],
+         "--generations", "3", "--datasets", "polynomial"],
         capture_output=True, text=True, timeout=300, check=True,
     )
     report = json.loads(done.stdout)

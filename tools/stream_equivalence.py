@@ -14,9 +14,10 @@ subprocess, and prints one JSON object:
   merged upwards until each expects at least 5 entrants.
 
 Run r of every cell uses split seed and evolution seed `--seed` + r on a
-synthetic dataset with 5 features, drawn once per dataset kind from
-`--seed`. To compare the working tree with its parent commit, export the
-parent without touching the working tree, for example
+synthetic dataset of ROWS rows and N_FEATURES features, drawn once per
+dataset kind from `--seed`; the strategies are STRATEGIES. To compare the
+working tree with its parent commit, export the parent without touching
+the working tree, for example
 
     mkdir /tmp/parent && git archive HEAD~1 | tar -x -C /tmp/parent
     python tools/stream_equivalence.py --a /tmp/parent/src --b src --runs 30
@@ -32,7 +33,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROWS = 200
 N_FEATURES = 5
+STRATEGIES = ("u:1", "u:5", "g:0.25")
 MIN_EXPECTED = 5.0
 
 
@@ -43,8 +46,8 @@ def run_side():
     study = json.load(sys.stdin)
     results = {}
     for kind in study["datasets"]:
-        data = gsgp.synthetic_dataset(kind, study["rows"], N_FEATURES, 0.0, study["seed"])
-        for spec in study["strategies"]:
+        data = gsgp.synthetic_dataset(kind, ROWS, N_FEATURES, 0.0, study["seed"])
+        for spec in STRATEGIES:
             runs = []
             for r in range(study["runs"]):
                 seed = study["seed"] + r
@@ -168,8 +171,6 @@ def main(argv=None) -> int:
     p.add_argument("--runs", type=int, default=30)
     p.add_argument("--pop", type=int, default=100)
     p.add_argument("--generations", type=int, default=100)
-    p.add_argument("--rows", type=int, default=200)
-    p.add_argument("--strategies", nargs="+", default=["u:1", "u:5", "g:0.25"])
     p.add_argument("--datasets", nargs="+", default=["friedman-like", "polynomial"])
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
@@ -182,8 +183,6 @@ def main(argv=None) -> int:
         "runs": args.runs,
         "pop": args.pop,
         "generations": args.generations,
-        "rows": args.rows,
-        "strategies": args.strategies,
         "datasets": args.datasets,
         "seed": args.seed,
     }
