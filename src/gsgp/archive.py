@@ -10,6 +10,12 @@ its memoized semantics. There are four payload kinds:
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
   breeding step) plus the random trees and step of the perturbation.
 
+A payload holds each of its trees as given. The engine gives it `Program`s,
+the flat postfix tuples of the exprtree module (from `gen_tree`, or from
+`tree_from_json` when an archive is loaded), so a kept archive holds one
+object per tree and no object per node. A tree written by hand with the
+node dataclasses is compiled each time it is evaluated or written.
+
 The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one vector over those rows,
 computed once from the stored vectors of its parents and the outputs of its

@@ -4,6 +4,17 @@ Trees are immutable and are never modified after creation; all later
 variation happens in semantic space (see the archive module). The function
 set is {+, -, *, protected /} over variables and ephemeral constants.
 
+Every tree the engine makes or reads is a `Program`: a tuple of the tree's
+nodes in postfix order (the left subtree, then the right subtree, then the
+node itself). A float is a constant, an int the index of a variable, and a
+str one of OP_KINDS, applied to the values of the two subtrees before it. One
+stack loop evaluates a program, over the rows of an input matrix
+(`eval_tree_many`) or over one row (`eval_tree`). A program holds no
+object per node beyond its entries, so a kept archive's trees cost the
+garbage collector one tracked object each. The `Constant`, `Variable` and
+`BinaryOp` dataclasses are only a syntax for writing a tree by hand: the
+functions that take a tree compile one written that way to its program.
+
 Random trees are drawn in bulk (RNG stream 2). `gen_tree` lays every tree
 it draws out on a heap of depth max_depth, where node j sits at depth
 floor(log2(j + 1)) and has children 2j + 1 and 2j + 2, and makes five array
@@ -17,11 +28,14 @@ draws over all the trees at once, in this order:
 
 A tree is the live part of its heap: the root, and both children of every
 live node that is an operator. The draws of dead nodes are consumed unread.
-No tree is deeper than MAX_TREE_DEPTH, which bounds the heap, the recursion
-of evaluation and the trees `tree_from_json` accepts.
+The program lists the live nodes in the postorder of the heap. No tree is
+deeper than MAX_TREE_DEPTH, which bounds the heap, the trees that are
+compiled and the trees `tree_from_json` accepts.
 """
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,12 +43,23 @@ import numpy as np
 
 OP_KINDS = ("add", "sub", "mul", "div")
 
-# Protected division: |denominator| <= DIV_EPS yields 1.0.
+# Protected division: a denominator that is not above DIV_EPS in magnitude
+# (NaN included) yields 1.0.
 DIV_EPS = 1e-9
 
-# Deepest tree (root at depth 0) that is generated, evaluated or parsed. A
+# Deepest tree (root at depth 0) that is generated, compiled or parsed. A
 # heap of this depth has 2^(MAX_TREE_DEPTH+1) - 1 nodes per tree.
 MAX_TREE_DEPTH = 10
+
+
+class Program(tuple):
+    """A tree as its nodes in postfix order (see the module docstring).
+
+    `gen_tree`, `tree_from_json` and the compilation of a hand-written tree
+    make programs; every variable index in one is a non-negative int.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,7 +79,7 @@ class BinaryOp:
     right: "ExprTree"
 
 
-ExprTree = Union[Constant, Variable, BinaryOp]
+ExprTree = Union[Program, Constant, Variable, BinaryOp]
 
 
 # Terminals are ephemeral constants, drawn uniformly from CONSTANT_RANGE,
@@ -88,7 +113,7 @@ class TreeGenConfig:
 
 
 def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
-    """One random tree per (depth, method) slot, from five bulk draws.
+    """One random program per (depth, method) slot, from five bulk draws.
 
     A slot's depth is at most cfg.max_depth, the depth of the heap every
     tree is drawn on (see the module docstring for the draw order). A heap
@@ -111,9 +136,9 @@ def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
     n = len(depths)
     internal = (1 << cfg.max_depth) - 1
     nodes = 2 * internal + 1
-    node_depth = np.repeat(np.arange(cfg.max_depth), 1 << np.arange(cfg.max_depth))
+    node_depth = np.repeat(np.arange(cfg.max_depth + 1), 1 << np.arange(cfg.max_depth + 1))
     is_op = np.zeros((n, nodes), dtype=bool)
-    is_op[:, :internal] = node_depth < np.array(depths, dtype=int)[:, None]
+    is_op[:, :internal] = node_depth[:internal] < np.array(depths, dtype=int)[:, None]
     stop = rng.random((n, internal)) < P_GROW_TERMINAL
     is_op[:, :internal] &= ~(stop & np.array(grow, dtype=bool)[:, None])
     # Level by level, the children of a live operator are live.
@@ -124,9 +149,16 @@ def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
         kids = live[:, first:end] & is_op[:, first:end]
         live[:, 2 * first + 1 : 2 * end + 1] = np.repeat(kids, 2, axis=1)
 
+    # Heap positions in postorder: sorted by the rightmost bottom-level node
+    # below each (j -> 2j + 2 down to depth max_depth; postorder ends the
+    # subtree there), a deeper node first among those sharing it.
+    last = ((np.arange(nodes) + 2) << (cfg.max_depth - node_depth)) - 2
+    postorder = np.lexsort((-node_depth, last))
+    rows, cols = np.nonzero(live[:, postorder])
+    cols = postorder[cols]
+
     # Each later draw covers the whole heap but is cut down to the live
     # nodes that read it at once, so one heap-sized array is alive at a time.
-    rows, cols = np.nonzero(live)
     branch = is_op[rows, cols]
     ops = rng.integers(len(OP_KINDS), size=(n, internal))[rows[branch], cols[branch]]
     leaf_rows, leaf_cols = rows[~branch], cols[~branch]
@@ -138,24 +170,17 @@ def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
         leaf_rows[~constant], leaf_cols[~constant]
     ]
 
-    # Every live node gets a place in `objects`: leaves first, in live order,
-    # then operators in reverse live order, so that an operator's children
-    # (higher heap index, adjacent in live order) are made before it.
-    keys = rows * nodes + cols
-    place = np.empty(len(keys), dtype=int)
-    place[~branch] = np.arange(len(leaf_rows))
-    place[branch] = np.arange(len(keys) - 1, len(leaf_rows) - 1, -1)
-    left = np.searchsorted(keys, keys[branch] + cols[branch] + 1)  # right child: left + 1
+    # Object arrays turn the values into Python floats and the indices into
+    # Python ints, which the programs hold.
     leaves = np.empty(len(leaf_rows), dtype=object)
-    leaves[constant] = [Constant(v) for v in values.tolist()]
-    leaves[~constant] = [Variable(x) for x in variables.tolist()]
-    objects = leaves.tolist()
-    for kind, a, b in zip(
-        ops[::-1].tolist(), place[left][::-1].tolist(), place[left + 1][::-1].tolist()
-    ):
-        objects.append(BinaryOp(OP_KINDS[kind], objects[a], objects[b]))
-    roots = np.searchsorted(keys, np.arange(n) * nodes)
-    return [objects[i] for i in place[roots].tolist()]
+    leaves[constant] = values
+    leaves[~constant] = variables
+    code = np.empty(len(rows), dtype=object)
+    code[branch] = np.array(OP_KINDS, dtype=object)[ops]
+    code[~branch] = leaves
+    flat = code.tolist()
+    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    return [Program(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
 
 
 def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
@@ -178,84 +203,114 @@ def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
     return slots
 
 
+def _program(tree: ExprTree, n_features=None) -> Program:
+    """A program as it is, or the program of a tree written with nodes.
+
+    A hand-written tree must be no deeper than MAX_TREE_DEPTH, use
+    operators of OP_KINDS and index variables in [0, n_features) (any
+    non-negative index when n_features is None); otherwise ValueError.
+    """
+    if type(tree) is Program:
+        return tree
+    limit = math.inf if n_features is None else n_features
+    code = []
+
+    def emit(t, depth):
+        if depth > MAX_TREE_DEPTH:
+            raise ValueError(f"tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
+        if isinstance(t, Constant):
+            code.append(float(t.value))
+        elif isinstance(t, Variable):
+            index = operator.index(t.index)
+            if not 0 <= index < limit:
+                raise ValueError(f"variable index {index} out of range for {n_features} features")
+            code.append(index)
+        elif isinstance(t, BinaryOp):
+            if t.kind not in OP_KINDS:
+                raise ValueError(f"unknown operator kind {t.kind!r}")
+            emit(t.left, depth + 1)
+            emit(t.right, depth + 1)
+            code.append(t.kind)
+        else:
+            raise TypeError(f"{t!r} is not a tree")
+
+    emit(tree, 0)
+    return Program(code)
+
+
+def _divide(a, b):
+    """Protected division of floats or arrays: a / b where |b| > DIV_EPS, else 1.0."""
+    if type(b) is float:
+        if abs(b) > DIV_EPS:
+            return a / b
+        return 1.0 if type(a) is float else np.ones_like(a)
+    if np.abs(b).min(initial=math.inf) > DIV_EPS:  # False if any divisor is NaN
+        return a / b
+    out = np.ones_like(b)
+    np.divide(a, b, out=out, where=np.abs(b) > DIV_EPS)
+    return out
+
+
+_APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
+
+
+def _run(program: Program, columns):
+    """The value of a program whose variable i reads columns[i].
+
+    A value stays a Python float until it meets a column, so a constant
+    subtree is computed once, with the same IEEE operations the columns get.
+    """
+    stack = []
+    for node in program:
+        kind = type(node)
+        if kind is str:
+            right = stack.pop()
+            stack[-1] = _APPLY[node](stack[-1], right)
+        elif kind is int:
+            try:
+                stack.append(columns[node])
+            except IndexError:
+                raise ValueError(
+                    f"variable index {node} out of range for {len(columns)} features"
+                ) from None
+        else:
+            stack.append(node)
+    return stack.pop()
+
+
 def eval_tree(tree: ExprTree, x) -> float:
     """Evaluate a tree on one input row (scalar arithmetic)."""
-    if isinstance(tree, Constant):
-        return tree.value
-    if isinstance(tree, Variable):
-        if tree.index >= len(x):
-            raise ValueError(
-                f"variable index {tree.index} out of range for {len(x)} features"
-            )
-        return float(x[tree.index])
-    a = eval_tree(tree.left, x)
-    b = eval_tree(tree.right, x)
-    if tree.kind == "add":
-        return a + b
-    if tree.kind == "sub":
-        return a - b
-    if tree.kind == "mul":
-        return a * b
-    if tree.kind == "div":
-        return 1.0 if abs(b) <= DIV_EPS else a / b
-    raise ValueError(f"unknown operator kind {tree.kind!r}")
+    return _run(_program(tree, len(x)), np.asarray(x, dtype=float).tolist())
 
 
 def eval_tree_many(tree: ExprTree, inputs) -> np.ndarray:
     """Evaluate a tree on every row of a rows x n_features matrix at once.
 
-    Agrees with a per-row eval_tree loop (same IEEE operations, applied
-    componentwise); this is the hot path for semantics computation.
+    Agrees bitwise with a per-row eval_tree loop (the same IEEE operations,
+    applied componentwise); this is the hot path for semantics computation.
+    The result is a new array.
     """
     X = np.asarray(inputs, dtype=float)
     if X.ndim != 2:
         raise ValueError("inputs must be a 2-d rows x n_features matrix")
-
-    def rec(t):
-        if isinstance(t, Constant):
-            return np.full(X.shape[0], t.value)
-        if isinstance(t, Variable):
-            if t.index >= X.shape[1]:
-                raise ValueError(
-                    f"variable index {t.index} out of range for {X.shape[1]} features"
-                )
-            return X[:, t.index]
-        a = rec(t.left)
-        b = rec(t.right)
-        if t.kind == "add":
-            return a + b
-        if t.kind == "sub":
-            return a - b
-        if t.kind == "mul":
-            return a * b
-        if t.kind == "div":
-            out = np.ones_like(a, dtype=float)
-            np.divide(a, b, out=out, where=np.abs(b) > DIV_EPS)
-            return out
-        raise ValueError(f"unknown operator kind {t.kind!r}")
-
-    out = rec(tree)
-    if out.base is not None:  # bare-Variable tree returns a column view
+    out = _run(_program(tree, X.shape[1]), X.T)
+    if type(out) is float:
+        return np.full(len(X), out)
+    if out.base is not None:  # a bare variable is a column view
         out = out.copy()
     return out
 
 
-def tree_depth(tree: ExprTree) -> int:
-    if isinstance(tree, (Constant, Variable)):
-        return 0
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
-
-
 def tree_to_json(tree: ExprTree):
-    if isinstance(tree, Constant):
-        return {"const": tree.value}
-    if isinstance(tree, Variable):
-        return {"var": tree.index}
-    return {
-        "op": tree.kind,
-        "left": tree_to_json(tree.left),
-        "right": tree_to_json(tree.right),
-    }
+    """Nested {"op", "left", "right"} / {"const"} / {"var"} objects of a tree."""
+    stack = []
+    for node in _program(tree):
+        if type(node) is str:
+            right = stack.pop()
+            stack[-1] = {"op": node, "left": stack[-1], "right": right}
+        else:
+            stack.append({"const": node} if type(node) is float else {"var": node})
+    return stack.pop()
 
 
 def _finite_number(value) -> bool:
@@ -267,7 +322,7 @@ def _finite_number(value) -> bool:
     )
 
 
-def tree_from_json(obj, n_features: int) -> ExprTree:
+def tree_from_json(obj, n_features: int) -> Program:
     """Parse `tree_to_json` output for inputs with n_features columns.
 
     A variable must be a non-bool int in [0, n_features), an operator one
@@ -276,6 +331,7 @@ def tree_from_json(obj, n_features: int) -> ExprTree:
     never evaluates a column it does not name and never recurses past the
     cap.
     """
+    code = []
 
     def parse(obj, depth):
         if depth > MAX_TREE_DEPTH:
@@ -284,16 +340,21 @@ def tree_from_json(obj, n_features: int) -> ExprTree:
             value = obj["const"]
             if not _finite_number(value):
                 raise ValueError(f"constant {value!r} is not a finite number")
-            return Constant(float(value))
-        if "var" in obj:
+            code.append(float(value))
+        elif "var" in obj:
             index = obj["var"]
             if type(index) is not int or not 0 <= index < n_features:
                 raise ValueError(
                     f"variable {index!r} is not a feature index in [0, {n_features})"
                 )
-            return Variable(index)
-        if obj["op"] not in OP_KINDS:
-            raise ValueError(f"unknown operator kind {obj['op']!r}")
-        return BinaryOp(obj["op"], parse(obj["left"], depth + 1), parse(obj["right"], depth + 1))
+            code.append(index)
+        else:
+            kind = obj["op"]
+            if kind not in OP_KINDS:
+                raise ValueError(f"unknown operator kind {kind!r}")
+            parse(obj["left"], depth + 1)
+            parse(obj["right"], depth + 1)
+            code.append(sys.intern(kind))  # the OP_KINDS string, not one per node
 
-    return parse(obj, 0)
+    parse(obj, 0)
+    return Program(code)

@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gsgp.data import split_70_30, synthetic_dataset
 from gsgp.evolve import EvolutionConfig, run_evolution
 from gsgp.exprtree import (
     CONSTANT_RANGE,
+    DIV_EPS,
     MAX_TREE_DEPTH,
+    OP_KINDS,
     P_CONSTANT,
     P_GROW_TERMINAL,
     BinaryOp,
@@ -16,7 +23,6 @@ from gsgp.exprtree import (
     eval_tree_many,
     gen_tree,
     ramp_schedule,
-    tree_depth,
     tree_from_json,
     tree_to_json,
 )
@@ -30,29 +36,48 @@ def generation_zero_trees(population_size, seed, n_features=2):
     return [ind.payload.tree for ind in archive.generations[0]]
 
 
-def leaf_depths(tree, depth=0):
-    if isinstance(tree, (Constant, Variable)):
-        return [depth]
-    return leaf_depths(tree.left, depth + 1) + leaf_depths(tree.right, depth + 1)
+def json_nodes(tree):
+    """The node objects of a tree's JSON, root first, with their depths."""
+    stack, nodes = [(tree_to_json(tree), 0)], []
+    while stack:
+        obj, depth = stack.pop()
+        nodes.append((obj, depth))
+        if "op" in obj:
+            stack += [(obj["right"], depth + 1), (obj["left"], depth + 1)]
+    return nodes
+
+
+def leaf_depths(tree):
+    return [depth for obj, depth in json_nodes(tree) if "op" not in obj]
+
+
+def tree_depth(tree):
+    return max(depth for _, depth in json_nodes(tree))
 
 
 def node_count(tree):
-    if isinstance(tree, (Constant, Variable)):
-        return 1
-    return 1 + node_count(tree.left) + node_count(tree.right)
+    return len(json_nodes(tree))
 
 
 def leaves(tree):
-    if isinstance(tree, (Constant, Variable)):
-        return [tree]
-    return leaves(tree.left) + leaves(tree.right)
+    """The {"const": c} and {"var": i} objects of a tree's JSON, left to right."""
+    return [obj for obj, _ in json_nodes(tree) if "op" not in obj]
+
+
+def nodes_from_json(obj):
+    """The tree of `tree_to_json` output, written with the node dataclasses."""
+    if "const" in obj:
+        return Constant(obj["const"])
+    if "var" in obj:
+        return Variable(obj["var"])
+    return BinaryOp(obj["op"], nodes_from_json(obj["left"]), nodes_from_json(obj["right"]))
 
 
 def test_depth_zero_forces_terminal(rng):
     cfg = TreeGenConfig(max_depth=0, n_features=3)
     trees = gen_tree(cfg, [(0, "grow"), (0, "full")] * 20, rng)
     assert len(trees) == 40
-    assert all(isinstance(t, (Constant, Variable)) for t in trees)
+    assert all(node_count(t) == 1 for t in trees)
 
 
 def test_full_puts_every_leaf_at_max_depth(rng):
@@ -100,8 +125,8 @@ def test_grow_mean_node_count_matches_its_law():
 def test_constant_share_of_terminals(rng):
     cfg = TreeGenConfig(max_depth=4, n_features=3)
     terminals = [leaf for t in gen_tree(cfg, [(4, "full")] * 500, rng) for leaf in leaves(t)]
-    constants = [leaf.value for leaf in terminals if isinstance(leaf, Constant)]
-    variables = [leaf.index for leaf in terminals if isinstance(leaf, Variable)]
+    constants = [leaf["const"] for leaf in terminals if "const" in leaf]
+    variables = [leaf["var"] for leaf in terminals if "var" in leaf]
     assert len(constants) / len(terminals) == pytest.approx(P_CONSTANT, abs=0.01)
     assert all(CONSTANT_RANGE[0] <= c < CONSTANT_RANGE[1] for c in constants)
     assert np.mean(constants) == pytest.approx(0.0, abs=0.02)
@@ -180,10 +205,27 @@ def test_eval_hand_arithmetic():
 
 
 def test_eval_variable_out_of_range():
+    for tree in (Variable(2), Variable(-1), BinaryOp("add", Constant(1.0), Variable(-1))):
+        with pytest.raises(ValueError, match="out of range"):
+            eval_tree(tree, [1.0, 2.0])
+        with pytest.raises(ValueError, match="out of range"):
+            eval_tree_many(tree, np.ones((3, 2)))
+    program = tree_from_json({"var": 2}, 3)  # valid for 3 features, not for 2
     with pytest.raises(ValueError, match="out of range"):
-        eval_tree(Variable(2), [1.0, 2.0])
+        eval_tree(program, [1.0, 2.0])
     with pytest.raises(ValueError, match="out of range"):
-        eval_tree_many(Variable(2), np.ones((3, 2)))
+        eval_tree_many(program, np.ones((3, 2)))
+
+
+def test_a_hand_written_tree_is_checked_when_compiled():
+    deep = Variable(0)
+    for _ in range(MAX_TREE_DEPTH):
+        deep = BinaryOp("add", deep, Constant(1.0))
+    assert eval_tree(deep, [0.5]) == 10.5
+    with pytest.raises(ValueError, match="deeper than MAX_TREE_DEPTH"):
+        eval_tree_many(BinaryOp("add", deep, Constant(1.0)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="unknown operator kind 'pow'"):
+        eval_tree(BinaryOp("pow", Constant(2.0), Constant(3.0)), [0.0])
 
 
 def test_vectorized_eval_matches_scalar_loop(rng):
@@ -193,6 +235,76 @@ def test_vectorized_eval_matches_scalar_loop(rng):
         vec = eval_tree_many(t, X)
         loop = np.array([eval_tree(t, row) for row in X])
         assert np.array_equal(vec, loop)
+
+
+# Divisors at the protected-division threshold and the floats next to it.
+_EDGES = [
+    v
+    for eps in (DIV_EPS, -DIV_EPS)
+    for v in (eps, math.nextafter(eps, 0.0), math.nextafter(eps, 2 * eps))
+] + [0.0, -0.0]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=False, allow_infinity=False),  # large enough to overflow
+)
+
+
+@st.composite
+def trees_and_inputs(draw):
+    """A tree, drawn by gen_tree or written by hand, and inputs for it."""
+    n_features = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        depth = draw(st.integers(0, MAX_TREE_DEPTH))
+        slot = (depth, draw(st.sampled_from(["grow", "full"])))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        (tree,) = gen_tree(TreeGenConfig(depth, n_features), [slot], rng)
+    else:
+        # constant-only subtrees come up often among these
+        leaf = st.one_of(
+            st.builds(Constant, _FLOATS),
+            st.builds(Variable, st.integers(0, n_features - 1)),
+        )
+        tree = draw(
+            st.recursive(
+                leaf,
+                lambda sub: st.builds(BinaryOp, st.sampled_from(OP_KINDS), sub, sub),
+                max_leaves=10,
+            )
+        )
+    inputs = draw(arrays(float, (draw(st.integers(1, 4)), n_features), elements=_FLOATS))
+    return tree, inputs
+
+
+def same_bits(a, b):
+    """Equal arrays, NaN matching NaN and every sign bit matching (-0.0 is not 0.0)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def nan_divisor(leaf):
+    """leaf / (leaf * leaf - leaf * leaf): a NaN divisor once leaf * leaf overflows."""
+    square = BinaryOp("mul", leaf, leaf)
+    return BinaryOp("div", leaf, BinaryOp("sub", square, square))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees_and_inputs())
+@example((nan_divisor(Variable(0)), np.array([[1e308], [2.0]])))
+@example((nan_divisor(Constant(1e308)), np.array([[0.0]])))
+def test_program_and_node_forms_evaluate_alike_and_round_trip(case):
+    tree, X = case
+    obj = tree_to_json(tree)
+    program = tree_from_json(obj, X.shape[1])
+    nodes = nodes_from_json(obj)
+    assert tree_to_json(program) == tree_to_json(nodes) == obj
+    if not isinstance(tree, (Constant, Variable, BinaryOp)):
+        assert program == tree
+    with np.errstate(all="ignore"):
+        many = eval_tree_many(program, X)
+        assert same_bits(many, [eval_tree(program, row) for row in X])
+        assert same_bits(many, eval_tree_many(nodes, X))
+        assert same_bits(many, [eval_tree(nodes, row) for row in X])
 
 
 def test_generation_is_deterministic_per_seed():

@@ -11,9 +11,14 @@ the arithmetic, and for a new stream only once tools/stream_equivalence.py
 shows the old and new engines statistically equivalent:
 
     PYTHONPATH=src python tests/test_golden.py
+
+ARCHIVE_JSON_SHA256 pins, beyond the trajectories, the archive JSON of two
+of the friedman-like runs: every payload's refs, random trees and constants.
+The script does not write it; change it by hand, under the same conditions.
 """
 
 import functools
+import hashlib
 import json
 from pathlib import Path
 
@@ -52,15 +57,27 @@ SCALED_REJECTS = {"u:1": 4, "u:5": 4, "g:0.25": 6, "raw-mutation": 29, "no-eliti
 SCALED_REGENERATIONS = 4
 
 
+# sha256 of json.dumps(archive.to_json(), sort_keys=True) of the
+# friedman-like run of each config.
+ARCHIVE_JSON_SHA256 = {
+    "u:1": "1b7aa29aed35b0ccabe3539f645be04b53fd0006a3c387f7d92c3c6f97ac0b1e",
+    "g:0.25": "94ddaef89b09561597f2c94955865c2df9b5ae378ad1e747df36c088d541e47b",
+}
+
+
+def golden_config(cfg_name) -> EvolutionConfig:
+    options = CONFIGS[cfg_name]
+    options = dict(options, distribution=parse_distribution(options["distribution"]))
+    return EvolutionConfig(population_size=30, generations=30, seed=11, **options)
+
+
 @functools.lru_cache(maxsize=None)
 def golden_results() -> dict:
     results = {}
     for data_name, data in datasets().items():
         split = split_70_30(data, seed=1)
-        for cfg_name, options in CONFIGS.items():
-            options = dict(options, distribution=parse_distribution(options["distribution"]))
-            cfg = EvolutionConfig(population_size=30, generations=30, seed=11, **options)
-            results[f"{data_name}/{cfg_name}"] = run_evolution(cfg, split)
+        for cfg_name in CONFIGS:
+            results[f"{data_name}/{cfg_name}"] = run_evolution(golden_config(cfg_name), split)
     return results
 
 
@@ -93,6 +110,14 @@ def test_scaled_runs_count_their_redraws_and_regenerations():
     for name, result in results.items():
         if not name.startswith("friedman-like-1e150/"):
             assert result.nonfinite_retries == result.seed_regenerations == 0, name
+
+
+def test_archive_json_matches_its_digest():
+    split = split_70_30(datasets()["friedman-like"], seed=1)
+    for cfg_name, digest in ARCHIVE_JSON_SHA256.items():
+        archive = run_evolution(golden_config(cfg_name), split, keep_archive=True).archive
+        text = json.dumps(archive.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, cfg_name
 
 
 if __name__ == "__main__":
