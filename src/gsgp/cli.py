@@ -34,11 +34,18 @@ def parse_synthetic_spec(spec: str):
         raise ValueError(
             f"bad synthetic spec {spec!r}: expected kind:rows:features:noise[:seed]"
         )
-    kind = parts[0]
-    rows, n_features = int(parts[1]), int(parts[2])
-    noise = float(parts[3])
-    seed = int(parts[4]) if len(parts) == 5 else 0
-    return synthetic_dataset(kind, rows, n_features, noise, seed)
+    fields = (("rows", int), ("features", int), ("noise", float), ("seed", int))
+    values = []
+    for (name, kind), text in zip(fields, parts[1:]):
+        try:
+            values.append(kind(text))
+        except ValueError:
+            expected = "an integer" if kind is int else "a number"
+            raise ValueError(
+                f"bad synthetic spec {spec!r}: {name} {text!r} is not {expected}"
+            ) from None
+    rows, n_features, noise, *seed = values
+    return synthetic_dataset(parts[0], rows, n_features, noise, seed[0] if seed else 0)
 
 
 def build_parser() -> _Parser:

@@ -110,11 +110,27 @@ def train_size_70(rows: int) -> int:
     return int(math.floor(0.7 * rows + 0.5))
 
 
+def split_sizes_70_30(rows: int) -> tuple:
+    """(train rows, test rows) of a 70/30 split of this many rows.
+
+    Each side must hold at least 2 rows, as every Dataset does, which takes
+    at least 6 rows in all; fewer raise ValueError naming the sizes.
+    """
+    n_train = train_size_70(rows)
+    if min(n_train, rows - n_train) < 2:
+        raise ValueError(
+            f"a dataset of {rows} rows splits 70/30 into {n_train} train and "
+            f"{rows - n_train} test rows; each side needs at least 2 rows, "
+            "so a dataset needs at least 6"
+        )
+    return n_train, rows - n_train
+
+
 def split_70_30(dataset: Dataset, seed: int) -> SplitDataset:
-    """Random 70/30 row partition keyed by seed."""
+    """Random 70/30 row partition keyed by seed; see split_sizes_70_30."""
+    n_train, _ = split_sizes_70_30(dataset.rows)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.rows)
-    n_train = train_size_70(dataset.rows)
     tr, te = perm[:n_train], perm[n_train:]
     return SplitDataset(
         train=Dataset(f"{dataset.name}[train]", dataset.inputs[tr], dataset.targets[tr]),
@@ -129,10 +145,13 @@ def synthetic_dataset(kind: str, rows: int, n_features: int, noise: float, seed:
     polynomial: inputs U[-1,1], target x0^2 + x1 (needs >= 2 features).
     friedman-like: inputs U[0,1], target
     10*sin(pi*x0*x1) + 20*(x2-0.5)^2 + 10*x3 + 5*x4 (needs >= 5 features).
-    Gaussian noise with sd `noise` is added to the target.
+    Gaussian noise with sd `noise`, a finite number >= 0, is added to the
+    target.
     """
     if rows < 2:
         raise ValueError("rows must be >= 2")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}, expected one of {SYNTHETIC_KINDS}")
     rng = np.random.default_rng(seed)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, split_70_30
+from .data import Dataset, split_70_30, split_sizes_70_30
 from .errors import NonFiniteSemanticsError
 from .evolve import RNG_STREAM, EvolutionConfig, run_evolution
 from .selection import UniformLastK, parse_distribution
@@ -70,6 +70,7 @@ class Campaign:
             raise ValueError("jobs must be >= 1")
         if not self.strategies:
             raise ValueError("campaign needs at least one strategy")
+        split_sizes_70_30(self.dataset.rows)
 
 
 @dataclass

@@ -41,21 +41,23 @@ def sigmoid(v, out=None):
             s = e / (1.0 + e)
         return min(max(s, _OPEN_LO), _OPEN_HI) if math.isfinite(x) else s
     # Branch-free form of the scalar path: e = e^-|v| never overflows, and
-    # each entry is 1/(1+e) or e/(1+e) exactly as above.
+    # each entry is 1/(1+e) or e/(1+e) exactly as above. The numerator is
+    # max(e, v >= 0): e lies in [0, 1] or is NaN (where v is), so this is 1.0
+    # where v >= 0 and e elsewhere. Masked writes that follow the sign of v
+    # cost several times an unmasked pass, so the common path has none: only
+    # a block holding +-inf masks the clamp to its finite entries (where=True
+    # masks nothing).
+    # Every mask is read before `out`, which may be `v`, is written.
     arr = np.asarray(v, dtype=float)
-    finite = np.isfinite(arr)
+    finite = np.isfinite(arr) if np.isinf(arr).any() else True
     nonneg = arr >= 0
     e = np.abs(arr)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    if out is None:
-        out = np.empty_like(e)
-    np.copyto(out, e)
-    np.copyto(out, 1.0, where=nonneg)
+    out = np.maximum(e, nonneg, out=out)
     e += 1.0
     out /= e
-    np.minimum(out, _OPEN_HI, out=out, where=finite)
-    return np.maximum(out, _OPEN_LO, out=out, where=finite)
+    return np.clip(out, _OPEN_LO, _OPEN_HI, out=out, where=finite)
 
 
 def rmse(pred, target):

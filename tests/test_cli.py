@@ -18,6 +18,30 @@ def test_synthetic_spec_parsing():
         parse_synthetic_spec("cubic:40:3:0.0")
 
 
+def test_bad_synthetic_spec_names_the_field(capsys):
+    for spec, message in (
+        ("friedman-like:abc:5:0", "rows 'abc' is not an integer"),
+        ("friedman-like:30:5.5:0", "features '5.5' is not an integer"),
+        ("friedman-like:30:5:low", "noise 'low' is not a number"),
+        ("friedman-like:30:5:0:x", "seed 'x' is not an integer"),
+    ):
+        with pytest.raises(ValueError, match=f"bad synthetic spec '{spec}': {message}"):
+            parse_synthetic_spec(spec)
+    assert main(["--synthetic", "friedman-like:abc:5:0", "--runs", "1"]) == 1
+    assert "rows 'abc' is not an integer" in capsys.readouterr().err
+    for noise in ("-1", "nan", "inf"):
+        with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
+            parse_synthetic_spec(f"friedman-like:30:5:{noise}")
+
+
+def test_cli_rejects_a_dataset_too_small_to_split(capsys):
+    code = main(["--synthetic", "friedman-like:5:5:0", "--runs", "2", "--generations", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "5 rows splits 70/30 into 4 train and 1 test rows" in captured.err
+    assert captured.out == ""  # no run started
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(

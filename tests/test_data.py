@@ -8,6 +8,7 @@ from gsgp.data import (
     load_csv,
     save_csv,
     split_70_30,
+    split_sizes_70_30,
     synthetic_dataset,
     train_size_70,
 )
@@ -89,6 +90,19 @@ def test_split_sizes_match_table():
     d2 = synthetic_dataset("polynomial", 359, 2, 0.0, seed=0)
     s2 = split_70_30(d2, 5)
     assert (s2.train.rows, s2.test.rows) == (251, 108)
+
+
+def test_split_needs_two_rows_on_each_side():
+    for rows, n_train in ((2, 1), (3, 2), (4, 3), (5, 4)):
+        sizes = f"{n_train} train and {rows - n_train} test"
+        d = synthetic_dataset("polynomial", rows, 2, 0.0, seed=0)
+        with pytest.raises(ValueError, match=f"{rows} rows splits 70/30 into {sizes} rows"):
+            split_70_30(d, 5)
+        with pytest.raises(ValueError, match="at least 6"):
+            split_sizes_70_30(rows)
+    s = split_70_30(synthetic_dataset("polynomial", 6, 2, 0.0, seed=0), 5)
+    assert (s.train.rows, s.test.rows) == split_sizes_70_30(6) == (4, 2)
+    assert all(min(split_sizes_70_30(rows)) >= 2 for rows in range(6, 200))
 
 
 def test_split_is_reproducible_and_a_partition():

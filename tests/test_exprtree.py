@@ -305,6 +305,8 @@ def test_program_and_node_forms_evaluate_alike_and_round_trip(case):
         assert same_bits(many, [eval_tree(program, row) for row in X])
         assert same_bits(many, eval_tree_many(nodes, X))
         assert same_bits(many, [eval_tree(nodes, row) for row in X])
+        # The archive stores its inputs column-major; the layout is not part of the value.
+        assert same_bits(many, eval_tree_many(program, np.asfortranarray(X)))
 
 
 def test_generation_is_deterministic_per_seed():

@@ -127,6 +127,67 @@ def test_sigmoid_into_out_matches_plain_call(rng):
     assert np.array_equal(values, expected, equal_nan=True)
 
 
+def _masked_sigmoid_reference(v):
+    """The array path as it was first written, with masks that follow the data."""
+    arr = np.array(v, dtype=float)
+    finite = np.isfinite(arr)
+    nonneg = arr >= 0
+    e = np.abs(arr)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.empty_like(e)
+    np.copyto(out, e)
+    np.copyto(out, 1.0, where=nonneg)
+    e += 1.0
+    out /= e
+    np.minimum(out, math.nextafter(1.0, 0.0), out=out, where=finite)
+    return np.maximum(out, math.nextafter(0.0, 1.0), out=out, where=finite)
+
+
+def _sigmoid_bit_cases(rng):
+    tiny = 5e-324
+    boundary = np.array([
+        0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, -2.2250738585072014e-308,
+        1e-310, -1e-310, 36.7, 36.8, -36.7, -36.8, 745.0, 746.0, -745.0, -746.0,
+        709.78, -709.78, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+        math.inf, -math.inf, math.nan, 0.5, -0.5, 1.0, -1.0,
+    ])
+    yield "boundary values", boundary
+    yield "finite boundary values", boundary[np.isfinite(boundary)]
+    for scale in (1.0, 50.0, 800.0):
+        yield f"finite block, scale {scale}", rng.normal(scale=scale, size=(7, 300))
+    block = rng.normal(scale=40.0, size=(9, 200))
+    block[2, rng.integers(200, size=5)] = math.inf
+    block[5, rng.integers(200, size=5)] = -math.inf
+    block[7, rng.integers(200, size=5)] = math.nan
+    yield "block with +-inf and NaN in some rows", block
+    nan_only = rng.normal(scale=40.0, size=(4, 200))
+    nan_only[1, ::7] = math.nan
+    yield "block with NaN in one row", nan_only
+
+
+def test_sigmoid_array_path_is_bitwise_the_masked_reference(rng):
+    # NaN must match NaN; every other entry must match in all 64 bits,
+    # sign included, for each way of passing `out`.
+    for name, values in _sigmoid_bit_cases(rng):
+        expected = _masked_sigmoid_reference(values)
+        separate = np.empty_like(values)
+        aliased = values.copy()
+        results = {
+            "out=None": sigmoid(values),
+            "separate out": sigmoid(values, out=separate),
+            "out=v": sigmoid(aliased, out=aliased),
+        }
+        assert results["separate out"] is separate and results["out=v"] is aliased
+        for form, got in results.items():
+            nan = np.isnan(expected)
+            assert np.array_equal(np.isnan(got), nan), (name, form)
+            assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64)), (
+                name,
+                form,
+            )
+
+
 def test_check_finite_block_names_first_vector_and_row():
     block = np.zeros((4, 3))
     assert check_finite(block, "block") is block
