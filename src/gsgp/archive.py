@@ -21,7 +21,10 @@ by the test rows. A payload's semantics are one vector over those rows,
 computed once from the stored vectors of its parents and the outputs of its
 own random trees. `train_semantics` and `test_semantics` are views of that
 vector. Nothing is ever re-expanded, which is what makes whole-history
-selection free: reading any archived individual is a list lookup.
+selection free: reading any archived individual is a list lookup. The
+train fitnesses are also kept as one generation x slot table
+(`Archive.train_fitness`), filled by `append_generation`, so tournaments
+and elitism read every fitness they need with one array index.
 
 The stacked matrix is stored column-major. A tree reads its variables as
 columns, so each operator on a variable is then one unit-stride pass over
@@ -51,7 +54,7 @@ payloads (which writes the archive's block buffers), require exclusive
 access.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -153,6 +156,9 @@ class Archive:
         self.n_train = split.train.rows
         self.fitness = fitness
         self.generations: list[list[Individual]] = []
+        # Row g holds generation g's train fitnesses; rows past the last
+        # completed generation are unfilled capacity.
+        self._train_fitness = np.empty((0, 0))
         self._buffers = {}
 
     # -- addressing ---------------------------------------------------
@@ -166,11 +172,22 @@ class Archive:
             )
         return self.generations[ref.generation][ref.index]
 
+    @property
+    def train_fitness(self) -> np.ndarray:
+        """Generation x slot table of train fitnesses (a read-only view).
+
+        Entry [g, i] is generations[g][i].train_fitness; `append_generation`
+        writes each row, so selection reads any archived fitness by index.
+        """
+        table = self._train_fitness[: len(self.generations)]
+        table.flags.writeable = False
+        return table
+
     def best_of_generation(self, generation: int) -> IndividualRef:
         """Ref of the lowest-training-error individual (first on ties)."""
-        gen = self.generations[generation]
-        idx = min(range(len(gen)), key=lambda i: gen[i].train_fitness)
-        return IndividualRef(generation, idx)
+        if not 0 <= generation < len(self.generations):
+            raise ValueError(f"no generation {generation} in archive")
+        return IndividualRef(generation, int(np.argmin(self._train_fitness[generation])))
 
     # -- creation -----------------------------------------------------
 
@@ -206,10 +223,19 @@ class Archive:
         for pos, slot in enumerate(slots):
             payload = payloads[slot]
             if isinstance(payload, IndividualRef):
-                individuals[pos] = replace(self.individual(payload), payload=payload)
+                parent = self.individual(payload)
+                individuals[pos] = Individual(
+                    payload,
+                    parent.semantics,
+                    parent.train_semantics,
+                    parent.test_semantics,
+                    parent.train_fitness,
+                    parent.test_fitness,
+                )
             else:
                 fresh.append(pos)
         rejects = []
+        n_train = self.n_train
         size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
         for start in range(0, len(fresh), size):
             positions = fresh[start : start + size]
@@ -221,17 +247,12 @@ class Archive:
                     rejects.append(self._nonfinite(payloads[slot], slot, block[i]))
                 positions = [pos for pos, ok in zip(positions, finite.tolist()) if ok]
                 block = block[finite]
-            train_fitness = self.fitness(block[:, : self.n_train], self.train_targets)
-            test_fitness = self.fitness(block[:, self.n_train :], self.test_targets)
-            for i, pos in enumerate(positions):
-                values = block[i].copy()
+            train_fitness = self.fitness(block[:, :n_train], self.train_targets).tolist()
+            test_fitness = self.fitness(block[:, n_train:], self.test_targets).tolist()
+            for pos, row, train, test in zip(positions, block, train_fitness, test_fitness):
+                values = row.copy()
                 individuals[pos] = Individual(
-                    payload=payloads[slots[pos]],
-                    semantics=values,
-                    train_semantics=values[: self.n_train],
-                    test_semantics=values[self.n_train :],
-                    train_fitness=float(train_fitness[i]),
-                    test_fitness=float(test_fitness[i]),
+                    payloads[slots[pos]], values, values[:n_train], values[n_train:], train, test
                 )
         return individuals, rejects
 
@@ -278,10 +299,10 @@ class Archive:
             + [m.random_tree_a for _, m in raw]
         )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for j, tree in enumerate(tree_list):
-                trees[j] = eval_tree_many(tree, self.inputs)
+            for tree, row in zip(tree_list, trees):
+                eval_tree_many(tree, self.inputs, out=row)
             for row, tree in leaves:
-                block[row] = eval_tree_many(tree, self.inputs)
+                eval_tree_many(tree, self.inputs, out=block[row])
             for row, ref in ref_bases:
                 block[row] = self.individual(ref).semantics
             if n_sigmoid:
@@ -313,9 +334,15 @@ class Archive:
         block[rows] = np.add(base, delta, out=base)
 
     def _stack(self, name, refs) -> np.ndarray:
-        """The semantics of these refs, one per row, in the named buffer."""
+        """The semantics of these refs, one per row, in the named buffer.
+
+        They are concatenated through the buffer's flat view; a buffer's
+        leading rows are contiguous, so the reshape does not copy.
+        """
         rows = [self.individual(ref).semantics for ref in refs]
-        return np.stack(rows, out=self._buffer(name, len(rows)))
+        buffer = self._buffer(name, len(rows))
+        np.concatenate(rows, out=buffer.reshape(-1))
+        return buffer
 
     def _buffer(self, name, rows) -> np.ndarray:
         """A rows x stacked-rows view of a buffer kept for this archive.
@@ -337,6 +364,13 @@ class Archive:
                 f"generation {g} has {len(individuals)} payloads, not the population size "
                 f"{len(self.generations[0])}"
             )
+        table = self._train_fitness
+        if g == len(table):  # full: double the capacity
+            grown = np.empty((max(8, 2 * g), len(individuals)))
+            if g:
+                grown[:g] = table
+            self._train_fitness = table = grown
+        table[g] = [ind.train_fitness for ind in individuals]
         self.generations.append(list(individuals))
 
     # -- oracle -------------------------------------------------------

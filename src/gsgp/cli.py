@@ -86,7 +86,14 @@ def build_parser() -> _Parser:
         "bounded two-tree form",
     )
     p.add_argument("--out", metavar="DIR", help="directory for report files")
-    p.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="runs at once, as threads that share one interpreter lock; the "
+        "engine is bound by Python overhead, so a second job usually slows a "
+        "campaign down",
+    )
     return p
 
 

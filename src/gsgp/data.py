@@ -1,8 +1,9 @@
 """Dataset ingestion, 70/30 splitting, and synthetic fixtures.
 
 CSV contract: comma-separated, optional single header line, decimal point,
-last column is the regression target, UTF-8. No scaling or imputation is
-applied; files are used exactly as supplied.
+last column is the regression target, UTF-8 (a leading byte-order mark, as
+spreadsheet exports often write, is accepted and skipped). No scaling or
+imputation is applied; files are used exactly as supplied.
 """
 
 import csv
@@ -56,7 +57,7 @@ def load_csv(path, has_header: bool = False, name: str = None) -> Dataset:
     """Load a numeric CSV; last column becomes the target."""
     rows = []
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record:
                 continue

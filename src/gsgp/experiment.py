@@ -12,6 +12,13 @@ each completed run's non-finite offspring redraws and regenerated seed
 trees, aligned with final_test_rmse), metadata.json (timestamps,
 durations), runs.csv (per-run finals), boxplot.csv (per-strategy final
 test RMSE columns).
+
+Runs execute on a pool of `jobs` threads in one process. They share the
+interpreter lock, and a run spends most of its time in Python bytecode and
+small numpy calls, so at a few hundred to a few thousand rows a second job
+makes a campaign slower, not faster: six 50x50 runs took 1.25-1.48x their
+jobs=1 wall time at 200 rows and 1.42x at 1500 rows (2-vCPU x86-64,
+numpy 2.4). jobs=1 runs each task on the calling thread.
 """
 
 import csv

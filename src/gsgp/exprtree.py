@@ -238,30 +238,44 @@ def _program(tree: ExprTree, n_features=None) -> Program:
     return Program(code)
 
 
-def _divide(a, b):
-    """Protected division of floats or arrays: a / b where |b| > DIV_EPS, else 1.0."""
+def _divide(a, b, out=None):
+    """Protected division of floats or arrays: a / b where |b| > DIV_EPS, else 1.0.
+
+    With `out`, the result is written into that array and returned.
+    """
     if type(b) is float:
         if abs(b) > DIV_EPS:
-            return a / b
+            return a / b if out is None else np.divide(a, b, out=out)
+        if out is not None:
+            out.fill(1.0)
+            return out
         return 1.0 if type(a) is float else np.ones_like(a)
     if np.abs(b).min(initial=math.inf) > DIV_EPS:  # False if any divisor is NaN
-        return a / b
-    out = np.ones_like(b)
+        return a / b if out is None else np.divide(a, b, out=out)
+    if out is None:
+        out = np.ones_like(b)
+    else:
+        out.fill(1.0)
     np.divide(a, b, out=out, where=np.abs(b) > DIV_EPS)
     return out
 
 
 _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
+# The operators with an output array: (left, right, out) -> out.
+_APPLY_INTO = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide}
 
 
-def _run(program: Program, columns):
+def _run(program: Program, columns, out=None):
     """The value of a program whose variable i reads columns[i].
 
     A value stays a Python float until it meets a column, so a constant
     subtree is computed once, with the same IEEE operations the columns get.
+    With `out`, the value is written into that array, by the last operator
+    itself when the program ends in one, and `out` is returned.
     """
+    last = program[-1] if out is not None else None
     stack = []
-    for node in program:
+    for node in program[:-1] if type(last) is str else program:
         kind = type(node)
         if kind is str:
             right = stack.pop()
@@ -275,7 +289,13 @@ def _run(program: Program, columns):
                 ) from None
         else:
             stack.append(node)
-    return stack.pop()
+    if type(last) is str:
+        right = stack.pop()
+        return _APPLY_INTO[last](stack.pop(), right, out)
+    if out is None:
+        return stack.pop()
+    out[...] = stack.pop()
+    return out
 
 
 def eval_tree(tree: ExprTree, x) -> float:
@@ -283,22 +303,20 @@ def eval_tree(tree: ExprTree, x) -> float:
     return _run(_program(tree, len(x)), np.asarray(x, dtype=float).tolist())
 
 
-def eval_tree_many(tree: ExprTree, inputs) -> np.ndarray:
+def eval_tree_many(tree: ExprTree, inputs, out=None) -> np.ndarray:
     """Evaluate a tree on every row of a rows x n_features matrix at once.
 
     Agrees bitwise with a per-row eval_tree loop (the same IEEE operations,
     applied componentwise); this is the hot path for semantics computation.
-    The result is a new array.
+    The result is written into `out`, a float64 vector of one entry per
+    row, and `out` is returned; without one it goes into a new array.
     """
     X = np.asarray(inputs, dtype=float)
     if X.ndim != 2:
         raise ValueError("inputs must be a 2-d rows x n_features matrix")
-    out = _run(_program(tree, X.shape[1]), X.T)
-    if type(out) is float:
-        return np.full(len(X), out)
-    if out.base is not None:  # a bare variable is a column view
-        out = out.copy()
-    return out
+    if out is None:
+        out = np.empty(len(X))
+    return _run(_program(tree, X.shape[1]), X.T, out)
 
 
 def tree_to_json(tree: ExprTree):

@@ -16,10 +16,12 @@ Tournaments are drawn in bulk (RNG stream 2): `tournament_select` runs n
 tournaments of size t with two draws, every entrant's source generation
 (one `sample_many` call, which UniformLastK(1) answers without a draw) and
 then every entrant's index (one `rng.integers` call). Entrant j of
-tournament i is draw i*t + j of each. Every entrant is tallied into
-offset_counts when it is drawn, so the entrants of a draw that is later
-rejected for non-finite semantics stay tallied, and their winners stay in
-the caller's selection trace.
+tournament i is draw i*t + j of each. Every entrant's training error is
+read from the archive's fitness table with one index, and each
+tournament's winner is the argmin of its row of t errors. Every entrant is
+tallied into offset_counts when it is drawn, so the entrants of a draw
+that is later rejected for non-finite semantics stay tallied, and their
+winners stay in the caller's selection trace.
 """
 
 from dataclasses import dataclass
@@ -109,8 +111,7 @@ def tournament_select(
     gens = d.sample_many(current, n * t, rng)
     idx = rng.integers(len(generations[0]), size=n * t)
     if offset_counts is not None:
-        np.add.at(offset_counts, current - 1 - gens, 1)
-    gens, idx = gens.tolist(), idx.tolist()
-    fitness = np.array([generations[g][i].train_fitness for g, i in zip(gens, idx)])
+        offset_counts += np.bincount(current - 1 - gens, minlength=len(offset_counts))
+    fitness = archive.train_fitness[gens, idx]
     winners = np.argmin(fitness.reshape(n, t), axis=1) + np.arange(0, n * t, t)
-    return tuple(IndividualRef(gens[j], idx[j]) for j in winners.tolist())
+    return tuple(map(IndividualRef, gens[winners].tolist(), idx[winners].tolist()))

@@ -8,7 +8,6 @@ callers read the direction of a difference from the medians.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,20 +44,30 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@lru_cache(maxsize=None)
-def _u_count(n: int, m: int, u: int) -> int:
-    """Number of the C(n+m, n) rank arrangements giving exactly U = u."""
-    if u < 0:
-        return 0
-    if n == 0 or m == 0:
-        return 1 if u == 0 else 0
-    return _u_count(n - 1, m, u - m) + _u_count(n, m - 1, u)
+def _u_counts(n: int, m: int, top: int) -> list:
+    """Numbers of the C(n+m, n) rank arrangements giving U = 0, 1, ..., top.
+
+    They are the coefficients of the Gaussian binomial
+    prod_{i=1..k} (1 - q^(j+i)) / (1 - q^i), with k = min(n, m) and
+    j = max(n, m), up to q^top. Factor i multiplies by (1 - q^(j+i)) and
+    then divides exactly by (1 - q^i); each partial product is itself a
+    Gaussian binomial, so every coefficient stays a Python int, and the
+    cost is O(k * top) for any sample sizes.
+    """
+    k, j = min(n, m), max(n, m)
+    counts = [1] + [0] * top
+    for i in range(1, k + 1):
+        for u in range(top, j + i - 1, -1):
+            counts[u] -= counts[u - j - i]
+        for u in range(i, top + 1):
+            counts[u] += counts[u - i]
+    return counts
 
 
 def _exact_two_sided_p(u: float, n: int, m: int) -> float:
     u_small = min(u, n * m - u)
     total = math.comb(n + m, n)
-    cum = sum(_u_count(n, m, k) for k in range(int(u_small) + 1))
+    cum = sum(_u_counts(n, m, int(u_small)))
     return min(1.0, 2.0 * cum / total)
 
 

@@ -441,6 +441,24 @@ def test_nonfinite_semantics_names_split_and_row_within_it():
     assert exc.value.row == 1
 
 
+def test_best_of_generation_rejects_a_generation_outside_the_archive():
+    archive = evolved_archive(gens=3)
+    assert len(archive.generations) == 4
+    for generation in (-1, 4):
+        with pytest.raises(ValueError, match=f"no generation {generation} in archive"):
+            archive.best_of_generation(generation)
+
+
+def test_fitness_table_is_each_generations_train_fitness():
+    archive = evolved_archive(pop=6, gens=20)  # the table grows past its first capacity
+    table = np.array([[ind.train_fitness for ind in gen] for gen in archive.generations])
+    assert archive.train_fitness.shape == (21, 6)
+    assert archive.train_fitness.tobytes() == table.tobytes()
+    assert not archive.train_fitness.flags.writeable
+    for g, row in enumerate(table):
+        assert archive.best_of_generation(g) == IndividualRef(g, int(np.argmin(row)))
+
+
 def test_train_and_test_semantics_are_slices_of_one_vector():
     archive = evolved_archive(pop=6, gens=2)
     n_train = len(archive.train_inputs)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gsgp
 import gsgp.experiment as experiment
 from gsgp.cli import build_parser, main, parse_synthetic_spec
 from gsgp.errors import NonFiniteSemanticsError
@@ -127,3 +132,25 @@ def test_cli_summary_when_every_run_fails(monkeypatch, capsys):
     assert len(summary) == 2
     assert all("median train n/a  median test n/a" in line for line in summary)
     assert all("[INCOMPLETE: 2 runs failed]" in line for line in summary)
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(gsgp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def gsgp_main(spec, out):
+        return subprocess.run(
+            [sys.executable, "-m", "gsgp", "--synthetic", spec, "--runs", "1",
+             "--pop", "4", "--generations", "2", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+
+    done = gsgp_main("friedman-like:30:5:0", tmp_path / "out")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "boxplot.csv", "metadata.json", "report.json", "runs.csv",
+    ]
+    bad = gsgp_main("friedman-like:abc:5:0", tmp_path / "bad")
+    assert bad.returncode == 1
+    assert "rows 'abc' is not an integer" in bad.stderr
+    assert not (tmp_path / "bad").exists()

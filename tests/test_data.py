@@ -36,6 +36,19 @@ def test_load_csv_skips_header(tmp_path):
     assert np.array_equal(d.inputs[0], [1.0, 2.0])
 
 
+def test_load_csv_accepts_a_byte_order_mark(tmp_path):
+    plain = load_csv(write(tmp_path, "1,2,3\n4,5,6\n", name="plain.csv"))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n")
+    marked = load_csv(path)
+    assert np.array_equal(marked.inputs, plain.inputs)
+    assert np.array_equal(marked.targets, plain.targets)
+    path.write_bytes(b"\xef\xbb\xbfa,b,y\n1,2,3\n4,5,6\n")
+    headed = load_csv(path, has_header=True)
+    assert np.array_equal(headed.inputs, plain.inputs)
+    assert np.array_equal(headed.targets, plain.targets)
+
+
 def test_load_csv_names_bad_cell_position(tmp_path):
     rows = "\n".join("1,2,3" for _ in range(6)) + "\n1,abc,3\n"
     with pytest.raises(CsvFormatError, match=r"row 7, column 2"):

@@ -237,9 +237,9 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     calls = []
     evaluate = Archive.evaluate
 
-    def counting_eval(tree, inputs):
+    def counting_eval(tree, inputs, out=None):
         seen.append(tree)
-        return eval_tree_many(tree, inputs)
+        return eval_tree_many(tree, inputs, out=out)
 
     def recording_evaluate(self, payloads, slots):
         before = len(seen)

@@ -307,6 +307,10 @@ def test_program_and_node_forms_evaluate_alike_and_round_trip(case):
         assert same_bits(many, [eval_tree(nodes, row) for row in X])
         # The archive stores its inputs column-major; the layout is not part of the value.
         assert same_bits(many, eval_tree_many(program, np.asfortranarray(X)))
+        # The last operator writes into `out` itself.
+        out = np.full(len(X), 7.0)
+        assert eval_tree_many(program, np.asfortranarray(X), out=out) is out
+        assert same_bits(many, out)
 
 
 def test_generation_is_deterministic_per_seed():

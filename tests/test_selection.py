@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_split, seeded_archive
+from test_golden import datasets, golden_config
 
 from gsgp.archive import Archive, IndividualRef, Leaf
+from gsgp.data import split_70_30
+from gsgp.evolve import run_evolution
 from gsgp.exprtree import Constant
 from gsgp.selection import Geometric, UniformLastK, parse_distribution, tournament_select
 
@@ -201,3 +204,32 @@ def test_tournament_requires_archive_and_positive_t(rng):
     empty = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
     with pytest.raises(ValueError):
         tournament_select(empty, UniformLastK(1), 2, 1, rng)
+
+
+@pytest.mark.parametrize(
+    "data_name, cfg_name",
+    [("friedman-like", "g:0.25"), ("friedman-like-1e150", "raw-mutation")],
+)
+def test_loaded_archive_selects_like_the_original(data_name, cfg_name):
+    # the scaled raw-mutation run redraws non-finite offspring slots
+    split = split_70_30(datasets()[data_name], seed=1)
+    result = run_evolution(golden_config(cfg_name), split, keep_archive=True)
+    assert (result.nonfinite_retries > 0) == (data_name == "friedman-like-1e150")
+    original = result.archive
+    loaded = Archive.from_json(original.to_json(), split)
+    for archive in (original, loaded):
+        table = [[ind.train_fitness for ind in gen] for gen in archive.generations]
+        assert archive.train_fitness.tobytes() == np.array(table).tobytes()
+    assert loaded.train_fitness.tobytes() == original.train_fitness.tobytes()
+    for g in range(len(original.generations)):
+        assert loaded.best_of_generation(g) == original.best_of_generation(g)
+    for spec in ("u:1", "u:5", "g:0.25"):
+        d = parse_distribution(spec)
+        counts = [np.zeros(len(original.generations), dtype=np.int64) for _ in range(2)]
+        winners = [
+            tournament_select(archive, d, 4, 200, np.random.default_rng(7), tally)
+            for archive, tally in zip((original, loaded), counts)
+        ]
+        assert winners[0] == winners[1]
+        assert np.array_equal(counts[0], counts[1])
+        assert counts[0].sum() == 4 * 200

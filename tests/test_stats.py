@@ -1,10 +1,11 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gsgp.stats import RankSumResult, median, rank_sum_test
+from gsgp.stats import RankSumResult, _u_counts, median, rank_sum_test
 
 
 def enumeration_p_value(a, b):
@@ -165,3 +166,33 @@ def test_matches_scipy_mannwhitneyu():
         assert abs(ours.p_value - ref.pvalue) <= 1e-12, (case, a, b)
         checked[ours.method] += 1
     assert min(checked.values()) > 50
+
+
+@functools.lru_cache(maxsize=None)
+def recursive_u_count(n, m, u):
+    """Arrangements with U = u, by the recursion on the largest value."""
+    if u < 0:
+        return 0
+    if n == 0 or m == 0:
+        return 1 if u == 0 else 0
+    return recursive_u_count(n - 1, m, u - m) + recursive_u_count(n, m - 1, u)
+
+
+def test_u_counts_match_the_recursive_counter():
+    for n in range(13):
+        for m in range(13):
+            expected = [recursive_u_count(n, m, u) for u in range(n * m + 1)]
+            assert _u_counts(n, m, n * m) == expected, (n, m)
+            assert _u_counts(n, m, n * m // 2) == expected[: n * m // 2 + 1], (n, m)
+
+
+def test_exact_p_for_a_small_sample_against_a_large_one():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(7)
+    for n, m in ((5, 1200), (10, 600), (10, 300)):
+        a, b = rng.normal(loc=0.3, size=n), rng.normal(size=m)
+        ours = rank_sum_test(a, b)
+        assert ours.method == "exact"
+        ref = stats.mannwhitneyu(a, b, alternative="two-sided", method="exact")
+        assert ours.u_statistic == ref.statistic
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0), (n, m)
