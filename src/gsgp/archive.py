@@ -21,16 +21,22 @@ by the test rows. A payload's semantics are one vector over those rows,
 computed once from the stored vectors of its parents and the outputs of its
 own random trees. `train_semantics` and `test_semantics` are views of that
 vector. Nothing is ever re-expanded, which is what makes whole-history
-selection free: reading any archived individual is a list lookup. The
+selection free: reading any archived individual is a tuple lookup. The
 train fitnesses are also kept as one generation x slot table
 (`Archive.train_fitness`), filled by `append_generation`, so tournaments
 and elitism read every fitness they need with one array index.
+`Archive.generations` is a tuple of per-generation tuples that only
+`append_generation` extends, so no generation lacks its table row.
 
 The stacked matrix is stored column-major. A tree reads its variables as
 columns, so each operator on a variable is then one unit-stride pass over
 the rows, not a strided one; at 6000 rows `x_i * c` takes about 3 us on a
 contiguous column against about 7 us on a strided one (2-vCPU x86-64 Xeon,
-numpy 2.4).
+numpy 2.4). The archive prepares the matrix once as exprtree `Columns` and
+evaluates every random tree and leaf against it: the column views are
+built once, and a division by a variable whose column has no entry within
+DIV_EPS of zero needs no guard, with the same bits (see the exprtree
+module).
 
 `make_generation` evaluates a list of payloads in blocks of children sized
 so that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
@@ -62,6 +68,7 @@ import numpy as np
 from .data import SplitDataset
 from .errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from .exprtree import (
+    Columns,
     ExprTree,
     _finite_number,
     eval_tree,
@@ -153,9 +160,10 @@ class Archive:
         self.train_targets = split.train.targets
         self.test_targets = split.test.targets
         self.inputs = np.asfortranarray(np.concatenate([self.train_inputs, self.test_inputs]))
+        self._columns = Columns(self.inputs)
         self.n_train = split.train.rows
         self.fitness = fitness
-        self.generations: list[list[Individual]] = []
+        self._generations = ()
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
@@ -163,14 +171,24 @@ class Archive:
 
     # -- addressing ---------------------------------------------------
 
+    @property
+    def generations(self) -> tuple:
+        """The completed generations, a tuple of per-generation tuples.
+
+        Only `append_generation` extends it, so every generation has its
+        row in the fitness table.
+        """
+        return self._generations
+
     def individual(self, ref: IndividualRef) -> Individual:
-        if not 0 <= ref.generation < len(self.generations):
+        generations = self._generations
+        if not 0 <= ref.generation < len(generations):
             raise ValueError(f"no generation {ref.generation} in archive")
-        if not 0 <= ref.index < len(self.generations[ref.generation]):
+        if not 0 <= ref.index < len(generations[ref.generation]):
             raise ValueError(
                 f"index {ref.index} out of range in generation {ref.generation}"
             )
-        return self.generations[ref.generation][ref.index]
+        return generations[ref.generation][ref.index]
 
     @property
     def train_fitness(self) -> np.ndarray:
@@ -179,13 +197,13 @@ class Archive:
         Entry [g, i] is generations[g][i].train_fitness; `append_generation`
         writes each row, so selection reads any archived fitness by index.
         """
-        table = self._train_fitness[: len(self.generations)]
+        table = self._train_fitness[: len(self._generations)]
         table.flags.writeable = False
         return table
 
     def best_of_generation(self, generation: int) -> IndividualRef:
         """Ref of the lowest-training-error individual (first on ties)."""
-        if not 0 <= generation < len(self.generations):
+        if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
         return IndividualRef(generation, int(np.argmin(self._train_fitness[generation])))
 
@@ -300,9 +318,9 @@ class Archive:
         )
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for tree, row in zip(tree_list, trees):
-                eval_tree_many(tree, self.inputs, out=row)
+                eval_tree_many(tree, self._columns, out=row)
             for row, tree in leaves:
-                eval_tree_many(tree, self.inputs, out=block[row])
+                eval_tree_many(tree, self._columns, out=block[row])
             for row, ref in ref_bases:
                 block[row] = self.individual(ref).semantics
             if n_sigmoid:
@@ -356,13 +374,14 @@ class Archive:
         return buffer[:rows]
 
     def append_generation(self, individuals: list):
-        g = len(self.generations)
+        generations = self._generations
+        g = len(generations)
         if not individuals:
             raise ValueError(f"generation {g} is empty")
-        if self.generations and len(individuals) != len(self.generations[0]):
+        if generations and len(individuals) != len(generations[0]):
             raise ValueError(
                 f"generation {g} has {len(individuals)} payloads, not the population size "
-                f"{len(self.generations[0])}"
+                f"{len(generations[0])}"
             )
         table = self._train_fitness
         if g == len(table):  # full: double the capacity
@@ -371,7 +390,7 @@ class Archive:
                 grown[:g] = table
             self._train_fitness = table = grown
         table[g] = [ind.train_fitness for ind in individuals]
-        self.generations.append(list(individuals))
+        self._generations = generations + (tuple(individuals),)
 
     # -- oracle -------------------------------------------------------
 

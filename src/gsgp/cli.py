@@ -59,7 +59,7 @@ def build_parser() -> _Parser:
         "(kinds: polynomial, friedman-like)",
     )
     p.add_argument(
-        "--has-header", action="store_true", help="skip the first CSV line"
+        "--has-header", action="store_true", help="skip the first non-blank CSV line"
     )
     p.add_argument(
         "--strategy",
@@ -128,6 +128,8 @@ def main(argv=None) -> int:
         if args.dataset:
             dataset = load_csv(args.dataset, has_header=args.has_header)
             source = args.dataset
+        elif args.has_header:
+            raise ValueError("--has-header applies only to a --dataset CSV")
         else:
             dataset = parse_synthetic_spec(args.synthetic)
             source = f"synthetic:{args.synthetic}"

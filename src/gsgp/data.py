@@ -1,9 +1,10 @@
 """Dataset ingestion, 70/30 splitting, and synthetic fixtures.
 
-CSV contract: comma-separated, optional single header line, decimal point,
-last column is the regression target, UTF-8 (a leading byte-order mark, as
-spreadsheet exports often write, is accepted and skipped). No scaling or
-imputation is applied; files are used exactly as supplied.
+CSV contract: comma-separated, an optional header (the first non-blank
+line), decimal point, last column is the regression target, UTF-8 (a
+leading byte-order mark, as spreadsheet exports often write, is accepted
+and skipped). No scaling or imputation is applied; files are used exactly
+as supplied.
 """
 
 import csv
@@ -54,14 +55,19 @@ class SplitDataset:
 
 
 def load_csv(path, has_header: bool = False, name: str = None) -> Dataset:
-    """Load a numeric CSV; last column becomes the target."""
+    """Load a numeric CSV; last column becomes the target.
+
+    Blank lines are skipped; with has_header, so is the first other line.
+    """
     rows = []
     width = None
+    skip_header = has_header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, record in enumerate(csv.reader(fh), start=1):
             if not record:
                 continue
-            if has_header and lineno == 1:
+            if skip_header:
+                skip_header = False
                 continue
             if width is None:
                 width = len(record)

@@ -15,6 +15,14 @@ garbage collector one tracked object each. The `Constant`, `Variable` and
 `BinaryOp` dataclasses are only a syntax for writing a tree by hand: the
 functions that take a tree compile one written that way to its program.
 
+Protected division yields 1.0 where the divisor is not above DIV_EPS in
+magnitude. A caller that evaluates many trees over one matrix prepares it
+once as `Columns`: its column views are built once, and each column is
+marked safe when every entry is above DIV_EPS in magnitude. A division
+whose divisor is a lone variable leaf on a safe column then divides with
+no guard. The guard would pass on every row of such a column, so the
+quotient has the same bits. Every other division keeps the guard.
+
 Random trees are drawn in bulk (RNG stream 2). `gen_tree` lays every tree
 it draws out on a heap of depth max_depth, where node j sits at depth
 floor(log2(j + 1)) and has children 2j + 1 and 2j + 2, and makes five array
@@ -250,13 +258,14 @@ def _divide(a, b, out=None):
             out.fill(1.0)
             return out
         return 1.0 if type(a) is float else np.ones_like(a)
-    if np.abs(b).min(initial=math.inf) > DIV_EPS:  # False if any divisor is NaN
+    ok = np.abs(b) > DIV_EPS  # False where a divisor is NaN
+    if np.count_nonzero(ok) == b.size:
         return a / b if out is None else np.divide(a, b, out=out)
     if out is None:
         out = np.ones_like(b)
     else:
         out.fill(1.0)
-    np.divide(a, b, out=out, where=np.abs(b) > DIV_EPS)
+    np.divide(a, b, out=out, where=ok)
     return out
 
 
@@ -265,13 +274,52 @@ _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": 
 _APPLY_INTO = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide}
 
 
-def _run(program: Program, columns, out=None):
+def _matrix(inputs) -> np.ndarray:
+    X = np.asarray(inputs, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("inputs must be a 2-d rows x n_features matrix")
+    return X
+
+
+class Columns:
+    """An input matrix prepared once for many `eval_tree_many` calls.
+
+    `vectors` holds the matrix's columns as views (unit-stride ones when
+    the matrix is column-major), and `safe[j]` is True when every entry of
+    column j is above DIV_EPS in magnitude. A division whose divisor is a
+    lone variable leaf on a safe column skips the protected-division guard:
+    that guard would pass on every row, so the quotient is the same.
+    """
+
+    __slots__ = ("vectors", "safe", "rows", "_apply", "_apply_into")
+
+    def __init__(self, matrix):
+        X = _matrix(matrix)
+        self.vectors = tuple(X.T)
+        self.safe = tuple((np.abs(X) > DIV_EPS).all(axis=0).tolist())
+        self.rows = len(X)
+        # A column reaches the stack only as its variable leaf's value, so
+        # a divisor that is a safe column's own array is such a leaf.
+        safe = {id(v) for v, ok in zip(self.vectors, self.safe) if ok}
+
+        def divide(a, b, out=None):
+            if id(b) in safe:
+                return a / b if out is None else np.divide(a, b, out=out)
+            return _divide(a, b, out)
+
+        self._apply = {**_APPLY, "div": divide}
+        self._apply_into = {**_APPLY_INTO, "div": divide}
+
+
+def _run(program: Program, columns, out=None, apply=_APPLY, apply_into=_APPLY_INTO):
     """The value of a program whose variable i reads columns[i].
 
     A value stays a Python float until it meets a column, so a constant
     subtree is computed once, with the same IEEE operations the columns get.
     With `out`, the value is written into that array, by the last operator
-    itself when the program ends in one, and `out` is returned.
+    itself when the program ends in one, and `out` is returned. `apply` and
+    `apply_into` map each operator to its function, as _APPLY and
+    _APPLY_INTO do.
     """
     last = program[-1] if out is not None else None
     stack = []
@@ -279,7 +327,7 @@ def _run(program: Program, columns, out=None):
         kind = type(node)
         if kind is str:
             right = stack.pop()
-            stack[-1] = _APPLY[node](stack[-1], right)
+            stack[-1] = apply[node](stack[-1], right)
         elif kind is int:
             try:
                 stack.append(columns[node])
@@ -291,7 +339,7 @@ def _run(program: Program, columns, out=None):
             stack.append(node)
     if type(last) is str:
         right = stack.pop()
-        return _APPLY_INTO[last](stack.pop(), right, out)
+        return apply_into[last](stack.pop(), right, out)
     if out is None:
         return stack.pop()
     out[...] = stack.pop()
@@ -308,15 +356,22 @@ def eval_tree_many(tree: ExprTree, inputs, out=None) -> np.ndarray:
 
     Agrees bitwise with a per-row eval_tree loop (the same IEEE operations,
     applied componentwise); this is the hot path for semantics computation.
+    `inputs` is the matrix or its `Columns`, which many calls share: they
+    then read prepared column views and divide by a safe column (one whose
+    every entry is above DIV_EPS in magnitude) without the guard, which
+    could not fail there. A plain matrix is not scanned for safe columns.
     The result is written into `out`, a float64 vector of one entry per
     row, and `out` is returned; without one it goes into a new array.
     """
-    X = np.asarray(inputs, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("inputs must be a 2-d rows x n_features matrix")
+    if type(inputs) is Columns:
+        columns, apply, apply_into = inputs.vectors, inputs._apply, inputs._apply_into
+        rows = inputs.rows
+    else:
+        X = _matrix(inputs)
+        columns, apply, apply_into, rows = X.T, _APPLY, _APPLY_INTO, len(X)
     if out is None:
-        out = np.empty(len(X))
-    return _run(_program(tree, X.shape[1]), X.T, out)
+        out = np.empty(rows)
+    return _run(_program(tree, len(columns)), columns, out, apply, apply_into)
 
 
 def tree_to_json(tree: ExprTree):

@@ -459,6 +459,24 @@ def test_fitness_table_is_each_generations_train_fitness():
         assert archive.best_of_generation(g) == IndividualRef(g, int(np.argmin(row)))
 
 
+def test_generations_grow_only_through_append_generation():
+    archive = evolved_archive(pop=4, gens=2)
+    gens = archive.generations
+    assert type(gens) is tuple and all(type(gen) is tuple for gen in gens)
+    with pytest.raises(AttributeError):
+        gens.append(gens[0])
+    with pytest.raises(TypeError):
+        gens[1] = gens[0]
+    with pytest.raises(TypeError):
+        gens[1][0] = gens[0][0]
+    with pytest.raises(AttributeError):
+        archive.generations = gens + (gens[0],)
+    assert archive.generations is gens  # a read does not rebuild the tuple
+    archive.append_generation(list(gens[0]))
+    assert archive.generations[:3] == gens and archive.generations[3] == gens[0]
+    assert archive.train_fitness.shape == (4, 4)
+
+
 def test_train_and_test_semantics_are_slices_of_one_vector():
     archive = evolved_archive(pop=6, gens=2)
     n_train = len(archive.train_inputs)
@@ -538,8 +556,11 @@ def test_block_size_never_changes_semantics_or_fitness(payloads):
     for a, b in zip(whole, single):
         assert np.array_equal(a.semantics, b.semantics)
         assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
-    archive.generations.append(whole)
-    for i, ind in enumerate(whole):
+    # Each child fills a generation of the population size on its own, so
+    # append_generation takes it whatever the number of payloads.
+    for ind in whole:
+        archive.append_generation([ind] * 4)
+        ref = IndividualRef(len(archive.generations) - 1, 0)
         for x, memo in zip(archive.inputs, ind.semantics):
-            naive = archive.naive_eval(IndividualRef(2, i), x)
+            naive = archive.naive_eval(ref, x)
             assert abs(naive - memo) <= 1e-9 * (1.0 + abs(naive))

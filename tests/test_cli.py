@@ -47,6 +47,14 @@ def test_cli_rejects_a_dataset_too_small_to_split(capsys):
     assert captured.out == ""  # no run started
 
 
+def test_cli_rejects_has_header_without_a_csv(capsys):
+    code = main(["--synthetic", "friedman-like:30:5:0", "--has-header", "--runs", "1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "--has-header" in captured.err
+    assert captured.out == ""  # no run started
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(

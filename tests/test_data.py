@@ -49,6 +49,18 @@ def test_load_csv_accepts_a_byte_order_mark(tmp_path):
     assert np.array_equal(headed.targets, plain.targets)
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_load_csv_header_is_the_first_non_blank_line(tmp_path, bom):
+    path = tmp_path / "blank_first.csv"
+    path.write_bytes(bom + b"\n\nx1,x2,y\n1,2,3\n\n4,5,6\n")
+    d = load_csv(path, has_header=True)
+    assert np.array_equal(d.inputs, [[1.0, 2.0], [4.0, 5.0]])
+    assert np.array_equal(d.targets, [3.0, 6.0])
+    # Without the flag the header is data, named at its own line.
+    with pytest.raises(CsvFormatError, match=r"'x1' at row 3, column 1"):
+        load_csv(path)
+
+
 def test_load_csv_names_bad_cell_position(tmp_path):
     rows = "\n".join("1,2,3" for _ in range(6)) + "\n1,abc,3\n"
     with pytest.raises(CsvFormatError, match=r"row 7, column 2"):

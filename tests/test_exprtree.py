@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gsgp.exprtree as exprtree
 from gsgp.data import split_70_30, synthetic_dataset
 from gsgp.evolve import EvolutionConfig, run_evolution
 from gsgp.exprtree import (
@@ -16,6 +17,7 @@ from gsgp.exprtree import (
     P_CONSTANT,
     P_GROW_TERMINAL,
     BinaryOp,
+    Columns,
     Constant,
     TreeGenConfig,
     Variable,
@@ -311,6 +313,102 @@ def test_program_and_node_forms_evaluate_alike_and_round_trip(case):
         out = np.full(len(X), 7.0)
         assert eval_tree_many(program, np.asfortranarray(X), out=out) is out
         assert same_bits(many, out)
+
+
+_ABOVE_EPS = math.nextafter(DIV_EPS, 1.0)
+# Column kinds for division: the entry planted at one row (None: none), and
+# the range the other entries come from.
+_COLUMN_KINDS = {
+    "zero-free": (None, (1e-3, 2.0)),
+    "zero": (0.0, (-2.0, 2.0)),
+    "eps": (DIV_EPS, (-2.0, 2.0)),
+    "minus-eps": (-DIV_EPS, (1e-3, 2.0)),
+    "above-eps": (_ABOVE_EPS, (1e-3, 2.0)),
+    "negative": (-_ABOVE_EPS, (-2.0, -1e-3)),
+}
+
+
+@st.composite
+def division_cases(draw):
+    """A tree with divisions, and inputs whose columns are of the kinds above."""
+    rows = draw(st.integers(1, 5))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4)):
+        planted, (low, high) = _COLUMN_KINDS[kind]
+        column = draw(st.lists(st.floats(low, high), min_size=rows, max_size=rows))
+        if planted is not None:
+            column[draw(st.integers(0, rows - 1))] = planted
+        columns.append(column)
+    n_features = len(columns)
+    X = np.array(columns).T
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        (tree,) = gen_tree(TreeGenConfig(depth, n_features), [(depth, "full")], rng)
+    else:
+        leaf = st.one_of(
+            st.builds(Constant, st.floats(-2.0, 2.0)),
+            st.builds(Variable, st.integers(0, n_features - 1)),
+        )
+        sub = st.recursive(
+            leaf,
+            lambda sub: st.builds(BinaryOp, st.sampled_from(OP_KINDS + ("div",) * 3), sub, sub),
+            max_leaves=8,
+        )
+        tree = BinaryOp("div", draw(sub), draw(sub))
+    return tree, X
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_cases())
+def test_prepared_columns_evaluate_as_the_matrix_and_the_row_loop(case):
+    tree, X = case
+    for matrix in (X, np.asfortranarray(X)):
+        columns = Columns(matrix)
+        assert columns.safe == tuple(bool(np.all(np.abs(c) > DIV_EPS)) for c in X.T)
+        with np.errstate(all="ignore"):
+            prepared = eval_tree_many(tree, columns)
+            assert same_bits(prepared, eval_tree_many(tree, matrix))
+            assert same_bits(prepared, [eval_tree(tree, row) for row in X])
+            for inputs in (columns, matrix):
+                out = np.full(len(X), 7.0)
+                assert eval_tree_many(tree, inputs, out=out) is out
+                assert same_bits(prepared, out)
+
+
+def test_a_column_is_safe_only_strictly_above_div_eps():
+    X = np.array([[DIV_EPS, _ABOVE_EPS, -DIV_EPS, -_ABOVE_EPS, 0.0, math.nan, 1.0]] * 2)
+    columns = Columns(X)
+    assert columns.safe == (False, True, False, True, False, False, True)
+    assert all(v.base is not None and np.array_equal(v, c, equal_nan=True)
+               for v, c in zip(columns.vectors, X.T))  # views, not copies
+    div = [eval_tree_many(BinaryOp("div", Constant(2.0), Variable(j)), columns)[0]
+           for j in range(len(columns.safe))]
+    assert div == [1.0, 2.0 / _ABOVE_EPS, 1.0, -2.0 / _ABOVE_EPS, 1.0, 1.0, 2.0]
+
+
+def test_a_computed_zero_divisor_gives_one():
+    zero = BinaryOp("sub", Variable(0), Variable(0))
+    tree = BinaryOp("div", Constant(3.0), zero)
+    X = np.array([[1.0], [2.0], [-5.0]])
+    columns = Columns(X)
+    assert columns.safe == (True,)
+    for inputs in (X, columns):
+        assert eval_tree_many(tree, inputs).tolist() == [1.0, 1.0, 1.0]
+        out = np.zeros(3)
+        assert eval_tree_many(tree, inputs, out=out).tolist() == [1.0, 1.0, 1.0]
+    assert eval_tree(tree, [2.0]) == 1.0
+
+
+def test_a_division_by_a_safe_column_skips_the_guard(monkeypatch):
+    columns = Columns(np.array([[1.0, 0.0], [2.0, 3.0]]))
+    guarded = []
+    divide = exprtree._divide
+    monkeypatch.setattr(exprtree, "_divide", lambda *args: guarded.append(1) or divide(*args))
+    assert eval_tree_many(BinaryOp("div", Variable(1), Variable(0)), columns).tolist() == [0.0, 1.5]
+    assert guarded == []
+    assert eval_tree_many(BinaryOp("div", Variable(0), Variable(1)), columns).tolist() == [1.0, 2 / 3]
+    assert guarded == [1]
 
 
 def test_generation_is_deterministic_per_seed():
