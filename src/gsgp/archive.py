@@ -40,7 +40,7 @@ module).
 
 `make_generation` evaluates a list of payloads in blocks of children sized
 so that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
-evaluates each random tree once into a row of a reused buffer, applies one
+evaluates each random tree once into a row of a temporary, applies one
 `sigmoid` to the rows that need it, mixes crossovers and adds mutation
 deltas as matrix operations, checks finiteness once and computes each
 split's fitness once, row by row. Every entry undergoes the same IEEE
@@ -50,14 +50,19 @@ whose semantics are not finite and computes no fitness for it;
 `make_generation` raises the first such slot's NonFiniteSemanticsError, and
 `make_individual` is a generation of one.
 
+Each block is a new array and is the storage of the children it holds: a
+child's `semantics` is its row of the block, written once and only read
+after that. A block holds children of one `evaluate` call, so it never
+spans two generations.
+
 `to_json` writes schema 2: each generation is a list of payloads, where a
 ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
 every other payload is an object with a "kind" of "leaf", "crossover" or
 "mutation". Semantics are not stored; `from_json` recomputes them.
 
-Completed generations are immutable; appending a generation, and evaluating
-payloads (which writes the archive's block buffers), require exclusive
-access.
+Completed generations are immutable, and evaluating payloads writes only
+arrays that the call allocates, so evaluations may share an archive. Only
+appending a generation requires exclusive access.
 """
 
 from dataclasses import dataclass
@@ -81,7 +86,7 @@ from .semantics import check_finite, rmse, sigmoid
 SCHEMA_VERSION = 2
 
 # Children are evaluated in blocks of at most this many stacked values
-# (children x rows), so the buffers behind a block stay small at any row count.
+# (children x rows), so a block and its temporaries stay small at any row count.
 _BLOCK_ELEMENTS = 1 << 16
 
 # A slot whose semantics come out non-finite is redrawn, in seeding and in
@@ -167,7 +172,6 @@ class Archive:
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
-        self._buffers = {}
 
     # -- addressing ---------------------------------------------------
 
@@ -229,8 +233,10 @@ class Archive:
 
         A reproduction (a bare IndividualRef) shares its parent's arrays and
         fitnesses. The other payloads are evaluated in blocks of at most
-        _BLOCK_ELEMENTS stacked values, each child getting its own copy of
-        its row. A slot whose semantics are not all finite gets None in
+        _BLOCK_ELEMENTS stacked values. Each block is a new array that
+        stores the children it computed: a child's `semantics` is its row,
+        not a copy (when a block has a rejected slot, its row of the finite
+        rows). A slot whose semantics are not all finite gets None in
         `individuals` and one NonFiniteSemanticsError in `rejects` naming
         the slot, the split and the row within it; rejects are in slot
         order, and no fitness is computed for them.
@@ -268,9 +274,8 @@ class Archive:
             train_fitness = self.fitness(block[:, :n_train], self.train_targets).tolist()
             test_fitness = self.fitness(block[:, n_train:], self.test_targets).tolist()
             for pos, row, train, test in zip(positions, block, train_fitness, test_fitness):
-                values = row.copy()
                 individuals[pos] = Individual(
-                    payloads[slots[pos]], values, values[:n_train], values[n_train:], train, test
+                    payloads[slots[pos]], row, row[:n_train], row[n_train:], train, test
                 )
         return individuals, rejects
 
@@ -284,16 +289,17 @@ class Archive:
             return exc
 
     def _evaluate(self, payloads: list) -> np.ndarray:
-        """Stacked semantics of non-reference payloads, one row each.
+        """Stacked semantics of non-reference payloads, one row each, in a new block.
 
-        Each random tree is evaluated once into a row of a tree buffer; the
-        trees under a sigmoid come first and go through one sigmoid call.
-        Crossover mixing and mutation deltas are then whole-matrix
+        Each random tree is evaluated once into a row of a tree temporary;
+        the trees under a sigmoid come first and go through one sigmoid
+        call. Crossover mixing and mutation deltas are then whole-matrix
         operations, in the order child = w*p1 + (1-w)*p2 and
         child = base + step*(sig(a) - sig(b)) (or base + step*a for raw
-        mutation). The result is a view of a buffer the next call reuses.
+        mutation). The block and the temporaries are allocated per call and
+        shared with nothing, so calls may run concurrently.
         """
-        block = self._buffer("block", len(payloads))
+        block = np.empty((len(payloads), len(self.inputs)))
         leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
         for row, payload in enumerate(payloads):
             base = payload.base if isinstance(payload, Mutation) else payload
@@ -309,7 +315,7 @@ class Archive:
                 (raw if payload.random_tree_b is None else bounded).append((row, payload))
         n_cross, n_bounded = len(crossovers), len(bounded)
         n_sigmoid = n_cross + 2 * n_bounded
-        trees = self._buffer("trees", n_sigmoid + len(raw))
+        trees = np.empty((n_sigmoid + len(raw), len(self.inputs)))
         tree_list = (
             [c.random_tree for _, c in crossovers]
             + [m.random_tree_a for _, m in bounded]
@@ -327,8 +333,8 @@ class Archive:
                 sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
             if crossovers:
                 w = trees[:n_cross]
-                p1 = self._stack("parent1", [c.parent1 for _, c in crossovers])
-                p2 = self._stack("parent2", [c.parent2 for _, c in crossovers])
+                p1 = self._stack([c.parent1 for _, c in crossovers])
+                p2 = self._stack([c.parent2 for _, c in crossovers])
                 np.multiply(w, p1, out=p1)
                 np.subtract(1.0, w, out=w)
                 np.multiply(w, p2, out=p2)
@@ -336,42 +342,15 @@ class Archive:
             if bounded:
                 delta = trees[n_cross : n_cross + n_bounded]
                 np.subtract(delta, trees[n_cross + n_bounded : n_sigmoid], out=delta)
-                self._add_steps(block, bounded, delta)
+                _add_steps(block, bounded, delta)
             if raw:
-                self._add_steps(block, raw, trees[n_sigmoid:])
+                _add_steps(block, raw, trees[n_sigmoid:])
         return block
 
-    def _add_steps(self, block, mutations, delta):
-        """block[row] += step * delta[j] for the j-th (row, mutation) pair."""
-        steps = np.array([[m.step] for _, m in mutations])
-        np.multiply(steps, delta, out=delta)
-        rows = [row for row, _ in mutations]
-        # The crossovers are mixed by now, so their buffer is free; a mode
-        # other than "raise" lets take write into it unbuffered (rows are valid).
-        base = np.take(block, rows, axis=0, out=self._buffer("parent1", len(rows)), mode="clip")
-        block[rows] = np.add(base, delta, out=base)
-
-    def _stack(self, name, refs) -> np.ndarray:
-        """The semantics of these refs, one per row, in the named buffer.
-
-        They are concatenated through the buffer's flat view; a buffer's
-        leading rows are contiguous, so the reshape does not copy.
-        """
+    def _stack(self, refs) -> np.ndarray:
+        """The semantics of these refs, one per row, in a new array."""
         rows = [self.individual(ref).semantics for ref in refs]
-        buffer = self._buffer(name, len(rows))
-        np.concatenate(rows, out=buffer.reshape(-1))
-        return buffer
-
-    def _buffer(self, name, rows) -> np.ndarray:
-        """A rows x stacked-rows view of a buffer kept for this archive.
-
-        A buffer is allocated once, at the size of the first request, and
-        again only when a later request is larger.
-        """
-        buffer = self._buffers.get(name)
-        if buffer is None or len(buffer) < rows:
-            buffer = self._buffers[name] = np.empty((rows, len(self.inputs)))
-        return buffer[:rows]
+        return np.concatenate(rows).reshape(len(rows), -1)
 
     def append_generation(self, individuals: list):
         generations = self._generations
@@ -487,6 +466,12 @@ class Archive:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
             archive.append_generation(archive.make_generation(payloads))
         return archive
+
+
+def _add_steps(block, mutations, delta):
+    """block[row] += step * delta[j] for the j-th (row, mutation) pair."""
+    np.multiply(np.array([[m.step] for _, m in mutations]), delta, out=delta)
+    block[[row for row, _ in mutations]] += delta
 
 
 def _payload_to_json(payload: Payload):

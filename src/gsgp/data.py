@@ -58,12 +58,16 @@ def load_csv(path, has_header: bool = False, name: str = None) -> Dataset:
     """Load a numeric CSV; last column becomes the target.
 
     Blank lines are skipped; with has_header, so is the first other line.
+    A diagnostic numbers rows by physical line, where a record ends, so a
+    quoted cell that spans lines does not shift the lines after it.
     """
     rows = []
     width = None
     skip_header = has_header
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, record in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        for record in reader:
+            lineno = reader.line_num
             if not record:
                 continue
             if skip_header:

@@ -26,7 +26,7 @@ one after it as random_tree_b. The whole generation is then evaluated at
 once. The slots whose semantics are not finite are drawn again the same
 way, with k the number of failed slots, and only they are evaluated
 again. A rejected draw stays consumed: its entrants stay tallied in
-offset_counts and its winners in the selection trace.
+offset_counts.
 """
 
 import time
@@ -98,7 +98,6 @@ class RunResult:
     final_best: IndividualRef
     offset_histogram: dict
     duration_seconds: float
-    selection_trace: Optional[list] = None
     archive: Optional[Archive] = None
     nonfinite_retries: int = 0
     seed_regenerations: int = 0
@@ -109,7 +108,6 @@ def next_generation(
     cfg: EvolutionConfig,
     rng: np.random.Generator,
     offset_counts=None,
-    trace=None,
     rejects=None,
 ) -> list:
     """Breed, evaluate, and append one generation; returns its individuals.
@@ -135,8 +133,6 @@ def next_generation(
             archive, cfg.distribution, cfg.tournament_size, k + sum(crossover), rng,
             offset_counts,
         )
-        if trace is not None:
-            trace.extend(winners)
         n_trees = sum(crossover) + trees_per_mutation * sum(mutation)
         winners = iter(winners)
         trees = iter(gen_tree(tree_cfg, [(tree_cfg.max_depth, "grow")] * n_trees, rng))
@@ -178,7 +174,6 @@ def run_evolution(
     cfg: EvolutionConfig,
     split: SplitDataset,
     keep_archive: bool = False,
-    record_trace: bool = False,
 ) -> RunResult:
     """Seed generation 0 and apply next_generation cfg.generations times."""
     start = time.perf_counter()
@@ -195,7 +190,6 @@ def run_evolution(
     archive = seed_archive(gen_tree(tree_cfg, schedule, rng), split, regenerate=regenerate)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
-    trace = [] if record_trace else None
     rejects = []
     train_curve = []
     test_curve = []
@@ -207,9 +201,7 @@ def run_evolution(
 
     record_best(0)
     for _ in range(cfg.generations):
-        next_generation(
-            archive, cfg, rng, offset_counts=offset_counts, trace=trace, rejects=rejects
-        )
+        next_generation(archive, cfg, rng, offset_counts=offset_counts, rejects=rejects)
         record_best(len(archive.generations) - 1)
 
     histogram = {
@@ -221,7 +213,6 @@ def run_evolution(
         final_best=archive.best_of_generation(len(archive.generations) - 1),
         offset_histogram=histogram,
         duration_seconds=time.perf_counter() - start,
-        selection_trace=trace,
         archive=archive if keep_archive else None,
         nonfinite_retries=len(rejects),
         seed_regenerations=len(regenerated),

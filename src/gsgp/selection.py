@@ -20,8 +20,7 @@ tournament i is draw i*t + j of each. Every entrant's training error is
 read from the archive's fitness table with one index, and each
 tournament's winner is the argmin of its row of t errors. Every entrant is
 tallied into offset_counts when it is drawn, so the entrants of a draw
-that is later rejected for non-finite semantics stay tallied, and their
-winners stay in the caller's selection trace.
+that is later rejected for non-finite semantics stay tallied.
 """
 
 from dataclasses import dataclass

@@ -104,18 +104,10 @@ def _scaled_rmse(p, t):
 
 
 def check_finite(values: np.ndarray, context: str, split: str = None, slot: int = None):
-    """Raise NonFiniteSemanticsError naming the first offending row.
-
-    A 2-d block holds one vector per row and is checked in row order: the
-    error's `slot` is the first vector with a non-finite value and its
-    `row` the first such value within it.
-    """
+    """Raise NonFiniteSemanticsError naming the first offending row."""
     finite = np.isfinite(values)
     if finite.all():
         return values
-    if values.ndim == 2:
-        slot = int(np.argmin(finite.all(axis=1)))
-        values, finite = values[slot], finite[slot]
     row = int(np.argmin(finite))
     raise NonFiniteSemanticsError(
         f"non-finite semantics in {context} at row {row} (value {values[row]!r})",

@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -482,10 +484,51 @@ def test_train_and_test_semantics_are_slices_of_one_vector():
     n_train = len(archive.train_inputs)
     for gen in archive.generations:
         for ind in gen:
-            assert ind.train_semantics.base is ind.semantics
-            assert ind.test_semantics.base is ind.semantics
+            assert np.shares_memory(ind.train_semantics, ind.semantics)
+            assert np.shares_memory(ind.test_semantics, ind.semantics)
             assert np.array_equal(ind.semantics[:n_train], ind.train_semantics)
             assert np.array_equal(ind.semantics[n_train:], ind.test_semantics)
+
+
+def mixed_payloads(archive, n, rng):
+    """n payloads of every evaluated kind over the archive's first generation."""
+    pop = len(archive.generations[0])
+    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * (3 * n), rng)
+    payloads = []
+    for k in range(n):
+        i, j = rng.integers(pop, size=2).tolist()
+        ra, rb, rc = trees[3 * k : 3 * k + 3]
+        payloads.append(
+            [
+                crossover(i, j, ra),
+                Mutation(IndividualRef(0, i), ra, rb, 0.1),
+                Mutation(crossover(i, j, ra), rb, rc, 0.1),
+                Mutation(IndividualRef(0, j), rc, None, 0.1),
+                Leaf(rb),
+            ][k % 5]
+        )
+    return payloads
+
+
+def test_make_generation_from_two_threads_matches_serial_calls():
+    archive = evolved_archive(pop=20, gens=1, rows=400)
+    rng = np.random.default_rng(3)
+    batches = [mixed_payloads(archive, 40, rng) for _ in range(20)]
+    serial = [archive.make_generation(payloads) for payloads in batches]
+    # Switch threads as often as the interpreter allows, so the two callers
+    # interleave inside each other's evaluations.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(archive.make_generation, p) for p in batches]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for expected, got in zip(serial, threaded):
+        for a, b in zip(expected, got):
+            assert a.semantics.tobytes() == b.semantics.tobytes()
+            assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
 
 
 def test_mutation_of_inline_crossover_payload():

@@ -67,6 +67,20 @@ def test_load_csv_names_bad_cell_position(tmp_path):
         load_csv(write(tmp_path, rows))
 
 
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        ("7,x,9", r"non-numeric cell 'x' at row 4, column 2"),
+        ("7,8,inf", r"non-finite cell 'inf' at row 4, column 3"),
+        ("7,8", r"ragged row at line 4"),
+    ],
+    ids=["non-numeric", "non-finite", "ragged"],
+)
+def test_load_csv_counts_lines_of_a_quoted_cell_that_spans_two(tmp_path, last, message):
+    with pytest.raises(CsvFormatError, match=message):
+        load_csv(write(tmp_path, f'1,2,3\n"4\n",5,6\n{last}\n'))
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_load_csv_rejects_non_finite_cell(tmp_path, cell):
     rows = f"1,2,3\n4,5,6\n7,8,{cell}\n"

@@ -115,14 +115,6 @@ def test_raw_mutation_mode_drops_second_tree(split):
     assert all(m.random_tree_b is None for m in mutants)
 
 
-def test_selection_trace_recording(split):
-    result = run_evolution(small_cfg(), split, record_trace=True)
-    assert result.selection_trace
-    assert all(ref.generation < 10 for ref in result.selection_trace)
-    untraced = run_evolution(small_cfg(), split)
-    assert untraced.selection_trace is None
-
-
 def test_generation_zero_uses_leaves_only(split):
     result = run_evolution(small_cfg(), split, keep_archive=True)
     assert all(isinstance(i.payload, Leaf) for i in result.archive.generations[0])

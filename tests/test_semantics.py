@@ -5,7 +5,7 @@ import pytest
 
 from gsgp.errors import NonFiniteSemanticsError
 from gsgp.exprtree import BinaryOp, Constant, TreeGenConfig, Variable, eval_tree, gen_tree
-from gsgp.semantics import check_finite, rmse, semantics_of_tree, sigmoid
+from gsgp.semantics import rmse, semantics_of_tree, sigmoid
 
 
 def test_sigmoid_symmetry_point():
@@ -186,16 +186,6 @@ def test_sigmoid_array_path_is_bitwise_the_masked_reference(rng):
                 name,
                 form,
             )
-
-
-def test_check_finite_block_names_first_vector_and_row():
-    block = np.zeros((4, 3))
-    assert check_finite(block, "block") is block
-    block[3, 0] = math.nan
-    block[1, 2] = math.inf
-    with pytest.raises(NonFiniteSemanticsError, match="row 2") as err:
-        check_finite(block, "block")
-    assert (err.value.slot, err.value.row) == (1, 2)
 
 
 def test_semantics_constant_tree(rng):
