@@ -21,7 +21,7 @@ by the test rows. A payload's semantics are one vector over those rows,
 computed once from the stored vectors of its parents and the outputs of its
 own random trees. `train_semantics` and `test_semantics` are views of that
 vector. Nothing is ever re-expanded, which is what makes whole-history
-selection free: reading any archived individual is a tuple lookup. The
+selection free: reading a held individual is a tuple lookup. The
 train fitnesses are also kept as one generation x slot table
 (`Archive.train_fitness`), filled by `append_generation`, so tournaments
 and elitism read every fitness they need with one array index.
@@ -60,11 +60,25 @@ ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
 every other payload is an object with a "kind" of "leaf", "crossover" or
 "mutation". Semantics are not stored; `from_json` recomputes them.
 
-Completed generations are immutable, and evaluating payloads writes only
-arrays that the call allocates, so evaluations may share an archive. Only
-appending a generation requires exclusive access.
+Semantics are needed only for the generations that selection can still
+read. `release(g)` drops the archive's references to generation g's rows
+but keeps its payloads and fitnesses, and `run_evolution` releases each
+generation that leaves the distribution's window, so the semantics a `u:k`
+run holds grow with k, not with the run length. Reading a released
+individual's semantics (through `individual`, `generations[g][i]` or
+iterating a generation) recomputes its generation, bitwise equal; payloads
+and fitnesses are read without a recompute, so `to_json`, `naive_eval`,
+tournaments and elitism never trigger one.
+
+Completed generations change only by being released or recomputed, which
+changes no value that can be read. Evaluating payloads writes only arrays
+that the call allocates, and a recompute holds the archive's lock, so
+evaluations and reads may share an archive. Only appending or releasing a
+generation requires exclusive access.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -136,23 +150,77 @@ class Mutation:
 Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
 
 
-@dataclass(slots=True)
 class Individual:
-    """A payload with its semantics over the stacked train-then-test rows.
+    """A payload with its fitnesses and its semantics over the stacked train-then-test rows.
 
-    train_semantics and test_semantics are views of `semantics`.
+    train_semantics and test_semantics are views of `semantics`. When the
+    archive has released the individual's generation (see `Archive.release`),
+    reading any of the three recomputes that generation first.
     """
 
-    payload: Payload
-    semantics: np.ndarray
-    train_semantics: np.ndarray
-    test_semantics: np.ndarray
-    train_fitness: float
-    test_fitness: float
+    __slots__ = (
+        "payload", "_semantics", "_train_semantics", "_test_semantics", "train_fitness",
+        "test_fitness",
+    )
+
+    def __init__(self, payload, semantics, train_semantics, test_semantics, train_fitness,
+                 test_fitness):
+        self.payload = payload
+        # each view is replaced by its generation's _Released while released
+        self._semantics = semantics
+        self._train_semantics = train_semantics
+        self._test_semantics = test_semantics
+        self.train_fitness = train_fitness
+        self.test_fitness = test_fitness
+
+    @property
+    def semantics(self) -> np.ndarray:
+        if type(self._semantics) is _Released:
+            self._semantics.restore()
+        return self._semantics
+
+    @property
+    def train_semantics(self) -> np.ndarray:
+        if type(self._train_semantics) is _Released:
+            self._train_semantics.restore()
+        return self._train_semantics
+
+    @property
+    def test_semantics(self) -> np.ndarray:
+        if type(self._test_semantics) is _Released:
+            self._test_semantics.restore()
+        return self._test_semantics
+
+    def _views(self) -> tuple:
+        return self.semantics, self.train_semantics, self.test_semantics
+
+
+class _Released:
+    """What the views of a released generation's individuals are replaced by.
+
+    `views` maps a slot whose row a later reproduction shared at release to
+    weak references to its three views, so a row still shared when the
+    generation is recomputed is reused rather than evaluated again.
+    """
+
+    __slots__ = ("archive", "generation", "views")
+
+    def __init__(self, archive, generation: int, views: dict):
+        self.archive = weakref.ref(archive)
+        self.generation = generation
+        self.views = views
+
+    def restore(self):
+        archive = self.archive()
+        if archive is None:
+            raise RuntimeError(
+                f"generation {self.generation} was released and its archive is gone"
+            )
+        archive._restore(self.generation)
 
 
 class Archive:
-    """All generations of one run, with memoized train/test semantics.
+    """All generations of one run, with memoized train/test semantics (see `release`).
 
     fitness(pred, targets) takes a 2-d block with one vector per row and
     returns one error per row, as `rmse` does.
@@ -172,6 +240,8 @@ class Archive:
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
+        self._released = {}  # generation -> its _Released stand-in
+        self._restoring = threading.RLock()
 
     # -- addressing ---------------------------------------------------
 
@@ -220,9 +290,14 @@ class Archive:
     def make_generation(self, payloads: list) -> list:
         """Individuals of these payloads, in order (not appended).
 
-        If a value is not finite, the NonFiniteSemanticsError of the first
-        such slot in order is raised; see `evaluate`.
+        A ref that does not point into the archive raises ValueError, as
+        `individual` does. If a value is not finite, the
+        NonFiniteSemanticsError of the first such slot in order is raised;
+        see `evaluate`.
         """
+        for payload in payloads:
+            for ref in _refs(payload):
+                self.individual(ref)
         individuals, rejects = self.evaluate(payloads, range(len(payloads)))
         if rejects:
             raise rejects[0]
@@ -240,14 +315,19 @@ class Archive:
         `individuals` and one NonFiniteSemanticsError in `rejects` naming
         the slot, the split and the row within it; rejects are in slot
         order, and no fitness is computed for them.
+
+        Every ref must point into the archive, as the refs of
+        `tournament_select` and `from_json` do: `evaluate` indexes the
+        generations without the checks of `individual`.
         """
         slots = list(slots)
         individuals = [None] * len(slots)
         fresh = []
+        generations = self._generations
         for pos, slot in enumerate(slots):
             payload = payloads[slot]
             if isinstance(payload, IndividualRef):
-                parent = self.individual(payload)
+                parent = generations[payload.generation][payload.index]
                 individuals[pos] = Individual(
                     payload,
                     parent.semantics,
@@ -328,7 +408,7 @@ class Archive:
             for row, tree in leaves:
                 eval_tree_many(tree, self._columns, out=block[row])
             for row, ref in ref_bases:
-                block[row] = self.individual(ref).semantics
+                block[row] = self._generations[ref.generation][ref.index].semantics
             if n_sigmoid:
                 sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
             if crossovers:
@@ -349,7 +429,8 @@ class Archive:
 
     def _stack(self, refs) -> np.ndarray:
         """The semantics of these refs, one per row, in a new array."""
-        rows = [self.individual(ref).semantics for ref in refs]
+        generations = self._generations
+        rows = [generations[ref.generation][ref.index].semantics for ref in refs]
         return np.concatenate(rows).reshape(len(rows), -1)
 
     def append_generation(self, individuals: list):
@@ -370,6 +451,81 @@ class Archive:
             self._train_fitness = table = grown
         table[g] = [ind.train_fitness for ind in individuals]
         self._generations = generations + (tuple(individuals),)
+
+    # -- release and recompute -----------------------------------------
+
+    def release(self, generation: int):
+        """Drop the archive's references to a completed generation's semantics.
+
+        The generation keeps its payloads and fitnesses. A block is freed
+        once none of its rows is referenced; a row that a later
+        reproduction shares stays alive and is reused when the generation
+        is recomputed.
+        """
+        if not 0 <= generation < len(self._generations):
+            raise ValueError(f"no generation {generation} in archive")
+        if generation in self._released:
+            return
+        # Within the archive only a later reproduction shares a row, so only
+        # such a row can outlive the release and be reused; a weak reference
+        # to each of the others would be one more object for the collector.
+        shared = {
+            id(ind._semantics)
+            for gen in self._generations[generation + 1 :]
+            for ind in gen
+            if isinstance(ind.payload, IndividualRef)
+        }
+        gen = self._generations[generation]
+        views = {
+            i: tuple(map(weakref.ref, ind._views()))
+            for i, ind in enumerate(gen)
+            if id(ind._semantics) in shared
+        }
+        released = self._released[generation] = _Released(self, generation, views)
+        for ind in gen:
+            ind._semantics = ind._train_semantics = ind._test_semantics = released
+
+    def _restore(self, generation: int):
+        """Recompute a released generation and the released ones it reads.
+
+        Walking back from `generation`, a slot whose row is no longer alive
+        is evaluated again, so every released generation its refs point
+        into is restored too. The generations are evaluated through
+        `evaluate`, oldest first and without recursion, and stay held.
+        """
+        with self._restoring:
+            released = self._released
+            if generation not in released:
+                return
+            wanted, plan = {generation}, {}
+            for g in range(generation, -1, -1):
+                if g not in wanted:
+                    continue
+                payloads = [ind.payload for ind in self._generations[g]]
+                # resolved once, so a reused row cannot die during the restore
+                rows = [None] * len(payloads)
+                for i, refs in released[g].views.items():
+                    row = tuple(ref() for ref in refs)
+                    if all(view is not None for view in row):
+                        rows[i] = row
+                lost = [i for i, row in enumerate(rows) if row is None]
+                wanted.update(
+                    ref.generation
+                    for i in lost
+                    for ref in _refs(payloads[i])
+                    if ref.generation in released
+                )
+                plan[g] = rows, lost, payloads
+            for g in sorted(plan):
+                rows, lost, payloads = plan[g]
+                made, rejects = self.evaluate(payloads, lost)
+                if rejects:
+                    raise rejects[0]
+                for i, ind in zip(lost, made):
+                    rows[i] = ind._views()
+                for ind, row in zip(self._generations[g], rows):
+                    ind._semantics, ind._train_semantics, ind._test_semantics = row
+                del released[g]
 
     # -- oracle -------------------------------------------------------
 
@@ -466,6 +622,17 @@ class Archive:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
             archive.append_generation(archive.make_generation(payloads))
         return archive
+
+
+def _refs(payload: Payload) -> tuple:
+    """The refs whose semantics evaluating this payload reads."""
+    if isinstance(payload, Mutation):
+        payload = payload.base
+    if isinstance(payload, IndividualRef):
+        return (payload,)
+    if isinstance(payload, Crossover):
+        return (payload.parent1, payload.parent2)
+    return ()
 
 
 def _add_steps(block, mutations, delta):

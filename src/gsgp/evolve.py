@@ -175,7 +175,17 @@ def run_evolution(
     split: SplitDataset,
     keep_archive: bool = False,
 ) -> RunResult:
-    """Seed generation 0 and apply next_generation cfg.generations times."""
+    """Seed generation 0 and apply next_generation cfg.generations times.
+
+    After each generation is appended, the archive releases the semantics
+    of the generation that has just left the distribution's window
+    (`Archive.release`), so a run holds the semantics of the last `window`
+    generations and the rows their reproductions share, and a distribution
+    whose window is None keeps every generation's. With keep_archive=True
+    the result's archive still answers every read: it holds the payloads and
+    fitnesses of every generation, and reading a released generation's
+    semantics recomputes them, bitwise equal.
+    """
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=split.train.n_features)
@@ -199,10 +209,14 @@ def run_evolution(
         train_curve.append(best.train_fitness)
         test_curve.append(best.test_fitness)
 
+    window = cfg.distribution.window
     record_best(0)
     for _ in range(cfg.generations):
         next_generation(archive, cfg, rng, offset_counts=offset_counts, rejects=rejects)
-        record_best(len(archive.generations) - 1)
+        latest = len(archive.generations) - 1
+        if window is not None and latest >= window:
+            archive.release(latest - window)
+        record_best(latest)
 
     histogram = {
         int(o): int(c) for o, c in enumerate(offset_counts) if c > 0

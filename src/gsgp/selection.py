@@ -7,10 +7,13 @@ previous-generation tournament selection.
 
 Offsets are counted from the latest completed generation: offset 0 means
 "the generation just before the one being built". A distribution is any
-object with two methods: sample_many(current, n, rng), which returns an
-integer array of n generation indices in [0, current-1] for current >= 1,
-and label(), which returns the spec that parse_distribution reads back
-(campaigns name and seed their strategies by it).
+object with two methods and one attribute: sample_many(current, n, rng),
+which returns an integer array of n generation indices in [0, current-1]
+for current >= 1; label(), which returns the spec that parse_distribution
+reads back (campaigns name and seed their strategies by it); and window,
+the number of latest generations a draw can return, or None when it can
+return any of them. A run releases the semantics of every generation
+outside the window (see `run_evolution`).
 
 Tournaments are drawn in bulk (RNG stream 2): `tournament_select` runs n
 tournaments of size t with two draws, every entrant's source generation
@@ -51,12 +54,17 @@ class UniformLastK:
     def label(self) -> str:
         return f"u:{self.k}"
 
+    @property
+    def window(self) -> int:
+        return self.k
+
 
 @dataclass(frozen=True)
 class Geometric:
     """Offset o >= 0 with probability p*(1-p)^o; overflow lands on generation 0."""
 
     p: float
+    window = None  # the overflow can land on generation 0 at any depth
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:

@@ -1,5 +1,6 @@
 import json
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +31,7 @@ from gsgp.exprtree import (
     eval_tree,
     gen_tree,
 )
+from gsgp.selection import Geometric, UniformLastK
 from gsgp.semantics import sigmoid
 
 
@@ -300,6 +302,70 @@ def test_json_round_trip_recomputes_identical_semantics():
             assert np.array_equal(a.train_semantics, b.train_semantics)
             assert np.array_equal(a.test_semantics, b.test_semantics)
             assert a.train_fitness == b.train_fitness
+
+
+@pytest.mark.parametrize("k, newest_first", [(1, True), (1, False), (3, True), (3, False)])
+def test_released_generations_recompute_as_a_json_round_trip_does(k, newest_first):
+    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=UniformLastK(k), population_size=8, generations=12, seed=4)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    clone = Archive.from_json(archive.to_json(), split)  # computes every generation
+    order = range(len(archive.generations))
+    # Newest first, the first read recomputes every released generation at once.
+    for g in reversed(order) if newest_first else order:
+        for a, b in zip(archive.generations[g], clone.generations[g]):
+            assert a.semantics.tobytes() == b.semantics.tobytes()
+            assert a.train_semantics.tobytes() == b.train_semantics.tobytes()
+            assert a.test_semantics.tobytes() == b.test_semantics.tobytes()
+            assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
+
+
+def test_recomputing_a_long_history_does_not_recurse():
+    split = split_70_30(synthetic_dataset("polynomial", 10, 2, 0.0, seed=5), seed=1)
+    generations = sys.getrecursionlimit() + 50
+    cfg = EvolutionConfig(population_size=3, generations=generations, seed=2)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    clone = Archive.from_json(archive.to_json(), split)
+    newest_released = archive.generations[-2]
+    assert newest_released[0].semantics.tobytes() == clone.generations[-2][0].semantics.tobytes()
+
+
+def test_a_released_individual_that_outlives_its_archive_says_so():
+    archive = evolved_archive(pop=4, gens=3)  # u:1 releases generation 0
+    ind = archive.generations[0][0]
+    del archive
+    with pytest.raises(RuntimeError, match="generation 0 was released and its archive is gone"):
+        ind.semantics
+
+
+@pytest.mark.parametrize("distribution, held", [(UniformLastK(2), 2), (Geometric(0.25), None)])
+def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
+    monkeypatch, distribution, held
+):
+    """Every block a run evaluated is freed unless a held generation reads it."""
+    blocks = []
+    append = Archive.append_generation
+
+    def recording_append(self, individuals):
+        blocks.extend(weakref.ref(ind.semantics.base) for ind in individuals)
+        append(self, individuals)
+
+    def no_recompute(self, generation):
+        raise AssertionError(f"generation {generation} recomputed during the run")
+
+    monkeypatch.setattr(Archive, "append_generation", recording_append)
+    monkeypatch.setattr(Archive, "_restore", no_recompute)
+    split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=distribution, population_size=20, generations=15, seed=3)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    alive = {id(block) for block in (ref() for ref in blocks) if block is not None}
+    # Rows that a held generation's reproductions share count as held.
+    window = archive.generations[-held:] if held else archive.generations
+    assert alive == {id(ind.semantics.base) for gen in window for ind in gen}
+    if held is None:
+        assert len(alive) == len({id(ref) for ref in blocks})  # nothing was freed
+    monkeypatch.undo()
+    assert archive.individual(IndividualRef(0, 0)).semantics.base is not None
 
 
 def json_archive_with(**overrides):

@@ -46,6 +46,13 @@ def test_uniform_window(rng):
         assert np.mean(draws == g) == pytest.approx(1 / 3, abs=0.01)
 
 
+def test_window_is_how_far_back_a_draw_can_read(rng):
+    assert UniformLastK(3).window == 3
+    assert set(UniformLastK(3).sample_many(10, 2000, rng).tolist()) == set(range(10 - 3, 10))
+    assert Geometric(0.9).window is None
+    assert Geometric(0.9).sample_many(50, 10**5, rng).min() < 50 - 3
+
+
 def test_uniform_short_history_uses_all_generations(rng):
     draws = UniformLastK(10).sample_many(3, 2000, rng)
     assert set(draws.tolist()) == {0, 1, 2}

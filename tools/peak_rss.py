@@ -1,0 +1,96 @@
+"""Peak memory of single gsgp runs, one fresh process per strategy.
+
+For each strategy, a subprocess builds a friedman-like dataset of `--rows`
+rows and N_FEATURES features, splits it 70/30, makes one `--pop` x
+`--generations` run with keep_archive=False, and reports what getrusage
+says about the whole process: peak RSS (which includes the interpreter and
+numpy, about 30-40 MB), minor page faults and user and system time. The
+run's own wall time is timed around `run_evolution`. The tool prints one
+JSON object with a row per strategy:
+
+    python tools/peak_rss.py
+    python tools/peak_rss.py --src /path/to/other/src --strategies u:1
+
+The defaults are the sizes of ROADMAP direction 3: 100 x 100 on 6000 rows.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+N_FEATURES = 5
+STRATEGIES = ("u:1", "u:5", "g:0.25")
+
+
+def run_one(study: dict) -> dict:
+    """Worker: one run with the importable gsgp, then this process's usage."""
+    import resource
+    import time
+
+    import gsgp
+
+    data = gsgp.synthetic_dataset("friedman-like", study["rows"], N_FEATURES, 0.0, study["seed"])
+    split = gsgp.split_70_30(data, study["seed"])
+    cfg = gsgp.EvolutionConfig(
+        distribution=gsgp.parse_distribution(study["strategy"]),
+        population_size=study["pop"],
+        generations=study["generations"],
+        seed=study["seed"],
+    )
+    start = time.perf_counter()
+    result = gsgp.run_evolution(cfg, split)
+    wall = time.perf_counter() - start
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "strategy": study["strategy"],
+        "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
+        "minor_faults": usage.ru_minflt,
+        "user_s": usage.ru_utime,
+        "system_s": usage.ru_stime,
+        "run_wall_s": wall,
+        "final_test_rmse": result.test_rmse[-1],
+    }
+
+
+def measure(src, study: dict) -> dict:
+    """Run one study in a new interpreter that imports gsgp from `src`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    done = subprocess.run(
+        [sys.executable, __file__, "--worker"],
+        input=json.dumps(study),
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    if done.returncode:
+        raise SystemExit(f"worker for {study['strategy']} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("--src", default=str(ROOT / "src"), help="src directory of the engine")
+    p.add_argument("--strategies", nargs="+", default=list(STRATEGIES))
+    p.add_argument("--rows", type=int, default=6000)
+    p.add_argument("--pop", type=int, default=100)
+    p.add_argument("--generations", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    args = p.parse_args(argv)
+    if args.worker:
+        json.dump(run_one(json.load(sys.stdin)), sys.stdout)
+        return 0
+    study = {"rows": args.rows, "pop": args.pop, "generations": args.generations,
+             "seed": args.seed}
+    runs = [measure(args.src, {**study, "strategy": spec}) for spec in args.strategies]
+    json.dump({"src": args.src, "study": study, "runs": runs}, sys.stdout, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
