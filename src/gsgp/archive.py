@@ -66,9 +66,11 @@ but keeps its payloads and fitnesses, and `run_evolution` releases each
 generation that leaves the distribution's window, so the semantics a `u:k`
 run holds grow with k, not with the run length. Reading a released
 individual's semantics (through `individual`, `generations[g][i]` or
-iterating a generation) recomputes its generation, bitwise equal; payloads
-and fitnesses are read without a recompute, so `to_json`, `naive_eval`,
-tournaments and elitism never trigger one.
+iterating a generation) recomputes its generation and every earlier
+released generation, oldest first, and they stay held. A recomputed row is
+a new array with the same bits, even where a later reproduction still
+holds the original. Payloads and fitnesses are read without a recompute,
+so `to_json`, `naive_eval`, tournaments and elitism never trigger one.
 
 Completed generations change only by being released or recomputed, which
 changes no value that can be read. Evaluating payloads writes only arrays
@@ -155,60 +157,55 @@ class Individual:
 
     train_semantics and test_semantics are views of `semantics`. When the
     archive has released the individual's generation (see `Archive.release`),
-    reading any of the three recomputes that generation first.
+    reading any of the three first recomputes that generation and every
+    earlier released one, oldest first; a recomputed row is a new array with
+    the same bits.
     """
 
-    __slots__ = (
-        "payload", "_semantics", "_train_semantics", "_test_semantics", "train_fitness",
-        "test_fitness",
-    )
+    __slots__ = ("payload", "_views", "train_fitness", "test_fitness")
 
     def __init__(self, payload, semantics, train_semantics, test_semantics, train_fitness,
                  test_fitness):
         self.payload = payload
-        # each view is replaced by its generation's _Released while released
-        self._semantics = semantics
-        self._train_semantics = train_semantics
-        self._test_semantics = test_semantics
+        # One attribute, so a reader never sees the views of two states: the
+        # tuple, or its generation's _Released stand-in while released.
+        self._views = (semantics, train_semantics, test_semantics)
         self.train_fitness = train_fitness
         self.test_fitness = test_fitness
 
     @property
     def semantics(self) -> np.ndarray:
-        if type(self._semantics) is _Released:
-            self._semantics.restore()
-        return self._semantics
+        return self._held()[0]
 
     @property
     def train_semantics(self) -> np.ndarray:
-        if type(self._train_semantics) is _Released:
-            self._train_semantics.restore()
-        return self._train_semantics
+        return self._held()[1]
 
     @property
     def test_semantics(self) -> np.ndarray:
-        if type(self._test_semantics) is _Released:
-            self._test_semantics.restore()
-        return self._test_semantics
+        return self._held()[2]
 
-    def _views(self) -> tuple:
-        return self.semantics, self.train_semantics, self.test_semantics
+    def _held(self) -> tuple:
+        """(semantics, train_semantics, test_semantics), recomputed first if released."""
+        views = self._views
+        if type(views) is _Released:
+            views.restore()
+            views = self._views
+        return views
 
 
 class _Released:
     """What the views of a released generation's individuals are replaced by.
 
-    `views` maps a slot whose row a later reproduction shared at release to
-    weak references to its three views, so a row still shared when the
-    generation is recomputed is reused rather than evaluated again.
+    It holds its archive weakly, so a released individual does not keep the
+    archive alive; reading it after the archive is gone raises RuntimeError.
     """
 
-    __slots__ = ("archive", "generation", "views")
+    __slots__ = ("archive", "generation")
 
-    def __init__(self, archive, generation: int, views: dict):
+    def __init__(self, archive, generation: int):
         self.archive = weakref.ref(archive)
         self.generation = generation
-        self.views = views
 
     def restore(self):
         archive = self.archive()
@@ -240,7 +237,7 @@ class Archive:
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
-        self._released = {}  # generation -> its _Released stand-in
+        self._released = set()  # generations whose views are _Released stand-ins
         self._restoring = threading.RLock()
 
     # -- addressing ---------------------------------------------------
@@ -329,12 +326,7 @@ class Archive:
             if isinstance(payload, IndividualRef):
                 parent = generations[payload.generation][payload.index]
                 individuals[pos] = Individual(
-                    payload,
-                    parent.semantics,
-                    parent.train_semantics,
-                    parent.test_semantics,
-                    parent.train_fitness,
-                    parent.test_fitness,
+                    payload, *parent._held(), parent.train_fitness, parent.test_fitness
                 )
             else:
                 fresh.append(pos)
@@ -457,75 +449,40 @@ class Archive:
     def release(self, generation: int):
         """Drop the archive's references to a completed generation's semantics.
 
-        The generation keeps its payloads and fitnesses. A block is freed
-        once none of its rows is referenced; a row that a later
-        reproduction shares stays alive and is reused when the generation
-        is recomputed.
+        The generation keeps its payloads and fitnesses. Its blocks are freed
+        once nothing else references their rows. Reading its semantics
+        afterwards recomputes it and every earlier released generation (see
+        `_restore`); a recomputed row is a new array with the same bits.
         """
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
         if generation in self._released:
             return
-        # Within the archive only a later reproduction shares a row, so only
-        # such a row can outlive the release and be reused; a weak reference
-        # to each of the others would be one more object for the collector.
-        shared = {
-            id(ind._semantics)
-            for gen in self._generations[generation + 1 :]
-            for ind in gen
-            if isinstance(ind.payload, IndividualRef)
-        }
-        gen = self._generations[generation]
-        views = {
-            i: tuple(map(weakref.ref, ind._views()))
-            for i, ind in enumerate(gen)
-            if id(ind._semantics) in shared
-        }
-        released = self._released[generation] = _Released(self, generation, views)
-        for ind in gen:
-            ind._semantics = ind._train_semantics = ind._test_semantics = released
+        self._released.add(generation)
+        released = _Released(self, generation)
+        for ind in self._generations[generation]:
+            ind._views = released
 
     def _restore(self, generation: int):
-        """Recompute a released generation and the released ones it reads.
+        """Recompute a released generation and every earlier released one, oldest first.
 
-        Walking back from `generation`, a slot whose row is no longer alive
-        is evaluated again, so every released generation its refs point
-        into is restored too. The generations are evaluated through
-        `evaluate`, oldest first and without recursion, and stay held.
+        A generation reads only generations below it, and by the time it is
+        evaluated all of them are held, so nothing recurses. Each is
+        evaluated through `evaluate` and stays held; a recomputed row is a
+        new array with the same bits as the released one.
         """
         with self._restoring:
             released = self._released
             if generation not in released:
                 return
-            wanted, plan = {generation}, {}
-            for g in range(generation, -1, -1):
-                if g not in wanted:
-                    continue
-                payloads = [ind.payload for ind in self._generations[g]]
-                # resolved once, so a reused row cannot die during the restore
-                rows = [None] * len(payloads)
-                for i, refs in released[g].views.items():
-                    row = tuple(ref() for ref in refs)
-                    if all(view is not None for view in row):
-                        rows[i] = row
-                lost = [i for i, row in enumerate(rows) if row is None]
-                wanted.update(
-                    ref.generation
-                    for i in lost
-                    for ref in _refs(payloads[i])
-                    if ref.generation in released
-                )
-                plan[g] = rows, lost, payloads
-            for g in sorted(plan):
-                rows, lost, payloads = plan[g]
-                made, rejects = self.evaluate(payloads, lost)
+            for g in sorted(h for h in released if h <= generation):
+                gen = self._generations[g]
+                made, rejects = self.evaluate([ind.payload for ind in gen], range(len(gen)))
                 if rejects:
                     raise rejects[0]
-                for i, ind in zip(lost, made):
-                    rows[i] = ind._views()
-                for ind, row in zip(self._generations[g], rows):
-                    ind._semantics, ind._train_semantics, ind._test_semantics = row
-                del released[g]
+                for ind, new in zip(gen, made):
+                    ind._views = new._views
+                released.discard(g)
 
     # -- oracle -------------------------------------------------------
 

@@ -184,7 +184,8 @@ def run_evolution(
     whose window is None keeps every generation's. With keep_archive=True
     the result's archive still answers every read: it holds the payloads and
     fitnesses of every generation, and reading a released generation's
-    semantics recomputes them, bitwise equal.
+    semantics recomputes it and every earlier released generation, oldest
+    first; a recomputed row is a new array with the same bits.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)

@@ -330,6 +330,71 @@ def test_recomputing_a_long_history_does_not_recurse():
     assert newest_released[0].semantics.tobytes() == clone.generations[-2][0].semantics.tobytes()
 
 
+def counted_evaluations(monkeypatch) -> list:
+    """A list that gets one entry per `Archive.evaluate` call from now on."""
+    evaluated = []
+    evaluate = Archive.evaluate
+
+    def counting_evaluate(self, payloads, slots):
+        evaluated.append(len(payloads))
+        return evaluate(self, payloads, slots)
+
+    monkeypatch.setattr(Archive, "evaluate", counting_evaluate)
+    return evaluated
+
+
+def test_generations_released_in_any_order_recompute_once_as_a_json_round_trip_does(
+    monkeypatch,
+):
+    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=Geometric(0.3), population_size=8, generations=9, seed=4)
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # releases nothing
+    clone = Archive.from_json(archive.to_json(), split)
+    for g in (5, 2, 7, 3, 5):
+        archive.release(g)
+    evaluated = counted_evaluations(monkeypatch)
+    for _ in range(2):
+        for g in (7, 3, 5, 2, 0):
+            for a, b in zip(archive.generations[g], clone.generations[g]):
+                assert a.semantics.tobytes() == b.semantics.tobytes()
+                assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
+        # the first read of 7 recomputes the four released generations, once each
+        assert evaluated == [8] * 4
+    # A recomputed generation can be released again, and then recomputes alone.
+    archive.release(5)
+    for a, b in zip(archive.generations[5], clone.generations[5]):
+        assert a.semantics.tobytes() == b.semantics.tobytes()
+    assert evaluated == [8] * 5
+
+
+def test_two_threads_reading_released_generations_match_a_json_round_trip(monkeypatch):
+    split = split_70_30(synthetic_dataset("polynomial", 200, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=UniformLastK(2), population_size=20, generations=30, seed=6)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    clone = Archive.from_json(archive.to_json(), split)
+    order = range(len(archive.generations))
+    evaluated = counted_evaluations(monkeypatch)
+
+    def read(generations):
+        return {g: [ind.semantics.tobytes() for ind in archive.generations[g]] for g in generations}
+
+    # Switch threads as often as the interpreter allows, so one reader runs
+    # into the other's recompute.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(read, order), pool.submit(read, reversed(order))]
+            reads = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in reads:
+        for g in order:
+            assert got[g] == [ind.semantics.tobytes() for ind in clone.generations[g]]
+    # Under the lock each of the 29 released generations is recomputed once.
+    assert evaluated == [20] * 29
+
+
 def test_a_released_individual_that_outlives_its_archive_says_so():
     archive = evolved_archive(pop=4, gens=3)  # u:1 releases generation 0
     ind = archive.generations[0][0]
@@ -512,9 +577,10 @@ def test_nonfinite_semantics_names_split_and_row_within_it():
 def test_best_of_generation_rejects_a_generation_outside_the_archive():
     archive = evolved_archive(gens=3)
     assert len(archive.generations) == 4
-    for generation in (-1, 4):
-        with pytest.raises(ValueError, match=f"no generation {generation} in archive"):
-            archive.best_of_generation(generation)
+    for method in (archive.best_of_generation, archive.release):
+        for generation in (-1, 4):
+            with pytest.raises(ValueError, match=f"no generation {generation} in archive"):
+                method(generation)
 
 
 def test_fitness_table_is_each_generations_train_fitness():

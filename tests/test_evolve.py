@@ -26,15 +26,27 @@ def split():
 
 def test_reproduction_only_copies_semantics(split):
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=0.0)
-    result = run_evolution(cfg, split, keep_archive=True)
-    archive = result.archive
-    for g in range(1, len(archive.generations)):
-        for ind in archive.generations[g]:
-            assert isinstance(ind.payload, IndividualRef)
-            assert ind.payload.generation == g - 1
-            parent = archive.individual(ind.payload)
-            assert ind.train_semantics is parent.train_semantics
-            assert ind.test_semantics is parent.test_semantics
+    # next_generation alone releases nothing, so every child holds its parent's arrays.
+    grown = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.generations):
+        next_generation(grown, cfg, rng)
+    # A u:1 run releases every generation but the newest. The first read recomputes
+    # them all, so only the newest generation's children hold arrays that their
+    # recomputed parents do not, with the same bits.
+    released = run_evolution(cfg, split, keep_archive=True).archive
+    for archive in (grown, released):
+        newest = len(archive.generations) - 1
+        for g in range(1, newest + 1):
+            for ind in archive.generations[g]:
+                assert isinstance(ind.payload, IndividualRef)
+                assert ind.payload.generation == g - 1
+                parent = archive.individual(ind.payload)
+                if archive is released and g == newest:
+                    assert ind.semantics.tobytes() == parent.semantics.tobytes()
+                else:
+                    assert ind.train_semantics is parent.train_semantics
+                    assert ind.test_semantics is parent.test_semantics
 
 
 def test_elitism_makes_best_train_monotone(split):
