@@ -4,12 +4,13 @@ Example:
     gsgp --dataset data/airfoil.csv --strategy u:5 --strategy g:0.25 \
          --runs 30 --seed 42 --out results/airfoil
 
-Exit codes: 0 full success, 1 configuration error, 2 campaign finished
-with some runs aborted (recorded in the report).
+Exit codes: 0 full success, 1 configuration error or an unwritable --out,
+2 campaign finished with some runs aborted (recorded in the report).
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 from .data import load_csv, synthetic_dataset
 from .errors import CsvFormatError
@@ -103,9 +104,9 @@ def _number(value, spec: str) -> str:
 
 
 def _print_summary(report):
-    print(f"dataset: {report.dataset_name} "
-          f"({report.dataset_rows} rows x {report.dataset_features} features)")
-    print(f"runs per strategy: {report.runs}, base seed: {report.base_seed}")
+    campaign, data = report.campaign, report.campaign.dataset
+    print(f"dataset: {data.name} ({data.rows} rows x {data.n_features} features)")
+    print(f"runs per strategy: {campaign.runs}, base seed: {campaign.base_seed}")
     body = report.report_dict()
     for entry in body["strategies"]:
         line = (
@@ -154,6 +155,8 @@ def main(argv=None) -> int:
             jobs=args.jobs,
             source=source,
         )
+        if args.out:  # last, so a bad configuration leaves no directory behind
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (CsvFormatError, OSError, ValueError) as exc:
         print(f"gsgp: error: {exc}", file=sys.stderr)
         return 1

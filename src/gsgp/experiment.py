@@ -6,6 +6,11 @@ the rank-sum test. Run r of every strategy shares the same 70/30 split
 (paired splits, keyed by run index), while the evolution seed also hashes
 the strategy so searches differ.
 
+A strategy's result is its run outcomes: each run's RunResult, or the
+message that run failed with. Every per-run list in report.json and
+runs.csv is derived from them, and the settings the outputs echo are read
+from the Campaign that ran.
+
 Outputs: report.json (deterministic: identical campaign config gives
 byte-identical bytes; schema 2 records the RNG stream and, per strategy,
 each completed run's non-finite offspring redraws and regenerated seed
@@ -29,13 +34,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .data import Dataset, split_70_30, split_sizes_70_30
 from .errors import NonFiniteSemanticsError
-from .evolve import RNG_STREAM, EvolutionConfig, run_evolution
+from .evolve import RNG_STREAM, EvolutionConfig, RunResult, run_evolution
 from .selection import UniformLastK, parse_distribution
 from .stats import median, rank_sum_test
 
@@ -80,38 +84,56 @@ class Campaign:
         split_sizes_70_30(self.dataset.rows)
 
 
+def _per_run(read):
+    """A property listing read(run) for each completed run, in run order."""
+    return property(lambda self: [read(o) for o in self.outcomes if isinstance(o, RunResult)])
+
+
 @dataclass
 class StrategyResult:
+    """One strategy's runs: outcomes[r] is run r's RunResult, or the message
+    that run failed with. Every per-run list is derived from outcomes.
+    """
+
     name: str
-    runs_requested: int
-    final_train_rmse: list
-    final_test_rmse: list
-    offset_histograms: list
-    failures: list  # [run_index, message] pairs
-    durations: list
-    nonfinite_retries: list
-    seed_regenerations: list
+    outcomes: list
+
+    final_train_rmse = _per_run(lambda run: run.train_rmse[-1])
+    final_test_rmse = _per_run(lambda run: run.test_rmse[-1])
+    offset_histograms = _per_run(lambda run: run.offset_histogram)
+    durations = _per_run(lambda run: run.duration_seconds)
+    nonfinite_retries = _per_run(lambda run: run.nonfinite_retries)
+    seed_regenerations = _per_run(lambda run: run.seed_regenerations)
+
+    @property
+    def failures(self) -> list:
+        """[run_index, message] pairs of the runs that failed."""
+        return [[r, o] for r, o in enumerate(self.outcomes) if isinstance(o, str)]
 
     @property
     def complete(self) -> bool:
         return not self.failures
 
     @property
+    def runs_requested(self) -> int:
+        return len(self.outcomes)
+
+    @property
     def runs_completed(self) -> int:
-        return len(self.final_test_rmse)
+        return self.runs_requested - len(self.failures)
 
 
 @dataclass
 class CampaignReport:
-    dataset_name: str
-    dataset_rows: int
-    dataset_features: int
-    source: str
-    runs: int
-    base_seed: int
-    jobs: int
-    evolution: dict
-    baseline: str
+    """The campaign that ran, each strategy's results, and when it ran.
+
+    The dataset, seeds, runs, jobs and evolution template of the report are
+    read from `campaign` when it is written. No code in the package, its
+    tests, benchmark or tools mutates a Campaign after run_campaign, so they
+    are the ones the runs used; a caller that did would change the report.
+    """
+
+    campaign: Campaign
     strategies: list
     started_at: str = ""
     finished_at: str = ""
@@ -125,17 +147,18 @@ class CampaignReport:
 
     def report_dict(self) -> dict:
         """Deterministic report body; timestamps live in metadata_dict."""
-        base = self.strategy(self.baseline)
+        base = self.strategy(BASELINE_LABEL).final_test_rmse
         entries = []
         for s in self.strategies:
+            train, test = s.final_train_rmse, s.final_test_rmse
             entry = {
                 "name": s.name,
                 "complete": s.complete,
                 "runs_completed": s.runs_completed,
-                "median_train_rmse": median(s.final_train_rmse) if s.final_train_rmse else None,
-                "median_test_rmse": median(s.final_test_rmse) if s.final_test_rmse else None,
-                "final_train_rmse": s.final_train_rmse,
-                "final_test_rmse": s.final_test_rmse,
+                "median_train_rmse": median(train) if train else None,
+                "median_test_rmse": median(test) if test else None,
+                "final_train_rmse": train,
+                "final_test_rmse": test,
                 "offset_histograms": [
                     {str(k): h[k] for k in sorted(h)} for h in s.offset_histograms
                 ],
@@ -146,31 +169,31 @@ class CampaignReport:
                 "u_statistic_vs_baseline": None,
                 "improved_vs_baseline": None,
             }
-            if s.name != self.baseline and s.final_test_rmse and base.final_test_rmse:
-                test = rank_sum_test(s.final_test_rmse, base.final_test_rmse)
-                entry["p_value_vs_baseline"] = test.p_value
-                entry["u_statistic_vs_baseline"] = test.u_statistic
+            if s.name != BASELINE_LABEL and test and base:
+                result = rank_sum_test(test, base)
+                entry["p_value_vs_baseline"] = result.p_value
+                entry["u_statistic_vs_baseline"] = result.u_statistic
                 entry["improved_vs_baseline"] = bool(
-                    test.p_value < 0.05
-                    and median(s.final_test_rmse) < median(base.final_test_rmse)
+                    result.p_value < 0.05 and median(test) < median(base)
                 )
             entries.append(entry)
+        c = self.campaign
         return {
             "schema_version": SCHEMA_VERSION,
             "dataset": {
-                "name": self.dataset_name,
-                "rows": self.dataset_rows,
-                "n_features": self.dataset_features,
-                "source": self.source,
+                "name": c.dataset.name,
+                "rows": c.dataset.rows,
+                "n_features": c.dataset.n_features,
+                "source": c.source,
             },
             "campaign": {
-                "runs": self.runs,
-                "base_seed": self.base_seed,
+                "runs": c.runs,
+                "base_seed": c.base_seed,
                 "paired_splits": True,
                 "rng_stream": RNG_STREAM,
-                "evolution": self.evolution,
+                "evolution": _evolution_echo(c.template),
             },
-            "baseline": self.baseline,
+            "baseline": BASELINE_LABEL,
             "strategies": entries,
         }
 
@@ -179,7 +202,7 @@ class CampaignReport:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "total_seconds": self.total_seconds,
-            "jobs": self.jobs,
+            "jobs": self.campaign.jobs,
             "mean_run_seconds": {
                 s.name: (float(np.mean(s.durations)) if s.durations else None)
                 for s in self.strategies
@@ -224,78 +247,40 @@ def _evolution_echo(cfg: EvolutionConfig) -> dict:
 def run_campaign(campaign: Campaign) -> CampaignReport:
     """Execute runs x strategies seeded evolutions and assemble the report.
 
-    A run that raises is recorded in its strategy's failures, by its message
-    for NonFiniteSemanticsError and as "<Type>: message" for any other
-    exception, and the other runs go on.
+    A run that raises is recorded as its strategy's outcome for that run, by
+    its message for NonFiniteSemanticsError and as "<Type>: message" for any
+    other exception, and the other runs go on.
     """
     strategies = resolve_strategies(campaign.strategies)
-    labels = [s.label() for s in strategies]
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
 
-    def one_run(dist, label, r):
-        split = split_70_30(campaign.dataset, split_seed(campaign.base_seed, r))
-        cfg = replace(
-            campaign.template,
-            distribution=dist,
-            seed=run_seed(campaign.base_seed, label, r),
-        )
-        return run_evolution(cfg, split)
-
-    tasks = [(si, r) for si in range(len(strategies)) for r in range(campaign.runs)]
-    outcomes = {}
-
-    def worker(task):
-        si, r = task
+    def one_run(task):
+        dist, r = task
         try:
-            return task, one_run(strategies[si], labels[si], r), None
+            split = split_70_30(campaign.dataset, split_seed(campaign.base_seed, r))
+            cfg = replace(
+                campaign.template,
+                distribution=dist,
+                seed=run_seed(campaign.base_seed, dist.label(), r),
+            )
+            return run_evolution(cfg, split)
         except NonFiniteSemanticsError as exc:
-            return task, None, str(exc)
+            return str(exc)
         except Exception as exc:  # one crashed run must not discard the campaign
-            return task, None, f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
 
+    tasks = [(dist, r) for dist in strategies for r in range(campaign.runs)]
     with ThreadPoolExecutor(max_workers=campaign.jobs) as pool:
-        completed = pool.map(worker, tasks) if campaign.jobs > 1 else map(worker, tasks)
-        for task, result, error in completed:
-            outcomes[task] = (result, error)
+        outcomes = list(pool.map(one_run, tasks) if campaign.jobs > 1 else map(one_run, tasks))
 
-    results = []
-    for si, label in enumerate(labels):
-        sr = StrategyResult(
-            name=label,
-            runs_requested=campaign.runs,
-            final_train_rmse=[],
-            final_test_rmse=[],
-            offset_histograms=[],
-            failures=[],
-            durations=[],
-            nonfinite_retries=[],
-            seed_regenerations=[],
-        )
-        for r in range(campaign.runs):
-            run, error = outcomes[(si, r)]
-            if error is not None:
-                sr.failures.append([r, error])
-                continue
-            sr.final_train_rmse.append(run.train_rmse[-1])
-            sr.final_test_rmse.append(run.test_rmse[-1])
-            sr.offset_histograms.append(run.offset_histogram)
-            sr.durations.append(run.duration_seconds)
-            sr.nonfinite_retries.append(run.nonfinite_retries)
-            sr.seed_regenerations.append(run.seed_regenerations)
-        results.append(sr)
-
+    n = campaign.runs
     return CampaignReport(
-        dataset_name=campaign.dataset.name,
-        dataset_rows=campaign.dataset.rows,
-        dataset_features=campaign.dataset.n_features,
-        source=campaign.source,
-        runs=campaign.runs,
-        base_seed=campaign.base_seed,
-        jobs=campaign.jobs,
-        evolution=_evolution_echo(campaign.template),
-        baseline=BASELINE_LABEL,
-        strategies=results,
+        campaign=campaign,
+        strategies=[
+            StrategyResult(dist.label(), outcomes[i * n : (i + 1) * n])
+            for i, dist in enumerate(strategies)
+        ],
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
         total_seconds=time.perf_counter() - t0,
@@ -325,31 +310,26 @@ def write_outputs(report: CampaignReport, out_dir) -> dict:
         "runs": out / "runs.csv",
         "boxplot": out / "boxplot.csv",
     }
-    paths["report"].write_text(
-        json.dumps(report.report_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    paths["metadata"].write_text(
-        json.dumps(report.metadata_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    for key, body in (("report", report.report_dict()), ("metadata", report.metadata_dict())):
+        paths[key].write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with open(paths["runs"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["strategy", "run_index", "seed", "split_seed", "final_train_rmse", "final_test_rmse"]
         )
+        base_seed = report.campaign.base_seed
         for s in report.strategies:
-            failed = {r for r, _ in s.failures}
-            ok_runs = [r for r in range(s.runs_requested) if r not in failed]
-            for row, r in enumerate(ok_runs):
+            for r, run in enumerate(s.outcomes):
+                if isinstance(run, str):
+                    continue  # a failed run has no row
                 writer.writerow(
                     [
                         s.name,
                         r,
-                        run_seed(report.base_seed, s.name, r),
-                        split_seed(report.base_seed, r),
-                        repr(s.final_train_rmse[row]),
-                        repr(s.final_test_rmse[row]),
+                        run_seed(base_seed, s.name, r),
+                        split_seed(base_seed, r),
+                        repr(run.train_rmse[-1]),
+                        repr(run.test_rmse[-1]),
                     ]
                 )
     emit_boxplot_data(report, paths["boxplot"])

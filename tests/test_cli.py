@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import gsgp
+import gsgp.cli as cli
 import gsgp.experiment as experiment
 from gsgp.cli import build_parser, main, parse_synthetic_spec
 from gsgp.errors import NonFiniteSemanticsError
@@ -53,6 +54,21 @@ def test_cli_rejects_has_header_without_a_csv(capsys):
     captured = capsys.readouterr()
     assert "--has-header" in captured.err
     assert captured.out == ""  # no run started
+
+
+def test_cli_rejects_an_unwritable_out_before_any_run(tmp_path, monkeypatch, capsys):
+    def never(campaign):
+        pytest.fail("run_campaign called despite an unwritable --out")
+
+    monkeypatch.setattr(cli, "run_campaign", never)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["--synthetic", "polynomial:50:2:0.0", "--runs", "2",
+                 "--out", str(blocker / "out")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "gsgp: error" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_end_to_end(tmp_path, capsys):

@@ -119,7 +119,7 @@ def test_report_contents():
     assert body["campaign"]["paired_splits"] is True
 
 
-def test_offset_histograms_respect_strategy(tmp_path):
+def test_offset_histograms_respect_strategy():
     report = run_campaign(tiny_campaign(strategies=["u:1", "g:0.5"], runs=2))
     u1 = report.strategy("u:1")
     assert all(set(h) <= {0} for h in u1.offset_histograms)
@@ -139,11 +139,12 @@ def test_boxplot_csv_shape(tmp_path):
         assert column == s.final_test_rmse
 
 
-def test_boxplot_requires_strategies():
+def test_boxplot_requires_strategies(tmp_path):
     report = run_campaign(tiny_campaign())
     report.strategies = []
     with pytest.raises(ValueError):
-        emit_boxplot_data(report, "/tmp/never-written.csv")
+        emit_boxplot_data(report, tmp_path / "never-written.csv")
+    assert not (tmp_path / "never-written.csv").exists()
 
 
 def test_run_failures_are_recorded_and_campaign_continues(monkeypatch):
@@ -184,7 +185,17 @@ def test_unexpected_exception_is_recorded_by_type(monkeypatch, tmp_path):
         u3 = report.strategy("u:3")
         assert u3.failures == [[1, "RuntimeError: injected crash"]]
         assert u3.runs_completed == 2
-        bodies.append(write_outputs(report, tmp_path / f"jobs{jobs}")["report"].read_bytes())
+        paths = write_outputs(report, tmp_path / f"jobs{jobs}")
+        bodies.append(paths["report"].read_bytes())
+        with open(paths["runs"]) as fh:
+            rows = [row for row in csv.DictReader(fh) if row["strategy"] == "u:3"]
+        assert [int(row["run_index"]) for row in rows] == [0, 2]
+        for row in rows:
+            r = int(row["run_index"])
+            assert int(row["seed"]) == run_seed(11, "u:3", r)
+            assert int(row["split_seed"]) == split_seed(11, r)
+        entry = json.loads(bodies[-1])["strategies"][1]
+        assert [float(row["final_test_rmse"]) for row in rows] == entry["final_test_rmse"]
     assert bodies[0] == bodies[1]
 
 

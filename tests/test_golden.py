@@ -14,7 +14,9 @@ shows the old and new engines statistically equivalent:
 
 ARCHIVE_JSON_SHA256 pins, beyond the trajectories, the archive JSON of two
 of the friedman-like runs: every payload's refs, random trees and constants.
-The script does not write it; change it by hand, under the same conditions.
+CAMPAIGN_OUTPUT_SHA256 pins the report.json, runs.csv and boxplot.csv of a
+small campaign whose runs redraw offspring and regenerate seed trees.
+The script writes neither; change them by hand, under the same conditions.
 """
 
 import functools
@@ -24,6 +26,7 @@ from pathlib import Path
 
 from gsgp.data import Dataset, load_csv, split_70_30, synthetic_dataset
 from gsgp.evolve import EvolutionConfig, run_evolution
+from gsgp.experiment import Campaign, run_campaign, write_outputs
 from gsgp.selection import parse_distribution
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -62,6 +65,15 @@ SCALED_REGENERATIONS = 4
 ARCHIVE_JSON_SHA256 = {
     "u:1": "1b7aa29aed35b0ccabe3539f645be04b53fd0006a3c387f7d92c3c6f97ac0b1e",
     "g:0.25": "94ddaef89b09561597f2c94955865c2df9b5ae378ad1e747df36c088d541e47b",
+}
+
+
+# sha256 of the files write_outputs gives for u:1 and u:3, 3 runs each of
+# 12 individuals x 6 generations, on 60 friedman-like rows scaled by 1e150.
+CAMPAIGN_OUTPUT_SHA256 = {
+    "report.json": "209dc888342bcfd2586514fd14085ca24bdd5501b074211e737684bf0b17d393",
+    "runs.csv": "ee70f742ef1b59e371676809846c2f1afd2f8e9aa8a6c83b15aaa01fbfbf130a",
+    "boxplot.csv": "e4b45277e90854609e296e898a1c5849b4a6c54a4d5fca745ec67b44b970f9b2",
 }
 
 
@@ -118,6 +130,21 @@ def test_archive_json_matches_its_digest():
         archive = run_evolution(golden_config(cfg_name), split, keep_archive=True).archive
         text = json.dumps(archive.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, cfg_name
+
+
+def test_campaign_outputs_match_their_digest(tmp_path):
+    data = synthetic_dataset("friedman-like", 60, 5, 0.0, seed=3)
+    campaign = Campaign(
+        dataset=Dataset("scaled", data.inputs * 1e150, data.targets),
+        strategies=["u:1", "u:3"],
+        runs=3,
+        base_seed=11,
+        template=EvolutionConfig(population_size=12, generations=6),
+        source="synthetic:test",
+    )
+    write_outputs(run_campaign(campaign), tmp_path)
+    for name, digest in CAMPAIGN_OUTPUT_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 if __name__ == "__main__":
