@@ -62,15 +62,16 @@ every other payload is an object with a "kind" of "leaf", "crossover" or
 
 Semantics are needed only for the generations that selection can still
 read. `release(g)` drops the archive's references to generation g's rows
-but keeps its payloads and fitnesses, and `run_evolution` releases each
-generation that leaves the distribution's window, so the semantics a `u:k`
-run holds grow with k, not with the run length. Reading a released
-individual's semantics (through `individual`, `generations[g][i]` or
-iterating a generation) recomputes its generation and every earlier
-released generation, oldest first, and they stay held. A recomputed row is
-a new array with the same bits, even where a later reproduction still
-holds the original. Payloads and fitnesses are read without a recompute,
-so `to_json`, `naive_eval`, tournaments and elitism never trigger one.
+but keeps its payloads and fitnesses, and `run_evolution` calls
+`hold_latest(h)` after each generation with the distribution's horizon h,
+so the semantics a run holds grow with h, not with the run length. Reading
+a released individual's semantics (through `individual`, `generations[g][i]`
+or iterating a generation) recomputes its generation and every earlier
+released generation, oldest first, and they stay held until released
+again. A recomputed row is a new array with the same bits, even where a
+later reproduction still holds the original. Payloads and fitnesses are
+read without a recompute, so `to_json`, `naive_eval`, tournaments and
+elitism never trigger one.
 
 Completed generations change only by being released or recomputed, which
 changes no value that can be read. Evaluating payloads writes only arrays
@@ -237,7 +238,7 @@ class Archive:
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
-        self._released = set()  # generations whose views are _Released stand-ins
+        self._held = set()  # generations whose views are not _Released stand-ins
         self._restoring = threading.RLock()
 
     # -- addressing ---------------------------------------------------
@@ -443,6 +444,7 @@ class Archive:
             self._train_fitness = table = grown
         table[g] = [ind.train_fitness for ind in individuals]
         self._generations = generations + (tuple(individuals),)
+        self._held.add(g)
 
     # -- release and recompute -----------------------------------------
 
@@ -456,12 +458,23 @@ class Archive:
         """
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
-        if generation in self._released:
+        if generation not in self._held:
             return
-        self._released.add(generation)
+        self._held.discard(generation)
         released = _Released(self, generation)
         for ind in self._generations[generation]:
             ind._views = released
+
+    def hold_latest(self, count: int):
+        """Release every held generation but the latest `count`.
+
+        This visits only the held generations, so a run that calls it after
+        each generation keeps at most `count` of them held, whatever a
+        replay brought back, without a scan of the history.
+        """
+        cutoff = len(self._generations) - count
+        for g in [g for g in self._held if g < cutoff]:
+            self.release(g)
 
     def _restore(self, generation: int):
         """Recompute a released generation and every earlier released one, oldest first.
@@ -472,17 +485,17 @@ class Archive:
         new array with the same bits as the released one.
         """
         with self._restoring:
-            released = self._released
-            if generation not in released:
+            held = self._held
+            if generation in held:
                 return
-            for g in sorted(h for h in released if h <= generation):
+            for g in [g for g in range(generation + 1) if g not in held]:
                 gen = self._generations[g]
                 made, rejects = self.evaluate([ind.payload for ind in gen], range(len(gen)))
                 if rejects:
                     raise rejects[0]
                 for ind, new in zip(gen, made):
                     ind._views = new._views
-                released.discard(g)
+                held.add(g)
 
     # -- oracle -------------------------------------------------------
 

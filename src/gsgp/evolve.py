@@ -178,14 +178,16 @@ def run_evolution(
     """Seed generation 0 and apply next_generation cfg.generations times.
 
     After each generation is appended, the archive releases the semantics
-    of the generation that has just left the distribution's window
-    (`Archive.release`), so a run holds the semantics of the last `window`
+    of every generation older than the distribution's horizon
+    (`Archive.hold_latest`), a generation that a replay brought back
+    included. So a run holds the semantics of the last `horizon`
     generations and the rows their reproductions share, and a distribution
-    whose window is None keeps every generation's. With keep_archive=True
-    the result's archive still answers every read: it holds the payloads and
-    fitnesses of every generation, and reading a released generation's
-    semantics recomputes it and every earlier released generation, oldest
-    first; a recomputed row is a new array with the same bits.
+    whose horizon is None keeps every generation's. Reading a released
+    generation's semantics, for a winner drawn from beyond the horizon or
+    from the archive that keep_archive=True returns, recomputes it and
+    every earlier released generation, oldest first; a recomputed row is a
+    new array with the same bits. That archive holds the payloads and
+    fitnesses of every generation, so it still answers every read.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -210,14 +212,13 @@ def run_evolution(
         train_curve.append(best.train_fitness)
         test_curve.append(best.test_fitness)
 
-    window = cfg.distribution.window
+    horizon = cfg.distribution.horizon
     record_best(0)
     for _ in range(cfg.generations):
         next_generation(archive, cfg, rng, offset_counts=offset_counts, rejects=rejects)
-        latest = len(archive.generations) - 1
-        if window is not None and latest >= window:
-            archive.release(latest - window)
-        record_best(latest)
+        if horizon is not None:
+            archive.hold_latest(horizon)
+        record_best(len(archive.generations) - 1)
 
     histogram = {
         int(o): int(c) for o, c in enumerate(offset_counts) if c > 0

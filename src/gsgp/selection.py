@@ -10,10 +10,13 @@ Offsets are counted from the latest completed generation: offset 0 means
 object with two methods and one attribute: sample_many(current, n, rng),
 which returns an integer array of n generation indices in [0, current-1]
 for current >= 1; label(), which returns the spec that parse_distribution
-reads back (campaigns name and seed their strategies by it); and window,
-the number of latest generations a draw can return, or None when it can
-return any of them. A run releases the semantics of every generation
-outside the window (see `run_evolution`).
+reads back (campaigns name and seed their strategies by it); and horizon,
+the number of latest generations whose semantics a run holds, or None to
+hold them all. A run releases the semantics of every older generation (see
+`run_evolution`), and a winner drawn from one is read by exact replay, so
+the horizon changes only time and memory, never a result. UniformLastK(k)
+draws only from its horizon of k; Geometric draws beyond its horizon so
+rarely that a run seldom replays.
 
 Tournaments are drawn in bulk (RNG stream 2): `tournament_select` runs n
 tournaments of size t with two draws, every entrant's source generation
@@ -26,6 +29,8 @@ tallied into offset_counts when it is drawn, so the entrants of a draw
 that is later rejected for non-finite semantics stay tallied.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +45,11 @@ class UniformLastK:
     k: int
 
     def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, not {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        object.__setattr__(self, "k", int(self.k))
 
     def sample_many(self, current: int, n: int, rng: np.random.Generator) -> np.ndarray:
         lo = max(0, current - self.k)
@@ -55,20 +63,46 @@ class UniformLastK:
         return f"u:{self.k}"
 
     @property
-    def window(self) -> int:
+    def horizon(self) -> int:
         return self.k
+
+
+# A Geometric law holds the generations an entrant lands in with probability
+# at least 1 - _HORIZON_TAIL (see Geometric).
+_HORIZON_TAIL = 1e-4
 
 
 @dataclass(frozen=True)
 class Geometric:
-    """Offset o >= 0 with probability p*(1-p)^o; overflow lands on generation 0."""
+    """Offset o >= 0 with probability p*(1-p)^o; overflow lands on generation 0.
+
+    An entrant lands at offset h or beyond with probability (1-p)^h, so the
+    horizon H(p) is the smallest h >= 1 with (1-p)^h <= 1e-4, evaluated as
+    exp(h*log1p(-p)): 88, 33, 14 and 7 for p = 0.1, 0.25, 0.5 and 0.75, and
+    1 for p near 1. An entrant beyond it, generation 0 overflow included,
+    has probability below 1e-4, and only a tournament winner beyond it
+    costs a replay. Winners are younger still: over 30 seeds of 100 x 100
+    runs on 200 rows, the oldest parent of any run was at offset 48 for
+    g:0.1, 17 for g:0.25, 8 for g:0.5 and 5 for g:0.75 (20 and 5 for g:0.25
+    and g:0.75 over 10 seeds on 6000 rows), and no run replayed.
+    """
 
     p: float
-    window = None  # the overflow can land on generation 0 at any depth
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
+
+    @property
+    def horizon(self) -> int:
+        log_q = math.log1p(-self.p)
+        h = max(1, math.ceil(math.log(_HORIZON_TAIL) / log_q))
+        # The quotient is off by at most one step after rounding.
+        if math.exp(h * log_q) > _HORIZON_TAIL:
+            h += 1
+        elif h > 1 and math.exp((h - 1) * log_q) <= _HORIZON_TAIL:
+            h -= 1
+        return h
 
     def sample_many(self, current: int, n: int, rng: np.random.Generator) -> np.ndarray:
         offsets = rng.geometric(self.p, size=n) - 1

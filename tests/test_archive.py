@@ -2,6 +2,8 @@ import json
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -403,7 +405,9 @@ def test_a_released_individual_that_outlives_its_archive_says_so():
         ind.semantics
 
 
-@pytest.mark.parametrize("distribution, held", [(UniformLastK(2), 2), (Geometric(0.25), None)])
+@pytest.mark.parametrize(
+    "distribution, held", [(UniformLastK(2), 2), (Geometric(0.25), None), (Geometric(0.75), 7)]
+)
 def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
     monkeypatch, distribution, held
 ):
@@ -431,6 +435,55 @@ def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
         assert len(alive) == len({id(ref) for ref in blocks})  # nothing was freed
     monkeypatch.undo()
     assert archive.individual(IndividualRef(0, 0)).semantics.base is not None
+
+
+@dataclass(frozen=True)
+class NearSighted:
+    """Draws as Geometric(0.5) does, but a run holds only the given horizon."""
+
+    horizon: Optional[int]
+
+    def sample_many(self, current, n, rng):
+        return Geometric(0.5).sample_many(current, n, rng)
+
+    def label(self):
+        return f"near:{self.horizon}"
+
+
+def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch):
+    replays = []
+    restore = Archive._restore
+
+    def counting_restore(self, generation):
+        if generation not in self._held:
+            replays.append(generation)
+        restore(self, generation)
+
+    monkeypatch.setattr(Archive, "_restore", counting_restore)
+    split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
+
+    def run(horizon):
+        cfg = EvolutionConfig(
+            distribution=NearSighted(horizon), population_size=20, generations=15, seed=3
+        )
+        return run_evolution(cfg, split, keep_archive=True)
+
+    near = run(1)
+    assert len(replays) > 5  # most generations draw a winner from beyond the latest one
+    # The bound holds after every replay: only the latest generation stays held.
+    assert near.archive._held == {15}
+    del replays[:]
+    whole = run(None)
+    assert replays == []
+    assert np.array(near.train_rmse).tobytes() == np.array(whole.train_rmse).tobytes()
+    assert np.array(near.test_rmse).tobytes() == np.array(whole.test_rmse).tobytes()
+    assert near.final_best == whole.final_best
+    assert near.offset_histogram == whole.offset_histogram
+    assert near.archive.to_json() == whole.archive.to_json()
+    for gen_a, gen_b in zip(near.archive.generations, whole.archive.generations):
+        assert [ind.semantics.tobytes() for ind in gen_a] == [
+            ind.semantics.tobytes() for ind in gen_b
+        ]
 
 
 def json_archive_with(**overrides):

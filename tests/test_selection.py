@@ -1,3 +1,8 @@
+import math
+import re
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,11 +51,38 @@ def test_uniform_window(rng):
         assert np.mean(draws == g) == pytest.approx(1 / 3, abs=0.01)
 
 
-def test_window_is_how_far_back_a_draw_can_read(rng):
-    assert UniformLastK(3).window == 3
+def test_horizon_is_the_shortest_hold_with_a_tail_of_at_most_1e_4(rng):
+    assert UniformLastK(3).horizon == 3
     assert set(UniformLastK(3).sample_many(10, 2000, rng).tolist()) == set(range(10 - 3, 10))
-    assert Geometric(0.9).window is None
-    assert Geometric(0.9).sample_many(50, 10**5, rng).min() < 50 - 3
+    tail = Fraction(1e-4)
+    for p, expected in ((0.1, 88), (0.25, 33), (0.5, 14), (0.75, 7), (0.99999, 1)):
+        assert Geometric(p).horizon == expected
+    # The last two sit at the boundary, where the rounded quotient is one short.
+    for p in (0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 0.95, 0.99999, 0.683772233983162,
+              0.6018928294465027):
+        h = Geometric(p).horizon
+        q = 1 - Fraction(p)  # exact, so the check does not share the code's rounding
+        assert h >= 1 and q**h <= tail < q ** (h - 1)
+    # A geometric draw can still land beyond the horizon; the run replays it.
+    assert Geometric(0.9).sample_many(50, 10**6, rng).min() < 50 - Geometric(0.9).horizon
+
+
+def test_a_tiny_p_gets_its_horizon_without_a_loop():
+    p = 1e-9
+    start = time.perf_counter()
+    h = Geometric(p).horizon
+    assert time.perf_counter() - start < 1.0  # counting up to h would take minutes
+    assert math.exp(h * math.log1p(-p)) <= 1e-4 < math.exp((h - 1) * math.log1p(-p))
+    assert h == pytest.approx(math.log(1e-4) / math.log1p(-p), abs=1)
+
+
+def test_uniform_k_must_be_an_integer():
+    for bad in (2.5, True, 3.0, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"not {bad!r}")):
+            UniformLastK(bad)
+    d = UniformLastK(np.int64(3))
+    assert type(d.k) is int and d == UniformLastK(3)
+    assert d.label() == "u:3"
 
 
 def test_uniform_short_history_uses_all_generations(rng):

@@ -11,7 +11,7 @@ JSON object with a row per strategy:
     python tools/peak_rss.py
     python tools/peak_rss.py --src /path/to/other/src --strategies u:1
 
-The defaults are the sizes of ROADMAP direction 3: 100 x 100 on 6000 rows.
+The defaults are the sizes of ROADMAP direction 8: 100 x 100 on 6000 rows.
 """
 
 import argparse
