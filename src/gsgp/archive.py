@@ -20,11 +20,15 @@ The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one vector over those rows,
 computed once from the stored vectors of its parents and the outputs of its
 own random trees. `train_semantics` and `test_semantics` are views of that
-vector. Nothing is ever re-expanded, which is what makes whole-history
-selection free: reading a held individual is a tuple lookup. The
-train fitnesses are also kept as one generation x slot table
-(`Archive.train_fitness`), filled by `append_generation`, so tournaments
-and elitism read every fitness they need with one array index.
+vector, made on its first read of either. Nothing is ever re-expanded, which
+is what makes whole-history selection free: reading a held individual is a
+tuple lookup. The train fitnesses are also kept as one generation x slot
+table (`Archive.train_fitness`), filled by `append_generation`, so
+tournaments and elitism read every fitness they need with one array index.
+`append_generation` also makes the generation's refs, one `IndividualRef`
+per archived slot, and tournaments, `best_of_generation` and `from_json`
+hand out those objects rather than new ones, so a payload that names an
+earlier individual holds no ref of its own.
 `Archive.generations` is a tuple of per-generation tuples that only
 `append_generation` extends, so no generation lacks its table row.
 
@@ -75,9 +79,10 @@ elitism never trigger one.
 
 Completed generations change only by being released or recomputed, which
 changes no value that can be read. Evaluating payloads writes only arrays
-that the call allocates, and a recompute holds the archive's lock, so
-evaluations and reads may share an archive. Only appending or releasing a
-generation requires exclusive access.
+that the call allocates, a recompute holds the archive's lock, and an
+individual's train and test views are made under a lock on their first
+read, so evaluations and reads may share an archive. Only appending or
+releasing a generation requires exclusive access.
 """
 
 import threading
@@ -156,27 +161,30 @@ Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
 class Individual:
     """A payload with its fitnesses and its semantics over the stacked train-then-test rows.
 
-    train_semantics and test_semantics are views of `semantics`. When the
-    archive has released the individual's generation (see `Archive.release`),
-    reading any of the three first recomputes that generation and every
-    earlier released one, oldest first; a recomputed row is a new array with
-    the same bits.
+    train_semantics and test_semantics are views of `semantics`, made on the
+    first read of either; later reads return the same two objects, and a
+    reproduction shares its parent's. When the archive has released the
+    individual's generation (see `Archive.release`), reading any of the
+    three first recomputes that generation and every earlier released one,
+    oldest first; a recomputed row is a new array with the same bits, and
+    its views are made again on their first read.
     """
 
     __slots__ = ("payload", "_views", "train_fitness", "test_fitness")
 
-    def __init__(self, payload, semantics, train_semantics, test_semantics, train_fitness,
-                 test_fitness):
+    def __init__(self, payload, views: tuple, train_fitness, test_fitness):
         self.payload = payload
-        # One attribute, so a reader never sees the views of two states: the
-        # tuple, or its generation's _Released stand-in while released.
-        self._views = (semantics, train_semantics, test_semantics)
+        # One attribute, so a reader never sees the views of two states:
+        # (semantics, n_train) until the train or test view is first read,
+        # (semantics, train_semantics, test_semantics) after it, or its
+        # generation's _Released stand-in while released.
+        self._views = views
         self.train_fitness = train_fitness
         self.test_fitness = test_fitness
 
     @property
     def semantics(self) -> np.ndarray:
-        return self._held()[0]
+        return self._stored()[0]
 
     @property
     def train_semantics(self) -> np.ndarray:
@@ -186,13 +194,29 @@ class Individual:
     def test_semantics(self) -> np.ndarray:
         return self._held()[2]
 
-    def _held(self) -> tuple:
-        """(semantics, train_semantics, test_semantics), recomputed first if released."""
+    def _stored(self) -> tuple:
+        """The current views tuple, its generation recomputed first if released."""
         views = self._views
         if type(views) is _Released:
             views.restore()
             views = self._views
         return views
+
+    def _held(self) -> tuple:
+        """(semantics, train_semantics, test_semantics), the views made on first call."""
+        views = self._stored()
+        if len(views) == 2:
+            with _MAKING_VIEWS:
+                views = self._views
+                if len(views) == 2:
+                    row, n_train = views
+                    views = self._views = (row, row[:n_train], row[n_train:])
+        return views
+
+
+# Makes the first read of an individual's views check-then-act atomic, so two
+# threads reading at once get the same view objects.
+_MAKING_VIEWS = threading.Lock()
 
 
 class _Released:
@@ -235,6 +259,7 @@ class Archive:
         self.n_train = split.train.rows
         self.fitness = fitness
         self._generations = ()
+        self._slot_refs = ()  # _slot_refs[g][i] is IndividualRef(g, i), one object per slot
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
@@ -277,7 +302,7 @@ class Archive:
         """Ref of the lowest-training-error individual (first on ties)."""
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
-        return IndividualRef(generation, int(np.argmin(self._train_fitness[generation])))
+        return self._slot_refs[generation][int(np.argmin(self._train_fitness[generation]))]
 
     # -- creation -----------------------------------------------------
 
@@ -327,7 +352,7 @@ class Archive:
             if isinstance(payload, IndividualRef):
                 parent = generations[payload.generation][payload.index]
                 individuals[pos] = Individual(
-                    payload, *parent._held(), parent.train_fitness, parent.test_fitness
+                    payload, parent._held(), parent.train_fitness, parent.test_fitness
                 )
             else:
                 fresh.append(pos)
@@ -347,9 +372,7 @@ class Archive:
             train_fitness = self.fitness(block[:, :n_train], self.train_targets).tolist()
             test_fitness = self.fitness(block[:, n_train:], self.test_targets).tolist()
             for pos, row, train, test in zip(positions, block, train_fitness, test_fitness):
-                individuals[pos] = Individual(
-                    payloads[slots[pos]], row, row[:n_train], row[n_train:], train, test
-                )
+                individuals[pos] = Individual(payloads[slots[pos]], (row, n_train), train, test)
         return individuals, rejects
 
     def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
@@ -427,6 +450,11 @@ class Archive:
         return np.concatenate(rows).reshape(len(rows), -1)
 
     def append_generation(self, individuals: list):
+        """Complete the next generation: its individuals, fitness row and refs.
+
+        The refs are made once here, `IndividualRef(g, i)` for each slot i,
+        and every ref the archive hands out for the slot is that object.
+        """
         generations = self._generations
         g = len(generations)
         if not individuals:
@@ -443,6 +471,7 @@ class Archive:
                 grown[:g] = table
             self._train_fitness = table = grown
         table[g] = [ind.train_fitness for ind in individuals]
+        self._slot_refs += (tuple(IndividualRef(g, i) for i in range(len(individuals))),)
         self._generations = generations + (tuple(individuals),)
         self._held.add(g)
 
@@ -470,8 +499,12 @@ class Archive:
 
         This visits only the held generations, so a run that calls it after
         each generation keeps at most `count` of them held, whatever a
-        replay brought back, without a scan of the history.
+        replay brought back, without a scan of the history. A count below 1
+        raises ValueError: it would release the newest generation too, and
+        every later read would replay the whole history.
         """
+        if count < 1:
+            raise ValueError(f"hold_latest needs a count >= 1, not {count!r}")
         cutoff = len(self._generations) - count
         for g in [g for g in self._held if g < cutoff]:
             self.release(g)
@@ -584,7 +617,7 @@ class Archive:
             for i, item in enumerate(gen):
                 try:
                     payloads.append(
-                        _payload_from_json(item, archive.generations, split.train.n_features)
+                        _payload_from_json(item, archive._slot_refs, split.train.n_features)
                     )
                 except KeyError as exc:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
@@ -634,8 +667,8 @@ def _payload_to_json(payload: Payload):
     }
 
 
-def _ref_from_json(obj, earlier: list) -> IndividualRef:
-    """Parse a `[g, i]` pair that must point into the `earlier` generations."""
+def _ref_from_json(obj, earlier: tuple) -> IndividualRef:
+    """The ref that a `[g, i]` pair names in `earlier`, the archive's refs so far."""
     if not (isinstance(obj, list) and len(obj) == 2 and all(type(v) is int for v in obj)):
         raise ValueError(f"ref {obj!r} is not a [generation, index] pair")
     g, i = obj
@@ -643,10 +676,10 @@ def _ref_from_json(obj, earlier: list) -> IndividualRef:
         raise ValueError(f"ref {obj} is not to an earlier generation")
     if not 0 <= i < len(earlier[g]):
         raise ValueError(f"ref {obj} index out of range")
-    return IndividualRef(g, i)
+    return earlier[g][i]
 
 
-def _payload_from_json(obj, earlier: list, n_features: int) -> Payload:
+def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:
     if isinstance(obj, list):
         return _ref_from_json(obj, earlier)
     kind = obj["kind"]

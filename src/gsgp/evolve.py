@@ -29,6 +29,7 @@ again. A rejected draw stays consumed: its entrants stay tallied in
 offset_counts.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -188,7 +189,18 @@ def run_evolution(
     every earlier released generation, oldest first; a recomputed row is a
     new array with the same bits. That archive holds the payloads and
     fitnesses of every generation, so it still answers every read.
+
+    A horizon that is neither None nor an int >= 1 (a bool included) raises
+    ValueError naming the distribution's label, before anything is drawn.
     """
+    horizon = cfg.distribution.horizon
+    if horizon is not None and (
+        isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1
+    ):
+        raise ValueError(
+            f"distribution {cfg.distribution.label()} has horizon {horizon!r}; "
+            "expected None or an int >= 1"
+        )
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=split.train.n_features)
@@ -212,7 +224,6 @@ def run_evolution(
         train_curve.append(best.train_fitness)
         test_curve.append(best.test_fitness)
 
-    horizon = cfg.distribution.horizon
     record_best(0)
     for _ in range(cfg.generations):
         next_generation(archive, cfg, rng, offset_counts=offset_counts, rejects=rejects)

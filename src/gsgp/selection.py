@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import Archive, IndividualRef
+from .archive import Archive
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,10 @@ def tournament_select(
     generation from d and then a uniform index inside it (see the module
     docstring for the draw order). Each tournament's winner is the entrant
     with the lowest training error, the first drawn on ties. Returns the n
-    winners' refs, in tournament order. When offset_counts (an integer
-    array indexed by offset) is given, each entrant's generation offset is
-    tallied into it.
+    winners' refs, in tournament order; each is the archive's own ref object
+    for its slot (see `Archive.append_generation`), not a new one. When
+    offset_counts (an integer array indexed by offset) is given, each
+    entrant's generation offset is tallied into it.
     """
     if t < 1:
         raise ValueError("tournament size must be >= 1")
@@ -155,4 +156,5 @@ def tournament_select(
         offset_counts += np.bincount(current - 1 - gens, minlength=len(offset_counts))
     fitness = archive.train_fitness[gens, idx]
     winners = np.argmin(fitness.reshape(n, t), axis=1) + np.arange(0, n * t, t)
-    return tuple(map(IndividualRef, gens[winners].tolist(), idx[winners].tolist()))
+    refs = archive._slot_refs
+    return tuple(refs[g][i] for g, i in zip(gens[winners].tolist(), idx[winners].tolist()))

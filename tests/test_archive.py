@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import make_split, seeded_archive
 
 import gsgp.archive as archive_module
+import gsgp.evolve as evolve_module
 from gsgp.archive import (
     Archive,
     Crossover,
@@ -486,6 +488,26 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
         ]
 
 
+@pytest.mark.parametrize("horizon", [0, -1, 1.5, True])
+def test_a_run_rejects_a_horizon_that_is_not_an_int_of_at_least_1(monkeypatch, horizon):
+    def no_seed(*args, **kwargs):
+        raise AssertionError("the run seeded an archive")
+
+    monkeypatch.setattr(evolve_module, "seed_archive", no_seed)
+    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=NearSighted(horizon), population_size=6, generations=3)
+    with pytest.raises(ValueError, match=re.escape(f"near:{horizon} has horizon {horizon!r}")):
+        run_evolution(cfg, split)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_hold_latest_rejects_a_count_below_1(count):
+    archive = evolved_archive(pop=4, gens=3)
+    with pytest.raises(ValueError, match="count >= 1"):
+        archive.hold_latest(count)
+    assert archive._held == {3}
+
+
 def json_archive_with(**overrides):
     """An evolved archive's JSON and split, with generation 1 slot 2 replaced."""
     archive = evolved_archive(pop=6, gens=2)
@@ -673,6 +695,80 @@ def test_train_and_test_semantics_are_slices_of_one_vector():
             assert np.shares_memory(ind.test_semantics, ind.semantics)
             assert np.array_equal(ind.semantics[:n_train], ind.train_semantics)
             assert np.array_equal(ind.semantics[n_train:], ind.test_semantics)
+
+
+def test_train_and_test_views_are_made_once_and_again_after_a_release():
+    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=UniformLastK(2), population_size=6, generations=4, seed=4)
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # generations 0-2 released
+    n_train = archive.n_train
+
+    def views_of(ind):
+        train, test = ind.train_semantics, ind.test_semantics
+        assert np.shares_memory(train, ind.semantics)
+        assert np.shares_memory(test, ind.semantics)
+        assert train.tobytes() == ind.semantics[:n_train].tobytes()
+        assert test.tobytes() == ind.semantics[n_train:].tobytes()
+        assert ind.train_semantics is train and ind.test_semantics is test
+        return train, test
+
+    first = [[views_of(ind) for ind in gen] for gen in archive.generations]
+    archive.release(3)
+    for ind, (train, test) in zip(archive.generations[3], first[3]):
+        new_train, new_test = views_of(ind)
+        assert new_train.tobytes() == train.tobytes()
+        assert new_test.tobytes() == test.tobytes()
+
+
+def test_two_threads_making_views_at_once_get_the_same_objects():
+    archive = evolved_archive(pop=20, gens=10, rows=60)
+    # A JSON clone holds every generation with no view made yet.
+    clone = Archive.from_json(archive.to_json(), archive.split)
+
+    def read():
+        return [
+            (id(ind.train_semantics), id(ind.test_semantics))
+            for gen in clone.generations
+            for ind in gen
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(read) for _ in range(4)]
+            reads = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert reads[1:] == reads[:1] * 3
+
+
+def payload_refs(archive) -> list:
+    """Every ref that the archive's payloads hold, in archive order."""
+    return [
+        ref
+        for gen in archive.generations
+        for ind in gen
+        for ref in archive_module._refs(ind.payload)
+    ]
+
+
+def test_every_ref_to_a_slot_is_one_object():
+    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=Geometric(0.5), population_size=10, generations=12, seed=4)
+    result = run_evolution(cfg, split, keep_archive=True)
+    archive = result.archive
+    clone = Archive.from_json(json.loads(json.dumps(archive.to_json())), split)
+    assert json.dumps(clone.to_json()) == json.dumps(archive.to_json())
+    for arch in (archive, clone):
+        refs = payload_refs(arch)
+        assert len(refs) > len(arch.generations) * 10
+        best = [arch.best_of_generation(g) for g in range(len(arch.generations))]
+        one = {}
+        for ref in refs + best:
+            assert one.setdefault((ref.generation, ref.index), ref) is ref
+        assert all(arch.best_of_generation(b.generation) is b for b in best)
+    assert result.final_best is archive.best_of_generation(len(archive.generations) - 1)
 
 
 def mixed_payloads(archive, n, rng):
