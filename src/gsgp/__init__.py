@@ -17,7 +17,6 @@ from .evolve import EvolutionConfig, RunResult, next_generation, run_evolution
 from .exprtree import (
     BinaryOp,
     Constant,
-    ExprTree,
     TreeGenConfig,
     Variable,
     eval_tree,
@@ -45,7 +44,6 @@ __all__ = [
     "Dataset",
     "EvalBudgetExceededError",
     "EvolutionConfig",
-    "ExprTree",
     "Geometric",
     "Individual",
     "IndividualRef",

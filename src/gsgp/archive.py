@@ -10,11 +10,9 @@ its memoized semantics. There are four payload kinds:
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
   breeding step) plus the random trees and step of the perturbation.
 
-A payload holds each of its trees as given. The engine gives it `Program`s,
-the flat postfix tuples of the exprtree module (from `gen_tree`, or from
-`tree_from_json` when an archive is loaded), so a kept archive holds one
-object per tree and no object per node. A tree written by hand with the
-node dataclasses is compiled each time it is evaluated or written.
+A payload holds each of its trees as a `Program`, the flat postfix tuple of
+the exprtree module, so a kept archive holds one object per tree and no
+object per node.
 
 The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one vector over those rows,
@@ -96,7 +94,7 @@ from .data import SplitDataset
 from .errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from .exprtree import (
     Columns,
-    ExprTree,
+    Program,
     _finite_number,
     eval_tree,
     eval_tree_many,
@@ -124,14 +122,14 @@ class IndividualRef:
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
-    tree: ExprTree
+    tree: Program
 
 
 @dataclass(frozen=True, slots=True)
 class Crossover:
     parent1: IndividualRef
     parent2: IndividualRef
-    random_tree: ExprTree
+    random_tree: Program
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,8 +148,8 @@ class Mutation:
     """
 
     base: Union[IndividualRef, Crossover]
-    random_tree_a: ExprTree
-    random_tree_b: Optional[ExprTree]
+    random_tree_a: Program
+    random_tree_b: Optional[Program]
     step: float
 
 
@@ -514,8 +512,8 @@ class Archive:
 
         A generation reads only generations below it, and by the time it is
         evaluated all of them are held, so nothing recurses. Each is
-        evaluated through `evaluate` and stays held; a recomputed row is a
-        new array with the same bits as the released one.
+        evaluated through `make_generation` and stays held; a recomputed row
+        is a new array with the same bits as the released one.
         """
         with self._restoring:
             held = self._held
@@ -523,10 +521,7 @@ class Archive:
                 return
             for g in [g for g in range(generation + 1) if g not in held]:
                 gen = self._generations[g]
-                made, rejects = self.evaluate([ind.payload for ind in gen], range(len(gen)))
-                if rejects:
-                    raise rejects[0]
-                for ind, new in zip(gen, made):
+                for ind, new in zip(gen, self.make_generation([ind.payload for ind in gen])):
                     ind._views = new._views
                 held.add(g)
 
@@ -720,7 +715,8 @@ def seed_archive(
     A tree whose semantics come out non-finite (protected division keeps
     this rare) is replaced by `regenerate(slot)`, a new tree for that slot.
     Without a regenerator, or when a slot fails _SLOT_RETRIES + 1 times in a
-    row, the seed aborts with the diagnostic rather than clamping values.
+    row, the seed aborts with the diagnostic, which names the tree's slot,
+    rather than clamping values.
     """
     if not trees:
         raise ValueError("cannot seed an archive from an empty tree list")
@@ -732,10 +728,12 @@ def seed_archive(
             try:
                 individuals.append(archive.make_individual(Leaf(tree)))
                 break
-            except NonFiniteSemanticsError:
+            except NonFiniteSemanticsError as exc:
                 failures += 1
                 if regenerate is None or failures > _SLOT_RETRIES:
-                    raise
+                    # make_individual names slot 0 of its generation of one.
+                    message = str(exc).replace(" slot 0 ", f" slot {slot} ", 1)
+                    raise NonFiniteSemanticsError(message, exc.split, exc.row, slot) from None
                 tree = regenerate(slot)
     archive.append_generation(individuals)
     return archive

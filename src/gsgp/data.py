@@ -54,8 +54,8 @@ class SplitDataset:
     split_seed: int
 
 
-def load_csv(path, has_header: bool = False, name: str = None) -> Dataset:
-    """Load a numeric CSV; last column becomes the target.
+def load_csv(path, has_header: bool = False) -> Dataset:
+    """Load a numeric CSV, named by its path; last column becomes the target.
 
     Blank lines are skipped; with has_header, so is the first other line.
     A diagnostic numbers rows by physical line, where a record ends, so a
@@ -101,17 +101,13 @@ def load_csv(path, has_header: bool = False, name: str = None) -> Dataset:
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
-    if name is None:
-        name = str(path)
-    return Dataset(name=name, inputs=data[:, :-1], targets=data[:, -1])
+    return Dataset(name=str(path), inputs=data[:, :-1], targets=data[:, -1])
 
 
-def save_csv(dataset: Dataset, path, header=None):
-    """Write a dataset back out; repr round-trips every float exactly."""
+def save_csv(dataset: Dataset, path):
+    """Write a dataset back out, with no header; repr round-trips every float exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
         for x, y in zip(dataset.inputs, dataset.targets):
             writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
 

@@ -182,24 +182,21 @@ def run_evolution(
     of every generation older than the distribution's horizon
     (`Archive.hold_latest`), a generation that a replay brought back
     included. So a run holds the semantics of the last `horizon`
-    generations and the rows their reproductions share, and a distribution
-    whose horizon is None keeps every generation's. Reading a released
+    generations and the rows their reproductions share. Reading a released
     generation's semantics, for a winner drawn from beyond the horizon or
     from the archive that keep_archive=True returns, recomputes it and
     every earlier released generation, oldest first; a recomputed row is a
     new array with the same bits. That archive holds the payloads and
     fitnesses of every generation, so it still answers every read.
 
-    A horizon that is neither None nor an int >= 1 (a bool included) raises
+    A horizon that is not an int >= 1 (None and a bool included) raises
     ValueError naming the distribution's label, before anything is drawn.
     """
     horizon = cfg.distribution.horizon
-    if horizon is not None and (
-        isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1
-    ):
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1:
         raise ValueError(
             f"distribution {cfg.distribution.label()} has horizon {horizon!r}; "
-            "expected None or an int >= 1"
+            "expected an int >= 1"
         )
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -227,8 +224,7 @@ def run_evolution(
     record_best(0)
     for _ in range(cfg.generations):
         next_generation(archive, cfg, rng, offset_counts=offset_counts, rejects=rejects)
-        if horizon is not None:
-            archive.hold_latest(horizon)
+        archive.hold_latest(horizon)
         record_best(len(archive.generations) - 1)
 
     histogram = {

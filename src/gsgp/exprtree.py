@@ -11,9 +11,9 @@ str one of OP_KINDS, applied to the values of the two subtrees before it. One
 stack loop evaluates a program, over the rows of an input matrix
 (`eval_tree_many`) or over one row (`eval_tree`). A program holds no
 object per node beyond its entries, so a kept archive's trees cost the
-garbage collector one tracked object each. The `Constant`, `Variable` and
-`BinaryOp` dataclasses are only a syntax for writing a tree by hand: the
-functions that take a tree compile one written that way to its program.
+garbage collector one tracked object each. `Constant(v)`, `Variable(i)` and
+`BinaryOp(kind, left, right)` write a program by hand, checked as it is
+built.
 
 Protected division yields 1.0 where the divisor is not above DIV_EPS in
 magnitude. A caller that evaluates many trees over one matrix prepares it
@@ -38,14 +38,13 @@ A tree is the live part of its heap: the root, and both children of every
 live node that is an operator. The draws of dead nodes are consumed unread.
 The program lists the live nodes in the postorder of the heap. No tree is
 deeper than MAX_TREE_DEPTH, which bounds the heap, the trees that are
-compiled and the trees `tree_from_json` accepts.
+written by hand and the trees `tree_from_json` accepts.
 """
 
 import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -55,7 +54,7 @@ OP_KINDS = ("add", "sub", "mul", "div")
 # (NaN included) yields 1.0.
 DIV_EPS = 1e-9
 
-# Deepest tree (root at depth 0) that is generated, compiled or parsed. A
+# Deepest tree (root at depth 0) that is generated, built or parsed. A
 # heap of this depth has 2^(MAX_TREE_DEPTH+1) - 1 nodes per tree.
 MAX_TREE_DEPTH = 10
 
@@ -63,31 +62,64 @@ MAX_TREE_DEPTH = 10
 class Program(tuple):
     """A tree as its nodes in postfix order (see the module docstring).
 
-    `gen_tree`, `tree_from_json` and the compilation of a hand-written tree
-    make programs; every variable index in one is a non-negative int.
+    `gen_tree`, `tree_from_json` and the `Constant`, `Variable` and
+    `BinaryOp` constructors make programs; every variable index in one is
+    a non-negative int.
     """
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Constant:
-    value: float
+    """`Constant(v)` is the program of the constant float(v)."""
+
+    def __new__(cls, value) -> Program:
+        return Program((float(value),))
 
 
-@dataclass(frozen=True, slots=True)
 class Variable:
-    index: int
+    """`Variable(i)` is the program that reads input column i, an index >= 0.
+
+    Whether the input has column i is checked when the program is run.
+    """
+
+    def __new__(cls, index) -> Program:
+        index = operator.index(index)
+        if index < 0:
+            raise ValueError(f"variable index {index} is negative")
+        return Program((index,))
 
 
-@dataclass(frozen=True, slots=True)
 class BinaryOp:
-    kind: str
-    left: "ExprTree"
-    right: "ExprTree"
+    """`BinaryOp(kind, left, right)` is the program of `kind` applied to two programs.
+
+    A kind not in OP_KINDS, or a result deeper than MAX_TREE_DEPTH, raises
+    ValueError; an operand that is not a program raises TypeError.
+    """
+
+    def __new__(cls, kind, left, right) -> Program:
+        if kind not in OP_KINDS:
+            raise ValueError(f"unknown operator kind {kind!r}")
+        for operand in (left, right):
+            if type(operand) is not Program:
+                raise TypeError(f"{operand!r} is not a tree")
+        if max(_depth(left), _depth(right)) >= MAX_TREE_DEPTH:
+            raise ValueError(f"tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
+        # The OP_KINDS str itself: _run tells an operator by `type(node) is str`.
+        kind = OP_KINDS[OP_KINDS.index(kind)]
+        return Program(left + right + (kind,))
 
 
-ExprTree = Union[Program, Constant, Variable, BinaryOp]
+def _depth(program: Program) -> int:
+    """The depth of a program's tree; a lone leaf has depth 0."""
+    depths = []
+    for node in program:
+        if type(node) is str:
+            right = depths.pop()
+            depths[-1] = max(depths[-1], right) + 1
+        else:
+            depths.append(0)
+    return depths[0]
 
 
 # Terminals are ephemeral constants, drawn uniformly from CONSTANT_RANGE,
@@ -211,41 +243,6 @@ def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
     return slots
 
 
-def _program(tree: ExprTree, n_features=None) -> Program:
-    """A program as it is, or the program of a tree written with nodes.
-
-    A hand-written tree must be no deeper than MAX_TREE_DEPTH, use
-    operators of OP_KINDS and index variables in [0, n_features) (any
-    non-negative index when n_features is None); otherwise ValueError.
-    """
-    if type(tree) is Program:
-        return tree
-    limit = math.inf if n_features is None else n_features
-    code = []
-
-    def emit(t, depth):
-        if depth > MAX_TREE_DEPTH:
-            raise ValueError(f"tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
-        if isinstance(t, Constant):
-            code.append(float(t.value))
-        elif isinstance(t, Variable):
-            index = operator.index(t.index)
-            if not 0 <= index < limit:
-                raise ValueError(f"variable index {index} out of range for {n_features} features")
-            code.append(index)
-        elif isinstance(t, BinaryOp):
-            if t.kind not in OP_KINDS:
-                raise ValueError(f"unknown operator kind {t.kind!r}")
-            emit(t.left, depth + 1)
-            emit(t.right, depth + 1)
-            code.append(t.kind)
-        else:
-            raise TypeError(f"{t!r} is not a tree")
-
-    emit(tree, 0)
-    return Program(code)
-
-
 def _divide(a, b, out=None):
     """Protected division of floats or arrays: a / b where |b| > DIV_EPS, else 1.0.
 
@@ -270,15 +267,6 @@ def _divide(a, b, out=None):
 
 
 _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
-# The operators with an output array: (left, right, out) -> out.
-_APPLY_INTO = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide}
-
-
-def _matrix(inputs) -> np.ndarray:
-    X = np.asarray(inputs, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("inputs must be a 2-d rows x n_features matrix")
-    return X
 
 
 class Columns:
@@ -294,7 +282,9 @@ class Columns:
     __slots__ = ("vectors", "safe", "rows", "_apply", "_apply_into")
 
     def __init__(self, matrix):
-        X = _matrix(matrix)
+        X = np.asarray(matrix, dtype=float)
+        if X.ndim != 2:
+            raise ValueError("inputs must be a 2-d rows x n_features matrix")
         self.vectors = tuple(X.T)
         self.safe = tuple((np.abs(X) > DIV_EPS).all(axis=0).tolist())
         self.rows = len(X)
@@ -308,18 +298,19 @@ class Columns:
             return _divide(a, b, out)
 
         self._apply = {**_APPLY, "div": divide}
-        self._apply_into = {**_APPLY_INTO, "div": divide}
+        # The operators with an output array: (left, right, out) -> out.
+        self._apply_into = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": divide}
 
 
-def _run(program: Program, columns, out=None, apply=_APPLY, apply_into=_APPLY_INTO):
+def _run(program: Program, columns, out=None, apply=_APPLY, apply_into=None):
     """The value of a program whose variable i reads columns[i].
 
     A value stays a Python float until it meets a column, so a constant
     subtree is computed once, with the same IEEE operations the columns get.
     With `out`, the value is written into that array, by the last operator
-    itself when the program ends in one, and `out` is returned. `apply` and
-    `apply_into` map each operator to its function, as _APPLY and
-    _APPLY_INTO do.
+    itself when the program ends in one through `apply_into` (operator to
+    function (left, right, out) -> out), and `out` is returned. `apply` maps
+    each operator to its function, as _APPLY does.
     """
     last = program[-1] if out is not None else None
     stack = []
@@ -346,38 +337,34 @@ def _run(program: Program, columns, out=None, apply=_APPLY, apply_into=_APPLY_IN
     return out
 
 
-def eval_tree(tree: ExprTree, x) -> float:
+def eval_tree(tree: Program, x) -> float:
     """Evaluate a tree on one input row (scalar arithmetic)."""
-    return _run(_program(tree, len(x)), np.asarray(x, dtype=float).tolist())
+    return _run(tree, np.asarray(x, dtype=float).tolist())
 
 
-def eval_tree_many(tree: ExprTree, inputs, out=None) -> np.ndarray:
+def eval_tree_many(tree: Program, inputs, out=None) -> np.ndarray:
     """Evaluate a tree on every row of a rows x n_features matrix at once.
 
     Agrees bitwise with a per-row eval_tree loop (the same IEEE operations,
     applied componentwise); this is the hot path for semantics computation.
-    `inputs` is the matrix or its `Columns`, which many calls share: they
-    then read prepared column views and divide by a safe column (one whose
-    every entry is above DIV_EPS in magnitude) without the guard, which
-    could not fail there. A plain matrix is not scanned for safe columns.
-    The result is written into `out`, a float64 vector of one entry per
-    row, and `out` is returned; without one it goes into a new array.
+    `inputs` is the matrix's `Columns`, which many calls share, or the
+    matrix, which is prepared as `Columns` for this call alone. A division
+    by a safe column (one whose every entry is above DIV_EPS in magnitude)
+    skips the guard, which could not fail there. The result is written into
+    `out`, a float64 vector of one entry per row, and `out` is returned;
+    without one it goes into a new array.
     """
-    if type(inputs) is Columns:
-        columns, apply, apply_into = inputs.vectors, inputs._apply, inputs._apply_into
-        rows = inputs.rows
-    else:
-        X = _matrix(inputs)
-        columns, apply, apply_into, rows = X.T, _APPLY, _APPLY_INTO, len(X)
+    if type(inputs) is not Columns:
+        inputs = Columns(inputs)
     if out is None:
-        out = np.empty(rows)
-    return _run(_program(tree, len(columns)), columns, out, apply, apply_into)
+        out = np.empty(inputs.rows)
+    return _run(tree, inputs.vectors, out, inputs._apply, inputs._apply_into)
 
 
-def tree_to_json(tree: ExprTree):
+def tree_to_json(tree: Program):
     """Nested {"op", "left", "right"} / {"const"} / {"var"} objects of a tree."""
     stack = []
-    for node in _program(tree):
+    for node in tree:
         if type(node) is str:
             right = stack.pop()
             stack[-1] = {"op": node, "left": stack[-1], "right": right}

@@ -11,8 +11,8 @@ object with two methods and one attribute: sample_many(current, n, rng),
 which returns an integer array of n generation indices in [0, current-1]
 for current >= 1; label(), which returns the spec that parse_distribution
 reads back (campaigns name and seed their strategies by it); and horizon,
-the number of latest generations whose semantics a run holds, or None to
-hold them all. A run releases the semantics of every older generation (see
+the number of latest generations whose semantics a run holds, an int >= 1.
+A run releases the semantics of every older generation (see
 `run_evolution`), and a winner drawn from one is read by exact replay, so
 the horizon changes only time and memory, never a result. UniformLastK(k)
 draws only from its horizon of k; Geometric draws beyond its horizon so

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import NonFiniteSemanticsError
-from .exprtree import ExprTree, eval_tree_many
+from .exprtree import Program, eval_tree_many
 
 # Bounds of sigmoid's finite outputs: the floats next to 0 and 1 inside (0, 1).
 _OPEN_LO = math.nextafter(0.0, 1.0)
@@ -117,7 +117,7 @@ def check_finite(values: np.ndarray, context: str, split: str = None, slot: int 
     )
 
 
-def semantics_of_tree(tree: ExprTree, inputs) -> np.ndarray:
+def semantics_of_tree(tree: Program, inputs) -> np.ndarray:
     """Outputs of a tree over every row of `inputs`, as a float64 vector."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values = eval_tree_many(tree, inputs)

@@ -23,7 +23,7 @@ from gsgp.archive import (
     Mutation,
     seed_archive,
 )
-from gsgp.data import synthetic_dataset, split_70_30
+from gsgp.data import Dataset, synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, run_evolution
 from gsgp.exprtree import (
@@ -110,6 +110,27 @@ def test_seed_retry_bound(small_split):
         seed_archive([Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate)
     # the same cap as breeding: the slot aborts on its _SLOT_RETRIES + 1-th failure
     assert calls == [1] * archive_module._SLOT_RETRIES
+
+
+@pytest.mark.parametrize("regenerates", [False, True])
+def test_a_seed_tree_that_fails_for_good_is_reported_in_its_own_slot(regenerates):
+    data = synthetic_dataset("polynomial", 30, 3, 0.0, seed=4)
+    split = split_70_30(Dataset(data.name, data.inputs * 1e200, data.targets), seed=1)
+    product = BinaryOp("mul", BinaryOp("mul", Variable(0), Variable(1)), Variable(2))
+    calls = []
+
+    def regenerate(slot):
+        calls.append(slot)
+        return product
+
+    with pytest.raises(NonFiniteSemanticsError) as caught:
+        seed_archive(
+            [Constant(1.0)] * 3 + [product], split, regenerate=regenerate if regenerates else None
+        )
+    assert caught.value.slot == 3
+    assert "Leaf payload in slot 3 at row" in str(caught.value)
+    assert "slot 0" not in str(caught.value)
+    assert calls == ([3] * archive_module._SLOT_RETRIES if regenerates else [])
 
 
 def test_crossover_midpoint():
@@ -475,7 +496,7 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
     # The bound holds after every replay: only the latest generation stays held.
     assert near.archive._held == {15}
     del replays[:]
-    whole = run(None)
+    whole = run(16)  # holds all 16 generations of the run
     assert replays == []
     assert np.array(near.train_rmse).tobytes() == np.array(whole.train_rmse).tobytes()
     assert np.array(near.test_rmse).tobytes() == np.array(whole.test_rmse).tobytes()
@@ -488,7 +509,7 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
         ]
 
 
-@pytest.mark.parametrize("horizon", [0, -1, 1.5, True])
+@pytest.mark.parametrize("horizon", [0, -1, 1.5, True, None])
 def test_a_run_rejects_a_horizon_that_is_not_an_int_of_at_least_1(monkeypatch, horizon):
     def no_seed(*args, **kwargs):
         raise AssertionError("the run seeded an archive")

@@ -19,6 +19,7 @@ from gsgp.exprtree import (
     BinaryOp,
     Columns,
     Constant,
+    Program,
     TreeGenConfig,
     Variable,
     eval_tree,
@@ -67,7 +68,7 @@ def leaves(tree):
 
 
 def nodes_from_json(obj):
-    """The tree of `tree_to_json` output, written with the node dataclasses."""
+    """The tree of `tree_to_json` output, built with the tree constructors."""
     if "const" in obj:
         return Constant(obj["const"])
     if "var" in obj:
@@ -207,7 +208,7 @@ def test_eval_hand_arithmetic():
 
 
 def test_eval_variable_out_of_range():
-    for tree in (Variable(2), Variable(-1), BinaryOp("add", Constant(1.0), Variable(-1))):
+    for tree in (Variable(2), BinaryOp("add", Constant(1.0), Variable(2))):
         with pytest.raises(ValueError, match="out of range"):
             eval_tree(tree, [1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):
@@ -228,6 +229,30 @@ def test_a_hand_written_tree_is_checked_when_compiled():
         eval_tree_many(BinaryOp("add", deep, Constant(1.0)), np.ones((2, 1)))
     with pytest.raises(ValueError, match="unknown operator kind 'pow'"):
         eval_tree(BinaryOp("pow", Constant(2.0), Constant(3.0)), [0.0])
+    with pytest.raises(ValueError, match="variable index -1 is negative"):
+        Variable(-1)
+    for operand in (1.0, 0, (0,), None):
+        with pytest.raises(TypeError, match="is not a tree"):
+            BinaryOp("add", Variable(0), operand)
+        with pytest.raises(TypeError, match="is not a tree"):
+            BinaryOp("add", operand, Variable(0))
+
+
+@pytest.mark.parametrize(
+    "tree, n_features",
+    [
+        (Constant(2.5), 1),
+        (Constant(np.float32(0.5)), 1),
+        (Variable(0), 1),
+        (Variable(np.int64(2)), 3),
+        (BinaryOp("div", Variable(1), BinaryOp("mul", Constant(-1.0), Variable(0))), 2),
+    ],
+)
+def test_the_constructors_make_programs(tree, n_features):
+    assert type(tree) is Program
+    assert not isinstance(tree, (Constant, Variable, BinaryOp))
+    # tree_from_json takes only a plain int as a variable index.
+    assert tree_from_json(tree_to_json(tree), n_features) == tree
 
 
 def test_vectorized_eval_matches_scalar_loop(rng):
@@ -300,8 +325,7 @@ def test_program_and_node_forms_evaluate_alike_and_round_trip(case):
     program = tree_from_json(obj, X.shape[1])
     nodes = nodes_from_json(obj)
     assert tree_to_json(program) == tree_to_json(nodes) == obj
-    if not isinstance(tree, (Constant, Variable, BinaryOp)):
-        assert program == tree
+    assert program == tree
     with np.errstate(all="ignore"):
         many = eval_tree_many(program, X)
         assert same_bits(many, [eval_tree(program, row) for row in X])
