@@ -87,14 +87,6 @@ def build_parser() -> _Parser:
         "bounded two-tree form",
     )
     p.add_argument("--out", metavar="DIR", help="directory for report files")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="runs at once, as threads that share one interpreter lock; the "
-        "engine is bound by Python overhead, so a second job usually slows a "
-        "campaign down",
-    )
     return p
 
 
@@ -152,7 +144,6 @@ def main(argv=None) -> int:
             runs=args.runs,
             base_seed=args.seed,
             template=template,
-            jobs=args.jobs,
             source=source,
         )
         if args.out:  # last, so a bad configuration leaves no directory behind

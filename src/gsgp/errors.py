@@ -1,4 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types, and the check of integer settings, shared across the package."""
+
+import numbers
+
+
+def checked_int(name: str, value, minimum: int) -> int:
+    """value as an int, if it is an integer >= minimum; otherwise ValueError naming name.
+
+    A bool is refused, although Python counts it as an integer, and a numpy
+    integer is stored as the int it holds.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 class NonFiniteSemanticsError(ValueError):

@@ -38,6 +38,7 @@ import numpy as np
 
 from .archive import _SLOT_RETRIES, Archive, Crossover, IndividualRef, Mutation, seed_archive
 from .data import SplitDataset
+from .errors import checked_int
 from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, gen_tree, ramp_schedule
 from .selection import UniformLastK, tournament_select
 
@@ -63,12 +64,10 @@ class EvolutionConfig:
     bounded_mutation: bool = True  # False: raw single-tree perturbation
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if self.generations < 0:
-            raise ValueError("generations must be >= 0")
-        if self.max_initial_depth < 0:
-            raise ValueError("max_initial_depth must be >= 0")
+        self.population_size = checked_int("population_size", self.population_size, 1)
+        self.generations = checked_int("generations", self.generations, 0)
+        self.max_initial_depth = checked_int("max_initial_depth", self.max_initial_depth, 0)
+        self.tournament_size = checked_int("tournament_size", self.tournament_size, 1)
         if self.max_initial_depth > MAX_TREE_DEPTH:
             raise ValueError(f"max_initial_depth must be <= MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -77,8 +76,6 @@ class EvolutionConfig:
             raise ValueError("mutation_rate must be in [0, 1]")
         if self.mutation_step < 0:
             raise ValueError("mutation_step must be >= 0")
-        if self.tournament_size < 1:
-            raise ValueError("tournament_size must be >= 1")
 
 
 @dataclass

@@ -18,19 +18,22 @@ trees, aligned with final_test_rmse), metadata.json (timestamps,
 durations), runs.csv (per-run finals), boxplot.csv (per-strategy final
 test RMSE columns).
 
-Runs execute on a pool of `jobs` threads in one process. They share the
-interpreter lock, and a run spends most of its time in Python bytecode and
-small numpy calls, so at a few hundred to a few thousand rows a second job
-makes a campaign slower, not faster: six 50x50 runs took 1.25-1.48x their
-jobs=1 wall time at 200 rows and 1.42x at 1500 rows (2-vCPU x86-64,
-numpy 2.4). jobs=1 runs each task on the calling thread.
+Runs execute one at a time, in task order, on the calling thread, whatever
+`jobs` is. A run spends most of its time in Python bytecode and small
+numpy calls, which threads sharing the interpreter lock cannot overlap.
+The thread pool that ran them before made six 50x50 runs on 200 rows take
+1.1-1.5x the serial wall time. It helped only at 6000 rows, where numpy's
+larger calls release the lock: four 50x30 runs took 0.82-0.99x the serial
+time there, and 0.97-1.14x at 1500-3000 rows (2-vCPU x86-64, numpy 2.4).
+So `jobs` has no effect on speed for now: it is validated and kept as the
+worker count of process workers (ROADMAP direction 3), the planned
+parallelism.
 """
 
 import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, split_70_30, split_sizes_70_30
-from .errors import NonFiniteSemanticsError
+from .errors import NonFiniteSemanticsError, checked_int
 from .evolve import RNG_STREAM, EvolutionConfig, RunResult, run_evolution
 from .selection import UniformLastK, parse_distribution
 from .stats import median, rank_sum_test
@@ -66,6 +69,17 @@ def split_seed(base_seed: int, run_index: int) -> int:
 
 @dataclass
 class Campaign:
+    """`runs` seeded runs of each strategy on `dataset`.
+
+    `jobs` (>= 1) currently has no effect, on speed or on any output: runs
+    execute one at a time in the calling process, because a pool of threads
+    made a 200-row campaign 1.1-1.5x slower (see the module docstring). It
+    is validated and kept as the worker count of process workers (ROADMAP
+    direction 3).
+    `runs` and `jobs` must be integers, not bools; a numpy integer is
+    stored as an int.
+    """
+
     dataset: Dataset
     strategies: list
     runs: int = 100
@@ -75,10 +89,8 @@ class Campaign:
     source: str = ""
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        self.runs = checked_int("runs", self.runs, 1)
+        self.jobs = checked_int("jobs", self.jobs, 1)
         if not self.strategies:
             raise ValueError("campaign needs at least one strategy")
         split_sizes_70_30(self.dataset.rows)
@@ -127,7 +139,7 @@ class StrategyResult:
 class CampaignReport:
     """The campaign that ran, each strategy's results, and when it ran.
 
-    The dataset, seeds, runs, jobs and evolution template of the report are
+    The dataset, seeds, runs and evolution template of the report are
     read from `campaign` when it is written. No code in the package, its
     tests, benchmark or tools mutates a Campaign after run_campaign, so they
     are the ones the runs used; a caller that did would change the report.
@@ -202,7 +214,6 @@ class CampaignReport:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "total_seconds": self.total_seconds,
-            "jobs": self.campaign.jobs,
             "mean_run_seconds": {
                 s.name: (float(np.mean(s.durations)) if s.durations else None)
                 for s in self.strategies
@@ -247,6 +258,9 @@ def _evolution_echo(cfg: EvolutionConfig) -> dict:
 def run_campaign(campaign: Campaign) -> CampaignReport:
     """Execute runs x strategies seeded evolutions and assemble the report.
 
+    The runs execute one after another on the calling thread, strategy by
+    strategy and, within a strategy, in run order, whatever campaign.jobs is.
+
     A run that raises is recorded as its strategy's outcome for that run, by
     its message for NonFiniteSemanticsError and as "<Type>: message" for any
     other exception, and the other runs go on.
@@ -255,8 +269,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
 
-    def one_run(task):
-        dist, r = task
+    def one_run(dist, r):
         try:
             split = split_70_30(campaign.dataset, split_seed(campaign.base_seed, r))
             cfg = replace(
@@ -270,9 +283,7 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
         except Exception as exc:  # one crashed run must not discard the campaign
             return f"{type(exc).__name__}: {exc}"
 
-    tasks = [(dist, r) for dist in strategies for r in range(campaign.runs)]
-    with ThreadPoolExecutor(max_workers=campaign.jobs) as pool:
-        outcomes = list(pool.map(one_run, tasks) if campaign.jobs > 1 else map(one_run, tasks))
+    outcomes = [one_run(dist, r) for dist in strategies for r in range(campaign.runs)]
 
     n = campaign.runs
     return CampaignReport(

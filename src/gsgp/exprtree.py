@@ -80,10 +80,14 @@ class Constant:
 class Variable:
     """`Variable(i)` is the program that reads input column i, an index >= 0.
 
-    Whether the input has column i is checked when the program is run.
+    A bool is refused, as `tree_from_json` refuses it, although Python
+    counts it as an integer. Whether the input has column i is checked when
+    the program is run.
     """
 
     def __new__(cls, index) -> Program:
+        if isinstance(index, bool):
+            raise ValueError(f"variable index {index!r} is a bool, not a feature index")
         index = operator.index(index)
         if index < 0:
             raise ValueError(f"variable index {index} is negative")

@@ -30,12 +30,12 @@ that is later rejected for non-finite semantics stay tallied.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .archive import Archive
+from .errors import checked_int
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,7 @@ class UniformLastK:
     k: int
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
-            raise ValueError(f"k must be an integer, not {self.k!r}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", checked_int("k", self.k, 1))
 
     def sample_many(self, current: int, n: int, rng: np.random.Generator) -> np.ndarray:
         lo = max(0, current - self.k)

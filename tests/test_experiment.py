@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -220,3 +222,39 @@ def test_campaign_validation():
         tiny_campaign(jobs=0)
     with pytest.raises(ValueError):
         tiny_campaign(strategies=[])
+
+
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (tiny_campaign, "runs"),
+        (tiny_campaign, "jobs"),
+        (EvolutionConfig, "population_size"),
+        (EvolutionConfig, "generations"),
+        (EvolutionConfig, "max_initial_depth"),
+        (EvolutionConfig, "tournament_size"),
+    ],
+)
+def test_a_count_is_an_integer_not_a_bool_or_a_fraction(make, name):
+    for bad in (True, False, 2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {re.escape(repr(bad))}$"):
+            make(**{name: bad})
+    made = getattr(make(**{name: np.int64(2)}), name)
+    assert made == 2 and type(made) is int
+
+
+def test_every_run_executes_on_the_calling_thread_in_task_order(monkeypatch, tmp_path):
+    real = experiment.run_evolution
+    calls = []
+
+    def recording(cfg, split, **kw):
+        calls.append((threading.get_ident(), cfg.seed))
+        return real(cfg, split, **kw)
+
+    monkeypatch.setattr(experiment, "run_evolution", recording)
+    report = run_campaign(tiny_campaign(jobs=2))
+    # strategy-major: every run of u:1, then every run of u:3
+    seeds = [run_seed(11, label, r) for label in ("u:1", "u:3") for r in range(3)]
+    assert calls == [(threading.get_ident(), seed) for seed in seeds]
+    metadata = json.loads(write_outputs(report, tmp_path)["metadata"].read_text())
+    assert "jobs" not in metadata  # it does not say how the runs executed

@@ -238,6 +238,16 @@ def test_a_hand_written_tree_is_checked_when_compiled():
             BinaryOp("add", operand, Variable(0))
 
 
+def test_a_variable_index_is_an_int_not_a_bool():
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"variable index {flag} is a bool"):
+            Variable(flag)
+        with pytest.raises(ValueError, match=f"variable {flag} is not a feature index"):
+            tree_from_json({"var": flag}, 2)
+    program = Variable(np.int64(1))
+    assert program == Program((1,)) and type(program[0]) is int
+
+
 @pytest.mark.parametrize(
     "tree, n_features",
     [
