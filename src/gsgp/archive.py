@@ -63,27 +63,25 @@ every other payload is an object with a "kind" of "leaf", "crossover" or
 "mutation". Semantics are not stored; `from_json` recomputes them.
 
 Semantics are needed only for the generations that selection can still
-read. `release(g)` drops the archive's references to generation g's rows
-but keeps its payloads and fitnesses, and `run_evolution` calls
-`hold_latest(h)` after each generation with the distribution's horizon h,
-so the semantics a run holds grow with h, not with the run length. Reading
-a released individual's semantics (through `individual`, `generations[g][i]`
-or iterating a generation) recomputes its generation and every earlier
-released generation, oldest first, and they stay held until released
-again. A recomputed row is a new array with the same bits, even where a
-later reproduction still holds the original. Payloads and fitnesses are
-read without a recompute, so `to_json`, `naive_eval`, tournaments and
-elitism never trigger one.
+read. `release(g)` drops generation g's rows from its individuals but keeps
+their payloads and fitnesses, and `run_evolution` calls `hold_latest(h)`
+after each generation with the distribution's horizon h, so the semantics a
+run holds grow with h, not with the run length. Reading a released
+individual's semantics (through `individual`, `generations[g][i]` or
+iterating a generation) replays only the released part of its own
+ancestry, oldest generation first, and keeps only the row that was read:
+the individual holds it until its generation is released again. A replayed
+row is a new array with the same bits, even where a later reproduction
+still holds the original. Payloads and fitnesses are read without a
+replay, so `to_json`, `naive_eval`, tournaments and elitism never trigger
+one.
 
-Completed generations change only by being released or recomputed, which
-changes no value that can be read. Evaluating payloads writes only arrays
-that the call allocates, a recompute holds the archive's lock, and an
-individual's train and test views are made under a lock on their first
-read, so evaluations and reads may share an archive. Only appending or
-releasing a generation requires exclusive access.
+An archive belongs to one thread: nothing in it is locked. Completed
+generations change only by being released or read, which changes no value
+that can be read, and evaluating payloads whose parents hold their rows
+writes only arrays that the call allocates.
 """
 
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -163,8 +161,9 @@ class Individual:
     first read of either; later reads return the same two objects, and a
     reproduction shares its parent's. When the archive has released the
     individual's generation (see `Archive.release`), reading any of the
-    three first recomputes that generation and every earlier released one,
-    oldest first; a recomputed row is a new array with the same bits, and
+    three first replays the individual from the released part of its
+    ancestry (see `Archive._replay`). It then holds the replayed row, a new
+    array with the same bits, until its generation is released again, and
     its views are made again on their first read.
     """
 
@@ -193,10 +192,10 @@ class Individual:
         return self._held()[2]
 
     def _stored(self) -> tuple:
-        """The current views tuple, its generation recomputed first if released."""
+        """The current views tuple, the individual replayed first if released."""
         views = self._views
         if type(views) is _Released:
-            views.restore()
+            views.restore(self)
             views = self._views
         return views
 
@@ -204,17 +203,9 @@ class Individual:
         """(semantics, train_semantics, test_semantics), the views made on first call."""
         views = self._stored()
         if len(views) == 2:
-            with _MAKING_VIEWS:
-                views = self._views
-                if len(views) == 2:
-                    row, n_train = views
-                    views = self._views = (row, row[:n_train], row[n_train:])
+            row, n_train = views
+            views = self._views = (row, row[:n_train], row[n_train:])
         return views
-
-
-# Makes the first read of an individual's views check-then-act atomic, so two
-# threads reading at once get the same view objects.
-_MAKING_VIEWS = threading.Lock()
 
 
 class _Released:
@@ -230,13 +221,13 @@ class _Released:
         self.archive = weakref.ref(archive)
         self.generation = generation
 
-    def restore(self):
+    def restore(self, individual: Individual):
         archive = self.archive()
         if archive is None:
             raise RuntimeError(
                 f"generation {self.generation} was released and its archive is gone"
             )
-        archive._restore(self.generation)
+        archive._replay(individual, self.generation)
 
 
 class Archive:
@@ -261,8 +252,7 @@ class Archive:
         # Row g holds generation g's train fitnesses; rows past the last
         # completed generation are unfilled capacity.
         self._train_fitness = np.empty((0, 0))
-        self._held = set()  # generations whose views are not _Released stand-ins
-        self._restoring = threading.RLock()
+        self._held = set()  # generations where at least one individual holds its row
 
     # -- addressing ---------------------------------------------------
 
@@ -359,7 +349,7 @@ class Archive:
         size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
         for start in range(0, len(fresh), size):
             positions = fresh[start : start + size]
-            block = self._evaluate([payloads[slots[pos]] for pos in positions])
+            block = self._evaluate([payloads[slots[pos]] for pos in positions], self._row)
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
                 for i in np.flatnonzero(~finite).tolist():
@@ -382,16 +372,17 @@ class Archive:
         except NonFiniteSemanticsError as exc:
             return exc
 
-    def _evaluate(self, payloads: list) -> np.ndarray:
-        """Stacked semantics of non-reference payloads, one row each, in a new block.
+    def _evaluate(self, payloads: list, row_of) -> np.ndarray:
+        """Stacked semantics of payloads, one row each, in a new block.
 
-        Each random tree is evaluated once into a row of a tree temporary;
-        the trees under a sigmoid come first and go through one sigmoid
-        call. Crossover mixing and mutation deltas are then whole-matrix
-        operations, in the order child = w*p1 + (1-w)*p2 and
-        child = base + step*(sig(a) - sig(b)) (or base + step*a for raw
-        mutation). The block and the temporaries are allocated per call and
-        shared with nothing, so calls may run concurrently.
+        row_of(ref) is the semantics row of a ref that a payload reads. A
+        reproduction's row is a copy of its parent's. Each random tree is
+        evaluated once into a row of a tree temporary; the trees under a
+        sigmoid come first and go through one sigmoid call. Crossover mixing
+        and mutation deltas are then whole-matrix operations, in the order
+        child = w*p1 + (1-w)*p2 and child = base + step*(sig(a) - sig(b))
+        (or base + step*a for raw mutation). The block and the temporaries
+        are allocated per call and shared with nothing.
         """
         block = np.empty((len(payloads), len(self.inputs)))
         leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
@@ -422,13 +413,13 @@ class Archive:
             for row, tree in leaves:
                 eval_tree_many(tree, self._columns, out=block[row])
             for row, ref in ref_bases:
-                block[row] = self._generations[ref.generation][ref.index].semantics
+                block[row] = row_of(ref)
             if n_sigmoid:
                 sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
             if crossovers:
                 w = trees[:n_cross]
-                p1 = self._stack([c.parent1 for _, c in crossovers])
-                p2 = self._stack([c.parent2 for _, c in crossovers])
+                p1 = _stack([row_of(c.parent1) for _, c in crossovers])
+                p2 = _stack([row_of(c.parent2) for _, c in crossovers])
                 np.multiply(w, p1, out=p1)
                 np.subtract(1.0, w, out=w)
                 np.multiply(w, p2, out=p2)
@@ -441,11 +432,9 @@ class Archive:
                 _add_steps(block, raw, trees[n_sigmoid:])
         return block
 
-    def _stack(self, refs) -> np.ndarray:
-        """The semantics of these refs, one per row, in a new array."""
-        generations = self._generations
-        rows = [generations[ref.generation][ref.index].semantics for ref in refs]
-        return np.concatenate(rows).reshape(len(rows), -1)
+    def _row(self, ref: IndividualRef) -> np.ndarray:
+        """The semantics row of an archived individual, replayed first if released."""
+        return self._generations[ref.generation][ref.index].semantics
 
     def append_generation(self, individuals: list):
         """Complete the next generation: its individuals, fitness row and refs.
@@ -473,15 +462,16 @@ class Archive:
         self._generations = generations + (tuple(individuals),)
         self._held.add(g)
 
-    # -- release and recompute -----------------------------------------
+    # -- release and replay -------------------------------------------
 
     def release(self, generation: int):
-        """Drop the archive's references to a completed generation's semantics.
+        """Drop a completed generation's semantics from all its individuals.
 
         The generation keeps its payloads and fitnesses. Its blocks are freed
-        once nothing else references their rows. Reading its semantics
-        afterwards recomputes it and every earlier released generation (see
-        `_restore`); a recomputed row is a new array with the same bits.
+        once nothing else references their rows. Reading one of its
+        individuals afterwards replays that individual alone (see
+        `_replay`), which then holds its row, a new array with the same
+        bits, until the generation is released again.
         """
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
@@ -496,10 +486,10 @@ class Archive:
         """Release every held generation but the latest `count`.
 
         This visits only the held generations, so a run that calls it after
-        each generation keeps at most `count` of them held, whatever a
-        replay brought back, without a scan of the history. A count below 1
-        raises ValueError: it would release the newest generation too, and
-        every later read would replay the whole history.
+        each generation keeps at most `count` of them held, whatever reads
+        brought back, without a scan of the history. A count below 1 raises
+        ValueError: it would release the newest generation too, and the next
+        generation would replay every parent it reads.
         """
         if count < 1:
             raise ValueError(f"hold_latest needs a count >= 1, not {count!r}")
@@ -507,23 +497,45 @@ class Archive:
         for g in [g for g in self._held if g < cutoff]:
             self.release(g)
 
-    def _restore(self, generation: int):
-        """Recompute a released generation and every earlier released one, oldest first.
+    def _replay(self, individual: Individual, generation: int):
+        """Recompute a released individual of `generation` and hold its row there.
 
-        A generation reads only generations below it, and by the time it is
-        evaluated all of them are held, so nothing recurses. Each is
-        evaluated through `make_generation` and stays held; a recomputed row
-        is a new array with the same bits as the released one.
+        Its released ancestry is found by walking back over payload refs,
+        stopping at every individual that holds its row. That ancestry is
+        evaluated oldest generation first, one `_evaluate` call per
+        generation, reading parent rows from the rows replayed so far; each
+        replayed row is dropped after the last generation that reads it.
+        Only `individual` keeps its row, in a block of its own.
         """
-        with self._restoring:
-            held = self._held
-            if generation in held:
-                return
-            for g in [g for g in range(generation + 1) if g not in held]:
-                gen = self._generations[g]
-                for ind, new in zip(gen, self.make_generation([ind.payload for ind in gen])):
-                    ind._views = new._views
-                held.add(g)
+        generations = self._generations
+        last_read = {}  # released ancestor -> the newest generation that reads it
+        todo = [(generation, individual.payload)]
+        while todo:
+            reader, payload = todo.pop()
+            for ref in _refs(payload):
+                parent = generations[ref.generation][ref.index]
+                if type(parent._views) is _Released:
+                    if ref not in last_read:
+                        todo.append((ref.generation, parent.payload))
+                    last_read[ref] = max(reader, last_read.get(ref, reader))
+        shares, expiring = {}, {}
+        for ref in sorted(last_read, key=lambda r: (r.generation, r.index)):
+            shares.setdefault(ref.generation, []).append(ref)
+            expiring.setdefault(last_read[ref], []).append(ref)
+        rows = {}
+
+        def row_of(ref):
+            row = rows.get(ref)
+            return self._row(ref) if row is None else row
+
+        for g, refs in shares.items():
+            block = self._evaluate([generations[g][ref.index].payload for ref in refs], row_of)
+            rows.update(zip(refs, block))
+            for ref in expiring.pop(g, ()):
+                del rows[ref]
+        row = self._evaluate([individual.payload], row_of)[0]
+        individual._views = (row, self.n_train)
+        self._held.add(generation)
 
     # -- oracle -------------------------------------------------------
 
@@ -631,6 +643,11 @@ def _refs(payload: Payload) -> tuple:
     if isinstance(payload, Crossover):
         return (payload.parent1, payload.parent2)
     return ()
+
+
+def _stack(rows) -> np.ndarray:
+    """These rows, one per row of a new array."""
+    return np.concatenate(rows).reshape(len(rows), -1)
 
 
 def _add_steps(block, mutations, delta):

@@ -39,7 +39,7 @@ import numpy as np
 from .archive import _SLOT_RETRIES, Archive, Crossover, IndividualRef, Mutation, seed_archive
 from .data import SplitDataset
 from .errors import checked_int
-from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, gen_tree, ramp_schedule
+from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, _finite_number, gen_tree, ramp_schedule
 from .selection import UniformLastK, tournament_select
 
 # The order in which a run draws its randomness (see the module docstring);
@@ -68,14 +68,20 @@ class EvolutionConfig:
         self.generations = checked_int("generations", self.generations, 0)
         self.max_initial_depth = checked_int("max_initial_depth", self.max_initial_depth, 0)
         self.tournament_size = checked_int("tournament_size", self.tournament_size, 1)
+        self.seed = checked_int("seed", self.seed, 0)
         if self.max_initial_depth > MAX_TREE_DEPTH:
             raise ValueError(f"max_initial_depth must be <= MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ValueError("crossover_rate must be in [0, 1]")
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if self.mutation_step < 0:
-            raise ValueError("mutation_step must be >= 0")
+        for name in ("crossover_rate", "mutation_rate"):
+            rate = getattr(self, name)
+            if not (_finite_number(rate) and 0.0 <= rate <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], not {rate!r}")
+        if not (_finite_number(self.mutation_step) and self.mutation_step >= 0):
+            raise ValueError(
+                f"mutation_step must be a finite number >= 0, not {self.mutation_step!r}"
+            )
+        for name in ("elitism", "bounded_mutation"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool, not {getattr(self, name)!r}")
 
 
 @dataclass
@@ -177,14 +183,14 @@ def run_evolution(
 
     After each generation is appended, the archive releases the semantics
     of every generation older than the distribution's horizon
-    (`Archive.hold_latest`), a generation that a replay brought back
+    (`Archive.hold_latest`), an individual that a read brought back
     included. So a run holds the semantics of the last `horizon`
     generations and the rows their reproductions share. Reading a released
-    generation's semantics, for a winner drawn from beyond the horizon or
-    from the archive that keep_archive=True returns, recomputes it and
-    every earlier released generation, oldest first; a recomputed row is a
-    new array with the same bits. That archive holds the payloads and
-    fitnesses of every generation, so it still answers every read.
+    individual's semantics, for a winner drawn from beyond the horizon or
+    from the archive that keep_archive=True returns, replays only the
+    released part of its own ancestry and keeps only its row, a new array
+    with the same bits. That archive holds the payloads and fitnesses of
+    every generation, so it still answers every read.
 
     A horizon that is not an int >= 1 (None and a bool included) raises
     ValueError naming the distribution's label, before anything is drawn.

@@ -42,6 +42,7 @@ written by hand and the trees `tree_from_json` accepts.
 """
 
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -378,9 +379,9 @@ def tree_to_json(tree: Program):
 
 
 def _finite_number(value) -> bool:
-    """Whether a parsed JSON value is a finite int or float (a bool is not)."""
+    """Whether value is a finite real number, such as an int or a float (a bool is not)."""
     return (
-        isinstance(value, (int, float))
+        isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
     )

@@ -336,7 +336,8 @@ def test_released_generations_recompute_as_a_json_round_trip_does(k, newest_firs
     archive = run_evolution(cfg, split, keep_archive=True).archive
     clone = Archive.from_json(archive.to_json(), split)  # computes every generation
     order = range(len(archive.generations))
-    # Newest first, the first read recomputes every released generation at once.
+    # Newest first, each read replays the released ancestry of the individual
+    # read; oldest first, its parents already hold the rows it reads.
     for g in reversed(order) if newest_first else order:
         for a, b in zip(archive.generations[g], clone.generations[g]):
             assert a.semantics.tobytes() == b.semantics.tobytes()
@@ -355,17 +356,17 @@ def test_recomputing_a_long_history_does_not_recurse():
     assert newest_released[0].semantics.tobytes() == clone.generations[-2][0].semantics.tobytes()
 
 
-def counted_evaluations(monkeypatch) -> list:
-    """A list that gets one entry per `Archive.evaluate` call from now on."""
-    evaluated = []
-    evaluate = Archive.evaluate
+def counted_replays(monkeypatch) -> list:
+    """A list that gets the generation of each `Archive._replay` call from now on."""
+    replays = []
+    replay = Archive._replay
 
-    def counting_evaluate(self, payloads, slots):
-        evaluated.append(len(payloads))
-        return evaluate(self, payloads, slots)
+    def counting_replay(self, individual, generation):
+        replays.append(generation)
+        replay(self, individual, generation)
 
-    monkeypatch.setattr(Archive, "evaluate", counting_evaluate)
-    return evaluated
+    monkeypatch.setattr(Archive, "_replay", counting_replay)
+    return replays
 
 
 def test_generations_released_in_any_order_recompute_once_as_a_json_round_trip_does(
@@ -377,47 +378,73 @@ def test_generations_released_in_any_order_recompute_once_as_a_json_round_trip_d
     clone = Archive.from_json(archive.to_json(), split)
     for g in (5, 2, 7, 3, 5):
         archive.release(g)
-    evaluated = counted_evaluations(monkeypatch)
+    replays = counted_replays(monkeypatch)
     for _ in range(2):
         for g in (7, 3, 5, 2, 0):
             for a, b in zip(archive.generations[g], clone.generations[g]):
                 assert a.semantics.tobytes() == b.semantics.tobytes()
                 assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
-        # the first read of 7 recomputes the four released generations, once each
-        assert evaluated == [8] * 4
-    # A recomputed generation can be released again, and then recomputes alone.
+        # each individual of a released generation is replayed on its first read only
+        assert replays == [7] * 8 + [3] * 8 + [5] * 8 + [2] * 8
+    # A read generation can be released again, and then each read replays again.
     archive.release(5)
     for a, b in zip(archive.generations[5], clone.generations[5]):
         assert a.semantics.tobytes() == b.semantics.tobytes()
-    assert evaluated == [8] * 5
+    assert replays[32:] == [5] * 8
 
 
-def test_two_threads_reading_released_generations_match_a_json_round_trip(monkeypatch):
-    split = split_70_30(synthetic_dataset("polynomial", 200, 2, 0.1, seed=5), seed=1)
-    cfg = EvolutionConfig(distribution=UniformLastK(2), population_size=20, generations=30, seed=6)
-    archive = run_evolution(cfg, split, keep_archive=True).archive
+def released_ancestry(archive, ref, holding) -> list:
+    """Refs of ref's ancestors reached over individuals not in `holding`, a set of (g, i)."""
+    found, todo = {}, [ref]
+    while todo:
+        for parent in archive_module._refs(archive.individual(todo.pop()).payload):
+            key = (parent.generation, parent.index)
+            if key not in holding and key not in found:
+                found[key] = parent
+                todo.append(parent)
+    return [found[key] for key in sorted(found)]
+
+
+def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(monkeypatch):
+    split = split_70_30(synthetic_dataset("polynomial", 40, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(population_size=10, generations=12, seed=5)
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # u:1 holds only 12
     clone = Archive.from_json(archive.to_json(), split)
-    order = range(len(archive.generations))
-    evaluated = counted_evaluations(monkeypatch)
+    holding = {(12, i) for i in range(10)}
+    calls, blocks = [], []
+    evaluate = Archive._evaluate
 
-    def read(generations):
-        return {g: [ind.semantics.tobytes() for ind in archive.generations[g]] for g in generations}
+    def recording_evaluate(self, payloads, row_of):
+        # u:1 parents are one generation back, so a replay holds at most the
+        # rows of the generation before the one it evaluates.
+        assert all(block() is None for block in blocks[:-1])
+        calls.append(payloads)
+        block = evaluate(self, payloads, row_of)
+        blocks.append(weakref.ref(block))
+        return block
 
-    # Switch threads as often as the interpreter allows, so one reader runs
-    # into the other's recompute.
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(2) as pool:
-            futures = [pool.submit(read, order), pool.submit(read, reversed(order))]
-            reads = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for got in reads:
-        for g in order:
-            assert got[g] == [ind.semantics.tobytes() for ind in clone.generations[g]]
-    # Under the lock each of the 29 released generations is recomputed once.
-    assert evaluated == [20] * 29
+    monkeypatch.setattr(Archive, "_evaluate", recording_evaluate)
+    for g, i in [(9, 3), (10, 3), (4, 0), (10, 7)]:
+        ref = IndividualRef(g, i)
+        ancestry = released_ancestry(archive, ref, holding)
+        del calls[:], blocks[:]
+        row = archive.individual(ref).semantics
+        shares = sorted({a.generation for a in ancestry})
+        expected = [
+            [archive.individual(a).payload for a in ancestry if a.generation == h] for h in shares
+        ]
+        assert [[id(p) for p in call] for call in calls] == [
+            [id(p) for p in share] for share in expected + [[archive.individual(ref).payload]]
+        ]
+        assert len(ancestry) > len(shares)  # some generation evaluates several individuals
+        assert [block() is None for block in blocks] == [True] * len(shares) + [False]
+        assert row.base is blocks[-1]() and row.base.shape == (1, len(archive.inputs))
+        assert row.tobytes() == clone.individual(ref).semantics.tobytes()
+        holding.add((g, i))
+        assert archive._held == {h for h, _ in holding}
+        for h, gen in enumerate(archive.generations):
+            for j, ind in enumerate(gen):
+                assert (type(ind._views) is archive_module._Released) == ((h, j) not in holding)
 
 
 def test_a_released_individual_that_outlives_its_archive_says_so():
@@ -442,11 +469,11 @@ def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
         blocks.extend(weakref.ref(ind.semantics.base) for ind in individuals)
         append(self, individuals)
 
-    def no_recompute(self, generation):
-        raise AssertionError(f"generation {generation} recomputed during the run")
+    def no_replay(self, individual, generation):
+        raise AssertionError(f"an individual of generation {generation} replayed during the run")
 
     monkeypatch.setattr(Archive, "append_generation", recording_append)
-    monkeypatch.setattr(Archive, "_restore", no_recompute)
+    monkeypatch.setattr(Archive, "_replay", no_replay)
     split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=distribution, population_size=20, generations=15, seed=3)
     archive = run_evolution(cfg, split, keep_archive=True).archive
@@ -474,15 +501,7 @@ class NearSighted:
 
 
 def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch):
-    replays = []
-    restore = Archive._restore
-
-    def counting_restore(self, generation):
-        if generation not in self._held:
-            replays.append(generation)
-        restore(self, generation)
-
-    monkeypatch.setattr(Archive, "_restore", counting_restore)
+    replays = counted_replays(monkeypatch)
     split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
 
     def run(horizon):
@@ -492,7 +511,8 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
         return run_evolution(cfg, split, keep_archive=True)
 
     near = run(1)
-    assert len(replays) > 5  # most generations draw a winner from beyond the latest one
+    # most generations draw a winner from beyond the latest one
+    assert len(set(replays)) > 5 and len(replays) > len(set(replays))
     # The bound holds after every replay: only the latest generation stays held.
     assert near.archive._held == {15}
     del replays[:]
@@ -503,10 +523,36 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
     assert near.final_best == whole.final_best
     assert near.offset_histogram == whole.offset_histogram
     assert near.archive.to_json() == whole.archive.to_json()
-    for gen_a, gen_b in zip(near.archive.generations, whole.archive.generations):
-        assert [ind.semantics.tobytes() for ind in gen_a] == [
-            ind.semantics.tobytes() for ind in gen_b
-        ]
+    clone = Archive.from_json(near.archive.to_json(), split)
+    for gens in zip(near.archive.generations, whole.archive.generations, clone.generations):
+        rows = [[ind.semantics.tobytes() for ind in gen] for gen in gens]
+        assert rows[0] == rows[1] == rows[2]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 5)), max_size=30))
+def test_reads_and_releases_in_any_order_match_a_json_round_trip(steps):
+    """(True, g, i) reads slot i of generation g, and (False, g, _) releases generation g."""
+    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=NearSighted(2), population_size=6, generations=8, seed=2)
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # generations 7-8 held
+    clone = Archive.from_json(archive.to_json(), split)
+
+    def same(g, i):
+        a, b = archive.generations[g][i], clone.generations[g][i]
+        assert a.train_semantics.tobytes() == b.train_semantics.tobytes()
+        assert a.test_semantics.tobytes() == b.test_semantics.tobytes()
+        assert a.semantics.tobytes() == b.semantics.tobytes()
+        assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
+
+    for read, g, i in steps:
+        if read:
+            same(g, i)
+        else:
+            archive.release(g)
+    for g in range(len(archive.generations)):
+        for i in range(6):
+            same(g, i)
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 1.5, True, None])
@@ -739,29 +785,6 @@ def test_train_and_test_views_are_made_once_and_again_after_a_release():
         new_train, new_test = views_of(ind)
         assert new_train.tobytes() == train.tobytes()
         assert new_test.tobytes() == test.tobytes()
-
-
-def test_two_threads_making_views_at_once_get_the_same_objects():
-    archive = evolved_archive(pop=20, gens=10, rows=60)
-    # A JSON clone holds every generation with no view made yet.
-    clone = Archive.from_json(archive.to_json(), archive.split)
-
-    def read():
-        return [
-            (id(ind.train_semantics), id(ind.test_semantics))
-            for gen in clone.generations
-            for ind in gen
-        ]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            futures = [pool.submit(read) for _ in range(4)]
-            reads = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert reads[1:] == reads[:1] * 3
 
 
 def payload_refs(archive) -> list:

@@ -31,22 +31,25 @@ def test_reproduction_only_copies_semantics(split):
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.generations):
         next_generation(grown, cfg, rng)
-    # A u:1 run releases every generation but the newest. The first read recomputes
-    # them all, so only the newest generation's children hold arrays that their
-    # recomputed parents do not, with the same bits.
+    # A u:1 run releases every generation but the newest. A read of a released
+    # individual replays it alone, so a child and its parent then hold separate
+    # rows with the same bits; the newest children hold their parents' original.
     released = run_evolution(cfg, split, keep_archive=True).archive
     for archive in (grown, released):
+        clone = Archive.from_json(archive.to_json(), split)
         newest = len(archive.generations) - 1
         for g in range(1, newest + 1):
-            for ind in archive.generations[g]:
+            for ind, twin in zip(archive.generations[g], clone.generations[g]):
                 assert isinstance(ind.payload, IndividualRef)
                 assert ind.payload.generation == g - 1
                 parent = archive.individual(ind.payload)
-                if archive is released and g == newest:
-                    assert ind.semantics.tobytes() == parent.semantics.tobytes()
-                else:
+                if archive is grown:
                     assert ind.train_semantics is parent.train_semantics
                     assert ind.test_semantics is parent.test_semantics
+                else:
+                    assert not np.shares_memory(ind.semantics, parent.semantics)
+                assert ind.semantics.tobytes() == parent.semantics.tobytes()
+                assert ind.semantics.tobytes() == twin.semantics.tobytes()
 
 
 def test_elitism_makes_best_train_monotone(split):
@@ -153,6 +156,42 @@ def test_config_validation():
     EvolutionConfig(max_initial_depth=MAX_TREE_DEPTH)
     with pytest.raises(ValueError, match="max_initial_depth must be <= MAX_TREE_DEPTH"):
         EvolutionConfig(max_initial_depth=MAX_TREE_DEPTH + 1)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("mutation_step", math.nan),
+        ("mutation_step", math.inf),
+        ("mutation_step", -math.inf),
+        ("mutation_step", -0.1),
+        ("mutation_step", True),
+        ("mutation_step", "0.1"),
+        ("crossover_rate", True),
+        ("crossover_rate", False),
+        ("crossover_rate", math.nan),
+        ("crossover_rate", 1.2),
+        ("crossover_rate", "0.9"),
+        ("mutation_rate", True),
+        ("mutation_rate", math.nan),
+        ("mutation_rate", -0.1),
+        ("elitism", "no"),
+        ("elitism", 1),
+        ("elitism", None),
+        ("bounded_mutation", "yes"),
+        ("bounded_mutation", 0),
+        ("seed", -1),
+        ("seed", 2.5),
+        ("seed", True),
+        ("seed", "3"),
+    ],
+)
+def test_a_bad_config_value_is_refused_naming_its_field(name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        EvolutionConfig(**{name: bad})
+    good = {"mutation_step": np.float64(0.0), "crossover_rate": 1, "mutation_rate": 0.0,
+            "elitism": False, "bounded_mutation": False, "seed": np.int64(3)}[name]
+    assert getattr(EvolutionConfig(**{name: good}), name) == good
 
 
 def test_default_config_matches_benchmark_table():

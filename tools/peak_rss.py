@@ -2,11 +2,15 @@
 
 For each strategy, a subprocess builds a friedman-like dataset of `--rows`
 rows and N_FEATURES features, splits it 70/30, makes one `--pop` x
-`--generations` run with keep_archive=False, and reports what getrusage
-says about the whole process: peak RSS (which includes the interpreter and
-numpy, about 30-40 MB), minor page faults and user and system time. The
-run's own wall time is timed around `run_evolution`. The tool prints one
-JSON object with a row per strategy:
+`--generations` run, and reports what getrusage says about the whole
+process: peak RSS (which includes the interpreter and numpy, about 30-40
+MB), minor page faults and user and system time. The run's own wall time is
+timed around `run_evolution`. The worker then keeps the run's archive and
+reads slot 0 of the newest generation that the run released, generation
+`generations - horizon`, which replays that individual's ancestry; it
+reports the peak RSS after that read and the read's wall time, or None for
+both when the horizon covers the whole run. The tool prints one JSON object
+with a row per strategy:
 
     python tools/peak_rss.py
     python tools/peak_rss.py --src /path/to/other/src --strategies u:1
@@ -42,9 +46,16 @@ def run_one(study: dict) -> dict:
         seed=study["seed"],
     )
     start = time.perf_counter()
-    result = gsgp.run_evolution(cfg, split)
+    result = gsgp.run_evolution(cfg, split, keep_archive=True)
     wall = time.perf_counter() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    released = study["generations"] - cfg.distribution.horizon
+    read_peak_mb = read_s = None
+    if released >= 0:
+        start = time.perf_counter()
+        result.archive.generations[released][0].semantics
+        read_s = time.perf_counter() - start
+        read_peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
         "strategy": study["strategy"],
         "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
@@ -52,6 +63,8 @@ def run_one(study: dict) -> dict:
         "user_s": usage.ru_utime,
         "system_s": usage.ru_stime,
         "run_wall_s": wall,
+        "read_peak_rss_mb": read_peak_mb,
+        "read_s": read_s,
         "final_test_rmse": result.test_rmse[-1],
     }
 
