@@ -10,9 +10,10 @@ its memoized semantics. There are four payload kinds:
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
   breeding step) plus the random trees and step of the perturbation.
 
-A payload holds each of its trees as a `Program`, the flat postfix tuple of
+A payload holds each of its trees as a program, the plain postfix tuple of
 the exprtree module, so a kept archive holds one object per tree and no
-object per node.
+object per node, and the cycle collector stops tracking a tree after its
+first collection.
 
 The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one vector over those rows,
@@ -245,6 +246,7 @@ class Archive:
         self.test_targets = split.test.targets
         self.inputs = np.asfortranarray(np.concatenate([self.train_inputs, self.test_inputs]))
         self._columns = Columns(self.inputs)
+        self._block_rows = max(1, _BLOCK_ELEMENTS // len(self.inputs))  # children per block
         self.n_train = split.train.rows
         self.fitness = fitness
         self._generations = ()
@@ -346,7 +348,7 @@ class Archive:
                 fresh.append(pos)
         rejects = []
         n_train = self.n_train
-        size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
+        size = self._block_rows
         for start in range(0, len(fresh), size):
             positions = fresh[start : start + size]
             block = self._evaluate([payloads[slots[pos]] for pos in positions], self._row)
@@ -434,7 +436,9 @@ class Archive:
 
     def _row(self, ref: IndividualRef) -> np.ndarray:
         """The semantics row of an archived individual, replayed first if released."""
-        return self._generations[ref.generation][ref.index].semantics
+        individual = self._generations[ref.generation][ref.index]
+        views = individual._views
+        return individual.semantics if type(views) is _Released else views[0]
 
     def append_generation(self, individuals: list):
         """Complete the next generation: its individuals, fitness row and refs.
@@ -502,10 +506,13 @@ class Archive:
 
         Its released ancestry is found by walking back over payload refs,
         stopping at every individual that holds its row. That ancestry is
-        evaluated oldest generation first, one `_evaluate` call per
-        generation, reading parent rows from the rows replayed so far; each
-        replayed row is dropped after the last generation that reads it.
-        Only `individual` keeps its row, in a block of its own.
+        evaluated oldest generation first, each generation's share in blocks
+        as `evaluate` sizes them, reading parent rows from the rows replayed
+        so far; each replayed row is dropped after the last generation that
+        reads it. A row that a generation beyond the next evaluated one
+        reads is first copied out of its block, so no block outlives the
+        next generation's evaluation. Only `individual` keeps its row, in a
+        block of its own.
         """
         generations = self._generations
         last_read = {}  # released ancestor -> the newest generation that reads it
@@ -528,9 +535,19 @@ class Archive:
             row = rows.get(ref)
             return self._row(ref) if row is None else row
 
-        for g, refs in shares.items():
-            block = self._evaluate([generations[g][ref.index].payload for ref in refs], row_of)
-            rows.update(zip(refs, block))
+        size = self._block_rows
+        steps = [*shares, generation]
+        for g, after in zip(steps, steps[1:]):
+            share = shares[g]
+            for start in range(0, len(share), size):
+                refs = share[start : start + size]
+                block = self._evaluate([generations[g][r.index].payload for r in refs], row_of)
+                # A row that a later step than the next one reads is copied
+                # out, so the block is freed once the next step has read it.
+                rows.update(
+                    (ref, row if last_read[ref] <= after else row.copy())
+                    for ref, row in zip(refs, block)
+                )
             for ref in expiring.pop(g, ()):
                 del rows[ref]
         row = self._evaluate([individual.payload], row_of)[0]

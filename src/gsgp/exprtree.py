@@ -4,16 +4,19 @@ Trees are immutable and are never modified after creation; all later
 variation happens in semantic space (see the archive module). The function
 set is {+, -, *, protected /} over variables and ephemeral constants.
 
-Every tree the engine makes or reads is a `Program`: a tuple of the tree's
-nodes in postfix order (the left subtree, then the right subtree, then the
-node itself). A float is a constant, an int the index of a variable, and a
-str one of OP_KINDS, applied to the values of the two subtrees before it. One
-stack loop evaluates a program, over the rows of an input matrix
+Every tree the engine makes or reads is a program: a plain tuple of the
+tree's nodes in postfix order (the left subtree, then the right subtree,
+then the node itself). A float is a constant, an int the index of a
+variable, and a str one of OP_KINDS, applied to the values of the two
+subtrees before it. `Program` is only a name for `tuple` in annotations.
+One stack loop evaluates a program, over the rows of an input matrix
 (`eval_tree_many`) or over one row (`eval_tree`). A program holds no
-object per node beyond its entries, so a kept archive's trees cost the
-garbage collector one tracked object each. `Constant(v)`, `Variable(i)` and
-`BinaryOp(kind, left, right)` write a program by hand, checked as it is
-built.
+object per node beyond its entries, and because it is a plain tuple of
+str, int and float, CPython's cycle collector stops tracking it after the
+first collection that sees it (an instance of a tuple subclass stays
+tracked for good), so a kept archive's trees cost the collector nothing
+on later passes. `Constant(v)`, `Variable(i)` and `BinaryOp(kind, left,
+right)` write a program by hand, checked as it is built.
 
 Protected division yields 1.0 where the divisor is not above DIV_EPS in
 magnitude. A caller that evaluates many trees over one matrix prepares it
@@ -36,11 +39,14 @@ draws over all the trees at once, in this order:
 
 A tree is the live part of its heap: the root, and both children of every
 live node that is an operator. The draws of dead nodes are consumed unread.
-The program lists the live nodes in the postorder of the heap. No tree is
-deeper than MAX_TREE_DEPTH, which bounds the heap, the trees that are
-written by hand and the trees `tree_from_json` accepts.
+The program lists the live nodes in the postorder of the heap. The heap's
+postorder, node depths and ancestors are worked out once per max_depth, on
+the first `gen_tree` call for that depth. No tree is deeper than
+MAX_TREE_DEPTH, which bounds the heap, the trees that are written by hand
+and the trees `tree_from_json` accepts.
 """
 
+import functools
 import math
 import numbers
 import operator
@@ -48,6 +54,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import checked_int
 
 OP_KINDS = ("add", "sub", "mul", "div")
 
@@ -60,22 +68,18 @@ DIV_EPS = 1e-9
 MAX_TREE_DEPTH = 10
 
 
-class Program(tuple):
-    """A tree as its nodes in postfix order (see the module docstring).
-
-    `gen_tree`, `tree_from_json` and the `Constant`, `Variable` and
-    `BinaryOp` constructors make programs; every variable index in one is
-    a non-negative int.
-    """
-
-    __slots__ = ()
+# A tree as its nodes in postfix order (see the module docstring). Any
+# tuple is a program to the evaluator; `gen_tree`, `tree_from_json` and the
+# `Constant`, `Variable` and `BinaryOp` constructors make only well-formed
+# ones, whose every variable index is a non-negative int.
+Program = tuple
 
 
 class Constant:
     """`Constant(v)` is the program of the constant float(v)."""
 
     def __new__(cls, value) -> Program:
-        return Program((float(value),))
+        return (float(value),)
 
 
 class Variable:
@@ -92,39 +96,46 @@ class Variable:
         index = operator.index(index)
         if index < 0:
             raise ValueError(f"variable index {index} is negative")
-        return Program((index,))
+        return (index,)
 
 
 class BinaryOp:
     """`BinaryOp(kind, left, right)` is the program of `kind` applied to two programs.
 
     A kind not in OP_KINDS, or a result deeper than MAX_TREE_DEPTH, raises
-    ValueError; an operand that is not a program raises TypeError.
+    ValueError. An operand that is not a well-formed program raises
+    TypeError: one that is not a tuple, or a tuple with a node that is not
+    an OP_KINDS str, a non-bool int >= 0 or a float, or whose operators do
+    not each find two operands and leave one value.
     """
 
     def __new__(cls, kind, left, right) -> Program:
         if kind not in OP_KINDS:
             raise ValueError(f"unknown operator kind {kind!r}")
-        for operand in (left, right):
-            if type(operand) is not Program:
-                raise TypeError(f"{operand!r} is not a tree")
         if max(_depth(left), _depth(right)) >= MAX_TREE_DEPTH:
             raise ValueError(f"tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
         # The OP_KINDS str itself: _run tells an operator by `type(node) is str`.
         kind = OP_KINDS[OP_KINDS.index(kind)]
-        return Program(left + right + (kind,))
+        return left + right + (kind,)
 
 
-def _depth(program: Program) -> int:
-    """The depth of a program's tree; a lone leaf has depth 0."""
+def _depth(program) -> int:
+    """The depth of a program's tree (a lone leaf has depth 0); TypeError if malformed."""
     depths = []
-    for node in program:
-        if type(node) is str:
-            right = depths.pop()
-            depths[-1] = max(depths[-1], right) + 1
+    if type(program) is tuple:
+        for node in program:
+            kind = type(node)
+            if kind is str and node in OP_KINDS and len(depths) >= 2:
+                right = depths.pop()
+                depths[-1] = max(depths[-1], right) + 1
+            elif kind is float or (kind is int and node >= 0):
+                depths.append(0)
+            else:
+                break
         else:
-            depths.append(0)
-    return depths[0]
+            if len(depths) == 1:
+                return depths[0]
+    raise TypeError(f"{program!r} is not a tree")
 
 
 # Terminals are ephemeral constants, drawn uniformly from CONSTANT_RANGE,
@@ -151,81 +162,111 @@ class TreeGenConfig:
     n_features: int = 1
 
     def __post_init__(self):
-        if not 0 <= self.max_depth <= MAX_TREE_DEPTH:
+        # Both are stored as ints; a bool or a fraction is refused.
+        object.__setattr__(self, "max_depth", checked_int("max_depth", self.max_depth, 0))
+        object.__setattr__(self, "n_features", checked_int("n_features", self.n_features, 1))
+        if self.max_depth > MAX_TREE_DEPTH:
             raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}]")
-        if self.n_features < 1:
-            raise ValueError("n_features must be >= 1")
 
 
 def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
     """One random program per (depth, method) slot, from five bulk draws.
 
-    A slot's depth is at most cfg.max_depth, the depth of the heap every
-    tree is drawn on (see the module docstring for the draw order). A heap
-    node above the slot's depth is an operator, except that under the grow
-    method its grow-stop uniform makes it a terminal with probability
-    P_GROW_TERMINAL; a node at the slot's depth is a terminal. So full puts
-    every leaf at exactly the slot's depth, and depth 0 gives a single
-    terminal. A terminal is a constant with probability P_CONSTANT and a
-    variable otherwise.
+    A slot's depth is an int in [0, cfg.max_depth]; cfg.max_depth is the
+    depth of the heap every tree is drawn on (see the module docstring for
+    the draw order). A heap node above the slot's depth is an operator,
+    except that under the grow method its grow-stop uniform makes it a
+    terminal with probability P_GROW_TERMINAL; a node at the slot's depth is
+    a terminal. So full puts every leaf at exactly the slot's depth, and
+    depth 0 gives a single terminal. A terminal is a constant with
+    probability P_CONSTANT and a variable otherwise.
+
+    The heap's layout comes from `_heap_plan(cfg.max_depth)`, built on the
+    first call for that depth. A node is live when all its ancestors are
+    operators: one gather of the operator flags by the plan's ancestor
+    columns. Each later draw keeps the shape of the whole heap and is cut
+    to the live nodes that read it with one flat `take`.
     """
     depths = []
     grow = []
     for depth, method in slots:
         if method not in ("grow", "full"):
             raise ValueError(f"unknown method {method!r}, expected 'grow' or 'full'")
+        if type(depth) is not int:
+            depth = checked_int("slot depth", depth, 0)
         if not 0 <= depth <= cfg.max_depth:
             raise ValueError(f"slot depth {depth} is not in [0, {cfg.max_depth}]")
         depths.append(depth)
         grow.append(method == "grow")
     n = len(depths)
-    internal = (1 << cfg.max_depth) - 1
-    nodes = 2 * internal + 1
-    node_depth = np.repeat(np.arange(cfg.max_depth + 1), 1 << np.arange(cfg.max_depth + 1))
-    is_op = np.zeros((n, nodes), dtype=bool)
-    is_op[:, :internal] = node_depth[:internal] < np.array(depths, dtype=int)[:, None]
+    internal, nodes, node_depth, postorder, ancestors = _heap_plan(cfg.max_depth)
+    # is_op[t, j] for every heap node j, plus a last column that is always
+    # True: the ancestor columns of a node shallower than max_depth pad
+    # with it.
+    is_op = np.zeros((n, nodes + 1), dtype=bool)
+    is_op[:, nodes] = True
+    ops_part = is_op[:, :internal]
+    np.less(node_depth[:internal], np.array(depths, dtype=int)[:, None], out=ops_part)
     stop = rng.random((n, internal)) < P_GROW_TERMINAL
-    is_op[:, :internal] &= ~(stop & np.array(grow, dtype=bool)[:, None])
-    # Level by level, the children of a live operator are live.
-    live = np.zeros((n, nodes), dtype=bool)
-    live[:, 0] = True
-    for level in range(cfg.max_depth):
-        first, end = (1 << level) - 1, (2 << level) - 1
-        kids = live[:, first:end] & is_op[:, first:end]
-        live[:, 2 * first + 1 : 2 * end + 1] = np.repeat(kids, 2, axis=1)
+    stop &= np.array(grow, dtype=bool)[:, None]
+    ops_part &= ~stop
+    # live[t, p]: the node at postorder position p of tree t is live.
+    live = is_op[:, ancestors].all(axis=2)
+    rows, positions = np.nonzero(live)
+    cols = postorder[positions]
+    heap = rows * nodes + cols  # flat index of each live node in an (n, nodes) draw
+    branch = is_op.take(heap + rows)  # the same node in the (n, nodes + 1) flags
+    leaf = ~branch
+    ops = rng.integers(len(OP_KINDS), size=(n, internal)).take((rows * internal + cols)[branch])
+    leaf_heap = heap[leaf]
+    constant = rng.random((n, nodes)).take(leaf_heap) < P_CONSTANT
+    values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes)).take(leaf_heap[constant])
+    variables = rng.integers(cfg.n_features, size=(n, nodes)).take(leaf_heap[~constant])
 
-    # Heap positions in postorder: sorted by the rightmost bottom-level node
-    # below each (j -> 2j + 2 down to depth max_depth; postorder ends the
-    # subtree there), a deeper node first among those sharing it.
-    last = ((np.arange(nodes) + 2) << (cfg.max_depth - node_depth)) - 2
-    postorder = np.lexsort((-node_depth, last))
-    rows, cols = np.nonzero(live[:, postorder])
-    cols = postorder[cols]
-
-    # Each later draw covers the whole heap but is cut down to the live
-    # nodes that read it at once, so one heap-sized array is alive at a time.
-    branch = is_op[rows, cols]
-    ops = rng.integers(len(OP_KINDS), size=(n, internal))[rows[branch], cols[branch]]
-    leaf_rows, leaf_cols = rows[~branch], cols[~branch]
-    constant = (rng.random((n, nodes)) < P_CONSTANT)[leaf_rows, leaf_cols]
-    values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes))[
-        leaf_rows[constant], leaf_cols[constant]
-    ]
-    variables = rng.integers(cfg.n_features, size=(n, nodes))[
-        leaf_rows[~constant], leaf_cols[~constant]
-    ]
-
-    # Object arrays turn the values into Python floats and the indices into
-    # Python ints, which the programs hold.
-    leaves = np.empty(len(leaf_rows), dtype=object)
-    leaves[constant] = values
-    leaves[~constant] = variables
+    # An object array turns the values into Python floats and the indices
+    # into Python ints, which the programs hold.
     code = np.empty(len(rows), dtype=object)
-    code[branch] = np.array(OP_KINDS, dtype=object)[ops]
-    code[~branch] = leaves
+    code[branch] = _OP_OBJECTS.take(ops)
+    leaves = np.flatnonzero(leaf)
+    code[leaves[constant]] = values
+    code[leaves[~constant]] = variables
     flat = code.tolist()
     ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
-    return [Program(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+
+
+# The operator strings as an object array, indexed by an operator draw.
+_OP_OBJECTS = np.array(OP_KINDS, dtype=object)
+
+
+@functools.cache
+def _heap_plan(max_depth: int) -> tuple:
+    """(internal, nodes, depth, postorder, ancestors) of the heap of max_depth.
+
+    The heap has `internal` operator-capable nodes and `nodes` in all.
+    depth[j] is the depth of heap node j; postorder lists the heap's nodes
+    in postorder, and ancestors[p] the ancestors of the node at postorder
+    position p, one per depth above it, padded to max_depth columns with
+    `nodes` (the always-True column of `gen_tree`'s operator flags). It is
+    built on the first call for max_depth and kept; its arrays are read-only.
+    """
+    internal = (1 << max_depth) - 1
+    nodes = 2 * internal + 1
+    heap = np.arange(nodes)
+    depth = np.repeat(np.arange(max_depth + 1), 1 << np.arange(max_depth + 1))
+    # Postorder: sorted by the rightmost bottom-level node below each node
+    # (j -> 2j + 2 down to depth max_depth; postorder ends the subtree
+    # there), a deeper node first among those sharing it.
+    last = ((heap + 2) << (max_depth - depth)) - 2
+    postorder = np.lexsort((-depth, last))
+    # Node j's ancestor at depth d < depth[j] is ((j + 1) >> (depth[j] - d)) - 1.
+    above = np.arange(max_depth)
+    shift = depth[:, None] - above
+    ancestors = np.where(shift > 0, ((heap[:, None] + 1) >> np.maximum(shift, 0)) - 1, nodes)
+    ancestors = ancestors[postorder]
+    for array in (depth, postorder, ancestors):
+        array.flags.writeable = False
+    return internal, nodes, depth, postorder, ancestors
 
 
 def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
@@ -422,4 +463,4 @@ def tree_from_json(obj, n_features: int) -> Program:
             code.append(sys.intern(kind))  # the OP_KINDS string, not one per node
 
     parse(obj, 0)
-    return Program(code)
+    return tuple(code)

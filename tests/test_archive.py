@@ -112,6 +112,37 @@ def test_seed_retry_bound(small_split):
     assert calls == [1] * archive_module._SLOT_RETRIES
 
 
+def test_seeding_redraws_a_failed_slot_until_it_passes_before_the_next_slot(
+    small_split, monkeypatch
+):
+    inf = Constant(float("inf"))
+    redraws = {1: [inf, Constant(1.0)], 3: [Constant(2.0)]}
+    calls, evaluated = [], []
+
+    def regenerate(slot):
+        calls.append(slot)
+        return redraws[slot].pop(0)
+
+    evaluate = Archive.evaluate
+
+    def recorded(self, payloads, slots):
+        evaluated.append([payloads[s].tree[0] for s in slots])
+        return evaluate(self, payloads, slots)
+
+    monkeypatch.setattr(Archive, "evaluate", recorded)
+    archive = seed_archive(
+        [Constant(0.5), inf, Constant(-0.5), inf], small_split, regenerate=regenerate
+    )
+    # Slot 1 fails twice (its first redraw fails too) and slot 3 once; each
+    # tree is evaluated alone, and a redraw follows its failure at once.
+    assert calls == [1, 1, 3]
+    big = float("inf")
+    assert evaluated == [[0.5], [big], [big], [1.0], [-0.5], [big], [2.0]]
+    assert [ind.payload.tree for ind in archive.generations[0]] == [
+        Constant(0.5), Constant(1.0), Constant(-0.5), Constant(2.0)
+    ]
+
+
 @pytest.mark.parametrize("regenerates", [False, True])
 def test_a_seed_tree_that_fails_for_good_is_reported_in_its_own_slot(regenerates):
     data = synthetic_dataset("polynomial", 30, 3, 0.0, seed=4)
@@ -498,6 +529,30 @@ class NearSighted:
 
     def label(self):
         return f"near:{self.horizon}"
+
+
+def test_a_replayed_row_with_a_distant_reader_does_not_pin_its_block(monkeypatch):
+    split = split_70_30(synthetic_dataset("polynomial", 40, 2, 0.1, seed=5), seed=1)
+    cfg = EvolutionConfig(distribution=NearSighted(1), population_size=10, generations=12, seed=5)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    clone = Archive.from_json(archive.to_json(), split)
+    blocks = []
+    evaluate = Archive._evaluate
+
+    def recording_evaluate(self, payloads, row_of):
+        # Parents come from up to several generations back, yet a block is
+        # freed once the generation after it has been evaluated.
+        assert all(block() is None for block in blocks[:-1])
+        block = evaluate(self, payloads, row_of)
+        blocks.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(Archive, "_evaluate", recording_evaluate)
+    for g, i in [(10, 0), (9, 4)]:
+        del blocks[:]
+        row = archive.individual(IndividualRef(g, i)).semantics
+        assert len(blocks) > 3
+        assert row.tobytes() == clone.individual(IndividualRef(g, i)).semantics.tobytes()
 
 
 def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,9 @@ def test_gen_tree_rejects_unknown_method(rng):
         gen_tree(TreeGenConfig(), [(4, "half")], rng)
     with pytest.raises(ValueError, match="slot depth 5"):
         gen_tree(TreeGenConfig(max_depth=4), [(5, "grow")], rng)
+    for depth in (True, 1.0, 2.5, -1):
+        with pytest.raises(ValueError, match="slot depth"):
+            gen_tree(TreeGenConfig(max_depth=4), [(depth, "grow")], rng)
 
 
 def test_ramp_schedule_splits_methods_evenly():
@@ -231,7 +238,14 @@ def test_a_hand_written_tree_is_checked_when_compiled():
         eval_tree(BinaryOp("pow", Constant(2.0), Constant(3.0)), [0.0])
     with pytest.raises(ValueError, match="variable index -1 is negative"):
         Variable(-1)
-    for operand in (1.0, 0, (0,), None):
+    # Any tuple is a program, so (0,) is the program of variable 0.
+    assert BinaryOp("add", (0,), Constant(1.0)) == (0, 1.0, "add")
+    malformed = [
+        1.0, 0, None, [0], (),  # not a tuple, or no node
+        (True,), (-1,), (np.int64(0),), (np.float64(1.0),), ("pow",), (None,),  # bad nodes
+        ("add",), (0, "add"), (0, 1), (0, 1, "add", "add"),  # wrong arity
+    ]
+    for operand in malformed:
         with pytest.raises(TypeError, match="is not a tree"):
             BinaryOp("add", Variable(0), operand)
         with pytest.raises(TypeError, match="is not a tree"):
@@ -445,6 +459,16 @@ def test_a_division_by_a_safe_column_skips_the_guard(monkeypatch):
     assert guarded == [1]
 
 
+def test_importing_builds_no_heap_plan():
+    code = (
+        "import gsgp, gsgp.exprtree as e; assert e._heap_plan.cache_info().currsize == 0; "
+        "e.gen_tree(e.TreeGenConfig(3), [(3, 'grow')], __import__('numpy').random.default_rng(0)); "
+        "assert e._heap_plan.cache_info().currsize == 1"
+    )
+    src = str(Path(exprtree.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
 def test_generation_is_deterministic_per_seed():
     cfg = TreeGenConfig(max_depth=4, n_features=2)
     slots = [(4, "grow"), (3, "full")] * 10
@@ -460,6 +484,23 @@ def test_tree_json_round_trip(rng):
         assert tree_from_json(tree_to_json(t), 3) == t
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_depth": True}, "max_depth must be an integer, not True"),
+        ({"max_depth": 2.5}, "max_depth must be an integer, not 2.5"),
+        ({"max_depth": 2.0}, "max_depth must be an integer, not 2.0"),
+        ({"n_features": False}, "n_features must be an integer, not False"),
+        ({"n_features": 2.5}, "n_features must be an integer, not 2.5"),
+    ],
+)
+def test_tree_gen_config_refuses_bools_and_fractions(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TreeGenConfig(**kwargs)
+    cfg = TreeGenConfig(max_depth=np.int64(3), n_features=np.int32(2))
+    assert type(cfg.max_depth) is int and type(cfg.n_features) is int
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TreeGenConfig(max_depth=-1)
@@ -468,3 +509,83 @@ def test_config_validation():
     TreeGenConfig(max_depth=MAX_TREE_DEPTH)
     with pytest.raises(ValueError):
         TreeGenConfig(max_depth=MAX_TREE_DEPTH + 1)
+
+
+def reference_gen_tree(cfg, slots, rng):
+    """`gen_tree` as it was before the heap plan: level-by-level liveness, 2-d cuts.
+
+    It draws the same five arrays in the same order and shapes, so it pins
+    both the programs and the stream.
+    """
+    depths = []
+    grow = []
+    for depth, method in slots:
+        depths.append(depth)
+        grow.append(method == "grow")
+    n = len(depths)
+    internal = (1 << cfg.max_depth) - 1
+    nodes = 2 * internal + 1
+    node_depth = np.repeat(np.arange(cfg.max_depth + 1), 1 << np.arange(cfg.max_depth + 1))
+    is_op = np.zeros((n, nodes), dtype=bool)
+    is_op[:, :internal] = node_depth[:internal] < np.array(depths, dtype=int)[:, None]
+    stop = rng.random((n, internal)) < P_GROW_TERMINAL
+    is_op[:, :internal] &= ~(stop & np.array(grow, dtype=bool)[:, None])
+    live = np.zeros((n, nodes), dtype=bool)
+    live[:, 0] = True
+    for level in range(cfg.max_depth):
+        first, end = (1 << level) - 1, (2 << level) - 1
+        kids = live[:, first:end] & is_op[:, first:end]
+        live[:, 2 * first + 1 : 2 * end + 1] = np.repeat(kids, 2, axis=1)
+    last = ((np.arange(nodes) + 2) << (cfg.max_depth - node_depth)) - 2
+    postorder = np.lexsort((-node_depth, last))
+    rows, cols = np.nonzero(live[:, postorder])
+    cols = postorder[cols]
+    branch = is_op[rows, cols]
+    ops = rng.integers(len(OP_KINDS), size=(n, internal))[rows[branch], cols[branch]]
+    leaf_rows, leaf_cols = rows[~branch], cols[~branch]
+    constant = (rng.random((n, nodes)) < P_CONSTANT)[leaf_rows, leaf_cols]
+    values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes))[
+        leaf_rows[constant], leaf_cols[constant]
+    ]
+    variables = rng.integers(cfg.n_features, size=(n, nodes))[
+        leaf_rows[~constant], leaf_cols[~constant]
+    ]
+    leaves = np.empty(len(leaf_rows), dtype=object)
+    leaves[constant] = values
+    leaves[~constant] = variables
+    code = np.empty(len(rows), dtype=object)
+    code[branch] = np.array(OP_KINDS, dtype=object)[ops]
+    code[~branch] = leaves
+    flat = code.tolist()
+    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+
+
+@st.composite
+def generation_requests(draw):
+    """A config, up to 40 (depth, method) slots within its depth, and a seed."""
+    max_depth = draw(st.integers(0, 6))
+    n_features = draw(st.integers(1, 6))
+    slots = draw(
+        st.lists(
+            st.tuples(st.integers(0, max_depth), st.sampled_from(["grow", "full"])),
+            max_size=40,
+        )
+    )
+    return TreeGenConfig(max_depth, n_features), slots, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(generation_requests())
+def test_gen_tree_matches_the_reference_in_programs_types_and_stream(request):
+    cfg, slots, seed = request
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    trees = gen_tree(cfg, slots, rng)
+    expected = reference_gen_tree(cfg, slots, reference_rng)
+    assert trees == expected
+    assert [[type(node) for node in t] for t in trees] == [
+        [type(node) for node in t] for t in expected
+    ]
+    assert all(type(t) is tuple for t in trees)
+    # All five draws consumed the same numbers.
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
