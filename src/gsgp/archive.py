@@ -246,7 +246,6 @@ class Archive:
         self.test_targets = split.test.targets
         self.inputs = np.asfortranarray(np.concatenate([self.train_inputs, self.test_inputs]))
         self._columns = Columns(self.inputs)
-        self._block_rows = max(1, _BLOCK_ELEMENTS // len(self.inputs))  # children per block
         self.n_train = split.train.rows
         self.fitness = fitness
         self._generations = ()
@@ -348,7 +347,7 @@ class Archive:
                 fresh.append(pos)
         rejects = []
         n_train = self.n_train
-        size = self._block_rows
+        size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
         for start in range(0, len(fresh), size):
             positions = fresh[start : start + size]
             block = self._evaluate([payloads[slots[pos]] for pos in positions], self._row)
@@ -535,7 +534,7 @@ class Archive:
             row = rows.get(ref)
             return self._row(ref) if row is None else row
 
-        size = self._block_rows
+        size = max(1, _BLOCK_ELEMENTS // len(self.inputs))  # as `evaluate` sizes a block
         steps = [*shares, generation]
         for g, after in zip(steps, steps[1:]):
             share = shares[g]

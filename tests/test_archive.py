@@ -81,17 +81,25 @@ def test_seeding_is_deterministic(small_split, rng):
 
 
 def test_seed_regenerates_nonfinite_trees(small_split):
+    inf = Constant(float("inf"))
+    redraws = {1: [inf, Constant(1.0)], 3: [Constant(2.0)]}
     calls = []
 
     def regenerate(slot):
         calls.append(slot)
-        return Constant(1.0)
+        return redraws[slot].pop(0)
 
     archive = seed_archive(
-        [Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate
+        [Constant(0.5), inf, Constant(-0.5), inf], small_split, regenerate=regenerate
     )
-    assert calls == [1]
-    assert archive.generations[0][1].train_fitness < float("inf")
+    # A failed slot is redrawn until it passes, before the next slot: slot 1
+    # fails twice (its first redraw fails too) and slot 3 once.
+    assert calls == [1, 1, 3]
+    seeded = archive.generations[0]
+    assert [ind.payload.tree for ind in seeded] == [
+        Constant(0.5), Constant(1.0), Constant(-0.5), Constant(2.0)
+    ]
+    assert all(ind.train_fitness < float("inf") for ind in seeded)
 
 
 def test_seed_without_regenerator_aborts(small_split):
@@ -110,37 +118,6 @@ def test_seed_retry_bound(small_split):
         seed_archive([Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate)
     # the same cap as breeding: the slot aborts on its _SLOT_RETRIES + 1-th failure
     assert calls == [1] * archive_module._SLOT_RETRIES
-
-
-def test_seeding_redraws_a_failed_slot_until_it_passes_before_the_next_slot(
-    small_split, monkeypatch
-):
-    inf = Constant(float("inf"))
-    redraws = {1: [inf, Constant(1.0)], 3: [Constant(2.0)]}
-    calls, evaluated = [], []
-
-    def regenerate(slot):
-        calls.append(slot)
-        return redraws[slot].pop(0)
-
-    evaluate = Archive.evaluate
-
-    def recorded(self, payloads, slots):
-        evaluated.append([payloads[s].tree[0] for s in slots])
-        return evaluate(self, payloads, slots)
-
-    monkeypatch.setattr(Archive, "evaluate", recorded)
-    archive = seed_archive(
-        [Constant(0.5), inf, Constant(-0.5), inf], small_split, regenerate=regenerate
-    )
-    # Slot 1 fails twice (its first redraw fails too) and slot 3 once; each
-    # tree is evaluated alone, and a redraw follows its failure at once.
-    assert calls == [1, 1, 3]
-    big = float("inf")
-    assert evaluated == [[0.5], [big], [big], [1.0], [-0.5], [big], [2.0]]
-    assert [ind.payload.tree for ind in archive.generations[0]] == [
-        Constant(0.5), Constant(1.0), Constant(-0.5), Constant(2.0)
-    ]
 
 
 @pytest.mark.parametrize("regenerates", [False, True])
@@ -585,9 +562,17 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 5)), max_size=30))
-def test_reads_and_releases_in_any_order_match_a_json_round_trip(steps):
-    """(True, g, i) reads slot i of generation g, and (False, g, _) releases generation g."""
+@given(
+    st.lists(st.tuples(st.booleans(), st.integers(0, 8), st.integers(0, 5)), max_size=30),
+    st.booleans(),
+)
+def test_reads_and_releases_in_any_order_match_a_json_round_trip(steps, small_blocks):
+    """(True, g, i) reads slot i of generation g, and (False, g, _) releases generation g.
+
+    With small_blocks, the reads evaluate one row per block, so a replay
+    splits a generation's share into several blocks, while the run and the
+    clone were evaluated one block per generation.
+    """
     split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=NearSighted(2), population_size=6, generations=8, seed=2)
     archive = run_evolution(cfg, split, keep_archive=True).archive  # generations 7-8 held
@@ -600,14 +585,17 @@ def test_reads_and_releases_in_any_order_match_a_json_round_trip(steps):
         assert a.semantics.tobytes() == b.semantics.tobytes()
         assert (a.train_fitness, a.test_fitness) == (b.train_fitness, b.test_fitness)
 
-    for read, g, i in steps:
-        if read:
-            same(g, i)
-        else:
-            archive.release(g)
-    for g in range(len(archive.generations)):
-        for i in range(6):
-            same(g, i)
+    with pytest.MonkeyPatch.context() as patch:
+        if small_blocks:
+            patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)
+        for read, g, i in steps:
+            if read:
+                same(g, i)
+            else:
+                archive.release(g)
+        for g in range(len(archive.generations)):
+            for i in range(6):
+                same(g, i)
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 1.5, True, None])
