@@ -5,7 +5,7 @@ its memoized semantics. There are four payload kinds:
 
 - `Leaf`: a generation-0 syntax tree.
 - `IndividualRef`: reproduction, a bare reference to an earlier individual.
-  The child shares its parent's arrays and fitnesses.
+  The child shares its parent's arrays and train fitness.
 - `Crossover`: two earlier individuals and the random tree that weighs them.
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
   breeding step) plus the random trees and step of the perturbation.
@@ -41,17 +41,18 @@ built once, and a division by a variable whose column has no entry within
 DIV_EPS of zero needs no guard, with the same bits (see the exprtree
 module).
 
-`make_generation` evaluates a list of payloads in blocks of children sized
-so that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
+`evaluate` evaluates a list of payloads in blocks of children sized so
+that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
 evaluates each random tree once into a row of a temporary, applies one
 `sigmoid` to the rows that need it, mixes crossovers and adds mutation
-deltas as matrix operations, checks finiteness once and computes each
-split's fitness once, row by row. Every entry undergoes the same IEEE
-operations, in the same order, as evaluating the payload alone would apply,
-so the block size never changes a result. `evaluate` reports every slot
-whose semantics are not finite and computes no fitness for it;
-`make_generation` raises the first such slot's NonFiniteSemanticsError, and
-`make_individual` is a generation of one.
+deltas as matrix operations, checks finiteness once and computes the train
+fitness once, row by row (selection reads no test fitness, so none is
+kept). Every entry undergoes the same IEEE operations, in the same order,
+as evaluating the payload alone would apply, so the block size never
+changes a result. `evaluate` reports every slot whose semantics are not
+finite and computes no fitness for it; `make_generation` raises the first
+such slot's NonFiniteSemanticsError, and `make_individual` is a generation
+of one.
 
 Each block is a new array and is the storage of the children it holds: a
 child's `semantics` is its row of the block, written once and only read
@@ -156,7 +157,7 @@ Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
 
 
 class Individual:
-    """A payload with its fitnesses and its semantics over the stacked train-then-test rows.
+    """A payload with its train fitness and its semantics over the stacked train-then-test rows.
 
     train_semantics and test_semantics are views of `semantics`, made on the
     first read of either; later reads return the same two objects, and a
@@ -168,17 +169,16 @@ class Individual:
     its views are made again on their first read.
     """
 
-    __slots__ = ("payload", "_views", "train_fitness", "test_fitness")
+    __slots__ = ("payload", "_views", "train_fitness")
 
-    def __init__(self, payload, views: tuple, train_fitness, test_fitness):
+    def __init__(self, payload, views: tuple, train_fitness):
         self.payload = payload
-        # One attribute, so a reader never sees the views of two states:
+        # One attribute, so that release and replay each swap one value:
         # (semantics, n_train) until the train or test view is first read,
         # (semantics, train_semantics, test_semantics) after it, or its
         # generation's _Released stand-in while released.
         self._views = views
         self.train_fitness = train_fitness
-        self.test_fitness = test_fitness
 
     @property
     def semantics(self) -> np.ndarray:
@@ -319,14 +319,15 @@ class Archive:
         """(individuals, rejects) of payloads[s] for s in slots, in order.
 
         A reproduction (a bare IndividualRef) shares its parent's arrays and
-        fitnesses. The other payloads are evaluated in blocks of at most
+        train fitness. The other payloads are evaluated in blocks of at most
         _BLOCK_ELEMENTS stacked values. Each block is a new array that
         stores the children it computed: a child's `semantics` is its row,
         not a copy (when a block has a rejected slot, its row of the finite
         rows). A slot whose semantics are not all finite gets None in
         `individuals` and one NonFiniteSemanticsError in `rejects` naming
         the slot, the split and the row within it; rejects are in slot
-        order, and no fitness is computed for them.
+        order. The others get their train fitness, one `fitness` call per
+        block.
 
         Every ref must point into the archive, as the refs of
         `tournament_select` and `from_json` do: `evaluate` indexes the
@@ -340,9 +341,7 @@ class Archive:
             payload = payloads[slot]
             if isinstance(payload, IndividualRef):
                 parent = generations[payload.generation][payload.index]
-                individuals[pos] = Individual(
-                    payload, parent._held(), parent.train_fitness, parent.test_fitness
-                )
+                individuals[pos] = Individual(payload, parent._held(), parent.train_fitness)
             else:
                 fresh.append(pos)
         rejects = []
@@ -359,9 +358,8 @@ class Archive:
                 positions = [pos for pos, ok in zip(positions, finite.tolist()) if ok]
                 block = block[finite]
             train_fitness = self.fitness(block[:, :n_train], self.train_targets).tolist()
-            test_fitness = self.fitness(block[:, n_train:], self.test_targets).tolist()
-            for pos, row, train, test in zip(positions, block, train_fitness, test_fitness):
-                individuals[pos] = Individual(payloads[slots[pos]], (row, n_train), train, test)
+            for pos, row, train in zip(positions, block, train_fitness):
+                individuals[pos] = Individual(payloads[slots[pos]], (row, n_train), train)
         return individuals, rejects
 
     def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
@@ -371,7 +369,9 @@ class Archive:
             check_finite(values[: self.n_train], context, split="train", slot=slot)
             check_finite(values[self.n_train :], context, split="test", slot=slot)
         except NonFiniteSemanticsError as exc:
-            return exc
+            # Its traceback's frames hold `values`, a view of the whole block,
+            # and a caller may keep the error for the rest of a run.
+            return exc.with_traceback(None)
 
     def _evaluate(self, payloads: list, row_of) -> np.ndarray:
         """Stacked semantics of payloads, one row each, in a new block.

@@ -89,8 +89,9 @@ class RunResult:
     """Per-generation best-on-training trajectory plus final-model summary.
 
     train_rmse[g] is the lowest training RMSE in generation g and
-    test_rmse[g] the test RMSE of that same individual (the test set never
-    steers selection). Lengths are generations+1, including generation 0.
+    test_rmse[g] the test RMSE of that same individual, computed for it
+    alone (the test set never steers selection, so the archive keeps no
+    test fitness). Lengths are generations+1, including generation 0.
     offset_histogram counts the generation offsets of every tournament
     entrant drawn during the run. nonfinite_retries counts the offspring
     draws rejected for non-finite semantics and redrawn, seed_regenerations
@@ -222,7 +223,8 @@ def run_evolution(
     def record_best(generation):
         best = archive.individual(archive.best_of_generation(generation))
         train_curve.append(best.train_fitness)
-        test_curve.append(best.test_fitness)
+        test = archive.fitness(best.test_semantics[None], archive.test_targets)
+        test_curve.append(float(test[0]))
 
     record_best(0)
     for _ in range(cfg.generations):

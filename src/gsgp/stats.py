@@ -30,20 +30,6 @@ def median(values) -> float:
     return float(np.median(arr))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..N with ties sharing the mean of the ranks they span."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=float)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
-
-
 def _u_counts(n: int, m: int, top: int) -> list:
     """Numbers of the C(n+m, n) rank arrangements giving U = 0, 1, ..., top.
 
@@ -88,11 +74,12 @@ def rank_sum_test(a, b, method: str = None) -> RankSumResult:
     if a.size == 0 or b.size == 0:
         raise ValueError("rank_sum_test needs two non-empty samples")
     n, m = a.size, b.size
-    combined = np.concatenate([a, b])
-    ranks = _midranks(combined)
+    _, inverse, tie_counts = np.unique(
+        np.concatenate([a, b]), return_inverse=True, return_counts=True
+    )
+    # Midranks: a value's ties share the mean of the ranks 1..N they span.
+    ranks = (np.cumsum(tie_counts) - 0.5 * (tie_counts - 1))[inverse]
     u1 = float(np.sum(ranks[:n]) - n * (n + 1) / 2.0)
-
-    _, tie_counts = np.unique(combined, return_counts=True)
     has_ties = bool((tie_counts > 1).any())
 
     if method == "exact" and has_ties:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -329,3 +330,29 @@ def test_without_elitism_a_failed_slot_0_is_redrawn_on_its_own(monkeypatch):
     assert not isinstance(calls[0][1][0], IndividualRef)
     assert [slots for slots, _, _, _ in calls[1:]] == [[0]]
     assert calls[1][2] == random_trees(calls[1][1][0]) > 0
+
+
+def test_a_kept_nonfinite_error_pins_no_block(monkeypatch):
+    data = synthetic_dataset("friedman-like", 200, 5, 0.0, seed=3)
+    split = split_70_30(Dataset("scaled", data.inputs * 1e150, data.targets), seed=1)
+    cfg = EvolutionConfig(population_size=30, generations=0, seed=1)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    rejected = []
+    evaluate = Archive._evaluate
+
+    def recording_evaluate(self, payloads, row_of):
+        block = evaluate(self, payloads, row_of)
+        if not np.isfinite(block).all():
+            rejected.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(Archive, "_evaluate", recording_evaluate)
+    rng = np.random.default_rng(3)
+    kept = []
+    for _ in range(5):
+        next_generation(archive, cfg, rng, rejects=kept)
+    # Each error still names its slot and row, but no individual holds a
+    # rejected block, so none outlives the call that evaluated it.
+    assert rejected and len(kept) >= len(rejected)
+    assert all(e.row is not None and "non-finite semantics" in str(e) for e in kept)
+    assert all(block() is None for block in rejected)
