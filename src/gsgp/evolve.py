@@ -95,7 +95,10 @@ class RunResult:
     offset_histogram counts the generation offsets of every tournament
     entrant drawn during the run. nonfinite_retries counts the offspring
     draws rejected for non-finite semantics and redrawn, seed_regenerations
-    the generation-0 trees regenerated for the same reason.
+    the generation-0 trees regenerated for the same reason. replays counts
+    the tournament winners from beyond the distribution's horizon whose
+    semantics the run replayed (`Archive.replays`); a replay reads the
+    same bits, so it changes no result.
     """
 
     train_rmse: list
@@ -106,6 +109,7 @@ class RunResult:
     archive: Optional[Archive] = None
     nonfinite_retries: int = 0
     seed_regenerations: int = 0
+    replays: int = 0
 
 
 def next_generation(
@@ -244,4 +248,5 @@ def run_evolution(
         archive=archive if keep_archive else None,
         nonfinite_retries=len(rejects),
         seed_regenerations=len(regenerated),
+        replays=archive.replays,
     )

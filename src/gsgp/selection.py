@@ -15,8 +15,9 @@ the number of latest generations whose semantics a run holds, an int >= 1.
 A run releases the semantics of every older generation (see
 `run_evolution`), and a winner drawn from one is read by exact replay, so
 the horizon changes only time and memory, never a result. UniformLastK(k)
-draws only from its horizon of k; Geometric draws beyond its horizon so
-rarely that a run seldom replays.
+draws only from its horizon of k; Geometric's horizon holds the offsets an
+entrant reaches with probability at least 1 - _HORIZON_TAIL, a tail chosen
+from a measured curve of replay time against held memory.
 
 Tournaments are drawn in bulk (RNG stream 2): `tournament_select` runs n
 tournaments of size t with two draws, every entrant's source generation
@@ -36,6 +37,7 @@ import numpy as np
 
 from .archive import Archive
 from .errors import checked_int
+from .exprtree import _finite_number
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,12 @@ class UniformLastK:
 
 
 # A Geometric law holds the generations an entrant lands in with probability
-# at least 1 - _HORIZON_TAIL (see Geometric).
-_HORIZON_TAIL = 1e-4
+# at least 1 - _HORIZON_TAIL (see Geometric). tools/horizon_curve.py measures
+# the grid this value was chosen from.
+_HORIZON_TAIL = 3e-3
+# No run has this many generations, and above it the float quotient of
+# Geometric.horizon can be off by more than one step, so it caps the horizon.
+_MAX_HORIZON = 1 << 50
 
 
 @dataclass(frozen=True)
@@ -73,32 +79,42 @@ class Geometric:
     """Offset o >= 0 with probability p*(1-p)^o; overflow lands on generation 0.
 
     An entrant lands at offset h or beyond with probability (1-p)^h, so the
-    horizon H(p) is the smallest h >= 1 with (1-p)^h <= 1e-4, evaluated as
-    exp(h*log1p(-p)): 88, 33, 14 and 7 for p = 0.1, 0.25, 0.5 and 0.75, and
-    1 for p near 1. An entrant beyond it, generation 0 overflow included,
-    has probability below 1e-4, and only a tournament winner beyond it
-    costs a replay. Winners are younger still: over 30 seeds of 100 x 100
-    runs on 200 rows, the oldest parent of any run was at offset 48 for
-    g:0.1, 17 for g:0.25, 8 for g:0.5 and 5 for g:0.75 (20 and 5 for g:0.25
-    and g:0.75 over 10 seeds on 6000 rows), and no run replayed.
+    horizon H(p) is the smallest h >= 1 with (1-p)^h <= _HORIZON_TAIL
+    (3e-3), evaluated as exp(h*log1p(-p)): 56, 21, 9 and 5 for p = 0.1,
+    0.25, 0.5 and 0.75, 1 for p near 1, and _MAX_HORIZON for a p below
+    about 5e-15. An entrant beyond it, generation 0 overflow included, has
+    probability at most 3e-3, and only a tournament winner beyond it costs
+    a replay, which reads the same bits. Winners are younger still: over 30
+    seeds of 100 x 100 runs on 200 rows and 10 on 6000 rows, no run
+    replayed for p <= 0.5, and for g:0.75 2 of 30 and 1 of 10 runs did,
+    their replays adding at most 12% and 17% to the run. The tail is the
+    largest of 1e-4, 1e-3, 3e-3 and 1e-2 whose replays added at most 2% to
+    the median run and 20% to the worst for every p
+    (tools/horizon_curve.py); 1e-2 added 3.4% to the median g:0.75 run on
+    6000 rows.
     """
 
     p: float
 
     def __post_init__(self):
+        # A bool, a string or None is refused by name; a non-finite float
+        # fails the range check, whose message parse_distribution passes on.
+        if not (_finite_number(self.p) or isinstance(self.p, float)):
+            raise ValueError(f"p must be a number, not {self.p!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")
 
     @property
     def horizon(self) -> int:
         log_q = math.log1p(-self.p)
-        h = max(1, math.ceil(math.log(_HORIZON_TAIL) / log_q))
-        # The quotient is off by at most one step after rounding.
+        # The quotient is inf for a p near the smallest float.
+        h = max(1, math.ceil(min(math.log(_HORIZON_TAIL) / log_q, _MAX_HORIZON)))
+        # Below _MAX_HORIZON the quotient is off by at most one step after rounding.
         if math.exp(h * log_q) > _HORIZON_TAIL:
             h += 1
         elif h > 1 and math.exp((h - 1) * log_q) <= _HORIZON_TAIL:
             h -= 1
-        return h
+        return min(h, _MAX_HORIZON)
 
     def sample_many(self, current: int, n: int, rng: np.random.Generator) -> np.ndarray:
         offsets = rng.geometric(self.p, size=n) - 1

@@ -41,23 +41,31 @@ def sigmoid(v, out=None):
             s = e / (1.0 + e)
         return min(max(s, _OPEN_LO), _OPEN_HI) if math.isfinite(x) else s
     # Branch-free form of the scalar path: e = e^-|v| never overflows, and
-    # each entry is 1/(1+e) or e/(1+e) exactly as above. The numerator is
+    # each entry is 1/(1+e) or e/(1+e) as above, with numpy's exp, which can
+    # differ from math.exp in the last bit. The numerator is
     # max(e, v >= 0): e lies in [0, 1] or is NaN (where v is), so this is 1.0
     # where v >= 0 and e elsewhere. Masked writes that follow the sign of v
     # cost several times an unmasked pass, so the common path has none: only
     # a block holding +-inf masks the clamp to its finite entries (where=True
     # masks nothing).
-    # Every mask is read before `out`, which may be `v`, is written.
+    # Every mask is read before `out`, which may be `v`, is written. One
+    # maximum of |v| stands in for the inf scan: when it is finite, no entry
+    # is +-inf, and when it is at most 36, every logistic lies strictly
+    # inside (0, 1) already (e^-36 exceeds 2^-52, the ulp of 1), so the clamp
+    # would change nothing and is skipped. A NaN makes the maximum NaN, and
+    # such a block takes the scan.
     arr = np.asarray(v, dtype=float)
-    finite = np.isfinite(arr) if np.isinf(arr).any() else True
-    nonneg = arr >= 0
     e = np.abs(arr)
+    top = np.maximum.reduce(e, axis=None, initial=0.0)
+    clamp = not top <= 36.0
+    finite = np.isfinite(arr) if not top < math.inf and np.isinf(arr).any() else True
+    nonneg = arr >= 0
     np.negative(e, out=e)
     np.exp(e, out=e)
     out = np.maximum(e, nonneg, out=out)
     e += 1.0
     out /= e
-    return np.clip(out, _OPEN_LO, _OPEN_HI, out=out, where=finite)
+    return np.clip(out, _OPEN_LO, _OPEN_HI, out=out, where=finite) if clamp else out
 
 
 def rmse(pred, target):

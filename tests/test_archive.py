@@ -3,7 +3,7 @@ import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ from gsgp.exprtree import (
     eval_tree,
     gen_tree,
 )
-from gsgp.selection import Geometric, UniformLastK
+from gsgp.selection import Geometric, UniformLastK, tournament_select
 from gsgp.semantics import rmse, sigmoid
 
 
@@ -464,7 +464,7 @@ def test_a_released_individual_that_outlives_its_archive_says_so():
 
 
 @pytest.mark.parametrize(
-    "distribution, held", [(UniformLastK(2), 2), (Geometric(0.25), None), (Geometric(0.75), 7)]
+    "distribution, held", [(UniformLastK(2), 2), (Geometric(0.25), None), (Geometric(0.75), 5)]
 )
 def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
     monkeypatch, distribution, held
@@ -536,20 +536,20 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
     replays = counted_replays(monkeypatch)
     split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
 
-    def run(horizon):
-        cfg = EvolutionConfig(
-            distribution=NearSighted(horizon), population_size=20, generations=15, seed=3
-        )
+    def run(distribution):
+        cfg = EvolutionConfig(distribution=distribution, population_size=20, generations=15, seed=3)
         return run_evolution(cfg, split, keep_archive=True)
 
-    near = run(1)
+    near = run(NearSighted(1))
     # most generations draw a winner from beyond the latest one
     assert len(set(replays)) > 5 and len(replays) > len(set(replays))
+    assert near.replays == len(replays)
     # The bound holds after every replay: only the latest generation stays held.
     assert near.archive._held == {15}
     del replays[:]
-    whole = run(16)  # holds all 16 generations of the run
-    assert replays == []
+    whole = run(NearSighted(16))  # holds all 16 generations of the run
+    assert replays == [] and whole.replays == 0
+    assert run(UniformLastK(1)).replays == 0 and replays == []
     assert np.array(near.train_rmse).tobytes() == np.array(whole.train_rmse).tobytes()
     assert np.array(near.test_rmse).tobytes() == np.array(whole.test_rmse).tobytes()
     assert near.final_best == whole.final_best
@@ -566,7 +566,7 @@ def test_each_reported_test_rmse_is_its_best_individuals_replayed_or_not(monkeyp
     cfg = EvolutionConfig(distribution=Geometric(0.5), population_size=10, generations=25, seed=6)
     result = run_evolution(cfg, split, keep_archive=True)
     archive = result.archive
-    assert min(archive._held) > 0  # horizon 14: the oldest generations were released
+    assert min(archive._held) > 0  # horizon 9: the oldest generations were released
     replays = counted_replays(monkeypatch)
     for g in range(len(archive.generations)):
         best = archive.individual(archive.best_of_generation(g))
@@ -865,9 +865,20 @@ def test_every_ref_to_a_slot_is_one_object():
         assert len(refs) > len(arch.generations) * 10
         best = [arch.best_of_generation(g) for g in range(len(arch.generations))]
         one = {}
-        for ref in refs + best:
+        winners = tournament_select(arch, Geometric(0.5), 3, 200, np.random.default_rng(1))
+        for ref in refs + best + list(winners):
             assert one.setdefault((ref.generation, ref.index), ref) is ref
         assert all(arch.best_of_generation(b.generation) is b for b in best)
+        # Each slot's ref is a frozen IndividualRef, equal to and hashed as a new one.
+        for g, row in enumerate(arch._slot_refs):
+            for i, ref in enumerate(row):
+                assert type(ref) is IndividualRef
+                assert ref == IndividualRef(g, i) and hash(ref) == hash(IndividualRef(g, i))
+        ref = arch._slot_refs[3][4]
+        for field, value in (("generation", 0), ("index", 0)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ref, field, value)
+        assert (ref.generation, ref.index) == (3, 4)
     assert result.final_best is archive.best_of_generation(len(archive.generations) - 1)
 
 

@@ -1,4 +1,4 @@
-"""Smoke test of tools/peak_rss.py at a tiny size."""
+"""Smoke tests of tools/peak_rss.py and tools/horizon_curve.py at a tiny size."""
 
 import json
 import math
@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+TOOL = TOOLS / "peak_rss.py"
 
 
 def test_each_strategy_reports_its_own_process():
@@ -21,9 +22,35 @@ def test_each_strategy_reports_its_own_process():
         assert run["peak_rss_mb"] > 0 and run["minor_faults"] > 0
         assert run["run_wall_s"] > 0 and run["user_s"] > 0
         assert math.isfinite(run["final_test_rmse"])
+        # Only a winner from beyond the horizon replays, and none lies beyond it here.
+        assert run["replays"] == run["replayed_payloads"] == run["replay_s"] == 0
+    assert [run["horizon"] for run in report["runs"]] == [1, 5, 21]
     # u:1 released generation 2 and reads it back; the horizons of u:5 (5) and
-    # g:0.25 (33) cover all four generations, so they release nothing to read.
+    # g:0.25 (21) cover all four generations, so they release nothing to read.
     u1, u5, g25 = report["runs"]
     assert u1["read_peak_rss_mb"] >= u1["peak_rss_mb"] and u1["read_s"] > 0
     for run in (u5, g25):
         assert run["read_peak_rss_mb"] is None and run["read_s"] is None
+
+
+def test_horizon_curve_reports_each_cell_and_checks_the_trajectories():
+    tails = [1e-4, 1e-2]
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "horizon_curve.py"), "--sizes", "40:2", "--pop", "6",
+         "--generations", "8", "--ps", "0.75", "--tails", *map(str, tails)],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(done.stdout)
+    cells = report["cells"]
+    assert [(c["rows"], c["p"], c["tail"], c["horizon"]) for c in cells] == [
+        (40, 0.75, 1e-4, 7), (40, 0.75, 1e-2, 4)
+    ]
+    assert all(c["runs"] == 2 for c in cells)
+    assert cells[0]["runs_replayed"] == 0  # a horizon of 7 holds all 9 generations
+    assert cells[0]["replay_share_worst"] == 0 and cells[0]["paired_ratio_median"] == 1.0
+    assert report["same_trajectories"] is True
+    assert [len(cell["runs"]) for cell in report["runs"]] == [2, 2]
+    chosen = [c for c in cells if c["tail"] == report["chosen_tail"]]
+    assert chosen and all(
+        c["replay_share_median"] <= 0.02 and c["replay_share_worst"] <= 0.2 for c in chosen
+    )

@@ -15,7 +15,14 @@ from gsgp.archive import Archive, IndividualRef, Leaf
 from gsgp.data import split_70_30
 from gsgp.evolve import run_evolution
 from gsgp.exprtree import Constant
-from gsgp.selection import Geometric, UniformLastK, parse_distribution, tournament_select
+from gsgp.selection import (
+    _HORIZON_TAIL,
+    _MAX_HORIZON,
+    Geometric,
+    UniformLastK,
+    parse_distribution,
+    tournament_select,
+)
 
 
 def constant_archive(fitnesses, generations=1):
@@ -51,15 +58,16 @@ def test_uniform_window(rng):
         assert np.mean(draws == g) == pytest.approx(1 / 3, abs=0.01)
 
 
-def test_horizon_is_the_shortest_hold_with_a_tail_of_at_most_1e_4(rng):
+def test_horizon_is_the_shortest_hold_with_a_tail_of_at_most_the_constant(rng):
     assert UniformLastK(3).horizon == 3
     assert set(UniformLastK(3).sample_many(10, 2000, rng).tolist()) == set(range(10 - 3, 10))
-    tail = Fraction(1e-4)
-    for p, expected in ((0.1, 88), (0.25, 33), (0.5, 14), (0.75, 7), (0.99999, 1)):
+    # The horizons that the Geometric docstring cites.
+    for p, expected in ((0.1, 56), (0.25, 21), (0.5, 9), (0.75, 5), (0.99999, 1)):
         assert Geometric(p).horizon == expected
-    # The last two sit at the boundary, where the rounded quotient is one short.
-    for p in (0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 0.95, 0.99999, 0.683772233983162,
-              0.6018928294465027):
+    tail = Fraction(_HORIZON_TAIL)
+    # The last two sit at the boundary, where the rounded quotient is one too long.
+    for p in (0.01, 0.05, 0.1, 0.25, 0.3, 0.5, 0.75, 0.95, 0.99999, 0.18152733200644847,
+              0.0953052072695723):
         h = Geometric(p).horizon
         q = 1 - Fraction(p)  # exact, so the check does not share the code's rounding
         assert h >= 1 and q**h <= tail < q ** (h - 1)
@@ -67,13 +75,48 @@ def test_horizon_is_the_shortest_hold_with_a_tail_of_at_most_1e_4(rng):
     assert Geometric(0.9).sample_many(50, 10**6, rng).min() < 50 - Geometric(0.9).horizon
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_every_p_gets_the_shortest_hold_within_the_tail(p):
+    h = Geometric(p).horizon
+    assert type(h) is int and 1 <= h <= _MAX_HORIZON
+    log_q = math.log1p(-p)
+    if h == _MAX_HORIZON:  # a hold beyond any run, for a p below about 5e-15
+        assert math.log(_HORIZON_TAIL) / log_q >= _MAX_HORIZON - 1
+        return
+    # The evaluation that the Geometric docstring states.
+    assert math.exp(h * log_q) <= _HORIZON_TAIL
+    assert h == 1 or math.exp((h - 1) * log_q) > _HORIZON_TAIL
+    # Exactly, where the powers are cheap and float rounding cannot flip a comparison.
+    near = [abs(math.exp(k * log_q) / _HORIZON_TAIL - 1) < 1e-9 for k in (h, h - 1)]
+    if h <= 10_000 and not any(near):
+        q = 1 - Fraction(p)
+        assert q**h <= Fraction(_HORIZON_TAIL) < q ** (h - 1)
+
+
 def test_a_tiny_p_gets_its_horizon_without_a_loop():
     p = 1e-9
     start = time.perf_counter()
     h = Geometric(p).horizon
     assert time.perf_counter() - start < 1.0  # counting up to h would take minutes
-    assert math.exp(h * math.log1p(-p)) <= 1e-4 < math.exp((h - 1) * math.log1p(-p))
-    assert h == pytest.approx(math.log(1e-4) / math.log1p(-p), abs=1)
+    log_q = math.log1p(-p)
+    assert math.exp(h * log_q) <= _HORIZON_TAIL < math.exp((h - 1) * log_q)
+    assert h == pytest.approx(math.log(_HORIZON_TAIL) / log_q, abs=1)
+    # A p near the smallest float once overflowed the quotient to inf.
+    for p in (2.0**-52, 1e-300, 5e-324):
+        assert Geometric(p).horizon == _MAX_HORIZON
+
+
+@pytest.mark.parametrize("p", ["0.5", None, True, False, [0.5], 1 + 0j])
+def test_geometric_refuses_a_p_that_is_not_a_number(p):
+    with pytest.raises(ValueError, match=re.escape(f"p must be a number, not {p!r}")):
+        Geometric(p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5, 0, 1, math.nan, math.inf, -math.inf])
+def test_geometric_refuses_a_p_outside_0_1(p):
+    with pytest.raises(ValueError, match=re.escape("p must be in (0, 1)")):
+        Geometric(p)
 
 
 def test_uniform_k_must_be_an_integer():

@@ -154,6 +154,14 @@ def _sigmoid_bit_cases(rng):
     ])
     yield "boundary values", boundary
     yield "finite boundary values", boundary[np.isfinite(boundary)]
+    # Dense grids on both sides of |v| = 36, where the clamp starts to be
+    # applied, and of v = -745, where the logistic rounds to 0.
+    yield "every |v| <= 36, so no clamp", np.linspace(-36.0, 36.0, 20001)
+    yield "around +-36", np.concatenate(
+        [np.linspace(36.0, 37.0, 20001), np.linspace(-37.0, -36.0, 20001)]
+    )
+    yield "around -745", np.linspace(-746.0, -744.0, 20001)
+    yield "+-1e300 and +-1e-300", np.array([1e300, -1e300, 1e-300, -1e-300, 36.0, -36.0])
     for scale in (1.0, 50.0, 800.0):
         yield f"finite block, scale {scale}", rng.normal(scale=scale, size=(7, 300))
     block = rng.normal(scale=40.0, size=(9, 200))
@@ -186,6 +194,22 @@ def test_sigmoid_array_path_is_bitwise_the_masked_reference(rng):
                 name,
                 form,
             )
+
+
+def test_sigmoid_array_path_agrees_with_the_scalar_path_where_their_exps_agree(rng):
+    # The scalar path takes math.exp, which differs from numpy's exp in the
+    # last bit for some inputs (about 5% of a grid over [-37, -36]).
+    for name, values in _sigmoid_bit_cases(rng):
+        values = values.ravel()
+        got = sigmoid(values)
+        scalar = np.array([sigmoid(float(v)) for v in values])
+        assert np.array_equal(np.isnan(got), np.isnan(scalar)), name
+        same_exp = np.exp(-np.abs(values)) == np.array([math.exp(-abs(v)) for v in values])
+        bits, want = got[same_exp].view(np.uint64), scalar[same_exp].view(np.uint64)
+        assert np.array_equal(bits, want), name
+        finite = ~np.isnan(values)
+        ulps = np.abs(got[finite].view(np.int64) - scalar[finite].view(np.int64))
+        assert ulps.max(initial=0) <= 2, name
 
 
 def test_semantics_constant_tree(rng):

@@ -5,7 +5,9 @@ rows and N_FEATURES features, splits it 70/30, makes one `--pop` x
 `--generations` run, and reports what getrusage says about the whole
 process: peak RSS (which includes the interpreter and numpy, about 30-40
 MB), minor page faults and user and system time. The run's own wall time is
-timed around `run_evolution`. The worker then keeps the run's archive and
+timed around `run_evolution`, and the run's replays of winners from beyond
+the horizon are reported as `RunResult.replays`, the payloads they
+evaluated and the time they took. The worker then keeps the run's archive and
 reads slot 0 of the newest generation that the run released, generation
 `generations - horizon`, which replays that individual's ancestry; it
 reports the peak RSS after that read and the read's wall time, or None for
@@ -15,10 +17,14 @@ with a row per strategy:
     python tools/peak_rss.py
     python tools/peak_rss.py --src /path/to/other/src --strategies u:1
 
-The defaults are the sizes of ROADMAP direction 8: 100 x 100 on 6000 rows.
+The defaults are the sizes of ROADMAP direction 11's 150 MB line: 100 x 100
+on 6000 rows, where g:0.25 holds its horizon of 21 generations. A study
+with a "tail" key sets Geometric's horizon tail in the worker (see
+`run_one`); tools/horizon_curve.py runs its grid through this worker.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -31,12 +37,37 @@ STRATEGIES = ("u:1", "u:5", "g:0.25")
 
 
 def run_one(study: dict) -> dict:
-    """Worker: one run with the importable gsgp, then this process's usage."""
+    """Worker: one run with the importable gsgp, then this process's usage.
+
+    A study with a "tail" sets `gsgp.selection._HORIZON_TAIL` in this
+    process only, as a test patches a constant, so every Geometric horizon
+    of the run follows it.
+    """
     import resource
     import time
 
     import gsgp
+    from gsgp.archive import Archive
 
+    if "tail" in study:
+        gsgp.selection._HORIZON_TAIL = study["tail"]
+    replaying = []  # the start time of the replay in progress, if any
+    replayed = {"payloads": 0, "seconds": 0.0}
+    replay, evaluate = Archive._replay, Archive._evaluate
+
+    def timed_replay(self, individual, generation):
+        replaying.append(time.perf_counter())
+        try:
+            replay(self, individual, generation)
+        finally:
+            replayed["seconds"] += time.perf_counter() - replaying.pop()
+
+    def counted_evaluate(self, payloads, row_of):
+        if replaying:
+            replayed["payloads"] += len(payloads)
+        return evaluate(self, payloads, row_of)
+
+    Archive._replay, Archive._evaluate = timed_replay, counted_evaluate
     data = gsgp.synthetic_dataset("friedman-like", study["rows"], N_FEATURES, 0.0, study["seed"])
     split = gsgp.split_70_30(data, study["seed"])
     cfg = gsgp.EvolutionConfig(
@@ -49,6 +80,7 @@ def run_one(study: dict) -> dict:
     result = gsgp.run_evolution(cfg, split, keep_archive=True)
     wall = time.perf_counter() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    run_replayed = dict(replayed)
     released = study["generations"] - cfg.distribution.horizon
     read_peak_mb = read_s = None
     if released >= 0:
@@ -63,9 +95,17 @@ def run_one(study: dict) -> dict:
         "user_s": usage.ru_utime,
         "system_s": usage.ru_stime,
         "run_wall_s": wall,
+        "horizon": cfg.distribution.horizon,
+        "replays": getattr(result, "replays", None),  # None for sources without the count
+        "replayed_payloads": run_replayed["payloads"],
+        "replay_s": run_replayed["seconds"],
         "read_peak_rss_mb": read_peak_mb,
         "read_s": read_s,
         "final_test_rmse": result.test_rmse[-1],
+        # float repr round-trips, so equal digests mean bit-identical curves
+        "trajectory_sha256": hashlib.sha256(
+            json.dumps([result.train_rmse, result.test_rmse, result.offset_histogram]).encode()
+        ).hexdigest(),
     }
 
 
@@ -80,7 +120,7 @@ def measure(src, study: dict) -> dict:
         text=True,
     )
     if done.returncode:
-        raise SystemExit(f"worker for {study['strategy']} failed:\n{done.stderr}")
+        raise SystemExit(f"worker for {study} failed:\n{done.stderr}")
     return json.loads(done.stdout)
 
 
