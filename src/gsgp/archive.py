@@ -1,7 +1,8 @@
 """Append-only, generation-indexed archive of every individual ever created.
 
 An individual is stored as a payload, the record of how it was made, plus
-its memoized semantics. There are four payload kinds:
+its memoized semantics. There are four payload kinds, each a
+`typing.NamedTuple`:
 
 - `Leaf`: a generation-0 syntax tree.
 - `IndividualRef`: reproduction, a bare reference to an earlier individual.
@@ -10,10 +11,13 @@ its memoized semantics. There are four payload kinds:
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
   breeding step) plus the random trees and step of the perturbation.
 
-A payload holds each of its trees as a program, the plain postfix tuple of
-the exprtree module, so a kept archive holds one object per tree and no
-object per node, and the cycle collector stops tracking a tree after its
-first collection.
+A payload is the tuple of its fields, so a ref equals the tuple `(g, i)`,
+unpacks like it and sorts as it does, and setting a field raises
+AttributeError. A payload holds each of its trees as a program, the plain
+postfix tuple of the exprtree module, so a kept archive holds one object
+per tree and no object per node, and the cycle collector stops tracking a
+tree after its first collection. It never stops tracking a payload or a
+ref: CPython untracks plain tuples only, not tuple subclasses.
 
 The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one vector over those rows,
@@ -26,8 +30,9 @@ table (`Archive.train_fitness`), filled by `append_generation`, so
 tournaments and elitism read every fitness they need with one array index.
 `append_generation` also makes the generation's refs, one `IndividualRef`
 per archived slot, and tournaments, `best_of_generation` and `from_json`
-hand out those objects rather than new ones, so a payload that names an
-earlier individual holds no ref of its own.
+hand out those objects rather than new ones. So a payload that names an
+earlier individual holds no ref of its own, and a tournament winner costs
+a tuple lookup, not a new object.
 `Archive.generations` is a tuple of per-generation tuples that only
 `append_generation` extends, so no generation lacks its table row.
 
@@ -49,10 +54,10 @@ deltas as matrix operations, checks finiteness once and computes the train
 fitness once, row by row (selection reads no test fitness, so none is
 kept). Every entry undergoes the same IEEE operations, in the same order,
 as evaluating the payload alone would apply, so the block size never
-changes a result. `evaluate` reports every slot whose semantics are not
-finite and computes no fitness for it; `make_generation` raises the first
-such slot's NonFiniteSemanticsError, and `make_individual` is a generation
-of one.
+changes a result. `evaluate` is the archive's one way to evaluate
+payloads: it reports every slot whose semantics are not finite and
+computes no fitness for it, and `make_individual` and `from_json` raise the
+first such slot's NonFiniteSemanticsError.
 
 Each block is a new array and is the storage of the children it holds: a
 child's `semantics` is its row of the block, written once and only read
@@ -85,10 +90,8 @@ writes only arrays that the call allocates.
 """
 
 import weakref
-from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -116,26 +119,22 @@ _BLOCK_ELEMENTS = 1 << 16
 _SLOT_RETRIES = 25
 
 
-@dataclass(frozen=True, slots=True)
-class IndividualRef:
+class IndividualRef(NamedTuple):
     generation: int
     index: int
 
 
-@dataclass(frozen=True, slots=True)
-class Leaf:
+class Leaf(NamedTuple):
     tree: Program
 
 
-@dataclass(frozen=True, slots=True)
-class Crossover:
+class Crossover(NamedTuple):
     parent1: IndividualRef
     parent2: IndividualRef
     random_tree: Program
 
 
-@dataclass(frozen=True, slots=True)
-class Mutation:
+class Mutation(NamedTuple):
     """Semantic mutation record.
 
     random_tree_b set: bounded two-tree form, child = base + step*(sig(Ra)-sig(Rb)).
@@ -300,24 +299,19 @@ class Archive:
     # -- creation -----------------------------------------------------
 
     def make_individual(self, payload: Payload) -> Individual:
-        """The individual of one payload (not appended); see make_generation."""
-        return self.make_generation([payload])[0]
-
-    def make_generation(self, payloads: list) -> list:
-        """Individuals of these payloads, in order (not appended).
+        """The individual of one payload (not appended).
 
         A ref that does not point into the archive raises ValueError, as
-        `individual` does. If a value is not finite, the
-        NonFiniteSemanticsError of the first such slot in order is raised;
-        see `evaluate`.
+        `individual` does. Semantics that are not all finite raise the
+        NonFiniteSemanticsError that `evaluate([payload], [0])` reports,
+        which names slot 0.
         """
-        for payload in payloads:
-            for ref in _refs(payload):
-                self.individual(ref)
-        individuals, rejects = self.evaluate(payloads, range(len(payloads)))
+        for ref in _refs(payload):
+            self.individual(ref)
+        (individual,), rejects = self.evaluate([payload], [0])
         if rejects:
             raise rejects[0]
-        return individuals
+        return individual
 
     def evaluate(self, payloads: list, slots) -> tuple:
         """(individuals, rejects) of payloads[s] for s in slots, in order.
@@ -331,7 +325,8 @@ class Archive:
         `individuals` and one NonFiniteSemanticsError in `rejects` naming
         the slot, the split and the row within it; rejects are in slot
         order. The others get their train fitness, one `fitness` call per
-        block.
+        block. This is the archive's one way to evaluate payloads:
+        `make_individual` and `from_json` raise the first reject.
 
         Every ref must point into the archive, as the refs of
         `tournament_select` and `from_json` do: `evaluate` indexes the
@@ -447,25 +442,26 @@ class Archive:
         """Complete the next generation: its individuals, fitness row and refs.
 
         The refs are made once here, `IndividualRef(g, i)` for each slot i,
-        and every ref the archive hands out for the slot is that object.
+        and every ref the archive hands out for the slot is that object, so
+        a kept archive holds one ref per slot and a tournament makes none.
         """
         generations = self._generations
-        g = len(generations)
+        g, n = len(generations), len(individuals)
         if not individuals:
             raise ValueError(f"generation {g} is empty")
-        if generations and len(individuals) != len(generations[0]):
+        if generations and n != len(generations[0]):
             raise ValueError(
-                f"generation {g} has {len(individuals)} payloads, not the population size "
+                f"generation {g} has {n} payloads, not the population size "
                 f"{len(generations[0])}"
             )
         table = self._train_fitness
         if g == len(table):  # full: double the capacity
-            grown = np.empty((max(8, 2 * g), len(individuals)))
+            grown = np.empty((max(8, 2 * g), n))
             if g:
                 grown[:g] = table
             self._train_fitness = table = grown
         table[g] = [ind.train_fitness for ind in individuals]
-        self._slot_refs += (_make_refs(g, len(individuals)),)
+        self._slot_refs += (tuple(map(IndividualRef, repeat(g, n), range(n))),)
         self._generations = generations + (tuple(individuals),)
         self._held.add(g)
 
@@ -530,7 +526,7 @@ class Archive:
                         todo.append((ref.generation, parent.payload))
                     last_read[ref] = max(reader, last_read.get(ref, reader))
         shares, expiring = {}, {}
-        for ref in sorted(last_read, key=lambda r: (r.generation, r.index)):
+        for ref in sorted(last_read):
             shares.setdefault(ref.generation, []).append(ref)
             expiring.setdefault(last_read[ref], []).append(ref)
         rows = {}
@@ -651,7 +647,10 @@ class Archive:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
-            archive.append_generation(archive.make_generation(payloads))
+            individuals, rejects = archive.evaluate(payloads, range(len(payloads)))
+            if rejects:
+                raise rejects[0]
+            archive.append_generation(individuals)
         return archive
 
 
@@ -664,20 +663,6 @@ def _refs(payload: Payload) -> tuple:
     if isinstance(payload, Crossover):
         return (payload.parent1, payload.parent2)
     return ()
-
-
-def _make_refs(generation: int, n: int) -> tuple:
-    """(IndividualRef(generation, i) for i in range(n)), as a tuple.
-
-    The frozen dataclass __init__ sets each field through
-    object.__setattr__; setting the slots through their member descriptors
-    makes the same frozen, value-equal objects in about a third of the time
-    (27 us against 76 us for 100 refs).
-    """
-    refs = tuple(map(object.__new__, repeat(IndividualRef, n)))
-    deque(map(IndividualRef.generation.__set__, refs, repeat(generation, n)), 0)
-    deque(map(IndividualRef.index.__set__, refs, range(n)), 0)
-    return refs
 
 
 def _stack(rows) -> np.ndarray:

@@ -72,13 +72,16 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="campaign base seed")
-    p.add_argument("--generations", type=int, default=100)
-    p.add_argument("--pop", type=int, default=100, help="population size")
-    p.add_argument("--tournament", type=int, default=4)
-    p.add_argument("--crossover-rate", type=float, default=0.9)
-    p.add_argument("--mutation-rate", type=float, default=0.3)
-    p.add_argument("--mutation-step", type=float, default=0.1)
-    p.add_argument("--max-depth", type=int, default=4, help="max initial tree depth")
+    cfg = EvolutionConfig()
+    p.add_argument("--generations", type=int, default=cfg.generations)
+    p.add_argument("--pop", type=int, default=cfg.population_size, help="population size")
+    p.add_argument("--tournament", type=int, default=cfg.tournament_size)
+    p.add_argument("--crossover-rate", type=float, default=cfg.crossover_rate)
+    p.add_argument("--mutation-rate", type=float, default=cfg.mutation_rate)
+    p.add_argument("--mutation-step", type=float, default=cfg.mutation_step)
+    p.add_argument(
+        "--max-depth", type=int, default=cfg.max_initial_depth, help="max initial tree depth"
+    )
     p.add_argument("--no-elitism", action="store_true")
     p.add_argument(
         "--raw-mutation",

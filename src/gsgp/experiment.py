@@ -34,7 +34,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -242,16 +242,11 @@ def resolve_strategies(strategies) -> list:
 
 
 def _evolution_echo(cfg: EvolutionConfig) -> dict:
+    """The template's fields in order, less the distribution and seed that each run sets."""
     return {
-        "population_size": cfg.population_size,
-        "generations": cfg.generations,
-        "max_initial_depth": cfg.max_initial_depth,
-        "crossover_rate": cfg.crossover_rate,
-        "mutation_rate": cfg.mutation_rate,
-        "mutation_step": cfg.mutation_step,
-        "tournament_size": cfg.tournament_size,
-        "elitism": cfg.elitism,
-        "bounded_mutation": cfg.bounded_mutation,
+        f.name: getattr(cfg, f.name)
+        for f in fields(cfg)
+        if f.name not in ("distribution", "seed")
     }
 
 

@@ -53,9 +53,10 @@ def sigmoid(v, out=None):
     # is +-inf, and when it is at most 36, every logistic lies strictly
     # inside (0, 1) already (e^-36 exceeds 2^-52, the ulp of 1), so the clamp
     # would change nothing and is skipped. A NaN makes the maximum NaN, and
-    # such a block takes the scan.
+    # such a block takes the scan. A ufunc of a 0-d array returns a numpy
+    # scalar, which the in-place passes cannot write, so `e` gets an array.
     arr = np.asarray(v, dtype=float)
-    e = np.abs(arr)
+    e = np.abs(arr, out=None if arr.ndim else np.empty(()))
     top = np.maximum.reduce(e, axis=None, initial=0.0)
     clamp = not top <= 36.0
     finite = np.isfinite(arr) if not top < math.inf and np.isinf(arr).any() else True

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gsgp.archive import Archive, Leaf
 from gsgp.data import Dataset, SplitDataset, split_70_30, synthetic_dataset
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
+
+# Every property test draws the same examples on every run and writes no
+# example database; a test's own @settings sets only its max_examples.
+settings.register_profile("gsgp", derandomize=True, database=None, deadline=None)
+settings.load_profile("gsgp")
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import gsgp.cli as cli
 import gsgp.experiment as experiment
 from gsgp.cli import build_parser, main, parse_synthetic_spec
 from gsgp.errors import NonFiniteSemanticsError
+from gsgp.evolve import EvolutionConfig
 
 
 def test_synthetic_spec_parsing():
@@ -142,6 +143,22 @@ def test_cli_bad_evolution_params(capsys):
     )
     assert code == 1
     assert "max_initial_depth must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_defaults_are_the_evolution_config_defaults(monkeypatch):
+    templates = []
+
+    class Stop(Exception):
+        pass
+
+    def record(campaign):
+        templates.append(campaign.template)
+        raise Stop
+
+    monkeypatch.setattr(cli, "run_campaign", record)
+    with pytest.raises(Stop):
+        main(["--synthetic", "polynomial:40:2:0.0"])
+    assert templates == [EvolutionConfig()]
 
 
 def test_cli_summary_when_every_run_fails(monkeypatch, capsys):

@@ -339,7 +339,7 @@ def nan_divisor(leaf):
     return BinaryOp("div", leaf, BinaryOp("sub", square, square))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(trees_and_inputs())
 @example((nan_divisor(Variable(0)), np.array([[1e308], [2.0]])))
 @example((nan_divisor(Constant(1e308)), np.array([[0.0]])))
@@ -407,7 +407,7 @@ def division_cases(draw):
     return tree, X
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(division_cases())
 def test_prepared_columns_evaluate_as_the_matrix_and_the_row_loop(case):
     tree, X = case
@@ -575,7 +575,7 @@ def generation_requests(draw):
     return TreeGenConfig(max_depth, n_features), slots, draw(st.integers(0, 2**32 - 1))
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(generation_requests())
 def test_gen_tree_matches_the_reference_in_programs_types_and_stream(request):
     cfg, slots, seed = request

@@ -127,6 +127,17 @@ def test_sigmoid_into_out_matches_plain_call(rng):
     assert np.array_equal(values, expected, equal_nan=True)
 
 
+@pytest.mark.parametrize("v", [0.0, 3.0, -3.0, 40.0, -40.0, math.inf, -math.inf, math.nan])
+def test_sigmoid_of_a_0d_array_into_out_is_the_array_path(v):
+    expected = sigmoid(np.array([v]))[0].tobytes()
+    out = np.empty(())
+    assert sigmoid(np.array(v), out=out) is out
+    assert out.tobytes() == expected
+    aliased = np.array(v)
+    assert sigmoid(aliased, out=aliased) is aliased
+    assert aliased.tobytes() == expected
+
+
 def _masked_sigmoid_reference(v):
     """The array path as it was first written, with masks that follow the data."""
     arr = np.array(v, dtype=float)
