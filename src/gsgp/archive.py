@@ -6,7 +6,8 @@ its memoized semantics. There are four payload kinds, each a
 
 - `Leaf`: a generation-0 syntax tree.
 - `IndividualRef`: reproduction, a bare reference to an earlier individual.
-  The child shares its parent's arrays and train fitness.
+  The child's row is a copy of its parent's, in its own generation's block,
+  and has its parent's train fitness.
 - `Crossover`: two earlier individuals and the random tree that weighs them.
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
   breeding step) plus the random trees and step of the perturbation.
@@ -62,7 +63,9 @@ first such slot's NonFiniteSemanticsError.
 Each block is a new array and is the storage of the children it holds: a
 child's `semantics` is its row of the block, written once and only read
 after that. A block holds children of one `evaluate` call, so it never
-spans two generations.
+spans two generations, and a reproduction copies its parent's row into
+it, so no later generation holds a row of an earlier one's block: a
+generation is the unit of release.
 
 `to_json` writes schema 2: each generation is a list of payloads, where a
 ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
@@ -78,10 +81,9 @@ individual's semantics (through `individual`, `generations[g][i]` or
 iterating a generation) replays only the released part of its own
 ancestry, oldest generation first, and keeps only the row that was read:
 the individual holds it until its generation is released again. A replayed
-row is a new array with the same bits, even where a later reproduction
-still holds the original. Payloads and fitnesses are read without a
-replay, so `to_json`, `naive_eval`, tournaments and elitism never trigger
-one.
+row is a new array with the same bits. Payloads and fitnesses are read
+without a replay, so `to_json`, `naive_eval`, tournaments and elitism never
+trigger one.
 
 An archive belongs to one thread: nothing in it is locked. Completed
 generations change only by being released or read, which changes no value
@@ -161,8 +163,9 @@ class Individual:
     """A payload with its train fitness and its semantics over the stacked train-then-test rows.
 
     train_semantics and test_semantics are views of `semantics`, made on the
-    first read of either; later reads return the same two objects, and a
-    reproduction shares its parent's. When the archive has released the
+    first read of either; later reads return the same two objects. A
+    reproduction's `semantics` is a copy of its parent's, a row of its own
+    generation's block. When the archive has released the
     individual's generation (see `Archive.release`), reading any of the
     three first replays the individual from the released part of its
     ancestry (see `Archive._replay`). It then holds the replayed row, a new
@@ -316,12 +319,14 @@ class Archive:
     def evaluate(self, payloads: list, slots) -> tuple:
         """(individuals, rejects) of payloads[s] for s in slots, in order.
 
-        A reproduction (a bare IndividualRef) shares its parent's arrays and
-        train fitness. The other payloads are evaluated in blocks of at most
-        _BLOCK_ELEMENTS stacked values. Each block is a new array that
-        stores the children it computed: a child's `semantics` is its row,
-        not a copy (when a block has a rejected slot, its row of the finite
-        rows). A slot whose semantics are not all finite gets None in
+        The payloads are evaluated in blocks of at most _BLOCK_ELEMENTS
+        stacked values. Each block is a new array that stores the children
+        it computed: a child's `semantics` is its row, not a copy (when a
+        block has a rejected slot, its row of the finite rows). A
+        reproduction (a bare IndividualRef) is one of those children: its
+        row is a copy of its parent's, in its own generation's block, and
+        the block's `fitness` call gives it its parent's train fitness bit
+        for bit. A slot whose semantics are not all finite gets None in
         `individuals` and one NonFiniteSemanticsError in `rejects` naming
         the slot, the split and the row within it; rejects are in slot
         order. The others get their train fitness, one `fitness` call per
@@ -334,20 +339,11 @@ class Archive:
         """
         slots = list(slots)
         individuals = [None] * len(slots)
-        fresh = []
-        generations = self._generations
-        for pos, slot in enumerate(slots):
-            payload = payloads[slot]
-            if isinstance(payload, IndividualRef):
-                parent = generations[payload.generation][payload.index]
-                individuals[pos] = Individual(payload, parent._held(), parent.train_fitness)
-            else:
-                fresh.append(pos)
         rejects = []
         n_train = self.n_train
         size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
-        for start in range(0, len(fresh), size):
-            positions = fresh[start : start + size]
+        for start in range(0, len(slots), size):
+            positions = range(len(slots))[start : start + size]
             block = self._evaluate([payloads[slots[pos]] for pos in positions], self._row)
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
@@ -444,6 +440,9 @@ class Archive:
         The refs are made once here, `IndividualRef(g, i)` for each slot i,
         and every ref the archive hands out for the slot is that object, so
         a kept archive holds one ref per slot and a tournament makes none.
+        They are built as `tuple.__new__(IndividualRef, (g, i))`, which
+        skips the NamedTuple constructor's call overhead and makes the same
+        refs in about half the time.
         """
         generations = self._generations
         g, n = len(generations), len(individuals)
@@ -461,7 +460,8 @@ class Archive:
                 grown[:g] = table
             self._train_fitness = table = grown
         table[g] = [ind.train_fitness for ind in individuals]
-        self._slot_refs += (tuple(map(IndividualRef, repeat(g, n), range(n))),)
+        pairs = zip(repeat(g), range(n))
+        self._slot_refs += (tuple(map(tuple.__new__, repeat(IndividualRef), pairs)),)
         self._generations = generations + (tuple(individuals),)
         self._held.add(g)
 
@@ -471,7 +471,8 @@ class Archive:
         """Drop a completed generation's semantics from all its individuals.
 
         The generation keeps its payloads and fitnesses. Its blocks are freed
-        once nothing else references their rows. Reading one of its
+        once nothing else references their rows; only its own individuals
+        do, since a reproduction copies its parent's row. Reading one of its
         individuals afterwards replays that individual alone (see
         `_replay`), which then holds its row, a new array with the same
         bits, until the generation is released again.

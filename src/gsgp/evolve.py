@@ -190,12 +190,13 @@ def run_evolution(
     of every generation older than the distribution's horizon
     (`Archive.hold_latest`), an individual that a read brought back
     included. So a run holds the semantics of the last `horizon`
-    generations and the rows their reproductions share. Reading a released
-    individual's semantics, for a winner drawn from beyond the horizon or
-    from the archive that keep_archive=True returns, replays only the
-    released part of its own ancestry and keeps only its row, a new array
-    with the same bits. That archive holds the payloads and fitnesses of
-    every generation, so it still answers every read.
+    generations and nothing more: a reproduction's row is a copy in its own
+    generation's block, so releasing a generation frees all of its blocks.
+    Reading a released individual's semantics, for a winner drawn from
+    beyond the horizon or from the archive that keep_archive=True returns,
+    replays only the released part of its own ancestry and keeps only its
+    row, a new array with the same bits. That archive holds the payloads
+    and fitnesses of every generation, so it still answers every read.
 
     A horizon that is not an int >= 1 (None and a bool included) raises
     ValueError naming the distribution's label, before anything is drawn.

@@ -25,7 +25,7 @@ from gsgp.archive import (
 )
 from gsgp.data import Dataset, synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
-from gsgp.evolve import EvolutionConfig, run_evolution
+from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
 from gsgp.exprtree import (
     MAX_TREE_DEPTH,
     BinaryOp,
@@ -217,13 +217,16 @@ def test_crossover_betweenness_sweep(rng):
             assert np.all(c >= lo - eps) and np.all(c <= hi + eps)
 
 
-def test_reference_shares_parent_semantics():
+def test_reference_copies_parent_semantics():
     archive = two_leaf_archive()
     parent = archive.generations[0][1]
     ind = archive.make_individual(IndividualRef(0, 1))
     assert ind.payload == IndividualRef(0, 1)
-    assert ind.train_semantics is parent.train_semantics
-    assert ind.test_semantics is parent.test_semantics
+    # A row of its own block with its parent's bits, so it pins no parent block.
+    assert ind.semantics.tobytes() == parent.semantics.tobytes()
+    assert not np.shares_memory(ind.semantics, parent.semantics)
+    assert ind.train_semantics.tobytes() == parent.train_semantics.tobytes()
+    assert ind.test_semantics.tobytes() == parent.test_semantics.tobytes()
     assert ind.train_fitness == parent.train_fitness
 
 
@@ -469,12 +472,12 @@ def test_a_released_individual_that_outlives_its_archive_says_so():
 def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
     monkeypatch, distribution, held
 ):
-    """Every block a run evaluated is freed unless a held generation reads it."""
+    """Every block a run evaluated is freed unless it belongs to a held generation."""
     blocks = []
     append = Archive.append_generation
 
     def recording_append(self, individuals):
-        blocks.extend(weakref.ref(ind.semantics.base) for ind in individuals)
+        blocks.append([weakref.ref(ind.semantics.base) for ind in individuals])
         append(self, individuals)
 
     def no_replay(self, individual, generation):
@@ -485,14 +488,38 @@ def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
     split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=distribution, population_size=20, generations=15, seed=3)
     archive = run_evolution(cfg, split, keep_archive=True).archive
-    alive = {id(block) for block in (ref() for ref in blocks) if block is not None}
-    # Rows that a held generation's reproductions share count as held.
-    window = archive.generations[-held:] if held else archive.generations
-    assert alive == {id(ind.semantics.base) for gen in window for ind in gen}
+    alive = [{id(block) for block in (ref() for ref in gen) if block is not None} for gen in blocks]
+    first = len(blocks) - held if held else 0
+    # A released generation pins no block: its reproductions' rows are copies
+    # in their own blocks, not rows of their parents'.
+    assert alive[:first] == [set()] * first
+    assert alive[first:] == [
+        {id(ind.semantics.base) for ind in gen} for gen in archive.generations[first:]
+    ]
     if held is None:
-        assert len(alive) == len({id(ref) for ref in blocks})  # nothing was freed
+        assert all(ref() is not None for gen in blocks for ref in gen)  # nothing was freed
     monkeypatch.undo()
     assert archive.individual(IndividualRef(0, 0)).semantics.base is not None
+
+
+def test_releasing_a_generation_frees_its_blocks_though_the_next_reproduces_it(monkeypatch):
+    split = split_70_30(synthetic_dataset("polynomial", 40, 2, 0.1, seed=5), seed=1)
+    rows = split.train.rows + split.test.rows
+    monkeypatch.setattr(archive_module, "_BLOCK_ELEMENTS", 3 * rows)  # 3 children per block
+    cfg = EvolutionConfig(population_size=10, generations=0, crossover_rate=0.0,
+                          mutation_rate=0.0, seed=4)
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    rng = np.random.default_rng(cfg.seed)
+    next_generation(archive, cfg, rng)
+    blocks = {id(ind.semantics.base): weakref.ref(ind.semantics.base)
+              for ind in archive.generations[1]}
+    assert len(blocks) == 4
+    # Generation 2 is all reproductions of generation 1.
+    next_generation(archive, cfg, rng)
+    assert {ind.payload.generation for ind in archive.generations[2]} == {1}
+    archive.hold_latest(1)
+    assert [ref() for ref in blocks.values()] == [None] * len(blocks)
+    assert archive.generations[2][0].semantics.base is not None
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,13 @@ def test_each_strategy_reports_its_own_process():
         assert math.isfinite(run["final_test_rmse"])
         # Only a winner from beyond the horizon replays, and none lies beyond it here.
         assert run["replays"] == run["replayed_payloads"] == run["replay_s"] == 0
+        # The held generations' rows pin no block of a released generation.
+        assert run["held_block_mb"] == run["needed_mb"] > 0
     assert [run["horizon"] for run in report["runs"]] == [1, 5, 21]
     # u:1 released generation 2 and reads it back; the horizons of u:5 (5) and
     # g:0.25 (21) cover all four generations, so they release nothing to read.
     u1, u5, g25 = report["runs"]
+    assert u1["needed_mb"] == 6 * 40 * 8 / 2**20  # u:1 holds one generation
     assert u1["read_peak_rss_mb"] >= u1["peak_rss_mb"] and u1["read_s"] > 0
     for run in (u5, g25):
         assert run["read_peak_rss_mb"] is None and run["read_s"] is None

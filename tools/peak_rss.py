@@ -7,8 +7,13 @@ process: peak RSS (which includes the interpreter and numpy, about 30-40
 MB), minor page faults and user and system time. The run's own wall time is
 timed around `run_evolution`, and the run's replays of winners from beyond
 the horizon are reported as `RunResult.replays`, the payloads they
-evaluated and the time they took. The worker then keeps the run's archive and
-reads slot 0 of the newest generation that the run released, generation
+evaluated and the time they took. At the end of the run it reports
+`held_block_mb`, the bytes of the distinct blocks behind the rows of the
+generations the archive holds, read without a replay, and `needed_mb`, what
+those generations' rows take (held generations x pop x rows x 8 bytes); the
+two are equal when no held row pins a block of a released generation. The
+worker then keeps the run's archive and reads slot 0 of the newest
+generation that the run released, generation
 `generations - horizon`, which replays that individual's ancestry; it
 reports the peak RSS after that read and the read's wall time, or None for
 both when the horizon covers the whole run. The tool prints one JSON object
@@ -81,11 +86,20 @@ def run_one(study: dict) -> dict:
     wall = time.perf_counter() - start
     usage = resource.getrusage(resource.RUSAGE_SELF)
     run_replayed = dict(replayed)
+    archive = result.archive
+    # A held individual's row is _views[0], read without a replay, and a view
+    # of the block that stores it.
+    blocks = {
+        id(block): block.nbytes
+        for block in (ind._views[0].base for g in archive._held for ind in archive.generations[g])
+    }
+    held_block_mb = sum(blocks.values()) / 2**20
+    needed_mb = len(archive._held) * study["pop"] * study["rows"] * 8 / 2**20
     released = study["generations"] - cfg.distribution.horizon
     read_peak_mb = read_s = None
     if released >= 0:
         start = time.perf_counter()
-        result.archive.generations[released][0].semantics
+        archive.generations[released][0].semantics
         read_s = time.perf_counter() - start
         read_peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
@@ -99,6 +113,8 @@ def run_one(study: dict) -> dict:
         "replays": getattr(result, "replays", None),  # None for sources without the count
         "replayed_payloads": run_replayed["payloads"],
         "replay_s": run_replayed["seconds"],
+        "held_block_mb": held_block_mb,
+        "needed_mb": needed_mb,
         "read_peak_rss_mb": read_peak_mb,
         "read_s": read_s,
         "final_test_rmse": result.test_rmse[-1],
