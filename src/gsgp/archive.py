@@ -47,18 +47,29 @@ built once, and a division by a variable whose column has no entry within
 DIV_EPS of zero needs no guard, with the same bits (see the exprtree
 module).
 
-`evaluate` evaluates a list of payloads in blocks of children sized so
-that a block holds at most `_BLOCK_ELEMENTS` stacked values. Per block it
-evaluates each random tree once into a row of a temporary, applies one
-`sigmoid` to the rows that need it, mixes crossovers and adds mutation
-deltas as matrix operations, checks finiteness once and computes the train
-fitness once, row by row (selection reads no test fitness, so none is
-kept). Every entry undergoes the same IEEE operations, in the same order,
-as evaluating the payload alone would apply, so the block size never
-changes a result. `evaluate` is the archive's one way to evaluate
-payloads: it reports every slot whose semantics are not finite and
-computes no fitness for it, and `make_individual` and `from_json` raise the
-first such slot's NonFiniteSemanticsError.
+The module function `evaluate_block(payloads, columns, row_of)` computes
+one block: the stacked semantics of a list of payloads over the rows of
+`columns`, reading each parent's row through `row_of(ref)`. It evaluates
+each random tree once into a row of a temporary, applies one `sigmoid` to
+the rows that need it, and mixes crossovers and adds mutation deltas as
+matrix operations. Every entry undergoes the same IEEE operations, in the
+same order, as evaluating the payload alone would apply, so the block size
+never changes a result. The archive cuts a list of payloads into blocks in
+one loop, `Archive._blocks`, which sizes a block so that it holds at most
+`_BLOCK_ELEMENTS` stacked values; `evaluate` and the replay of a released
+individual both go through it. Per block, `evaluate` then checks
+finiteness once and computes the train fitness once, row by row (selection
+reads no test fitness, so none is kept). `evaluate` is the archive's one
+way to evaluate payloads: it reports every slot whose semantics are not
+finite and computes no fitness for it, and `make_individual` and
+`from_json` raise the first such slot's NonFiniteSemanticsError.
+
+The module function `ancestry(generations, payload, generation, stop)`
+walks back over payload refs, with a stack and no recursion, and returns
+{ref: the newest generation that reads it} for every ref that evaluating
+the payload reads, directly or through the refs it reaches, leaving out a
+ref where `stop(ref)` holds and all that only it reads. Its sorted keys
+are that closure in an order where each ref follows the refs it reads.
 
 Each block is a new array and is the storage of the children it holds: a
 child's `semantics` is its row of the block, written once and only read
@@ -79,7 +90,8 @@ after each generation with the distribution's horizon h, so the semantics a
 run holds grow with h, not with the run length. Reading a released
 individual's semantics (through `individual`, `generations[g][i]` or
 iterating a generation) replays only the released part of its own
-ancestry, oldest generation first, and keeps only the row that was read:
+ancestry (its `ancestry`, stopping at every individual that holds its
+row), oldest generation first, and keeps only the row that was read:
 the individual holds it until its generation is released again. A replayed
 row is a new array with the same bits. Payloads and fitnesses are read
 without a replay, so `to_json`, `naive_eval`, tournaments and elitism never
@@ -200,7 +212,12 @@ class Individual:
         """The current views tuple, the individual replayed first if released."""
         views = self._views
         if type(views) is _Released:
-            views.restore(self)
+            archive = views.archive()
+            if archive is None:
+                raise RuntimeError(
+                    f"generation {views.generation} was released and its archive is gone"
+                )
+            archive._replay(self, views.generation)
             views = self._views
         return views
 
@@ -213,26 +230,16 @@ class Individual:
         return views
 
 
-class _Released:
+class _Released(NamedTuple):
     """What the views of a released generation's individuals are replaced by.
 
-    It holds its archive weakly, so a released individual does not keep the
-    archive alive; reading it after the archive is gone raises RuntimeError.
+    It holds a weak reference to its archive, so a released individual does
+    not keep the archive alive; reading it after the archive is gone raises
+    RuntimeError.
     """
 
-    __slots__ = ("archive", "generation")
-
-    def __init__(self, archive, generation: int):
-        self.archive = weakref.ref(archive)
-        self.generation = generation
-
-    def restore(self, individual: Individual):
-        archive = self.archive()
-        if archive is None:
-            raise RuntimeError(
-                f"generation {self.generation} was released and its archive is gone"
-            )
-        archive._replay(individual, self.generation)
+    archive: weakref.ref
+    generation: int
 
 
 class Archive:
@@ -341,10 +348,7 @@ class Archive:
         individuals = [None] * len(slots)
         rejects = []
         n_train = self.n_train
-        size = max(1, _BLOCK_ELEMENTS // len(self.inputs))
-        for start in range(0, len(slots), size):
-            positions = range(len(slots))[start : start + size]
-            block = self._evaluate([payloads[slots[pos]] for pos in positions], self._row)
+        for positions, block in self._blocks(slots, payloads.__getitem__, self._row):
             finite = np.isfinite(block).all(axis=1)
             if not finite.all():
                 for i in np.flatnonzero(~finite).tolist():
@@ -357,6 +361,19 @@ class Archive:
                 individuals[pos] = Individual(payloads[slots[pos]], (row, n_train), train)
         return individuals, rejects
 
+    def _blocks(self, keys: list, payload_of, row_of):
+        """(positions, block) for consecutive ranges of positions in keys, in order.
+
+        Row j of a block is the semantics of payload_of(keys[positions[j]]),
+        from `evaluate_block` with row_of; a block holds at most
+        _BLOCK_ELEMENTS stacked values. This is the one loop that sizes
+        blocks, for `evaluate` and `_replay` alike.
+        """
+        size = max(1, _BLOCK_ELEMENTS // self._columns.rows)
+        for start in range(0, len(keys), size):
+            span = range(start, min(start + size, len(keys)))
+            yield span, evaluate_block([payload_of(keys[k]) for k in span], self._columns, row_of)
+
     def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
         """The error for a slot's non-finite values, naming a train row before a test row."""
         context = f"{type(payload).__name__} payload in slot {slot}"
@@ -367,66 +384,6 @@ class Archive:
             # Its traceback's frames hold `values`, a view of the whole block,
             # and a caller may keep the error for the rest of a run.
             return exc.with_traceback(None)
-
-    def _evaluate(self, payloads: list, row_of) -> np.ndarray:
-        """Stacked semantics of payloads, one row each, in a new block.
-
-        row_of(ref) is the semantics row of a ref that a payload reads. A
-        reproduction's row is a copy of its parent's. Each random tree is
-        evaluated once into a row of a tree temporary; the trees under a
-        sigmoid come first and go through one sigmoid call. Crossover mixing
-        and mutation deltas are then whole-matrix operations, in the order
-        child = w*p1 + (1-w)*p2 and child = base + step*(sig(a) - sig(b))
-        (or base + step*a for raw mutation). The block and the temporaries
-        are allocated per call and shared with nothing.
-        """
-        block = np.empty((len(payloads), len(self.inputs)))
-        leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
-        for row, payload in enumerate(payloads):
-            base = payload.base if isinstance(payload, Mutation) else payload
-            if isinstance(base, Leaf):
-                leaves.append((row, base.tree))
-            elif isinstance(base, Crossover):
-                crossovers.append((row, base))
-            elif isinstance(base, IndividualRef):
-                ref_bases.append((row, base))
-            else:
-                raise TypeError(f"unknown payload {payload!r}")
-            if isinstance(payload, Mutation):
-                (raw if payload.random_tree_b is None else bounded).append((row, payload))
-        n_cross, n_bounded = len(crossovers), len(bounded)
-        n_sigmoid = n_cross + 2 * n_bounded
-        trees = np.empty((n_sigmoid + len(raw), len(self.inputs)))
-        tree_list = (
-            [c.random_tree for _, c in crossovers]
-            + [m.random_tree_a for _, m in bounded]
-            + [m.random_tree_b for _, m in bounded]
-            + [m.random_tree_a for _, m in raw]
-        )
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for tree, row in zip(tree_list, trees):
-                eval_tree_many(tree, self._columns, out=row)
-            for row, tree in leaves:
-                eval_tree_many(tree, self._columns, out=block[row])
-            for row, ref in ref_bases:
-                block[row] = row_of(ref)
-            if n_sigmoid:
-                sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
-            if crossovers:
-                w = trees[:n_cross]
-                p1 = _stack([row_of(c.parent1) for _, c in crossovers])
-                p2 = _stack([row_of(c.parent2) for _, c in crossovers])
-                np.multiply(w, p1, out=p1)
-                np.subtract(1.0, w, out=w)
-                np.multiply(w, p2, out=p2)
-                block[[row for row, _ in crossovers]] = np.add(p1, p2, out=p1)
-            if bounded:
-                delta = trees[n_cross : n_cross + n_bounded]
-                np.subtract(delta, trees[n_cross + n_bounded : n_sigmoid], out=delta)
-                _add_steps(block, bounded, delta)
-            if raw:
-                _add_steps(block, raw, trees[n_sigmoid:])
-        return block
 
     def _row(self, ref: IndividualRef) -> np.ndarray:
         """The semantics row of an archived individual, replayed first if released."""
@@ -482,7 +439,7 @@ class Archive:
         if generation not in self._held:
             return
         self._held.discard(generation)
-        released = _Released(self, generation)
+        released = _Released(weakref.ref(self), generation)
         for ind in self._generations[generation]:
             ind._views = released
 
@@ -504,28 +461,22 @@ class Archive:
     def _replay(self, individual: Individual, generation: int):
         """Recompute a released individual of `generation` and hold its row there.
 
-        Its released ancestry is found by walking back over payload refs,
-        stopping at every individual that holds its row. That ancestry is
-        evaluated oldest generation first, each generation's share in blocks
-        as `evaluate` sizes them, reading parent rows from the rows replayed
-        so far; each replayed row is dropped after the last generation that
-        reads it. A row that a generation beyond the next evaluated one
-        reads is first copied out of its block, so no block outlives the
-        next generation's evaluation. Only `individual` keeps its row, in a
-        block of its own.
+        Its released ancestry is its `ancestry`, stopping at every
+        individual that holds its row. That ancestry is evaluated oldest
+        generation first, each generation's share in the blocks of
+        `evaluate`, reading parent rows from the rows replayed so far; each
+        replayed row is dropped after the last generation that reads it. A
+        row that a generation beyond the next evaluated one reads is first
+        copied out of its block, so no block outlives the next generation's
+        evaluation. Only `individual` keeps its row, in a block of its own.
         """
         self.replays += 1
         generations = self._generations
-        last_read = {}  # released ancestor -> the newest generation that reads it
-        todo = [(generation, individual.payload)]
-        while todo:
-            reader, payload = todo.pop()
-            for ref in _refs(payload):
-                parent = generations[ref.generation][ref.index]
-                if type(parent._views) is _Released:
-                    if ref not in last_read:
-                        todo.append((ref.generation, parent.payload))
-                    last_read[ref] = max(reader, last_read.get(ref, reader))
+
+        def holds_row(ref):
+            return type(generations[ref.generation][ref.index]._views) is not _Released
+
+        last_read = ancestry(generations, individual.payload, generation, holds_row)
         shares, expiring = {}, {}
         for ref in sorted(last_read):
             shares.setdefault(ref.generation, []).append(ref)
@@ -536,22 +487,22 @@ class Archive:
             row = rows.get(ref)
             return self._row(ref) if row is None else row
 
-        size = max(1, _BLOCK_ELEMENTS // len(self.inputs))  # as `evaluate` sizes a block
+        def payload_of(ref):
+            return generations[ref.generation][ref.index].payload
+
         steps = [*shares, generation]
         for g, after in zip(steps, steps[1:]):
             share = shares[g]
-            for start in range(0, len(share), size):
-                refs = share[start : start + size]
-                block = self._evaluate([generations[g][r.index].payload for r in refs], row_of)
+            for span, block in self._blocks(share, payload_of, row_of):
                 # A row that a later step than the next one reads is copied
                 # out, so the block is freed once the next step has read it.
                 rows.update(
                     (ref, row if last_read[ref] <= after else row.copy())
-                    for ref, row in zip(refs, block)
+                    for ref, row in zip(share[span.start : span.stop], block)
                 )
             for ref in expiring.pop(g, ()):
                 del rows[ref]
-        row = self._evaluate([individual.payload], row_of)[0]
+        row = evaluate_block([individual.payload], self._columns, row_of)[0]
         individual._views = (row, self.n_train)
         self._held.add(generation)
 
@@ -653,6 +604,91 @@ class Archive:
                 raise rejects[0]
             archive.append_generation(individuals)
         return archive
+
+
+def evaluate_block(payloads: list, columns: Columns, row_of) -> np.ndarray:
+    """Stacked semantics of payloads, one row each, in a new block.
+
+    row_of(ref) is the semantics row of a ref that a payload reads. A
+    reproduction's row is a copy of its parent's. Each random tree is
+    evaluated once into a row of a tree temporary; the trees under a
+    sigmoid come first and go through one sigmoid call. Crossover mixing
+    and mutation deltas are then whole-matrix operations, in the order
+    child = w*p1 + (1-w)*p2 and child = base + step*(sig(a) - sig(b))
+    (or base + step*a for raw mutation). The block and the temporaries
+    are allocated per call and shared with nothing.
+    """
+    block = np.empty((len(payloads), columns.rows))
+    leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
+    for row, payload in enumerate(payloads):
+        base = payload.base if isinstance(payload, Mutation) else payload
+        if isinstance(base, Leaf):
+            leaves.append((row, base.tree))
+        elif isinstance(base, Crossover):
+            crossovers.append((row, base))
+        elif isinstance(base, IndividualRef):
+            ref_bases.append((row, base))
+        else:
+            raise TypeError(f"unknown payload {payload!r}")
+        if isinstance(payload, Mutation):
+            (raw if payload.random_tree_b is None else bounded).append((row, payload))
+    n_cross, n_bounded = len(crossovers), len(bounded)
+    n_sigmoid = n_cross + 2 * n_bounded
+    trees = np.empty((n_sigmoid + len(raw), columns.rows))
+    tree_list = (
+        [c.random_tree for _, c in crossovers]
+        + [m.random_tree_a for _, m in bounded]
+        + [m.random_tree_b for _, m in bounded]
+        + [m.random_tree_a for _, m in raw]
+    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for tree, row in zip(tree_list, trees):
+            eval_tree_many(tree, columns, out=row)
+        for row, tree in leaves:
+            eval_tree_many(tree, columns, out=block[row])
+        for row, ref in ref_bases:
+            block[row] = row_of(ref)
+        if n_sigmoid:
+            sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
+        if crossovers:
+            w = trees[:n_cross]
+            p1 = _stack([row_of(c.parent1) for _, c in crossovers])
+            p2 = _stack([row_of(c.parent2) for _, c in crossovers])
+            np.multiply(w, p1, out=p1)
+            np.subtract(1.0, w, out=w)
+            np.multiply(w, p2, out=p2)
+            block[[row for row, _ in crossovers]] = np.add(p1, p2, out=p1)
+        if bounded:
+            delta = trees[n_cross : n_cross + n_bounded]
+            np.subtract(delta, trees[n_cross + n_bounded : n_sigmoid], out=delta)
+            _add_steps(block, bounded, delta)
+        if raw:
+            _add_steps(block, raw, trees[n_sigmoid:])
+    return block
+
+
+def ancestry(generations: tuple, payload: Payload, generation: int, stop) -> dict:
+    """{ref: the newest generation that reads it} over the ancestry of a payload.
+
+    The payload is of `generation`, and `generations` holds the individuals
+    of every generation before it. The ancestry is every ref that
+    evaluating the payload reads, directly or through the payloads of refs
+    already in it. The walk keeps a stack, not recursion, and does not pass
+    a ref where stop(ref) holds: that ref and what only it reads are left
+    out. Sorted, the keys are the closure oldest generation first, an
+    order in which every ref comes after the refs it reads. A Leaf gives {}.
+    """
+    last_read = {}
+    todo = [(generation, payload)]
+    while todo:
+        reader, payload = todo.pop()
+        for ref in _refs(payload):
+            if ref in last_read:
+                last_read[ref] = max(reader, last_read[ref])
+            elif not stop(ref):
+                last_read[ref] = reader
+                todo.append((ref.generation, generations[ref.generation][ref.index].payload))
+    return last_read
 
 
 def _refs(payload: Payload) -> tuple:

@@ -59,57 +59,56 @@ def load_csv(path, has_header: bool = False) -> Dataset:
 
     Blank lines are skipped; with has_header, so is the first other line.
     A diagnostic numbers rows by physical line, where a record ends, so a
-    quoted cell that spans lines does not shift the lines after it.
+    quoted cell that spans lines does not shift the lines after it. A line
+    that the csv module cannot read, such as one with a cell longer than
+    its field size limit, raises CsvFormatError naming that line.
     """
     rows = []
     width = None
     skip_header = has_header
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        for record in reader:
-            lineno = reader.line_num
-            if not record:
-                continue
-            if skip_header:
-                skip_header = False
-                continue
-            if width is None:
-                width = len(record)
-                if width < 2:
+        try:
+            for record in reader:
+                lineno = reader.line_num
+                if not record:
+                    continue
+                if skip_header:
+                    skip_header = False
+                    continue
+                if width is None:
+                    width = len(record)
+                    if width < 2:
+                        raise CsvFormatError(
+                            f"{path}: need at least 2 columns (features + target), got {width}"
+                        )
+                elif len(record) != width:
                     raise CsvFormatError(
-                        f"{path}: need at least 2 columns (features + target), got {width}"
+                        f"{path}: ragged row at line {lineno}: "
+                        f"expected {width} cells, got {len(record)}"
                     )
-            elif len(record) != width:
-                raise CsvFormatError(
-                    f"{path}: ragged row at line {lineno}: "
-                    f"expected {width} cells, got {len(record)}"
-                )
-            parsed = []
-            for col, cell in enumerate(record, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise CsvFormatError(
-                        f"{path}: non-finite cell {cell!r} at row {lineno}, column {col}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
+                parsed = []
+                for col, cell in enumerate(record, start=1):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise CsvFormatError(
+                            f"{path}: non-numeric cell {cell!r} at row {lineno}, column {col}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise CsvFormatError(
+                            f"{path}: non-finite cell {cell!r} at row {lineno}, column {col}"
+                        )
+                    parsed.append(value)
+                rows.append(parsed)
+        except csv.Error as exc:
+            raise CsvFormatError(
+                f"{path}: unreadable CSV at line {reader.line_num}: {exc}"
+            ) from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     data = np.array(rows, dtype=float)
     return Dataset(name=str(path), inputs=data[:, :-1], targets=data[:, -1])
-
-
-def save_csv(dataset: Dataset, path):
-    """Write a dataset back out, with no header; repr round-trips every float exactly."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for x, y in zip(dataset.inputs, dataset.targets):
-            writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
 
 
 def train_size_70(rows: int) -> int:

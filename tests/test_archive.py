@@ -4,6 +4,7 @@ import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -404,6 +405,88 @@ def test_generations_released_in_any_order_recompute_once_as_a_json_round_trip_d
     assert replays[32:] == [5] * 8
 
 
+def three_generation_archive():
+    """Generations 0-2 of three slots, every payload kind in generations 1 and 2.
+
+    (0, 0) is read by (1, 0) in generation 1 and directly by (2, 1)'s
+    inline crossover in generation 2; (0, 1) by (1, 0) and (1, 1), both in
+    generation 1.
+    """
+    split = make_split([[1.0], [2.0]], [0.0, 0.0])
+    archive = seeded_archive([Variable(0), Constant(2.0), Constant(-1.0)], split)
+    half = BinaryOp("mul", Variable(0), Constant(0.5))
+    for payloads in (
+        [
+            Crossover(IndividualRef(0, 0), IndividualRef(0, 1), half),
+            Mutation(IndividualRef(0, 1), Variable(0), Constant(1.0), 0.1),
+            IndividualRef(0, 2),
+        ],
+        [
+            Crossover(IndividualRef(1, 0), IndividualRef(1, 1), half),
+            Mutation(Crossover(IndividualRef(1, 2), IndividualRef(0, 0), half), half, None, 0.1),
+            IndividualRef(1, 0),
+        ],
+    ):
+        archive.append_generation([archive.make_individual(p) for p in payloads])
+    return archive
+
+
+def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
+    archive = three_generation_archive()
+    generations = archive.generations
+    child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
+    visited = []
+
+    def never(ref):
+        visited.append(ref)
+        return False
+
+    found = archive_module.ancestry(generations, child, 3, never)
+    assert found == {
+        (2, 0): 3, (2, 1): 3,
+        (1, 0): 2, (1, 1): 2, (1, 2): 2,
+        (0, 0): 2, (0, 1): 1, (0, 2): 1,
+    }
+    # Reached over two paths each, (0, 0) and (0, 1) are asked about once.
+    assert sorted(visited) == sorted(found)
+    assert all(type(ref) is IndividualRef for ref in found)
+    # The sorted keys put each ref after every ref that its payload reads.
+    order = sorted(found)
+    for k, ref in enumerate(order):
+        assert all(r in order[:k] for r in archive_module._refs(archive.individual(ref).payload))
+    # A generation-2 payload's own ancestry stops short of its generation.
+    assert archive_module.ancestry(generations, generations[2][2].payload, 2, never) == {
+        (1, 0): 2, (0, 0): 1, (0, 1): 1,
+    }
+
+
+def test_ancestry_does_not_pass_a_stopping_ref_and_a_leaf_has_none():
+    archive = three_generation_archive()
+    generations = archive.generations
+    child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
+    # Past (2, 0) lie (1, 0) and (1, 1), and (0, 1) only through them;
+    # (0, 0) is still read through (2, 1).
+    found = archive_module.ancestry(generations, child, 3, lambda ref: ref == (2, 0))
+    assert found == {(2, 1): 3, (1, 2): 2, (0, 0): 2, (0, 2): 1}
+    held = archive_module.ancestry(generations, child, 3, lambda ref: ref.generation == 2)
+    assert held == {}
+    for g in range(3):
+        leaf = archive_module.ancestry(generations, Leaf(Variable(0)), g, lambda ref: False)
+        assert leaf == {}
+
+
+def test_ancestry_of_a_long_chain_does_not_recurse():
+    depth = sys.getrecursionlimit() + 50
+    # Anything with a `payload` stands in for an individual; generation g
+    # reproduces generation g - 1.
+    generations = ((SimpleNamespace(payload=Leaf(Variable(0))),),) + tuple(
+        (SimpleNamespace(payload=IndividualRef(g - 1, 0)),) for g in range(1, depth)
+    )
+    child = IndividualRef(depth - 1, 0)
+    found = archive_module.ancestry(generations, child, depth, lambda ref: False)
+    assert found == {(g, 0): g + 1 for g in range(depth)}
+
+
 def released_ancestry(archive, ref, holding) -> list:
     """Refs of ref's ancestors reached over individuals not in `holding`, a set of (g, i)."""
     found, todo = {}, [ref]
@@ -423,18 +506,18 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
     clone = Archive.from_json(archive.to_json(), split)
     holding = {(12, i) for i in range(10)}
     calls, blocks = [], []
-    evaluate = Archive._evaluate
+    evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(self, payloads, row_of):
+    def recording_evaluate(payloads, columns, row_of):
         # u:1 parents are one generation back, so a replay holds at most the
         # rows of the generation before the one it evaluates.
         assert all(block() is None for block in blocks[:-1])
         calls.append(payloads)
-        block = evaluate(self, payloads, row_of)
+        block = evaluate(payloads, columns, row_of)
         blocks.append(weakref.ref(block))
         return block
 
-    monkeypatch.setattr(Archive, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(archive_module, "evaluate_block", recording_evaluate)
     for g, i in [(9, 3), (10, 3), (4, 0), (10, 7)]:
         ref = IndividualRef(g, i)
         ancestry = released_ancestry(archive, ref, holding)
@@ -541,17 +624,17 @@ def test_a_replayed_row_with_a_distant_reader_does_not_pin_its_block(monkeypatch
     archive = run_evolution(cfg, split, keep_archive=True).archive
     clone = Archive.from_json(archive.to_json(), split)
     blocks = []
-    evaluate = Archive._evaluate
+    evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(self, payloads, row_of):
+    def recording_evaluate(payloads, columns, row_of):
         # Parents come from up to several generations back, yet a block is
         # freed once the generation after it has been evaluated.
         assert all(block() is None for block in blocks[:-1])
-        block = evaluate(self, payloads, row_of)
+        block = evaluate(payloads, columns, row_of)
         blocks.append(weakref.ref(block))
         return block
 
-    monkeypatch.setattr(Archive, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(archive_module, "evaluate_block", recording_evaluate)
     for g, i in [(10, 0), (9, 4)]:
         del blocks[:]
         row = archive.individual(IndividualRef(g, i)).semantics

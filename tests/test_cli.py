@@ -111,6 +111,15 @@ def test_cli_missing_dataset_is_config_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_reports_a_csv_line_past_the_field_limit_as_one_error_line(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("1,2\n" + "x" * 200_000 + ",3\n4,5\n")
+    assert main(["--dataset", str(path), "--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert captured.err.startswith(f"gsgp: error: {path}: unreadable CSV at line 2: ")
+
+
 def test_cli_bad_strategy_is_config_error(capsys):
     code = main(
         ["--synthetic", "polynomial:40:2:0.0", "--strategy", "u:zero", "--runs", "1"]

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from conftest import FIXTURES
 from gsgp.data import (
     Dataset,
     load_csv,
-    save_csv,
     split_70_30,
     split_sizes_70_30,
     synthetic_dataset,
@@ -88,6 +89,12 @@ def test_load_csv_rejects_non_finite_cell(tmp_path, cell):
         load_csv(write(tmp_path, rows))
 
 
+def test_load_csv_names_the_line_of_a_cell_past_the_csv_field_limit(tmp_path):
+    path = write(tmp_path, "1,2\n" + "x" * 200_000 + ",3\n4,5\n")
+    with pytest.raises(CsvFormatError, match=r"unreadable CSV at line 2: field larger than"):
+        load_csv(path)
+
+
 def test_load_csv_ragged_row(tmp_path):
     with pytest.raises(CsvFormatError, match="ragged"):
         load_csv(write(tmp_path, "1,2,3\n1,2\n"))
@@ -167,7 +174,10 @@ def test_split_different_seeds_differ():
 def test_csv_round_trip_is_exact(tmp_path):
     d = synthetic_dataset("friedman-like", 20, 5, 0.3, seed=8)
     path = tmp_path / "out.csv"
-    save_csv(d, path)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for x, y in zip(d.inputs, d.targets):
+            writer.writerow([repr(float(v)) for v in x] + [repr(float(y))])
     back = load_csv(path)
     assert np.array_equal(back.inputs, d.inputs)
     assert np.array_equal(back.targets, d.targets)

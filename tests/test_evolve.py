@@ -335,15 +335,15 @@ def test_a_kept_nonfinite_error_pins_no_block(monkeypatch):
     cfg = EvolutionConfig(population_size=30, generations=0, seed=1)
     archive = run_evolution(cfg, split, keep_archive=True).archive
     rejected = []
-    evaluate = Archive._evaluate
+    evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(self, payloads, row_of):
-        block = evaluate(self, payloads, row_of)
+    def recording_evaluate(payloads, columns, row_of):
+        block = evaluate(payloads, columns, row_of)
         if not np.isfinite(block).all():
             rejected.append(weakref.ref(block))
         return block
 
-    monkeypatch.setattr(Archive, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(archive_module, "evaluate_block", recording_evaluate)
     rng = np.random.default_rng(3)
     kept = []
     for _ in range(5):

@@ -7,7 +7,8 @@ process: peak RSS (which includes the interpreter and numpy, about 30-40
 MB), minor page faults and user and system time. The run's own wall time is
 timed around `run_evolution`, and the run's replays of winners from beyond
 the horizon are reported as `RunResult.replays`, the payloads they
-evaluated and the time they took. At the end of the run it reports
+evaluated (None for a source without `archive.evaluate_block`) and the
+time they took. At the end of the run it reports
 `held_block_mb`, the bytes of the distinct blocks behind the rows of the
 generations the archive holds, read without a replay, and `needed_mb`, what
 those generations' rows take (held generations x pop x rows x 8 bytes); the
@@ -58,7 +59,8 @@ def run_one(study: dict) -> dict:
         gsgp.selection._HORIZON_TAIL = study["tail"]
     replaying = []  # the start time of the replay in progress, if any
     replayed = {"payloads": 0, "seconds": 0.0}
-    replay, evaluate = Archive._replay, Archive._evaluate
+    replay = Archive._replay
+    evaluate = getattr(gsgp.archive, "evaluate_block", None)  # None for older sources
 
     def timed_replay(self, individual, generation):
         replaying.append(time.perf_counter())
@@ -67,12 +69,14 @@ def run_one(study: dict) -> dict:
         finally:
             replayed["seconds"] += time.perf_counter() - replaying.pop()
 
-    def counted_evaluate(self, payloads, row_of):
+    def counted_evaluate(payloads, columns, row_of):
         if replaying:
             replayed["payloads"] += len(payloads)
-        return evaluate(self, payloads, row_of)
+        return evaluate(payloads, columns, row_of)
 
-    Archive._replay, Archive._evaluate = timed_replay, counted_evaluate
+    Archive._replay = timed_replay
+    if evaluate is not None:
+        gsgp.archive.evaluate_block = counted_evaluate
     data = gsgp.synthetic_dataset("friedman-like", study["rows"], N_FEATURES, 0.0, study["seed"])
     split = gsgp.split_70_30(data, study["seed"])
     cfg = gsgp.EvolutionConfig(
@@ -111,7 +115,7 @@ def run_one(study: dict) -> dict:
         "run_wall_s": wall,
         "horizon": cfg.distribution.horizon,
         "replays": getattr(result, "replays", None),  # None for sources without the count
-        "replayed_payloads": run_replayed["payloads"],
+        "replayed_payloads": None if evaluate is None else run_replayed["payloads"],
         "replay_s": run_replayed["seconds"],
         "held_block_mb": held_block_mb,
         "needed_mb": needed_mb,

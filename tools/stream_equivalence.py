@@ -133,7 +133,7 @@ def chi_square(observed: list, law: list) -> dict:
 
 def compare(study, a: dict, b: dict) -> dict:
     sys.path.insert(0, str(ROOT / "src"))
-    from gsgp import median, rank_sum_test
+    from gsgp.stats import median, rank_sum_test
 
     rmse = []
     offsets = []
