@@ -110,11 +110,10 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .data import SplitDataset
-from .errors import EvalBudgetExceededError, NonFiniteSemanticsError
+from .errors import EvalBudgetExceededError, NonFiniteSemanticsError, finite_number
 from .exprtree import (
     Columns,
     Program,
-    _finite_number,
     eval_tree,
     eval_tree_many,
     tree_from_json,
@@ -127,10 +126,6 @@ SCHEMA_VERSION = 2
 # Children are evaluated in blocks of at most this many stacked values
 # (children x rows), so a block and its temporaries stay small at any row count.
 _BLOCK_ELEMENTS = 1 << 16
-
-# A slot whose semantics come out non-finite is redrawn, in seeding and in
-# breeding alike; one that fails _SLOT_RETRIES + 1 times in a row aborts.
-_SLOT_RETRIES = 25
 
 
 class IndividualRef(NamedTuple):
@@ -251,7 +246,6 @@ class Archive:
     """
 
     def __init__(self, split: SplitDataset, fitness=rmse):
-        self.split = split
         self.train_inputs = split.train.inputs
         self.test_inputs = split.test.inputs
         self.train_targets = split.train.targets
@@ -766,7 +760,7 @@ def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:
             raise ValueError("mutation base is neither a ref nor a crossover")
         rb = obj["random_tree_b"]
         step = obj["step"]
-        if not (_finite_number(step) and step >= 0):
+        if not (finite_number(step) and step >= 0):
             raise ValueError(f"mutation step {step!r} is not a finite number >= 0")
         return Mutation(
             base,
@@ -775,39 +769,3 @@ def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:
             float(step),
         )
     raise ValueError(f"unknown payload kind {kind!r}")
-
-
-def seed_archive(
-    trees: list,
-    split: SplitDataset,
-    *,
-    regenerate=None,
-    fitness=rmse,
-) -> Archive:
-    """Build a one-generation archive from generation-0 trees.
-
-    A tree whose semantics come out non-finite (protected division keeps
-    this rare) is replaced by `regenerate(slot)`, a new tree for that slot.
-    Without a regenerator, or when a slot fails _SLOT_RETRIES + 1 times in a
-    row, the seed aborts with the diagnostic, which names the tree's slot,
-    rather than clamping values.
-    """
-    if not trees:
-        raise ValueError("cannot seed an archive from an empty tree list")
-    archive = Archive(split, fitness=fitness)
-    individuals = []
-    for slot, tree in enumerate(trees):
-        failures = 0
-        while True:
-            try:
-                individuals.append(archive.make_individual(Leaf(tree)))
-                break
-            except NonFiniteSemanticsError as exc:
-                failures += 1
-                if regenerate is None or failures > _SLOT_RETRIES:
-                    # make_individual names slot 0 of its generation of one.
-                    message = str(exc).replace(" slot 0 ", f" slot {slot} ", 1)
-                    raise NonFiniteSemanticsError(message, exc.split, exc.row, slot) from None
-                tree = regenerate(slot)
-    archive.append_generation(individuals)
-    return archive

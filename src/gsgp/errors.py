@@ -1,5 +1,6 @@
-"""Exception types, and the check of integer settings, shared across the package."""
+"""Exception types, and the checks of numeric settings, shared across the package."""
 
+import math
 import numbers
 
 
@@ -14,6 +15,15 @@ def checked_int(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
     return int(value)
+
+
+def finite_number(value) -> bool:
+    """Whether value is a finite real number, such as an int or a float (a bool is not)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 class NonFiniteSemanticsError(ValueError):

@@ -7,10 +7,11 @@ mutation record. Slot 0 is the previous generation's best individual when
 elitism is on, exempt from variation.
 
 Randomness follows RNG stream 2 (RNG_STREAM). A run first draws its
-generation-0 trees, one `gen_tree` call over the `ramp_schedule` slots; a
-seed tree with non-finite semantics is replaced at once by a `gen_tree`
-call for its slot alone. Then `next_generation` draws the payloads of its
-k open slots in bulk, one draw per kind, in this order:
+generation-0 trees, one `gen_tree` call over the `ramp_schedule` slots, and
+`seed_archive` evaluates them in slot order; a seed tree with non-finite
+semantics is replaced at once by a `gen_tree` call for its slot alone. Then
+`next_generation` draws the payloads of its k open slots in bulk, one draw
+per kind, in this order:
 
 1. crossover coins, `rng.random(k)`;
 2. mutation coins, `rng.random(k)`;
@@ -27,6 +28,10 @@ once. The slots whose semantics are not finite are drawn again the same
 way, with k the number of failed slots, and only they are evaluated
 again. A rejected draw stays consumed: its entrants stay tallied in
 offset_counts.
+
+Seeding and breeding share one cap on these redraws, _SLOT_RETRIES: a
+slot whose semantics are not finite _SLOT_RETRIES + 1 times in a row
+aborts the run with its NonFiniteSemanticsError, which names the slot.
 """
 
 import numbers
@@ -36,15 +41,20 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import _SLOT_RETRIES, Archive, Crossover, IndividualRef, Mutation, seed_archive
+from .archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from .data import SplitDataset
-from .errors import checked_int
-from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, _finite_number, gen_tree, ramp_schedule
+from .errors import NonFiniteSemanticsError, checked_int, finite_number
+from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, gen_tree, ramp_schedule
 from .selection import UniformLastK, tournament_select
+from .semantics import rmse
 
 # The order in which a run draws its randomness (see the module docstring);
 # campaign reports record it.
 RNG_STREAM = 2
+
+# The cap on a slot's non-finite redraws, in seeding and breeding alike
+# (see the module docstring).
+_SLOT_RETRIES = 25
 
 
 @dataclass
@@ -73,9 +83,9 @@ class EvolutionConfig:
             raise ValueError(f"max_initial_depth must be <= MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
         for name in ("crossover_rate", "mutation_rate"):
             rate = getattr(self, name)
-            if not (_finite_number(rate) and 0.0 <= rate <= 1.0):
+            if not (finite_number(rate) and 0.0 <= rate <= 1.0):
                 raise ValueError(f"{name} must be a number in [0, 1], not {rate!r}")
-        if not (_finite_number(self.mutation_step) and self.mutation_step >= 0):
+        if not (finite_number(self.mutation_step) and self.mutation_step >= 0):
             raise ValueError(
                 f"mutation_step must be a finite number >= 0, not {self.mutation_step!r}"
             )
@@ -112,6 +122,35 @@ class RunResult:
     replays: int = 0
 
 
+def seed_archive(trees: list, split: SplitDataset, *, regenerate, fitness=rmse) -> Archive:
+    """Build a one-generation archive from generation-0 trees.
+
+    A tree whose semantics come out non-finite (protected division keeps
+    this rare) is replaced by `regenerate(slot)`, a new tree for that slot.
+    A slot that fails _SLOT_RETRIES + 1 times in a row aborts the seed with
+    the diagnostic, which names the tree's slot, rather than clamping values.
+    """
+    if not trees:
+        raise ValueError("cannot seed an archive from an empty tree list")
+    archive = Archive(split, fitness=fitness)
+    individuals = []
+    for slot, tree in enumerate(trees):
+        failures = 0
+        while True:
+            try:
+                individuals.append(archive.make_individual(Leaf(tree)))
+                break
+            except NonFiniteSemanticsError as exc:
+                failures += 1
+                if failures > _SLOT_RETRIES:
+                    # make_individual names slot 0 of its generation of one.
+                    message = str(exc).replace(" slot 0 ", f" slot {slot} ", 1)
+                    raise NonFiniteSemanticsError(message, exc.split, exc.row, slot) from None
+                tree = regenerate(slot)
+    archive.append_generation(individuals)
+    return archive
+
+
 def next_generation(
     archive: Archive,
     cfg: EvolutionConfig,
@@ -126,8 +165,7 @@ def next_generation(
     are not finite is redrawn and evaluated again on its own, with the
     other failed slots of its round; each rejected draw's error is
     appended to `rejects` when given. A slot that fails _SLOT_RETRIES + 1
-    times aborts the generation with its error, the same cap that
-    seed_archive applies to generation 0.
+    times aborts the generation with its error (see the module docstring).
     """
     if not archive.generations:
         raise ValueError("archive has no seeded generation")

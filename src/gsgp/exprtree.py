@@ -19,12 +19,13 @@ on later passes. `Constant(v)`, `Variable(i)` and `BinaryOp(kind, left,
 right)` write a program by hand, checked as it is built.
 
 Protected division yields 1.0 where the divisor is not above DIV_EPS in
-magnitude. A caller that evaluates many trees over one matrix prepares it
-once as `Columns`: its column views are built once, and each column is
-marked safe when every entry is above DIV_EPS in magnitude. A division
-whose divisor is a lone variable leaf on a safe column then divides with
-no guard. The guard would pass on every row of such a column, so the
-quotient has the same bits. Every other division keeps the guard.
+magnitude. `eval_tree_many` reads its matrix as `Columns`, which the caller
+prepares once per matrix and passes to every call: its column views are
+built once, and each column is marked safe when every entry is above
+DIV_EPS in magnitude. A division whose divisor is a lone variable leaf on a
+safe column then divides with no guard. The guard would pass on every row
+of such a column, so the quotient has the same bits. Every other division
+keeps the guard.
 
 Random trees are drawn in bulk (RNG stream 2). `gen_tree` lays every tree
 it draws out on a heap of depth max_depth, where node j sits at depth
@@ -47,15 +48,13 @@ and the trees `tree_from_json` accepts.
 """
 
 import functools
-import math
-import numbers
 import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import checked_int
+from .errors import checked_int, finite_number
 
 OP_KINDS = ("add", "sub", "mul", "div")
 
@@ -158,8 +157,8 @@ class TreeGenConfig:
     and P_GROW_TERMINAL.
     """
 
-    max_depth: int = 4
-    n_features: int = 1
+    max_depth: int
+    n_features: int
 
     def __post_init__(self):
         # Both are stored as ints; a bool or a fraction is refused.
@@ -388,23 +387,21 @@ def eval_tree(tree: Program, x) -> float:
     return _run(tree, np.asarray(x, dtype=float).tolist())
 
 
-def eval_tree_many(tree: Program, inputs, out=None) -> np.ndarray:
+def eval_tree_many(tree: Program, columns: Columns, out=None) -> np.ndarray:
     """Evaluate a tree on every row of a rows x n_features matrix at once.
 
     Agrees bitwise with a per-row eval_tree loop (the same IEEE operations,
     applied componentwise); this is the hot path for semantics computation.
-    `inputs` is the matrix's `Columns`, which many calls share, or the
-    matrix, which is prepared as `Columns` for this call alone. A division
+    The caller passes the matrix's `Columns`, prepared once and shared by
+    every call over that matrix; a bare matrix is not accepted. A division
     by a safe column (one whose every entry is above DIV_EPS in magnitude)
     skips the guard, which could not fail there. The result is written into
     `out`, a float64 vector of one entry per row, and `out` is returned;
     without one it goes into a new array.
     """
-    if type(inputs) is not Columns:
-        inputs = Columns(inputs)
     if out is None:
-        out = np.empty(inputs.rows)
-    return _run(tree, inputs.vectors, out, inputs._apply, inputs._apply_into)
+        out = np.empty(columns.rows)
+    return _run(tree, columns.vectors, out, columns._apply, columns._apply_into)
 
 
 def tree_to_json(tree: Program):
@@ -417,15 +414,6 @@ def tree_to_json(tree: Program):
         else:
             stack.append({"const": node} if type(node) is float else {"var": node})
     return stack.pop()
-
-
-def _finite_number(value) -> bool:
-    """Whether value is a finite real number, such as an int or a float (a bool is not)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
 
 
 def tree_from_json(obj, n_features: int) -> Program:
@@ -444,7 +432,7 @@ def tree_from_json(obj, n_features: int) -> Program:
             raise ValueError(f"tree is deeper than MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
         if "const" in obj:
             value = obj["const"]
-            if not _finite_number(value):
+            if not finite_number(value):
                 raise ValueError(f"constant {value!r} is not a finite number")
             code.append(float(value))
         elif "var" in obj:

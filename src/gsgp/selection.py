@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .archive import Archive
-from .errors import checked_int
-from .exprtree import _finite_number
+from .errors import checked_int, finite_number
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class Geometric:
     def __post_init__(self):
         # A bool, a string or None is refused by name; a non-finite float
         # fails the range check, whose message parse_distribution passes on.
-        if not (_finite_number(self.p) or isinstance(self.p, float)):
+        if not (finite_number(self.p) or isinstance(self.p, float)):
             raise ValueError(f"p must be a number, not {self.p!r}")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must be in (0, 1)")

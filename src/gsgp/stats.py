@@ -1,9 +1,10 @@
 """Medians and the two-sided Wilcoxon rank-sum (Mann-Whitney U) test.
 
-The exact null distribution of U is used when both samples are small
-(min size <= 10) and tie-free; otherwise the normal approximation with
-midrank tie correction and continuity correction. Two-sided throughout;
-callers read the direction of a difference from the medians.
+The data alone pick how the p-value is computed: from the exact null
+distribution of U when the samples are tie-free and the smaller holds at
+most EXACT_MAX_SIZE = 10 values, otherwise from the normal approximation
+with midrank tie correction and continuity correction. Two-sided
+throughout; callers read the direction of a difference from the medians.
 """
 
 import math
@@ -61,14 +62,13 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def rank_sum_test(a, b, method: str = None) -> RankSumResult:
+def rank_sum_test(a, b) -> RankSumResult:
     """Two-sided Mann-Whitney U test on two independent samples.
 
-    method None picks the policy above; "exact" or "normal-approx" force a
-    route (exact requires tie-free data).
+    The data pick the route: exact when the samples are tie-free and the
+    smaller has at most EXACT_MAX_SIZE values, the normal approximation
+    otherwise.
     """
-    if method not in (None, "exact", "normal-approx"):
-        raise ValueError(f"unknown method {method!r}")
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
@@ -80,16 +80,8 @@ def rank_sum_test(a, b, method: str = None) -> RankSumResult:
     # Midranks: a value's ties share the mean of the ranks 1..N they span.
     ranks = (np.cumsum(tie_counts) - 0.5 * (tie_counts - 1))[inverse]
     u1 = float(np.sum(ranks[:n]) - n * (n + 1) / 2.0)
-    has_ties = bool((tie_counts > 1).any())
 
-    if method == "exact" and has_ties:
-        raise ValueError("exact method is only defined for tie-free samples")
-    use_exact = (
-        method == "exact"
-        if method
-        else not has_ties and min(n, m) <= EXACT_MAX_SIZE
-    )
-    if use_exact:
+    if min(n, m) <= EXACT_MAX_SIZE and not (tie_counts > 1).any():
         return RankSumResult(
             u_statistic=u1,
             p_value=_exact_two_sided_p(u1, n, m),

@@ -16,17 +16,10 @@ from conftest import make_split, seeded_archive
 
 import gsgp.archive as archive_module
 import gsgp.evolve as evolve_module
-from gsgp.archive import (
-    Archive,
-    Crossover,
-    IndividualRef,
-    Leaf,
-    Mutation,
-    seed_archive,
-)
+from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from gsgp.data import Dataset, synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
-from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
+from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
 from gsgp.exprtree import (
     MAX_TREE_DEPTH,
     BinaryOp,
@@ -51,15 +44,22 @@ def crossover(i, j, random_tree):
     return Crossover(IndividualRef(0, i), IndividualRef(0, j), random_tree)
 
 
+def evolved_split(rows=20):
+    return split_70_30(synthetic_dataset("polynomial", rows, 2, 0.0, seed=5), seed=1)
+
+
 def evolved_archive(pop=8, gens=5, seed=9, rows=20):
-    split = split_70_30(synthetic_dataset("polynomial", rows, 2, 0.0, seed=5), seed=1)
     cfg = EvolutionConfig(population_size=pop, generations=gens, seed=seed)
-    return run_evolution(cfg, split, keep_archive=True).archive
+    return run_evolution(cfg, evolved_split(rows), keep_archive=True).archive
+
+
+def no_regeneration(slot):
+    raise AssertionError(f"slot {slot} was regenerated")
 
 
 def test_seed_archive_shape(small_split, rng):
     trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 100, rng)
-    archive = seed_archive(trees, small_split)
+    archive = seed_archive(trees, small_split, regenerate=no_regeneration)
     assert len(archive.generations) == 1
     assert len(archive.generations[0]) == 100
     assert all(isinstance(ind.payload, Leaf) for ind in archive.generations[0])
@@ -74,8 +74,8 @@ def test_mean_constant_leaf_fitness_is_population_std(small_split):
 
 def test_seeding_is_deterministic(small_split, rng):
     trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 10, rng)
-    a = seed_archive(trees, small_split)
-    b = seed_archive(trees, small_split)
+    a = seed_archive(trees, small_split, regenerate=no_regeneration)
+    b = seed_archive(trees, small_split, regenerate=no_regeneration)
     for x, y in zip(a.generations[0], b.generations[0]):
         assert np.array_equal(x.train_semantics, y.train_semantics)
         assert x.train_fitness == y.train_fitness
@@ -103,11 +103,6 @@ def test_seed_regenerates_nonfinite_trees(small_split):
     assert all(ind.train_fitness < float("inf") for ind in seeded)
 
 
-def test_seed_without_regenerator_aborts(small_split):
-    with pytest.raises(NonFiniteSemanticsError):
-        seed_archive([Constant(float("nan"))], small_split)
-
-
 def test_seed_retry_bound(small_split):
     calls = []
 
@@ -118,11 +113,10 @@ def test_seed_retry_bound(small_split):
     with pytest.raises(NonFiniteSemanticsError):
         seed_archive([Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate)
     # the same cap as breeding: the slot aborts on its _SLOT_RETRIES + 1-th failure
-    assert calls == [1] * archive_module._SLOT_RETRIES
+    assert calls == [1] * evolve_module._SLOT_RETRIES
 
 
-@pytest.mark.parametrize("regenerates", [False, True])
-def test_a_seed_tree_that_fails_for_good_is_reported_in_its_own_slot(regenerates):
+def test_a_seed_tree_that_fails_for_good_is_reported_in_its_own_slot():
     data = synthetic_dataset("polynomial", 30, 3, 0.0, seed=4)
     split = split_70_30(Dataset(data.name, data.inputs * 1e200, data.targets), seed=1)
     product = BinaryOp("mul", BinaryOp("mul", Variable(0), Variable(1)), Variable(2))
@@ -133,13 +127,11 @@ def test_a_seed_tree_that_fails_for_good_is_reported_in_its_own_slot(regenerates
         return product
 
     with pytest.raises(NonFiniteSemanticsError) as caught:
-        seed_archive(
-            [Constant(1.0)] * 3 + [product], split, regenerate=regenerate if regenerates else None
-        )
+        seed_archive([Constant(1.0)] * 3 + [product], split, regenerate=regenerate)
     assert caught.value.slot == 3
     assert "Leaf payload in slot 3 at row" in str(caught.value)
     assert "slot 0" not in str(caught.value)
-    assert calls == ([3] * archive_module._SLOT_RETRIES if regenerates else [])
+    assert calls == [3] * evolve_module._SLOT_RETRIES
 
 
 def test_crossover_midpoint():
@@ -302,7 +294,7 @@ def test_naive_eval_budget_guard():
 
 def test_record_count_after_seeding(small_split, rng):
     trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 12, rng)
-    archive = seed_archive(trees, small_split)
+    archive = seeded_archive(trees, small_split)
     assert archive.record_count() == 12
 
 
@@ -330,7 +322,7 @@ def test_generation_size_is_enforced():
 def test_json_round_trip_recomputes_identical_semantics():
     archive = evolved_archive(pop=6, gens=3)
     blob = json.dumps(archive.to_json())
-    clone = Archive.from_json(json.loads(blob), archive.split)
+    clone = Archive.from_json(json.loads(blob), evolved_split())
     assert len(clone.generations) == len(archive.generations)
     for gen_a, gen_b in zip(archive.generations, clone.generations):
         for a, b in zip(gen_a, gen_b):
@@ -753,7 +745,7 @@ def json_archive_with(**overrides):
     }
     payload.update(overrides)
     blob["generations"][1][2] = {k: v for k, v in payload.items() if v is not None}
-    return blob, archive.split
+    return blob, evolved_split()
 
 
 def test_json_schema_2_writes_refs_as_pairs():
@@ -762,7 +754,7 @@ def test_json_schema_2_writes_refs_as_pairs():
     assert blob["schema_version"] == 2
     elite = blob["generations"][1][0]
     assert elite == [0, archive.best_of_generation(0).index]
-    clone = Archive.from_json(json.loads(json.dumps(blob)), archive.split)
+    clone = Archive.from_json(json.loads(json.dumps(blob)), evolved_split())
     assert clone.generations[1][0].payload == archive.generations[1][0].payload
 
 
@@ -1104,7 +1096,7 @@ _payloads = st.one_of(
 def test_block_size_never_changes_semantics_or_fitness(payloads):
     split = split_70_30(synthetic_dataset("polynomial", 12, 2, 0.0, seed=5), seed=1)
     trees = [gen_tree(_TREE_CFG, [(3, "grow")], np.random.default_rng(i))[0] for i in range(4)]
-    archive = seed_archive(trees, split)
+    archive = seeded_archive(trees, split)
     crossovers = [crossover(i, (i + 1) % 4, trees[i]) for i in range(4)]
     archive.append_generation(archive.evaluate(crossovers, range(4))[0])
     slots = range(len(payloads))

@@ -147,16 +147,16 @@ def test_grow_respects_max_depth(rng):
 
 def test_gen_tree_rejects_unknown_method(rng):
     with pytest.raises(ValueError, match="unknown method"):
-        gen_tree(TreeGenConfig(), [(4, "half")], rng)
+        gen_tree(TreeGenConfig(max_depth=4, n_features=1), [(4, "half")], rng)
     with pytest.raises(ValueError, match="slot depth 5"):
-        gen_tree(TreeGenConfig(max_depth=4), [(5, "grow")], rng)
+        gen_tree(TreeGenConfig(max_depth=4, n_features=1), [(5, "grow")], rng)
     for depth in (True, 1.0, 2.5, -1):
         with pytest.raises(ValueError, match="slot depth"):
-            gen_tree(TreeGenConfig(max_depth=4), [(depth, "grow")], rng)
+            gen_tree(TreeGenConfig(max_depth=4, n_features=1), [(depth, "grow")], rng)
 
 
 def test_ramp_schedule_splits_methods_evenly():
-    cfg = TreeGenConfig(max_depth=4)
+    cfg = TreeGenConfig(max_depth=4, n_features=1)
     slots = ramp_schedule(cfg, 100)
     assert len(slots) == 100
     methods = [m for _, m in slots]
@@ -166,7 +166,7 @@ def test_ramp_schedule_splits_methods_evenly():
 
 
 def test_ramp_schedule_odd_remainder_goes_to_grow():
-    slots = ramp_schedule(TreeGenConfig(max_depth=4), 7)
+    slots = ramp_schedule(TreeGenConfig(max_depth=4, n_features=1), 7)
     assert [m for _, m in slots].count("grow") == 4
 
 
@@ -186,7 +186,7 @@ def test_ramped_single_tree():
 
 
 def test_ramped_low_max_depth_falls_back_to_grow():
-    slots = ramp_schedule(TreeGenConfig(max_depth=1), 10)
+    slots = ramp_schedule(TreeGenConfig(max_depth=1, n_features=1), 10)
     assert slots == [(1, "grow")] * 10
 
 
@@ -219,12 +219,12 @@ def test_eval_variable_out_of_range():
         with pytest.raises(ValueError, match="out of range"):
             eval_tree(tree, [1.0, 2.0])
         with pytest.raises(ValueError, match="out of range"):
-            eval_tree_many(tree, np.ones((3, 2)))
+            eval_tree_many(tree, Columns(np.ones((3, 2))))
     program = tree_from_json({"var": 2}, 3)  # valid for 3 features, not for 2
     with pytest.raises(ValueError, match="out of range"):
         eval_tree(program, [1.0, 2.0])
     with pytest.raises(ValueError, match="out of range"):
-        eval_tree_many(program, np.ones((3, 2)))
+        eval_tree_many(program, Columns(np.ones((3, 2))))
 
 
 def test_a_hand_written_tree_is_checked_when_compiled():
@@ -233,7 +233,7 @@ def test_a_hand_written_tree_is_checked_when_compiled():
         deep = BinaryOp("add", deep, Constant(1.0))
     assert eval_tree(deep, [0.5]) == 10.5
     with pytest.raises(ValueError, match="deeper than MAX_TREE_DEPTH"):
-        eval_tree_many(BinaryOp("add", deep, Constant(1.0)), np.ones((2, 1)))
+        eval_tree_many(BinaryOp("add", deep, Constant(1.0)), Columns(np.ones((2, 1))))
     with pytest.raises(ValueError, match="unknown operator kind 'pow'"):
         eval_tree(BinaryOp("pow", Constant(2.0), Constant(3.0)), [0.0])
     with pytest.raises(ValueError, match="variable index -1 is negative"):
@@ -282,8 +282,9 @@ def test_the_constructors_make_programs(tree, n_features):
 def test_vectorized_eval_matches_scalar_loop(rng):
     cfg = TreeGenConfig(max_depth=4, n_features=3)
     X = rng.normal(size=(17, 3))
+    columns = Columns(X)
     for t in gen_tree(cfg, [(4, "grow")] * 50, rng):
-        vec = eval_tree_many(t, X)
+        vec = eval_tree_many(t, columns)
         loop = np.array([eval_tree(t, row) for row in X])
         assert np.array_equal(vec, loop)
 
@@ -350,16 +351,17 @@ def test_program_and_node_forms_evaluate_alike_and_round_trip(case):
     nodes = nodes_from_json(obj)
     assert tree_to_json(program) == tree_to_json(nodes) == obj
     assert program == tree
+    c_order, f_order = Columns(X), Columns(np.asfortranarray(X))
     with np.errstate(all="ignore"):
-        many = eval_tree_many(program, X)
+        many = eval_tree_many(program, c_order)
         assert same_bits(many, [eval_tree(program, row) for row in X])
-        assert same_bits(many, eval_tree_many(nodes, X))
+        assert same_bits(many, eval_tree_many(nodes, c_order))
         assert same_bits(many, [eval_tree(nodes, row) for row in X])
         # The archive stores its inputs column-major; the layout is not part of the value.
-        assert same_bits(many, eval_tree_many(program, np.asfortranarray(X)))
+        assert same_bits(many, eval_tree_many(program, f_order))
         # The last operator writes into `out` itself.
         out = np.full(len(X), 7.0)
-        assert eval_tree_many(program, np.asfortranarray(X), out=out) is out
+        assert eval_tree_many(program, f_order, out=out) is out
         assert same_bits(many, out)
 
 
@@ -411,17 +413,16 @@ def division_cases(draw):
 @given(division_cases())
 def test_prepared_columns_evaluate_as_the_matrix_and_the_row_loop(case):
     tree, X = case
-    for matrix in (X, np.asfortranarray(X)):
-        columns = Columns(matrix)
-        assert columns.safe == tuple(bool(np.all(np.abs(c) > DIV_EPS)) for c in X.T)
-        with np.errstate(all="ignore"):
-            prepared = eval_tree_many(tree, columns)
-            assert same_bits(prepared, eval_tree_many(tree, matrix))
-            assert same_bits(prepared, [eval_tree(tree, row) for row in X])
-            for inputs in (columns, matrix):
-                out = np.full(len(X), 7.0)
-                assert eval_tree_many(tree, inputs, out=out) is out
-                assert same_bits(prepared, out)
+    layouts = (Columns(X), Columns(np.asfortranarray(X)))
+    with np.errstate(all="ignore"):
+        prepared = eval_tree_many(tree, layouts[0])
+        assert same_bits(prepared, [eval_tree(tree, row) for row in X])
+        for columns in layouts:
+            assert columns.safe == tuple(bool(np.all(np.abs(c) > DIV_EPS)) for c in X.T)
+            assert same_bits(prepared, eval_tree_many(tree, columns))
+            out = np.full(len(X), 7.0)
+            assert eval_tree_many(tree, columns, out=out) is out
+            assert same_bits(prepared, out)
 
 
 def test_a_column_is_safe_only_strictly_above_div_eps():
@@ -441,10 +442,9 @@ def test_a_computed_zero_divisor_gives_one():
     X = np.array([[1.0], [2.0], [-5.0]])
     columns = Columns(X)
     assert columns.safe == (True,)
-    for inputs in (X, columns):
-        assert eval_tree_many(tree, inputs).tolist() == [1.0, 1.0, 1.0]
-        out = np.zeros(3)
-        assert eval_tree_many(tree, inputs, out=out).tolist() == [1.0, 1.0, 1.0]
+    assert eval_tree_many(tree, columns).tolist() == [1.0, 1.0, 1.0]
+    out = np.zeros(3)
+    assert eval_tree_many(tree, columns, out=out).tolist() == [1.0, 1.0, 1.0]
     assert eval_tree(tree, [2.0]) == 1.0
 
 
@@ -462,7 +462,7 @@ def test_a_division_by_a_safe_column_skips_the_guard(monkeypatch):
 def test_importing_builds_no_heap_plan():
     code = (
         "import gsgp, gsgp.exprtree as e; assert e._heap_plan.cache_info().currsize == 0; "
-        "e.gen_tree(e.TreeGenConfig(3), [(3, 'grow')], __import__('numpy').random.default_rng(0)); "
+        "e.gen_tree(e.TreeGenConfig(3, 1), [(3, 'grow')], __import__('numpy').random.default_rng(0)); "
         "assert e._heap_plan.cache_info().currsize == 1"
     )
     src = str(Path(exprtree.__file__).resolve().parent.parent)
@@ -496,19 +496,19 @@ def test_tree_json_round_trip(rng):
 )
 def test_tree_gen_config_refuses_bools_and_fractions(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        TreeGenConfig(**kwargs)
+        TreeGenConfig(**{"max_depth": 4, "n_features": 1, **kwargs})
     cfg = TreeGenConfig(max_depth=np.int64(3), n_features=np.int32(2))
     assert type(cfg.max_depth) is int and type(cfg.n_features) is int
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TreeGenConfig(max_depth=-1)
+        TreeGenConfig(max_depth=-1, n_features=1)
     with pytest.raises(ValueError):
-        TreeGenConfig(n_features=0)
-    TreeGenConfig(max_depth=MAX_TREE_DEPTH)
+        TreeGenConfig(max_depth=4, n_features=0)
+    TreeGenConfig(max_depth=MAX_TREE_DEPTH, n_features=1)
     with pytest.raises(ValueError):
-        TreeGenConfig(max_depth=MAX_TREE_DEPTH + 1)
+        TreeGenConfig(max_depth=MAX_TREE_DEPTH + 1, n_features=1)
 
 
 def reference_gen_tree(cfg, slots, rng):

@@ -36,6 +36,20 @@ def test_each_strategy_reports_its_own_process():
         assert run["read_peak_rss_mb"] is None and run["read_s"] is None
 
 
+def test_a_winner_from_beyond_the_horizon_is_replayed_and_counted():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), "--strategies", "g:0.75", "--rows", "200", "--seed", "1"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    (run,) = json.loads(done.stdout)["runs"]
+    # g:0.75 holds 5 of 101 generations, and this seed draws a winner from beyond them.
+    assert run["horizon"] == 5
+    assert run["replays"] >= 1
+    assert run["replayed_payloads"] > 0 and run["replay_s"] > 0
+    # A replay keeps only the winner's row, so it pins no block of a released generation.
+    assert run["held_block_mb"] == run["needed_mb"]
+
+
 def test_horizon_curve_reports_each_cell_and_checks_the_trajectories():
     tails = [1e-4, 1e-2]
     done = subprocess.run(

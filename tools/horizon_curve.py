@@ -130,7 +130,7 @@ def main(argv=None) -> int:
                 for tail in tails:
                     study = {"rows": rows, "pop": args.pop, "generations": args.generations,
                              "seed": seed, "strategy": f"g:{prob!r}", "tail": tail}
-                    run = peak_rss.measure(args.src, study)
+                    run = peak_rss.run_worker(peak_rss.__file__, args.src, study)
                     runs.setdefault((rows, prob, tail), []).append(run)
                     digests.add(run["trajectory_sha256"])
                     print(f"rows {rows} seed {seed} p {prob} tail {tail:g}: "

@@ -27,6 +27,8 @@ The defaults are the sizes of ROADMAP direction 11's 150 MB line: 100 x 100
 on 6000 rows, where g:0.25 holds its horizon of 21 generations. A study
 with a "tail" key sets Geometric's horizon tail in the worker (see
 `run_one`); tools/horizon_curve.py runs its grid through this worker.
+`run_worker` is the one runner of a tool's worker in a new interpreter;
+tools/stream_equivalence.py runs its engines through it too.
 """
 
 import argparse
@@ -129,18 +131,23 @@ def run_one(study: dict) -> dict:
     }
 
 
-def measure(src, study: dict) -> dict:
-    """Run one study in a new interpreter that imports gsgp from `src`."""
+def run_worker(script, src, study: dict):
+    """Run `script --worker` in a new interpreter that imports gsgp from `src`.
+
+    The worker reads `study` as JSON on stdin and writes its result as JSON
+    on stdout, which is returned. A worker that fails raises RuntimeError
+    with its stderr.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     done = subprocess.run(
-        [sys.executable, __file__, "--worker"],
+        [sys.executable, str(script), "--worker"],
         input=json.dumps(study),
         env=env,
         capture_output=True,
         text=True,
     )
     if done.returncode:
-        raise SystemExit(f"worker for {study} failed:\n{done.stderr}")
+        raise RuntimeError(f"{Path(script).name} worker on {src} failed:\n{done.stderr}")
     return json.loads(done.stdout)
 
 
@@ -159,7 +166,7 @@ def main(argv=None) -> int:
         return 0
     study = {"rows": args.rows, "pop": args.pop, "generations": args.generations,
              "seed": args.seed}
-    runs = [measure(args.src, {**study, "strategy": spec}) for spec in args.strategies]
+    runs = [run_worker(__file__, args.src, {**study, "strategy": spec}) for spec in args.strategies]
     json.dump({"src": args.src, "study": study, "runs": runs}, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0

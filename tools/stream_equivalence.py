@@ -27,10 +27,11 @@ Needs numpy and scipy (for the chi-square tail).
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import peak_rss  # noqa: E402  (a sibling script, not a package)
 
 ROOT = Path(__file__).resolve().parent.parent
 ROWS = 200
@@ -67,22 +68,6 @@ def run_side():
                 )
             results[f"{kind}/{spec}"] = runs
     json.dump(results, sys.stdout)
-
-
-def engine_results(src, study) -> dict:
-    """Run the study in a subprocess that imports gsgp from `src`."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
-    done = subprocess.run(
-        [sys.executable, __file__, "--worker"],
-        input=json.dumps(study),
-        env=env,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if done.returncode != 0:
-        raise RuntimeError(f"engine at {src} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
 
 
 def offset_law(spec: str, generations: int) -> list:
@@ -186,8 +171,8 @@ def main(argv=None) -> int:
         "datasets": args.datasets,
         "seed": args.seed,
     }
-    a = engine_results(args.a, study)
-    b = engine_results(args.b, study)
+    a = peak_rss.run_worker(__file__, args.a, study)
+    b = peak_rss.run_worker(__file__, args.b, study)
     report = {"a": args.a, "b": args.b, "study": study, **compare(study, a, b)}
     json.dump(report, sys.stdout, indent=1)
     sys.stdout.write("\n")
