@@ -755,9 +755,13 @@ def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:
             tree_from_json(obj["random_tree"], n_features),
         )
     if kind == "mutation":
-        base = _payload_from_json(obj["base"], earlier, n_features)
-        if not isinstance(base, (IndividualRef, Crossover)):
+        # The base is told by its form before it is parsed, so a payload is
+        # parsed at most two levels deep however deeply its base nests.
+        base = obj["base"]
+        crossover = isinstance(base, dict) and base.get("kind") == "crossover"
+        if not (isinstance(base, list) or crossover):
             raise ValueError("mutation base is neither a ref nor a crossover")
+        base = _payload_from_json(base, earlier, n_features)
         rb = obj["random_tree_b"]
         step = obj["step"]
         if not (finite_number(step) and step >= 0):

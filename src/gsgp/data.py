@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError
+from .errors import CsvFormatError, finite_number
 
 SYNTHETIC_KINDS = ("polynomial", "friedman-like")
 
@@ -156,7 +156,7 @@ def synthetic_dataset(kind: str, rows: int, n_features: int, noise: float, seed:
     """
     if rows < 2:
         raise ValueError("rows must be >= 2")
-    if not (math.isfinite(noise) and noise >= 0):
+    if not (finite_number(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}, expected one of {SYNTHETIC_KINDS}")

@@ -4,11 +4,12 @@ import math
 import numbers
 
 
-def checked_int(name: str, value, minimum: int) -> int:
+def checked_int(name: str, value, minimum: float) -> int:
     """value as an int, if it is an integer >= minimum; otherwise ValueError naming name.
 
     A bool is refused, although Python counts it as an integer, and a numpy
-    integer is stored as the int it holds.
+    integer is stored as the int it holds. A minimum of -math.inf admits
+    every integer.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, not {value!r}")
@@ -18,12 +19,17 @@ def checked_int(name: str, value, minimum: int) -> int:
 
 
 def finite_number(value) -> bool:
-    """Whether value is a finite real number, such as an int or a float (a bool is not)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """Whether value is a finite real number, such as an int or a float.
+
+    A bool is not, and neither is an int beyond float range (10**400, say),
+    which no float setting or constant can hold.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class NonFiniteSemanticsError(ValueError):

@@ -44,7 +44,7 @@ import numpy as np
 from .archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from .data import SplitDataset
 from .errors import NonFiniteSemanticsError, checked_int, finite_number
-from .exprtree import MAX_TREE_DEPTH, TreeGenConfig, gen_tree, ramp_schedule
+from .exprtree import MAX_TREE_DEPTH, gen_tree, ramp_schedule
 from .selection import UniformLastK, tournament_select
 from .semantics import rmse
 
@@ -129,9 +129,8 @@ def seed_archive(trees: list, split: SplitDataset, *, regenerate, fitness=rmse) 
     this rare) is replaced by `regenerate(slot)`, a new tree for that slot.
     A slot that fails _SLOT_RETRIES + 1 times in a row aborts the seed with
     the diagnostic, which names the tree's slot, rather than clamping values.
+    trees is not empty: `Archive.append_generation` refuses an empty one.
     """
-    if not trees:
-        raise ValueError("cannot seed an archive from an empty tree list")
     archive = Archive(split, fitness=fitness)
     individuals = []
     for slot, tree in enumerate(trees):
@@ -166,11 +165,10 @@ def next_generation(
     other failed slots of its round; each rejected draw's error is
     appended to `rejects` when given. A slot that fails _SLOT_RETRIES + 1
     times aborts the generation with its error (see the module docstring).
+    The archive holds at least its seeded generation (`seed_archive`).
     """
-    if not archive.generations:
-        raise ValueError("archive has no seeded generation")
     current = len(archive.generations)
-    tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=archive.inputs.shape[1])
+    depth, n_features = cfg.max_initial_depth, archive.inputs.shape[1]
     trees_per_mutation = 2 if cfg.bounded_mutation else 1
 
     def draw(k):
@@ -182,7 +180,7 @@ def next_generation(
         )
         n_trees = sum(crossover) + trees_per_mutation * sum(mutation)
         winners = iter(winners)
-        trees = iter(gen_tree(tree_cfg, [(tree_cfg.max_depth, "grow")] * n_trees, rng))
+        trees = iter(gen_tree(depth, n_features, [(depth, "grow")] * n_trees, rng))
         payloads = []
         for crossed, mutated in zip(crossover, mutation):
             base = Crossover(next(winners), next(winners), next(trees)) if crossed else next(winners)
@@ -247,16 +245,16 @@ def run_evolution(
         )
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    tree_cfg = TreeGenConfig(max_depth=cfg.max_initial_depth, n_features=split.train.n_features)
-    schedule = ramp_schedule(tree_cfg, cfg.population_size)
+    depth, n_features = cfg.max_initial_depth, split.train.n_features
+    schedule = ramp_schedule(depth, cfg.population_size)
 
     regenerated = []
 
     def regenerate(slot):
         regenerated.append(slot)
-        return gen_tree(tree_cfg, [schedule[slot]], rng)[0]
+        return gen_tree(depth, n_features, [schedule[slot]], rng)[0]
 
-    archive = seed_archive(gen_tree(tree_cfg, schedule, rng), split, regenerate=regenerate)
+    archive = seed_archive(gen_tree(depth, n_features, schedule, rng), split, regenerate=regenerate)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
     rejects = []

@@ -33,6 +33,7 @@ parallelism.
 import csv
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -76,8 +77,9 @@ class Campaign:
     made a 200-row campaign 1.1-1.5x slower (see the module docstring). It
     is validated and kept as the worker count of process workers (ROADMAP
     direction 3).
-    `runs` and `jobs` must be integers, not bools; a numpy integer is
-    stored as an int.
+    `runs`, `jobs` and `base_seed` must be integers, not bools; a numpy
+    integer is stored as an int. Any integer seeds a campaign, a negative
+    one included.
     """
 
     dataset: Dataset
@@ -91,6 +93,7 @@ class Campaign:
     def __post_init__(self):
         self.runs = checked_int("runs", self.runs, 1)
         self.jobs = checked_int("jobs", self.jobs, 1)
+        self.base_seed = checked_int("base_seed", self.base_seed, -math.inf)
         if not self.strategies:
             raise ValueError("campaign needs at least one strategy")
         split_sizes_70_30(self.dataset.rows)
@@ -295,8 +298,6 @@ def run_campaign(campaign: Campaign) -> CampaignReport:
 
 def emit_boxplot_data(report: CampaignReport, path):
     """CSV with one column per strategy, one final-test-RMSE row per run."""
-    if not report.strategies:
-        raise ValueError("report has no strategies; nothing to emit")
     columns = [s.final_test_rmse for s in report.strategies]
     height = max(len(c) for c in columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:

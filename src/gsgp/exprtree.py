@@ -42,19 +42,22 @@ A tree is the live part of its heap: the root, and both children of every
 live node that is an operator. The draws of dead nodes are consumed unread.
 The program lists the live nodes in the postorder of the heap. The heap's
 postorder, node depths and ancestors are worked out once per max_depth, on
-the first `gen_tree` call for that depth. No tree is deeper than
-MAX_TREE_DEPTH, which bounds the heap, the trees that are written by hand
-and the trees `tree_from_json` accepts.
+the first `gen_tree` call for that depth.
+
+`gen_tree` and `ramp_schedule` take plain ints and check none of them:
+their callers guarantee the slots and the depths. `EvolutionConfig` bounds
+max_initial_depth, the depth of every generated tree, by MAX_TREE_DEPTH,
+and a `Dataset` has at least one feature. MAX_TREE_DEPTH also bounds the
+trees that are written by hand and the trees `tree_from_json` accepts.
 """
 
 import functools
 import operator
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import checked_int, finite_number
+from .errors import finite_number
 
 OP_KINDS = ("add", "sub", "mul", "div")
 
@@ -146,68 +149,41 @@ P_CONSTANT = 0.3
 P_GROW_TERMINAL = 0.3
 
 
-@dataclass(frozen=True, slots=True)
-class TreeGenConfig:
-    """Depth limit and feature count for random tree generation.
-
-    max_depth uses the root-at-depth-0 convention: a lone leaf has depth 0.
-    It is at most MAX_TREE_DEPTH and is the depth of the heap `gen_tree`
-    draws on. Variables index the features 0..n_features-1. The terminal and
-    grow probabilities are the module constants P_CONSTANT, CONSTANT_RANGE
-    and P_GROW_TERMINAL.
-    """
-
-    max_depth: int
-    n_features: int
-
-    def __post_init__(self):
-        # Both are stored as ints; a bool or a fraction is refused.
-        object.__setattr__(self, "max_depth", checked_int("max_depth", self.max_depth, 0))
-        object.__setattr__(self, "n_features", checked_int("n_features", self.n_features, 1))
-        if self.max_depth > MAX_TREE_DEPTH:
-            raise ValueError(f"max_depth must be in [0, {MAX_TREE_DEPTH}]")
-
-
-def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
+def gen_tree(max_depth: int, n_features: int, slots, rng: np.random.Generator) -> list:
     """One random program per (depth, method) slot, from five bulk draws.
 
-    A slot's depth is an int in [0, cfg.max_depth]; cfg.max_depth is the
-    depth of the heap every tree is drawn on (see the module docstring for
-    the draw order). A heap node above the slot's depth is an operator,
-    except that under the grow method its grow-stop uniform makes it a
-    terminal with probability P_GROW_TERMINAL; a node at the slot's depth is
-    a terminal. So full puts every leaf at exactly the slot's depth, and
-    depth 0 gives a single terminal. A terminal is a constant with
-    probability P_CONSTANT and a variable otherwise.
+    max_depth (root at depth 0: a lone leaf has depth 0) is the depth of
+    the heap every tree is drawn on, so it fixes the shapes of the draws
+    (see the module docstring for their order); variables index the
+    features 0..n_features-1. The caller guarantees that max_depth is an
+    int in [0, MAX_TREE_DEPTH], n_features an int >= 1, and each slot an
+    int depth in [0, max_depth] with the method "grow" or "full"; none of
+    this is checked here. A heap node above the slot's depth is an
+    operator, except that under the grow method its grow-stop uniform makes
+    it a terminal with probability P_GROW_TERMINAL; a node at the slot's
+    depth is a terminal. So full puts every leaf at exactly the slot's
+    depth, and depth 0 gives a single terminal. A terminal is a constant
+    with probability P_CONSTANT and a variable otherwise.
 
-    The heap's layout comes from `_heap_plan(cfg.max_depth)`, built on the
+    The heap's layout comes from `_heap_plan(max_depth)`, built on the
     first call for that depth. A node is live when all its ancestors are
     operators: one gather of the operator flags by the plan's ancestor
     columns. Each later draw keeps the shape of the whole heap and is cut
     to the live nodes that read it with one flat `take`.
     """
-    depths = []
-    grow = []
-    for depth, method in slots:
-        if method not in ("grow", "full"):
-            raise ValueError(f"unknown method {method!r}, expected 'grow' or 'full'")
-        if type(depth) is not int:
-            depth = checked_int("slot depth", depth, 0)
-        if not 0 <= depth <= cfg.max_depth:
-            raise ValueError(f"slot depth {depth} is not in [0, {cfg.max_depth}]")
-        depths.append(depth)
-        grow.append(method == "grow")
+    depths = np.array([depth for depth, _ in slots], dtype=int)
+    grow = np.array([method == "grow" for _, method in slots], dtype=bool)
     n = len(depths)
-    internal, nodes, node_depth, postorder, ancestors = _heap_plan(cfg.max_depth)
+    internal, nodes, node_depth, postorder, ancestors = _heap_plan(max_depth)
     # is_op[t, j] for every heap node j, plus a last column that is always
     # True: the ancestor columns of a node shallower than max_depth pad
     # with it.
     is_op = np.zeros((n, nodes + 1), dtype=bool)
     is_op[:, nodes] = True
     ops_part = is_op[:, :internal]
-    np.less(node_depth[:internal], np.array(depths, dtype=int)[:, None], out=ops_part)
+    np.less(node_depth[:internal], depths[:, None], out=ops_part)
     stop = rng.random((n, internal)) < P_GROW_TERMINAL
-    stop &= np.array(grow, dtype=bool)[:, None]
+    stop &= grow[:, None]
     ops_part &= ~stop
     # live[t, p]: the node at postorder position p of tree t is live.
     live = is_op[:, ancestors].all(axis=2)
@@ -220,7 +196,7 @@ def gen_tree(cfg: TreeGenConfig, slots, rng: np.random.Generator) -> list:
     leaf_heap = heap[leaf]
     constant = rng.random((n, nodes)).take(leaf_heap) < P_CONSTANT
     values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes)).take(leaf_heap[constant])
-    variables = rng.integers(cfg.n_features, size=(n, nodes)).take(leaf_heap[~constant])
+    variables = rng.integers(n_features, size=(n, nodes)).take(leaf_heap[~constant])
 
     # An object array turns the values into Python floats and the indices
     # into Python ints, which the programs hold.
@@ -268,18 +244,17 @@ def _heap_plan(max_depth: int) -> tuple:
     return internal, nodes, depth, postorder, ancestors
 
 
-def ramp_schedule(cfg: TreeGenConfig, count: int) -> list:
-    """(depth, method) slots for ramped half-and-half initialization.
+def ramp_schedule(max_depth: int, count: int) -> list:
+    """count (depth, method) slots for ramped half-and-half initialization.
 
     Depths ramp over 2..max_depth, trees split evenly between grow and full
     at each depth, odd remainders going to grow. max_depth < 2 degenerates
-    to all-grow at max_depth.
+    to all-grow at max_depth. max_depth is an int in [0, MAX_TREE_DEPTH]
+    and count an int >= 1, as `EvolutionConfig` guarantees.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if cfg.max_depth < 2:
-        return [(cfg.max_depth, "grow")] * count
-    depths = list(range(2, cfg.max_depth + 1))
+    if max_depth < 2:
+        return [(max_depth, "grow")] * count
+    depths = list(range(2, max_depth + 1))
     slots = []
     for i in range(count):
         depth = depths[(i // 2) % len(depths)]

@@ -153,14 +153,11 @@ def tournament_select(
     winners' refs, in tournament order; each is the archive's own ref object
     for its slot (see `Archive.append_generation`), not a new one. When
     offset_counts (an integer array indexed by offset) is given, each
-    entrant's generation offset is tallied into it.
+    entrant's generation offset is tallied into it. The caller guarantees
+    t >= 1 (`EvolutionConfig.tournament_size`) and a seeded archive.
     """
-    if t < 1:
-        raise ValueError("tournament size must be >= 1")
     generations = archive.generations
     current = len(generations)
-    if current == 0:
-        raise ValueError("archive has no completed generation")
     gens = d.sample_many(current, n * t, rng)
     idx = rng.integers(len(generations[0]), size=n * t)
     if offset_counts is not None:

@@ -24,7 +24,6 @@ from gsgp.exprtree import (
     MAX_TREE_DEPTH,
     BinaryOp,
     Constant,
-    TreeGenConfig,
     Variable,
     eval_tree,
     gen_tree,
@@ -58,7 +57,7 @@ def no_regeneration(slot):
 
 
 def test_seed_archive_shape(small_split, rng):
-    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 100, rng)
+    trees = gen_tree(3, 2, [(3, "grow")] * 100, rng)
     archive = seed_archive(trees, small_split, regenerate=no_regeneration)
     assert len(archive.generations) == 1
     assert len(archive.generations[0]) == 100
@@ -73,7 +72,7 @@ def test_mean_constant_leaf_fitness_is_population_std(small_split):
 
 
 def test_seeding_is_deterministic(small_split, rng):
-    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 10, rng)
+    trees = gen_tree(3, 2, [(3, "grow")] * 10, rng)
     a = seed_archive(trees, small_split, regenerate=no_regeneration)
     b = seed_archive(trees, small_split, regenerate=no_regeneration)
     for x, y in zip(a.generations[0], b.generations[0]):
@@ -176,10 +175,9 @@ def test_mutation_equal_trees_cancel():
 
 def test_mutation_bounded_by_step(rng):
     archive = two_leaf_archive()
-    cfg = TreeGenConfig(max_depth=4, n_features=1)
     parent = archive.generations[0][0]
     for _ in range(100):
-        ra, rb = gen_tree(cfg, [(cfg.max_depth, "grow")] * 2, rng)
+        ra, rb = gen_tree(4, 1, [(4, "grow")] * 2, rng)
         child = archive.make_individual(Mutation(IndividualRef(0, 0), ra, rb, 0.1))
         assert np.all(np.abs(child.train_semantics - parent.train_semantics) <= 0.1 + 1e-12)
 
@@ -194,12 +192,11 @@ def test_mutation_raw_single_tree_form():
 def test_crossover_betweenness_sweep(rng):
     archive = evolved_archive()
     gens = archive.generations
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
     for _ in range(200):
         g1, g2 = rng.integers(len(gens), size=2)
         r1 = IndividualRef(int(g1), int(rng.integers(len(gens[g1]))))
         r2 = IndividualRef(int(g2), int(rng.integers(len(gens[g2]))))
-        (tree,) = gen_tree(cfg, [(cfg.max_depth, "grow")], rng)
+        (tree,) = gen_tree(4, 2, [(4, "grow")], rng)
         child = archive.make_individual(Crossover(r1, r2, tree))
         for which in ("train_semantics", "test_semantics"):
             c = getattr(child, which)
@@ -293,7 +290,7 @@ def test_naive_eval_budget_guard():
 
 
 def test_record_count_after_seeding(small_split, rng):
-    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * 12, rng)
+    trees = gen_tree(3, 2, [(3, "grow")] * 12, rng)
     archive = seeded_archive(trees, small_split)
     assert archive.record_count() == 12
 
@@ -816,6 +813,13 @@ def test_json_rejects_out_of_range_index():
              "random_tree_b": {"const": 0.0}, "step": float("nan")},
             r"mutation step nan is not a finite number >= 0",
         ),
+        # json.loads reads a 401-digit literal as an int beyond float range.
+        ({"random_tree": {"const": 10**400}}, r"constant 10{400} is not a finite number"),
+        (
+            {"kind": "mutation", "base": [0, 0], "random_tree_a": {"const": 1.0},
+             "random_tree_b": {"const": 0.0}, "step": 10**400},
+            r"mutation step 10{400} is not a finite number >= 0",
+        ),
     ],
 )
 def test_json_rejects_foreign_trees_and_steps(overrides, message):
@@ -991,7 +995,7 @@ def test_every_ref_to_a_slot_is_one_object():
 def mixed_payloads(archive, n, rng):
     """n payloads of every evaluated kind over the archive's first generation."""
     pop = len(archive.generations[0])
-    trees = gen_tree(TreeGenConfig(max_depth=3, n_features=2), [(3, "grow")] * (3 * n), rng)
+    trees = gen_tree(3, 2, [(3, "grow")] * (3 * n), rng)
     payloads = []
     for k in range(n):
         i, j = rng.integers(pop, size=2).tolist()
@@ -1045,10 +1049,14 @@ def test_mutation_of_inline_crossover_payload():
 def test_json_rejects_mutation_of_a_mutation():
     blob, split = json_archive_with()
     raw = {"random_tree_a": {"const": 1.0}, "random_tree_b": None, "step": 0.1}
-    inner = {"kind": "mutation", "base": [0, 0], **raw}
-    blob["generations"][1][2] = {"kind": "mutation", "base": inner, **raw}
-    with pytest.raises(ValueError, match=r"generation 1, slot 2: mutation base is neither"):
-        Archive.from_json(blob, split)
+    # A base nested 5000 mutations deep is refused without recursing into it.
+    for depth in (1, 5000):
+        payload = {"kind": "mutation", "base": [0, 0], **raw}
+        for _ in range(depth):
+            payload = {"kind": "mutation", "base": payload, **raw}
+        blob["generations"][1][2] = payload
+        with pytest.raises(ValueError, match=r"generation 1, slot 2: mutation base is neither"):
+            Archive.from_json(blob, split)
 
 
 def test_nonfinite_generation_names_the_first_failing_slot():
@@ -1075,9 +1083,8 @@ def test_nonfinite_generation_names_the_first_failing_slot():
     assert (exc.value.slot, exc.value.split, exc.value.row) == (2, "test", 1)
 
 
-_TREE_CFG = TreeGenConfig(max_depth=3, n_features=2)
 _trees = st.integers(0, 2**32 - 1).map(
-    lambda seed: gen_tree(_TREE_CFG, [(3, "grow")], np.random.default_rng(seed))[0]
+    lambda seed: gen_tree(3, 2, [(3, "grow")], np.random.default_rng(seed))[0]
 )
 _refs = st.builds(IndividualRef, st.integers(0, 1), st.integers(0, 3))
 _crossovers = st.builds(Crossover, _refs, _refs, _trees)
@@ -1095,7 +1102,7 @@ _payloads = st.one_of(
 @given(st.lists(_payloads, min_size=1, max_size=12))
 def test_block_size_never_changes_semantics_or_fitness(payloads):
     split = split_70_30(synthetic_dataset("polynomial", 12, 2, 0.0, seed=5), seed=1)
-    trees = [gen_tree(_TREE_CFG, [(3, "grow")], np.random.default_rng(i))[0] for i in range(4)]
+    trees = [gen_tree(3, 2, [(3, "grow")], np.random.default_rng(i))[0] for i in range(4)]
     archive = seeded_archive(trees, split)
     crossovers = [crossover(i, (i + 1) % 4, trees[i]) for i in range(4)]
     archive.append_generation(archive.evaluate(crossovers, range(4))[0])

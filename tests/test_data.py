@@ -207,6 +207,8 @@ def test_synthetic_validation():
         synthetic_dataset("friedman-like", 10, 3, 0.0, seed=0)
     with pytest.raises(ValueError):
         synthetic_dataset("mystery", 10, 5, 0.0, seed=0)
+    with pytest.raises(ValueError, match="^noise must be a finite number >= 0"):
+        synthetic_dataset("polynomial", 10, 2, 10**400, seed=0)  # beyond float range
 
 
 def test_dataset_validation():

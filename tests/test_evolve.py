@@ -165,11 +165,13 @@ def test_config_validation():
         ("mutation_step", -0.1),
         ("mutation_step", True),
         ("mutation_step", "0.1"),
+        pytest.param("mutation_step", 10**400, id="mutation_step-10**400"),
         ("crossover_rate", True),
         ("crossover_rate", False),
         ("crossover_rate", math.nan),
         ("crossover_rate", 1.2),
         ("crossover_rate", "0.9"),
+        pytest.param("crossover_rate", 10**400, id="crossover_rate-10**400"),
         ("mutation_rate", True),
         ("mutation_rate", math.nan),
         ("mutation_rate", -0.1),
@@ -208,7 +210,7 @@ def test_default_config_matches_benchmark_table():
 def test_slot_failing_every_redraw_aborts_after_the_retry_cap(split, rng, monkeypatch):
     archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
 
-    def overflowing_trees(cfg, slots, tree_rng):
+    def overflowing_trees(max_depth, n_features, slots, tree_rng):
         tree_rng.random(len(slots))  # draws stay consumed like real trees'
         return [Constant(math.inf) for _ in slots]
 
@@ -237,7 +239,7 @@ def rounds(slots):
 def test_retry_cap_counts_one_slot_in_a_row(split, monkeypatch):
     archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
 
-    def often_overflowing_trees(cfg, slots, tree_rng):
+    def often_overflowing_trees(max_depth, n_features, slots, tree_rng):
         return [Constant(math.inf if u < 0.8 else 1.0) for u in tree_rng.random(len(slots))]
 
     monkeypatch.setattr(evolve, "gen_tree", often_overflowing_trees)

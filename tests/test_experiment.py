@@ -222,6 +222,8 @@ def test_campaign_validation():
         tiny_campaign(jobs=0)
     with pytest.raises(ValueError):
         tiny_campaign(strategies=[])
+    # Any integer seeds a campaign: `gsgp --seed -3` runs.
+    assert tiny_campaign(base_seed=-3).base_seed == -3
 
 
 @pytest.mark.parametrize(
@@ -229,6 +231,7 @@ def test_campaign_validation():
     [
         (tiny_campaign, "runs"),
         (tiny_campaign, "jobs"),
+        (tiny_campaign, "base_seed"),
         (EvolutionConfig, "population_size"),
         (EvolutionConfig, "generations"),
         (EvolutionConfig, "max_initial_depth"),

@@ -24,7 +24,6 @@ from gsgp.exprtree import (
     Columns,
     Constant,
     Program,
-    TreeGenConfig,
     Variable,
     eval_tree,
     eval_tree_many,
@@ -81,28 +80,24 @@ def nodes_from_json(obj):
 
 
 def test_depth_zero_forces_terminal(rng):
-    cfg = TreeGenConfig(max_depth=0, n_features=3)
-    trees = gen_tree(cfg, [(0, "grow"), (0, "full")] * 20, rng)
+    trees = gen_tree(0, 3, [(0, "grow"), (0, "full")] * 20, rng)
     assert len(trees) == 40
     assert all(node_count(t) == 1 for t in trees)
 
 
 def test_full_puts_every_leaf_at_max_depth(rng):
-    cfg = TreeGenConfig(max_depth=2, n_features=2)
-    for t in gen_tree(cfg, [(2, "full")] * 50, rng):
+    for t in gen_tree(2, 2, [(2, "full")] * 50, rng):
         assert leaf_depths(t) == [2] * len(leaf_depths(t))
 
 
 def test_full_never_exceeds_max_depth(rng):
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
-    assert all(max(leaf_depths(t)) == 4 for t in gen_tree(cfg, [(4, "full")] * 200, rng))
+    assert all(max(leaf_depths(t)) == 4 for t in gen_tree(4, 2, [(4, "full")] * 200, rng))
 
 
 def test_full_leaves_sit_at_their_slot_depth(rng):
     # full and grow slots of every depth share one call on a depth-4 heap
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
     slots = [(depth, method) for depth in range(5) for method in ("full", "grow")] * 30
-    for (depth, method), tree in zip(slots, gen_tree(cfg, slots, rng)):
+    for (depth, method), tree in zip(slots, gen_tree(4, 2, slots, rng)):
         if method == "full":
             assert leaf_depths(tree) == [depth] * 2**depth
         else:
@@ -110,8 +105,7 @@ def test_full_leaves_sit_at_their_slot_depth(rng):
 
 
 def test_grow_depth_distribution_covers_all_depths(rng):
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
-    depths = [tree_depth(t) for t in gen_tree(cfg, [(4, "grow")] * 10000, rng)]
+    depths = [tree_depth(t) for t in gen_tree(4, 2, [(4, "grow")] * 10000, rng)]
     counts = {d: depths.count(d) for d in range(5)}
     assert set(depths) == {0, 1, 2, 3, 4}
     assert all(counts[d] > 0 for d in range(5))
@@ -124,14 +118,12 @@ def test_grow_mean_node_count_matches_its_law():
     # so E[nodes at depth d] = 1 + 1.4 * E[nodes at depth d + 1], from 1 at 4.
     expected = 1 + 1.4 * (1 + 1.4 * (1 + 1.4 * (1 + 1.4)))
     assert expected == pytest.approx(10.9456)
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
-    trees = gen_tree(cfg, [(4, "grow")] * 20000, np.random.default_rng(2024))
+    trees = gen_tree(4, 2, [(4, "grow")] * 20000, np.random.default_rng(2024))
     assert np.mean([node_count(t) for t in trees]) == pytest.approx(expected, rel=0.01)
 
 
 def test_constant_share_of_terminals(rng):
-    cfg = TreeGenConfig(max_depth=4, n_features=3)
-    terminals = [leaf for t in gen_tree(cfg, [(4, "full")] * 500, rng) for leaf in leaves(t)]
+    terminals = [leaf for t in gen_tree(4, 3, [(4, "full")] * 500, rng) for leaf in leaves(t)]
     constants = [leaf["const"] for leaf in terminals if "const" in leaf]
     variables = [leaf["var"] for leaf in terminals if "var" in leaf]
     assert len(constants) / len(terminals) == pytest.approx(P_CONSTANT, abs=0.01)
@@ -141,23 +133,11 @@ def test_constant_share_of_terminals(rng):
 
 
 def test_grow_respects_max_depth(rng):
-    cfg = TreeGenConfig(max_depth=3, n_features=2)
-    assert all(tree_depth(t) <= 3 for t in gen_tree(cfg, [(3, "grow")] * 500, rng))
-
-
-def test_gen_tree_rejects_unknown_method(rng):
-    with pytest.raises(ValueError, match="unknown method"):
-        gen_tree(TreeGenConfig(max_depth=4, n_features=1), [(4, "half")], rng)
-    with pytest.raises(ValueError, match="slot depth 5"):
-        gen_tree(TreeGenConfig(max_depth=4, n_features=1), [(5, "grow")], rng)
-    for depth in (True, 1.0, 2.5, -1):
-        with pytest.raises(ValueError, match="slot depth"):
-            gen_tree(TreeGenConfig(max_depth=4, n_features=1), [(depth, "grow")], rng)
+    assert all(tree_depth(t) <= 3 for t in gen_tree(3, 2, [(3, "grow")] * 500, rng))
 
 
 def test_ramp_schedule_splits_methods_evenly():
-    cfg = TreeGenConfig(max_depth=4, n_features=1)
-    slots = ramp_schedule(cfg, 100)
+    slots = ramp_schedule(4, 100)
     assert len(slots) == 100
     methods = [m for _, m in slots]
     assert methods.count("grow") == 50
@@ -166,14 +146,13 @@ def test_ramp_schedule_splits_methods_evenly():
 
 
 def test_ramp_schedule_odd_remainder_goes_to_grow():
-    slots = ramp_schedule(TreeGenConfig(max_depth=4, n_features=1), 7)
+    slots = ramp_schedule(4, 7)
     assert [m for _, m in slots].count("grow") == 4
 
 
 def test_ramped_trees_match_their_slots():
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
     trees = generation_zero_trees(100, seed=7)
-    for (depth, method), tree in zip(ramp_schedule(cfg, 100), trees):
+    for (depth, method), tree in zip(ramp_schedule(4, 100), trees):
         if method == "full":
             assert leaf_depths(tree) == [depth] * len(leaf_depths(tree))
         else:
@@ -186,7 +165,7 @@ def test_ramped_single_tree():
 
 
 def test_ramped_low_max_depth_falls_back_to_grow():
-    slots = ramp_schedule(TreeGenConfig(max_depth=1, n_features=1), 10)
+    slots = ramp_schedule(1, 10)
     assert slots == [(1, "grow")] * 10
 
 
@@ -280,10 +259,9 @@ def test_the_constructors_make_programs(tree, n_features):
 
 
 def test_vectorized_eval_matches_scalar_loop(rng):
-    cfg = TreeGenConfig(max_depth=4, n_features=3)
     X = rng.normal(size=(17, 3))
     columns = Columns(X)
-    for t in gen_tree(cfg, [(4, "grow")] * 50, rng):
+    for t in gen_tree(4, 3, [(4, "grow")] * 50, rng):
         vec = eval_tree_many(t, columns)
         loop = np.array([eval_tree(t, row) for row in X])
         assert np.array_equal(vec, loop)
@@ -310,7 +288,7 @@ def trees_and_inputs(draw):
         depth = draw(st.integers(0, MAX_TREE_DEPTH))
         slot = (depth, draw(st.sampled_from(["grow", "full"])))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        (tree,) = gen_tree(TreeGenConfig(depth, n_features), [slot], rng)
+        (tree,) = gen_tree(depth, n_features, [slot], rng)
     else:
         # constant-only subtrees come up often among these
         leaf = st.one_of(
@@ -394,7 +372,7 @@ def division_cases(draw):
     if draw(st.booleans()):
         depth = draw(st.integers(1, 6))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        (tree,) = gen_tree(TreeGenConfig(depth, n_features), [(depth, "full")], rng)
+        (tree,) = gen_tree(depth, n_features, [(depth, "full")], rng)
     else:
         leaf = st.one_of(
             st.builds(Constant, st.floats(-2.0, 2.0)),
@@ -462,7 +440,7 @@ def test_a_division_by_a_safe_column_skips_the_guard(monkeypatch):
 def test_importing_builds_no_heap_plan():
     code = (
         "import gsgp, gsgp.exprtree as e; assert e._heap_plan.cache_info().currsize == 0; "
-        "e.gen_tree(e.TreeGenConfig(3, 1), [(3, 'grow')], __import__('numpy').random.default_rng(0)); "
+        "e.gen_tree(3, 1, [(3, 'grow')], __import__('numpy').random.default_rng(0)); "
         "assert e._heap_plan.cache_info().currsize == 1"
     )
     src = str(Path(exprtree.__file__).resolve().parent.parent)
@@ -470,48 +448,19 @@ def test_importing_builds_no_heap_plan():
 
 
 def test_generation_is_deterministic_per_seed():
-    cfg = TreeGenConfig(max_depth=4, n_features=2)
     slots = [(4, "grow"), (3, "full")] * 10
-    t1 = gen_tree(cfg, slots, np.random.default_rng(99))
-    t2 = gen_tree(cfg, slots, np.random.default_rng(99))
+    t1 = gen_tree(4, 2, slots, np.random.default_rng(99))
+    t2 = gen_tree(4, 2, slots, np.random.default_rng(99))
     assert t1 == t2
-    assert gen_tree(cfg, slots, np.random.default_rng(100)) != t1
+    assert gen_tree(4, 2, slots, np.random.default_rng(100)) != t1
 
 
 def test_tree_json_round_trip(rng):
-    cfg = TreeGenConfig(max_depth=4, n_features=3)
-    for t in gen_tree(cfg, [(4, "grow")] * 20, rng):
+    for t in gen_tree(4, 3, [(4, "grow")] * 20, rng):
         assert tree_from_json(tree_to_json(t), 3) == t
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"max_depth": True}, "max_depth must be an integer, not True"),
-        ({"max_depth": 2.5}, "max_depth must be an integer, not 2.5"),
-        ({"max_depth": 2.0}, "max_depth must be an integer, not 2.0"),
-        ({"n_features": False}, "n_features must be an integer, not False"),
-        ({"n_features": 2.5}, "n_features must be an integer, not 2.5"),
-    ],
-)
-def test_tree_gen_config_refuses_bools_and_fractions(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        TreeGenConfig(**{"max_depth": 4, "n_features": 1, **kwargs})
-    cfg = TreeGenConfig(max_depth=np.int64(3), n_features=np.int32(2))
-    assert type(cfg.max_depth) is int and type(cfg.n_features) is int
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TreeGenConfig(max_depth=-1, n_features=1)
-    with pytest.raises(ValueError):
-        TreeGenConfig(max_depth=4, n_features=0)
-    TreeGenConfig(max_depth=MAX_TREE_DEPTH, n_features=1)
-    with pytest.raises(ValueError):
-        TreeGenConfig(max_depth=MAX_TREE_DEPTH + 1, n_features=1)
-
-
-def reference_gen_tree(cfg, slots, rng):
+def reference_gen_tree(max_depth, n_features, slots, rng):
     """`gen_tree` as it was before the heap plan: level-by-level liveness, 2-d cuts.
 
     It draws the same five arrays in the same order and shapes, so it pins
@@ -523,20 +472,20 @@ def reference_gen_tree(cfg, slots, rng):
         depths.append(depth)
         grow.append(method == "grow")
     n = len(depths)
-    internal = (1 << cfg.max_depth) - 1
+    internal = (1 << max_depth) - 1
     nodes = 2 * internal + 1
-    node_depth = np.repeat(np.arange(cfg.max_depth + 1), 1 << np.arange(cfg.max_depth + 1))
+    node_depth = np.repeat(np.arange(max_depth + 1), 1 << np.arange(max_depth + 1))
     is_op = np.zeros((n, nodes), dtype=bool)
     is_op[:, :internal] = node_depth[:internal] < np.array(depths, dtype=int)[:, None]
     stop = rng.random((n, internal)) < P_GROW_TERMINAL
     is_op[:, :internal] &= ~(stop & np.array(grow, dtype=bool)[:, None])
     live = np.zeros((n, nodes), dtype=bool)
     live[:, 0] = True
-    for level in range(cfg.max_depth):
+    for level in range(max_depth):
         first, end = (1 << level) - 1, (2 << level) - 1
         kids = live[:, first:end] & is_op[:, first:end]
         live[:, 2 * first + 1 : 2 * end + 1] = np.repeat(kids, 2, axis=1)
-    last = ((np.arange(nodes) + 2) << (cfg.max_depth - node_depth)) - 2
+    last = ((np.arange(nodes) + 2) << (max_depth - node_depth)) - 2
     postorder = np.lexsort((-node_depth, last))
     rows, cols = np.nonzero(live[:, postorder])
     cols = postorder[cols]
@@ -547,7 +496,7 @@ def reference_gen_tree(cfg, slots, rng):
     values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes))[
         leaf_rows[constant], leaf_cols[constant]
     ]
-    variables = rng.integers(cfg.n_features, size=(n, nodes))[
+    variables = rng.integers(n_features, size=(n, nodes))[
         leaf_rows[~constant], leaf_cols[~constant]
     ]
     leaves = np.empty(len(leaf_rows), dtype=object)
@@ -563,7 +512,7 @@ def reference_gen_tree(cfg, slots, rng):
 
 @st.composite
 def generation_requests(draw):
-    """A config, up to 40 (depth, method) slots within its depth, and a seed."""
+    """A heap depth, a feature count, up to 40 slots within that depth, and a seed."""
     max_depth = draw(st.integers(0, 6))
     n_features = draw(st.integers(1, 6))
     slots = draw(
@@ -572,16 +521,16 @@ def generation_requests(draw):
             max_size=40,
         )
     )
-    return TreeGenConfig(max_depth, n_features), slots, draw(st.integers(0, 2**32 - 1))
+    return max_depth, n_features, slots, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150)
 @given(generation_requests())
 def test_gen_tree_matches_the_reference_in_programs_types_and_stream(request):
-    cfg, slots, seed = request
+    max_depth, n_features, slots, seed = request
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    trees = gen_tree(cfg, slots, rng)
-    expected = reference_gen_tree(cfg, slots, reference_rng)
+    trees = gen_tree(max_depth, n_features, slots, rng)
+    expected = reference_gen_tree(max_depth, n_features, slots, reference_rng)
     assert trees == expected
     assert [[type(node) for node in t] for t in trees] == [
         [type(node) for node in t] for t in expected

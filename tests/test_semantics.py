@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsgp.errors import NonFiniteSemanticsError
-from gsgp.exprtree import BinaryOp, Constant, TreeGenConfig, Variable, eval_tree, gen_tree
+from gsgp.exprtree import BinaryOp, Constant, Variable, eval_tree, gen_tree
 from gsgp.semantics import rmse, semantics_of_tree, sigmoid
 
 
@@ -238,7 +238,7 @@ def test_semantics_variable_tree_returns_column(rng):
 
 def test_semantics_matches_eval_loop(rng):
     X = rng.normal(size=(5, 3))
-    (tree,) = gen_tree(TreeGenConfig(max_depth=3, n_features=3), [(3, "full")], rng)
+    (tree,) = gen_tree(3, 3, [(3, "full")], rng)
     out = semantics_of_tree(tree, X)
     assert np.array_equal(out, [eval_tree(tree, row) for row in X])
 
