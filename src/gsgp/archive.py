@@ -6,11 +6,17 @@ its memoized semantics. There are four payload kinds, each a
 
 - `Leaf`: a generation-0 syntax tree.
 - `IndividualRef`: reproduction, a bare reference to an earlier individual.
-  The child's row is a copy of its parent's, in its own generation's block,
+  The child's row is a copy of its parent's, in its own generation's slot,
   and has its parent's train fitness.
 - `Crossover`: two earlier individuals and the random tree that weighs them.
+  The child lies entry by entry between its parents. Its train RMSE is at
+  most the row-wise worse parent's, sqrt(mean(max(e1^2, e2^2))), but it is
+  not bounded by the worse parent's RMSE: the weight varies from row to
+  row, and in 100 x 100 runs on 200 rows 2-9% of crossovers gave a child
+  worse than both parents, by up to 22%.
 - `Mutation`: a base (a ref, or an inline `Crossover` made in the same
-  breeding step) plus the random trees and step of the perturbation.
+  breeding step) plus the random trees and step of the perturbation. A
+  bounded mutation moves each entry of its base by at most its step.
 
 A payload is the tuple of its fields, so a ref equals the tuple `(g, i)`,
 unpacks like it and sorts as it does, and setting a field raises
@@ -21,21 +27,17 @@ tree after its first collection. It never stops tracking a payload or a
 ref: CPython untracks plain tuples only, not tuple subclasses.
 
 The archive evaluates over one stacked input matrix, the train rows followed
-by the test rows. A payload's semantics are one vector over those rows,
-computed once from the stored vectors of its parents and the outputs of its
-own random trees. `train_semantics` and `test_semantics` are views of that
-vector, made on its first read of either. Nothing is ever re-expanded, which
-is what makes whole-history selection free: reading a held individual is a
-tuple lookup. The train fitnesses are also kept as one generation x slot
-table (`Archive.train_fitness`), filled by `append_generation`, so
-tournaments and elitism read every fitness they need with one array index.
-`append_generation` also makes the generation's refs, one `IndividualRef`
+by the test rows. A payload's semantics are one row over those rows,
+computed once from the stored rows of its parents and the outputs of its
+own random trees. Nothing is ever re-expanded, which is what makes
+whole-history selection free. The train fitnesses are kept as one
+generation x slot table (`Archive.train_fitness`), so tournaments and
+elitism read every fitness they need with one array index.
+`append_evaluated` also makes the generation's refs, one `IndividualRef`
 per archived slot, and tournaments, `best_of_generation` and `from_json`
 hand out those objects rather than new ones. So a payload that names an
 earlier individual holds no ref of its own, and a tournament winner costs
 a tuple lookup, not a new object.
-`Archive.generations` is a tuple of per-generation tuples that only
-`append_generation` extends, so no generation lacks its table row.
 
 The stacked matrix is stored column-major. A tree reads its variables as
 columns, so each operator on a variable is then one unit-stride pass over
@@ -47,64 +49,83 @@ built once, and a division by a variable whose column has no entry within
 DIV_EPS of zero needs no guard, with the same bits (see the exprtree
 module).
 
-The module function `evaluate_block(payloads, columns, row_of)` computes
-one block: the stacked semantics of a list of payloads over the rows of
-`columns`, reading each parent's row through `row_of(ref)`. It evaluates
-each random tree once into a row of a temporary, applies one `sigmoid` to
-the rows that need it, and mixes crossovers and adds mutation deltas as
-matrix operations. Every entry undergoes the same IEEE operations, in the
-same order, as evaluating the payload alone would apply, so the block size
-never changes a result. The archive cuts a list of payloads into blocks in
-one loop, `Archive._blocks`, which sizes a block so that it holds at most
-`_BLOCK_ELEMENTS` stacked values; `evaluate` and the replay of a released
-individual both go through it. Per block, `evaluate` then checks
-finiteness once and computes the train fitness once, row by row (selection
-reads no test fitness, so none is kept). `evaluate` is the archive's one
-way to evaluate payloads: it reports every slot whose semantics are not
-finite and computes no fitness for it, and `make_individual` and
-`from_json` raise the first such slot's NonFiniteSemanticsError.
+The window. The semantics of the generations the archive holds live in
+one float64 array of shape (capacity, population, train + test rows):
+while generation g is held, row i of `window[g % capacity]` is the
+semantics of its slot i. There is no per-block or per-individual storage.
+`run_evolution` sizes the window at min(horizon, generations) + 1 slots,
+the generations selection can read plus the one being bred, and releases
+each generation as it leaves the horizon, so the next generation always
+finds its slot free and a run never grows the window. A bare
+`Archive(split)` and `from_json` hold every generation: when the next
+generation's slot is still held, the window doubles.
 
-The module function `ancestry(generations, payload, generation, stop)`
+The module function `evaluate_block(payloads, columns, rows_of, out)`
+computes one block: the stacked semantics of a list of payloads, written
+into `out`. It evaluates each random tree once into a row of a temporary,
+applies one `sigmoid` to the rows that need it, and mixes crossovers and
+adds mutation deltas as matrix operations. It reads its parents' rows with
+one `rows_of` call per kind: the crossover parents, then the reproductions
+and mutation bases that are refs. The archive's `rows_of` gathers them
+with one advanced index into the window, `window[g % capacity, i]`; a ref
+whose generation the window no longer holds is read through the replay
+path. Every entry undergoes the same IEEE operations, in the same order, as
+evaluating the payload alone would apply, so the block size never changes
+a result. The archive cuts payloads into blocks of at most
+`_BLOCK_ELEMENTS` stacked values in one place, `Archive._spans`.
+
+A run evaluates each generation in place: `evaluate_next` writes each
+block straight into the new generation's window slot and each train
+fitness straight into its table row (selection reads no test fitness, so
+none is kept), and a redraw round writes only its failed slots' rows.
+`append_evaluated` then completes the generation. So a run makes no
+object per individual beyond its slot's ref. `make_individual` evaluates
+one payload into a row of its own and returns an `Individual` view of it;
+`append_generation` copies such views into the next generation.
+`evaluate_next` reports every slot whose semantics are not finite, and
+`make_individual` and `from_json` raise the first such slot's
+NonFiniteSemanticsError.
+
+The module function `ancestry(payloads, payload, generation, stop)`
 walks back over payload refs, with a stack and no recursion, and returns
 {ref: the newest generation that reads it} for every ref that evaluating
 the payload reads, directly or through the refs it reaches, leaving out a
 ref where `stop(ref)` holds and all that only it reads. Its sorted keys
 are that closure in an order where each ref follows the refs it reads.
 
-Each block is a new array and is the storage of the children it holds: a
-child's `semantics` is its row of the block, written once and only read
-after that. A block holds children of one `evaluate` call, so it never
-spans two generations, and a reproduction copies its parent's row into
-it, so no later generation holds a row of an earlier one's block: a
-generation is the unit of release.
+Reads. `generations[g][i]` and `individual(ref)` return an `Individual`, a
+read view made on its first read and cached until g is released. A view
+owns its row: a copy of the window row, so it never shows a later
+generation that reused the slot, or the row a replay computed.
+
+Release is slot reuse. `release(g)` forgets g's window slot, its cached
+views and its replayed rows, but keeps its payloads and fitnesses; its slot
+is then free for generation g + capacity. `run_evolution` calls
+`hold_latest(h)` after each generation with the distribution's horizon h,
+so the semantics a run holds grow with h, not with the run length.
+Reading a released individual's semantics (through a view, or as a parent
+that a block reads) replays only the released part of its own ancestry
+(its `ancestry`, stopping at every individual that has a row), oldest
+generation first. The archive keeps the row that was read in a map until
+its generation is released again, which on a run is the next
+`hold_latest`. A replayed row is a new array with the same bits. Payloads
+and fitnesses are read without a replay, so `to_json`, tournaments and
+elitism never trigger one.
 
 `to_json` writes schema 2: each generation is a list of payloads, where a
 ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
 every other payload is an object with a "kind" of "leaf", "crossover" or
 "mutation". Semantics are not stored; `from_json` recomputes them.
 
-Semantics are needed only for the generations that selection can still
-read. `release(g)` drops generation g's rows from its individuals but keeps
-their payloads and fitnesses, and `run_evolution` calls `hold_latest(h)`
-after each generation with the distribution's horizon h, so the semantics a
-run holds grow with h, not with the run length. Reading a released
-individual's semantics (through `individual`, `generations[g][i]` or
-iterating a generation) replays only the released part of its own
-ancestry (its `ancestry`, stopping at every individual that holds its
-row), oldest generation first, and keeps only the row that was read:
-the individual holds it until its generation is released again. A replayed
-row is a new array with the same bits. Payloads and fitnesses are read
-without a replay, so `to_json`, `naive_eval`, tournaments and elitism never
-trigger one.
-
-An archive belongs to one thread: nothing in it is locked. Completed
-generations change only by being released or read, which changes no value
-that can be read, and evaluating payloads whose parents hold their rows
-writes only arrays that the call allocates.
+An archive belongs to one thread: nothing in it is locked.
+`make_individual` writes only arrays that the call allocates when the
+parents it reads hold their rows.
 """
 
 import weakref
-from itertools import repeat
+from collections.abc import Sequence
+from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -167,85 +188,74 @@ Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
 
 
 class Individual:
-    """A payload with its train fitness and its semantics over the stacked train-then-test rows.
+    """A read view of one individual: its payload, train fitness and semantics.
 
-    train_semantics and test_semantics are views of `semantics`, made on the
-    first read of either; later reads return the same two objects. A
-    reproduction's `semantics` is a copy of its parent's, a row of its own
-    generation's block. When the archive has released the
-    individual's generation (see `Archive.release`), reading any of the
-    three first replays the individual from the released part of its
-    ancestry (see `Archive._replay`). It then holds the replayed row, a new
-    array with the same bits, until its generation is released again, and
-    its views are made again on their first read.
+    `semantics` is its row over the stacked train-then-test rows, and the
+    view owns it: the row that `make_individual` computed, or, for a view
+    of an archived generation, a copy of its window row or its replayed row
+    (see `Archive.row`), taken on the first read of its semantics. So a
+    view never shows a later generation that reused its slot. Until that read a
+    view holds a weak reference to its archive, and a first read after the
+    archive is gone raises RuntimeError. train_semantics and test_semantics
+    are views of `semantics`, each made on its first read; later reads
+    return the same object.
     """
 
-    __slots__ = ("payload", "_views", "train_fitness")
-
-    def __init__(self, payload, views: tuple, train_fitness):
+    def __init__(self, payload, train_fitness: float, n_train: int, source):
         self.payload = payload
-        # One attribute, so that release and replay each swap one value:
-        # (semantics, n_train) until the train or test view is first read,
-        # (semantics, train_semantics, test_semantics) after it, or its
-        # generation's _Released stand-in while released.
-        self._views = views
         self.train_fitness = train_fitness
+        self._n_train = n_train
+        self._source = source  # the row, or (weak archive ref, IndividualRef)
 
-    @property
+    @cached_property
     def semantics(self) -> np.ndarray:
-        return self._stored()[0]
+        if type(self._source) is not tuple:
+            return self._source
+        archive, ref = self._source[0](), self._source[1]
+        if archive is None:
+            raise RuntimeError(f"generation {ref.generation} was released and its archive is gone")
+        row = archive.row(ref)
+        return row.copy() if row.base is archive._window else row
 
-    @property
+    @cached_property
     def train_semantics(self) -> np.ndarray:
-        return self._held()[1]
+        return self.semantics[: self._n_train]
 
-    @property
+    @cached_property
     def test_semantics(self) -> np.ndarray:
-        return self._held()[2]
-
-    def _stored(self) -> tuple:
-        """The current views tuple, the individual replayed first if released."""
-        views = self._views
-        if type(views) is _Released:
-            archive = views.archive()
-            if archive is None:
-                raise RuntimeError(
-                    f"generation {views.generation} was released and its archive is gone"
-                )
-            archive._replay(self, views.generation)
-            views = self._views
-        return views
-
-    def _held(self) -> tuple:
-        """(semantics, train_semantics, test_semantics), the views made on first call."""
-        views = self._stored()
-        if len(views) == 2:
-            row, n_train = views
-            views = self._views = (row, row[:n_train], row[n_train:])
-        return views
+        return self.semantics[self._n_train :]
 
 
-class _Released(NamedTuple):
-    """What the views of a released generation's individuals are replaced by.
+class _Generation(Sequence):
+    """A completed generation as read: its payloads, and a view per slot made on first read."""
 
-    It holds a weak reference to its archive, so a released individual does
-    not keep the archive alive; reading it after the archive is gone raises
-    RuntimeError.
-    """
+    def __init__(self, archive: weakref.ref, generation: int, payloads: tuple):
+        self._archive, self.generation, self.payloads = archive, generation, payloads
+        self._views = {}  # slot: view, cleared when the generation is released
 
-    archive: weakref.ref
-    generation: int
+    def __len__(self) -> int:
+        return len(self.payloads)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self.payloads))[i]))
+        i = range(len(self.payloads))[i]
+        if i not in self._views:
+            self._views[i] = self._archive()._view(self.generation, i)
+        return self._views[i]
 
 
 class Archive:
-    """All generations of one run, with memoized train/test semantics (see `release`).
+    """All generations of one run, the held ones' semantics in one window array.
 
     fitness(pred, targets) takes a 2-d block with one vector per row and
-    returns one error per row, as `rmse` does. `replays` counts the reads
-    that replayed a released individual (see `_replay`).
+    returns one error per row, as `rmse` does. capacity is the window's
+    first number of generation slots; it doubles only when the next
+    generation's slot is still held (see the module docstring). `replays`
+    counts the released individuals whose rows were replayed (see `row`).
     """
 
-    def __init__(self, split: SplitDataset, fitness=rmse):
+    def __init__(self, split: SplitDataset, fitness=rmse, capacity: int = 8):
         self.train_inputs = split.train.inputs
         self.test_inputs = split.test.inputs
         self.train_targets = split.train.targets
@@ -254,22 +264,27 @@ class Archive:
         self._columns = Columns(self.inputs)
         self.n_train = split.train.rows
         self.fitness = fitness
+        self._capacity = capacity
         self._generations = ()
         self._slot_refs = ()  # _slot_refs[g][i] is IndividualRef(g, i), one object per slot
-        # Row g holds generation g's train fitnesses; rows past the last
-        # completed generation are unfilled capacity.
-        self._train_fitness = np.empty((0, 0))
-        self._held = set()  # generations where at least one individual holds its row
+        # Made for generation 0: the window, _holder[s] the generation that
+        # slot s holds (-1 for none), and the fitness table, whose row g holds
+        # generation g's train fitnesses (rows past the next are capacity).
+        self._window = self._holder = self._train_fitness = None
+        self._replayed = {}  # ref: row of a released individual (see `row`)
+        self._kept = set()  # generations with a window slot, cached views or replayed rows
+        self._weak = weakref.ref(self)
         self.replays = 0
 
     # -- addressing ---------------------------------------------------
 
     @property
     def generations(self) -> tuple:
-        """The completed generations, a tuple of per-generation tuples.
+        """The completed generations: a tuple with one read-only sequence of views each.
 
-        Only `append_generation` extends it, so every generation has its
-        row in the fitness table.
+        Only `append_evaluated` extends it, so every generation has its row
+        in the fitness table. generations[g][i] is slot i's view (see
+        `Individual`), and generations[g].payloads the generation's payloads.
         """
         return self._generations
 
@@ -278,17 +293,16 @@ class Archive:
         if not 0 <= ref.generation < len(generations):
             raise ValueError(f"no generation {ref.generation} in archive")
         if not 0 <= ref.index < len(generations[ref.generation]):
-            raise ValueError(
-                f"index {ref.index} out of range in generation {ref.generation}"
-            )
+            raise ValueError(f"index {ref.index} out of range in generation {ref.generation}")
         return generations[ref.generation][ref.index]
 
     @property
     def train_fitness(self) -> np.ndarray:
         """Generation x slot table of train fitnesses (a read-only view).
 
-        Entry [g, i] is generations[g][i].train_fitness; `append_generation`
-        writes each row, so selection reads any archived fitness by index.
+        Entry [g, i] is generations[g][i].train_fitness; each generation's
+        evaluation writes its row, so selection reads any archived fitness
+        by index.
         """
         table = self._train_fitness[: len(self._generations)]
         table.flags.writeable = False
@@ -300,73 +314,113 @@ class Archive:
             raise ValueError(f"no generation {generation} in archive")
         return self._slot_refs[generation][int(np.argmin(self._train_fitness[generation]))]
 
+    def row(self, ref: IndividualRef) -> np.ndarray:
+        """The semantics row of an archived individual.
+
+        While its generation is held this is a view of its window row, which
+        the slot's next generation overwrites. Otherwise it is the row the
+        archive replayed for it (see `_replay`) on its first read, kept until
+        its generation is released again. The ref must point into the archive.
+        """
+        g, i = ref
+        slot = g % len(self._window)
+        if self._holder[slot] == g:
+            return self._window[slot, i]
+        if ref not in self._replayed:
+            self._replayed[ref] = self._replay(ref)
+            self._kept.add(g)
+        return self._replayed[ref]
+
+    def _view(self, g: int, i: int) -> Individual:
+        """A new view of slot i of generation g (see `Individual`)."""
+        self._kept.add(g)
+        payload, fitness = self._generations[g].payloads[i], float(self._train_fitness[g, i])
+        return Individual(payload, fitness, self.n_train, (self._weak, self._slot_refs[g][i]))
+
     # -- creation -----------------------------------------------------
 
     def make_individual(self, payload: Payload) -> Individual:
-        """The individual of one payload (not appended).
+        """The individual of one payload (not appended), a view of a row of its own.
 
-        A ref that does not point into the archive raises ValueError, as
+        The payload is evaluated as `evaluate_next` evaluates a slot. A ref
+        that does not point into the archive raises ValueError, as
         `individual` does. Semantics that are not all finite raise the
-        NonFiniteSemanticsError that `evaluate([payload], [0])` reports,
-        which names slot 0.
+        NonFiniteSemanticsError that names slot 0, the split and the row
+        within it.
         """
         for ref in _refs(payload):
             self.individual(ref)
-        (individual,), rejects = self.evaluate([payload], [0])
+        row, fitness = np.empty((1, self._columns.rows)), np.empty(1)
+        rejects = self._evaluate([payload], [0], row, fitness)
         if rejects:
             raise rejects[0]
-        return individual
+        return Individual(payload, float(fitness[0]), self.n_train, row[0])
 
-    def evaluate(self, payloads: list, slots) -> tuple:
-        """(individuals, rejects) of payloads[s] for s in slots, in order.
+    def evaluate_next(self, payloads: list, slots) -> list:
+        """Evaluate payloads[s] for s in slots into slot s of the next generation; the rejects.
 
-        The payloads are evaluated in blocks of at most _BLOCK_ELEMENTS
-        stacked values. Each block is a new array that stores the children
-        it computed: a child's `semantics` is its row, not a copy (when a
-        block has a rejected slot, its row of the finite rows). A
-        reproduction (a bare IndividualRef) is one of those children: its
-        row is a copy of its parent's, in its own generation's block, and
-        the block's `fitness` call gives it its parent's train fitness bit
-        for bit. A slot whose semantics are not all finite gets None in
-        `individuals` and one NonFiniteSemanticsError in `rejects` naming
-        the slot, the split and the row within it; rejects are in slot
-        order. The others get their train fitness, one `fitness` call per
-        block. This is the archive's one way to evaluate payloads:
-        `make_individual` and `from_json` raise the first reject.
+        payloads is the whole next generation, and slots the ones to
+        evaluate now: first all of them, then each redraw round's. Each row
+        goes straight into the generation's window slot and each train
+        fitness into its table row. A reproduction (a bare IndividualRef)
+        gets a copy of its parent's row and, from its block's `fitness`
+        call, its parent's train fitness bit for bit. Each slot whose
+        semantics are not all finite gets one NonFiniteSemanticsError in the
+        rejects, in slot order, naming the slot, the split and the row
+        within it; its row holds its non-finite values until it is evaluated
+        again. `append_evaluated` completes the generation. A generation
+        that is empty or not of the population size raises ValueError.
 
         Every ref must point into the archive, as the refs of
-        `tournament_select` and `from_json` do: `evaluate` indexes the
-        generations without the checks of `individual`.
+        `tournament_select` and `from_json` do: the window is indexed
+        without the checks of `individual`.
         """
-        slots = list(slots)
-        individuals = [None] * len(slots)
+        return self._evaluate(payloads, list(slots), *self._next(len(payloads)))
+
+    def _evaluate(self, payloads: list, slots: list, rows, fitness) -> list:
+        """Evaluate payloads[s] into rows[s] and its train fitness into fitness[s]; the rejects.
+
+        A block of consecutive slots is evaluated straight into their rows,
+        any other block into a new array whose rows are then copied into
+        theirs. Per block, finiteness is checked once and the train fitness
+        computed with one `fitness` call, row by row (a rejected slot's is
+        not finite, and is overwritten when it is evaluated again).
+        """
         rejects = []
-        n_train = self.n_train
-        for positions, block in self._blocks(slots, payloads.__getitem__, self._row):
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                for i in np.flatnonzero(~finite).tolist():
-                    slot = slots[positions[i]]
-                    rejects.append(self._nonfinite(payloads[slot], slot, block[i]))
-                positions = [pos for pos, ok in zip(positions, finite.tolist()) if ok]
-                block = block[finite]
-            train_fitness = self.fitness(block[:, :n_train], self.train_targets).tolist()
-            for pos, row, train in zip(positions, block, train_fitness):
-                individuals[pos] = Individual(payloads[slots[pos]], (row, n_train), train)
-        return individuals, rejects
+        for span in self._spans(slots):
+            start = span[0]
+            direct = span == list(range(start, start + len(span)))
+            block = rows[start : start + len(span)] if direct else np.empty((len(span), rows.shape[1]))
+            evaluate_block([payloads[s] for s in span], self._columns, self._gather, block)
+            if not direct:
+                rows[span] = block
+            for k in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
+                rejects.append(self._nonfinite(payloads[span[k]], span[k], block[k]))
+            fitness[span] = self.fitness(block[:, : self.n_train], self.train_targets)
+        return rejects
 
-    def _blocks(self, keys: list, payload_of, row_of):
-        """(positions, block) for consecutive ranges of positions in keys, in order.
+    def _spans(self, keys: list) -> list:
+        """keys cut into consecutive runs whose blocks hold at most _BLOCK_ELEMENTS values.
 
-        Row j of a block is the semantics of payload_of(keys[positions[j]]),
-        from `evaluate_block` with row_of; a block holds at most
-        _BLOCK_ELEMENTS stacked values. This is the one loop that sizes
-        blocks, for `evaluate` and `_replay` alike.
+        This is the one place that sizes blocks, for `_evaluate` and
+        `_replay` alike.
         """
         size = max(1, _BLOCK_ELEMENTS // self._columns.rows)
-        for start in range(0, len(keys), size):
-            span = range(start, min(start + size, len(keys)))
-            yield span, evaluate_block([payload_of(keys[k]) for k in span], self._columns, row_of)
+        return [keys[k : k + size] for k in range(0, len(keys), size)]
+
+    def _gather(self, refs: list) -> np.ndarray:
+        """The rows of refs, one per row of a new array.
+
+        One advanced index reads them from the window; a ref whose
+        generation the window no longer holds is then read through `row`.
+        """
+        pairs = np.fromiter(chain.from_iterable(refs), np.intp, 2 * len(refs))
+        g, i = pairs.reshape(-1, 2).T
+        slots = g % len(self._window)
+        rows = self._window[slots, i]
+        for k in np.flatnonzero(self._holder[slots] != g).tolist():
+            rows[k] = self.row(refs[k])
+        return rows
 
     def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
         """The error for a slot's non-finite values, naming a train row before a test row."""
@@ -375,130 +429,147 @@ class Archive:
             check_finite(values[: self.n_train], context, split="train", slot=slot)
             check_finite(values[self.n_train :], context, split="test", slot=slot)
         except NonFiniteSemanticsError as exc:
-            # Its traceback's frames hold `values`, a view of the whole block,
-            # and a caller may keep the error for the rest of a run.
+            # Its traceback's frames hold `values`, a view of the window or
+            # of a block, and a caller may keep the error for the rest of a run.
             return exc.with_traceback(None)
 
-    def _row(self, ref: IndividualRef) -> np.ndarray:
-        """The semantics row of an archived individual, replayed first if released."""
-        individual = self._generations[ref.generation][ref.index]
-        views = individual._views
-        return individual.semantics if type(views) is _Released else views[0]
+    def _next(self, n: int) -> tuple:
+        """(rows, fitness): the next generation's window slot and fitness table row.
 
-    def append_generation(self, individuals: list):
-        """Complete the next generation: its individuals, fitness row and refs.
-
-        The refs are made once here, `IndividualRef(g, i)` for each slot i,
-        and every ref the archive hands out for the slot is that object, so
-        a kept archive holds one ref per slot and a tournament makes none.
-        They are built as `tuple.__new__(IndividualRef, (g, i))`, which
-        skips the NamedTuple constructor's call overhead and makes the same
-        refs in about half the time.
+        A generation of n = 0 slots, or not of the population size, raises
+        ValueError. The window and the table are made for generation 0;
+        the window doubles while the next generation's slot is still held,
+        and the table when it is full.
         """
-        generations = self._generations
-        g, n = len(generations), len(individuals)
-        if not individuals:
+        g = len(self._generations)
+        if not n:
             raise ValueError(f"generation {g} is empty")
-        if generations and n != len(generations[0]):
-            raise ValueError(
-                f"generation {g} has {n} payloads, not the population size "
-                f"{len(generations[0])}"
-            )
-        table = self._train_fitness
-        if g == len(table):  # full: double the capacity
-            grown = np.empty((max(8, 2 * g), n))
-            if g:
-                grown[:g] = table
-            self._train_fitness = table = grown
-        table[g] = [ind.train_fitness for ind in individuals]
+        if self._window is None:
+            self._window = np.empty((self._capacity, n, self._columns.rows))
+            self._holder = np.full(self._capacity, -1)
+            self._train_fitness = np.empty((8, n))
+        elif n != len(self._window[0]):
+            size = len(self._window[0])
+            raise ValueError(f"generation {g} has {n} payloads, not the population size {size}")
+        while self._holder[g % len(self._window)] >= 0:  # the slot is still held
+            held = [(h, self._window[s]) for s, h in enumerate(self._holder.tolist()) if h >= 0]
+            size = 2 * len(self._window)
+            self._window, self._holder = np.empty((size, *self._window.shape[1:])), np.full(size, -1)
+            for h, rows in held:
+                self._window[h % size], self._holder[h % size] = rows, h
+        if g == len(self._train_fitness):  # full: double the table
+            self._train_fitness = np.concatenate([self._train_fitness, np.empty((g, n))])
+        return self._window[g % len(self._window)], self._train_fitness[g]
+
+    def append_evaluated(self, payloads: list):
+        """Complete the next generation from its payloads, whose rows and fitnesses are in place.
+
+        `evaluate_next` puts them there. The refs are made once here,
+        `IndividualRef(g, i)` for each slot i, and every ref the archive
+        hands out for the slot is that object, so a kept archive holds one
+        ref per slot and a tournament makes none. They are built as
+        `tuple.__new__(IndividualRef, (g, i))`, which skips the NamedTuple
+        constructor's call overhead and makes the same refs in about half
+        the time.
+        """
+        self._next(len(payloads))
+        g, n = len(self._generations), len(payloads)
+        self._holder[g % len(self._window)] = g
+        self._kept.add(g)
         pairs = zip(repeat(g), range(n))
         self._slot_refs += (tuple(map(tuple.__new__, repeat(IndividualRef), pairs)),)
-        self._generations = generations + (tuple(individuals),)
-        self._held.add(g)
+        self._generations += (_Generation(self._weak, g, tuple(payloads)),)
+
+    def append_generation(self, individuals: list):
+        """Complete the next generation from its individuals, one per slot.
+
+        Each is a view (from `make_individual` or a read); its
+        row and train fitness are copied into the generation's window slot
+        and table row. A generation that is empty or not of the population
+        size raises ValueError.
+        """
+        rows, fitness = self._next(len(individuals))
+        for row, individual in zip(rows, individuals):
+            row[:] = individual.semantics
+        fitness[:] = [individual.train_fitness for individual in individuals]
+        self.append_evaluated([individual.payload for individual in individuals])
 
     # -- release and replay -------------------------------------------
 
     def release(self, generation: int):
-        """Drop a completed generation's semantics from all its individuals.
+        """Forget a completed generation's semantics: its slot, cached views and replayed rows.
 
-        The generation keeps its payloads and fitnesses. Its blocks are freed
-        once nothing else references their rows; only its own individuals
-        do, since a reproduction copies its parent's row. Reading one of its
-        individuals afterwards replays that individual alone (see
-        `_replay`), which then holds its row, a new array with the same
-        bits, until the generation is released again.
+        The generation keeps its payloads and fitnesses, and its window slot
+        is free for generation + capacity. A view already handed out keeps
+        its own row. Reading one of its individuals afterwards replays that
+        individual alone (see `row`).
         """
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
-        if generation not in self._held:
-            return
-        self._held.discard(generation)
-        released = _Released(weakref.ref(self), generation)
-        for ind in self._generations[generation]:
-            ind._views = released
+        self._kept.discard(generation)
+        slot = generation % len(self._window)
+        if self._holder[slot] == generation:
+            self._holder[slot] = -1
+        self._generations[generation]._views.clear()
+        self._replayed = {ref: row for ref, row in self._replayed.items() if ref[0] != generation}
 
     def hold_latest(self, count: int):
-        """Release every held generation but the latest `count`.
+        """Release every generation but the latest `count`.
 
-        This visits only the held generations, so a run that calls it after
-        each generation keeps at most `count` of them held, whatever reads
-        brought back, without a scan of the history. A count below 1 raises
-        ValueError: it would release the newest generation too, and the next
-        generation would replay every parent it reads.
+        This visits only the generations that keep anything, so a run that
+        calls it after each generation keeps at most `count` of them,
+        whatever reads brought back, without a scan of the history. A count
+        below 1 raises ValueError: it would release the newest generation
+        too, and the next generation would replay every parent it reads.
         """
         if count < 1:
             raise ValueError(f"hold_latest needs a count >= 1, not {count!r}")
         cutoff = len(self._generations) - count
-        for g in [g for g in self._held if g < cutoff]:
+        for g in [g for g in self._kept if g < cutoff]:
             self.release(g)
 
-    def _replay(self, individual: Individual, generation: int):
-        """Recompute a released individual of `generation` and hold its row there.
+    def _replay(self, ref: IndividualRef) -> np.ndarray:
+        """Recompute the row of a released individual, a new array with the same bits.
 
         Its released ancestry is its `ancestry`, stopping at every
-        individual that holds its row. That ancestry is evaluated oldest
-        generation first, each generation's share in the blocks of
-        `evaluate`, reading parent rows from the rows replayed so far; each
-        replayed row is dropped after the last generation that reads it. A
-        row that a generation beyond the next evaluated one reads is first
-        copied out of its block, so no block outlives the next generation's
-        evaluation. Only `individual` keeps its row, in a block of its own.
+        individual that has a row (held in the window, or replayed before).
+        That ancestry is evaluated oldest generation first, each
+        generation's share in the blocks of `_spans`, reading parent rows
+        from the rows replayed so far; each replayed row is dropped after the
+        last generation that reads it. A row that a generation beyond the
+        next evaluated one reads is first copied out of its block, so no
+        block outlives the next generation's evaluation. Only the returned
+        row, in a block of its own, outlives the call.
         """
         self.replays += 1
-        generations = self._generations
+        payloads = [generation.payloads for generation in self._generations]
+        window, holder, replayed = self._window, self._holder, self._replayed
 
-        def holds_row(ref):
-            return type(generations[ref.generation][ref.index]._views) is not _Released
+        def has_row(r):
+            return holder[r[0] % len(window)] == r[0] or r in replayed
 
-        last_read = ancestry(generations, individual.payload, generation, holds_row)
+        last_read = ancestry(payloads, payloads[ref[0]][ref[1]], ref[0], has_row)
         shares, expiring = {}, {}
-        for ref in sorted(last_read):
-            shares.setdefault(ref.generation, []).append(ref)
-            expiring.setdefault(last_read[ref], []).append(ref)
+        for r in sorted(last_read):
+            shares.setdefault(r.generation, []).append(r)
+            expiring.setdefault(last_read[r], []).append(r)
         rows = {}
 
-        def row_of(ref):
-            row = rows.get(ref)
-            return self._row(ref) if row is None else row
+        def rows_of(refs):
+            return np.array([rows[r] if r in rows else self.row(r) for r in refs])
 
-        def payload_of(ref):
-            return generations[ref.generation][ref.index].payload
-
-        steps = [*shares, generation]
+        steps = [*shares, ref[0]]
         for g, after in zip(steps, steps[1:]):
-            share = shares[g]
-            for span, block in self._blocks(share, payload_of, row_of):
+            for span in self._spans(shares[g]):
+                block = evaluate_block([payloads[g][r.index] for r in span], self._columns, rows_of)
                 # A row that a later step than the next one reads is copied
                 # out, so the block is freed once the next step has read it.
                 rows.update(
-                    (ref, row if last_read[ref] <= after else row.copy())
-                    for ref, row in zip(share[span.start : span.stop], block)
+                    (r, row if last_read[r] <= after else row.copy()) for r, row in zip(span, block)
                 )
-            for ref in expiring.pop(g, ()):
-                del rows[ref]
-        row = evaluate_block([individual.payload], self._columns, row_of)[0]
-        individual._views = (row, self.n_train)
-        self._held.add(generation)
+            for r in expiring.pop(g, ()):
+                del rows[r]
+        return evaluate_block([payloads[ref[0]][ref[1]]], self._columns, rows_of)[0]
 
     # -- oracle -------------------------------------------------------
 
@@ -544,7 +615,7 @@ class Archive:
 
     def record_count(self) -> int:
         """Stored individual records: population size x generation count."""
-        return sum(len(g) for g in self.generations)
+        return sum(len(g) for g in self._generations)
 
     # -- serialization ------------------------------------------------
 
@@ -553,8 +624,8 @@ class Archive:
         return {
             "schema_version": SCHEMA_VERSION,
             "generations": [
-                [_payload_to_json(ind.payload) for ind in gen]
-                for gen in self.generations
+                [_payload_to_json(payload) for payload in gen.payloads]
+                for gen in self._generations
             ],
         }
 
@@ -593,26 +664,29 @@ class Archive:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
-            individuals, rejects = archive.evaluate(payloads, range(len(payloads)))
+            rejects = archive.evaluate_next(payloads, range(len(payloads)))
             if rejects:
                 raise rejects[0]
-            archive.append_generation(individuals)
+            archive.append_evaluated(payloads)
         return archive
 
 
-def evaluate_block(payloads: list, columns: Columns, row_of) -> np.ndarray:
-    """Stacked semantics of payloads, one row each, in a new block.
+def evaluate_block(payloads: list, columns: Columns, rows_of, out=None) -> np.ndarray:
+    """Stacked semantics of payloads, one row each, written into out and returned.
 
-    row_of(ref) is the semantics row of a ref that a payload reads. A
+    out is a 2-d array with a row per payload, a new block when None.
+    rows_of(refs) returns the semantics rows of a list of refs that the
+    payloads read, one per row of a new array; it is called once for the
+    reproductions and mutation bases that are refs, then once for the
+    crossover parents, all first parents before all second ones. A
     reproduction's row is a copy of its parent's. Each random tree is
     evaluated once into a row of a tree temporary; the trees under a
     sigmoid come first and go through one sigmoid call. Crossover mixing
     and mutation deltas are then whole-matrix operations, in the order
     child = w*p1 + (1-w)*p2 and child = base + step*(sig(a) - sig(b))
-    (or base + step*a for raw mutation). The block and the temporaries
-    are allocated per call and shared with nothing.
+    (or base + step*a for raw mutation).
     """
-    block = np.empty((len(payloads), columns.rows))
+    block = np.empty((len(payloads), columns.rows)) if out is None else out
     leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
     for row, payload in enumerate(payloads):
         base = payload.base if isinstance(payload, Mutation) else payload
@@ -640,14 +714,14 @@ def evaluate_block(payloads: list, columns: Columns, row_of) -> np.ndarray:
             eval_tree_many(tree, columns, out=row)
         for row, tree in leaves:
             eval_tree_many(tree, columns, out=block[row])
-        for row, ref in ref_bases:
-            block[row] = row_of(ref)
+        if ref_bases:
+            block[[row for row, _ in ref_bases]] = rows_of([ref for _, ref in ref_bases])
         if n_sigmoid:
             sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
         if crossovers:
             w = trees[:n_cross]
-            p1 = _stack([row_of(c.parent1) for _, c in crossovers])
-            p2 = _stack([row_of(c.parent2) for _, c in crossovers])
+            parents = rows_of([c.parent1 for _, c in crossovers] + [c.parent2 for _, c in crossovers])
+            p1, p2 = parents[:n_cross], parents[n_cross:]
             np.multiply(w, p1, out=p1)
             np.subtract(1.0, w, out=w)
             np.multiply(w, p2, out=p2)
@@ -661,11 +735,11 @@ def evaluate_block(payloads: list, columns: Columns, row_of) -> np.ndarray:
     return block
 
 
-def ancestry(generations: tuple, payload: Payload, generation: int, stop) -> dict:
+def ancestry(payloads, payload: Payload, generation: int, stop) -> dict:
     """{ref: the newest generation that reads it} over the ancestry of a payload.
 
-    The payload is of `generation`, and `generations` holds the individuals
-    of every generation before it. The ancestry is every ref that
+    The payload is of `generation`, and payloads[g][i] is the payload of
+    slot i of every generation g before it. The ancestry is every ref that
     evaluating the payload reads, directly or through the payloads of refs
     already in it. The walk keeps a stack, not recursion, and does not pass
     a ref where stop(ref) holds: that ref and what only it reads are left
@@ -681,7 +755,7 @@ def ancestry(generations: tuple, payload: Payload, generation: int, stop) -> dic
                 last_read[ref] = max(reader, last_read[ref])
             elif not stop(ref):
                 last_read[ref] = reader
-                todo.append((ref.generation, generations[ref.generation][ref.index].payload))
+                todo.append((ref.generation, payloads[ref.generation][ref.index]))
     return last_read
 
 
@@ -694,11 +768,6 @@ def _refs(payload: Payload) -> tuple:
     if isinstance(payload, Crossover):
         return (payload.parent1, payload.parent2)
     return ()
-
-
-def _stack(rows) -> np.ndarray:
-    """These rows, one per row of a new array."""
-    return np.concatenate(rows).reshape(len(rows), -1)
 
 
 def _add_steps(block, mutations, delta):

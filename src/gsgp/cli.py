@@ -16,7 +16,6 @@ from .data import load_csv, synthetic_dataset
 from .errors import CsvFormatError
 from .evolve import EvolutionConfig
 from .experiment import Campaign, run_campaign, write_outputs
-from .selection import parse_distribution
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,7 +128,6 @@ def main(argv=None) -> int:
         else:
             dataset = parse_synthetic_spec(args.synthetic)
             source = f"synthetic:{args.synthetic}"
-        strategies = [parse_distribution(s) for s in args.strategy]
         template = EvolutionConfig(
             population_size=args.pop,
             generations=args.generations,
@@ -143,7 +141,7 @@ def main(argv=None) -> int:
         )
         campaign = Campaign(
             dataset=dataset,
-            strategies=strategies or ["u:1"],
+            strategies=args.strategy or ["u:1"],
             runs=args.runs,
             base_seed=args.seed,
             template=template,

@@ -24,7 +24,7 @@ Winners and trees are handed out in slot order: a crossover takes the
 next two winners and the next tree, a reproduction the next winner, and a
 mutation then takes the next tree as random_tree_a and, when bounded, the
 one after it as random_tree_b. The whole generation is then evaluated at
-once. The slots whose semantics are not finite are drawn again the same
+once, straight into its slot of the archive's window. The slots whose semantics are not finite are drawn again the same
 way, with k the number of failed slots, and only they are evaluated
 again. A rejected draw stays consumed: its entrants stay tallied in
 offset_counts.
@@ -45,7 +45,7 @@ from .archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from .data import SplitDataset
 from .errors import NonFiniteSemanticsError, checked_int, finite_number
 from .exprtree import MAX_TREE_DEPTH, gen_tree, ramp_schedule
-from .selection import UniformLastK, tournament_select
+from .selection import UniformLastK, checked_distribution, tournament_select
 from .semantics import rmse
 
 # The order in which a run draws its randomness (see the module docstring);
@@ -59,7 +59,11 @@ _SLOT_RETRIES = 25
 
 @dataclass
 class EvolutionConfig:
-    """One run's parameters; the defaults are the standard benchmark setup."""
+    """One run's parameters; the defaults are the standard benchmark setup.
+
+    distribution is a u:<k> or g:<p> spec, parsed here, or an object with
+    `sample_many`, `label` and `horizon`; anything else raises ValueError.
+    """
 
     distribution: object = field(default_factory=lambda: UniformLastK(1))
     population_size: int = 100
@@ -74,6 +78,7 @@ class EvolutionConfig:
     bounded_mutation: bool = True  # False: raw single-tree perturbation
 
     def __post_init__(self):
+        self.distribution = checked_distribution("distribution", self.distribution)
         self.population_size = checked_int("population_size", self.population_size, 1)
         self.generations = checked_int("generations", self.generations, 0)
         self.max_initial_depth = checked_int("max_initial_depth", self.max_initial_depth, 0)
@@ -122,7 +127,9 @@ class RunResult:
     replays: int = 0
 
 
-def seed_archive(trees: list, split: SplitDataset, *, regenerate, fitness=rmse) -> Archive:
+def seed_archive(
+    trees: list, split: SplitDataset, *, regenerate, fitness=rmse, capacity: int = 8
+) -> Archive:
     """Build a one-generation archive from generation-0 trees.
 
     A tree whose semantics come out non-finite (protected division keeps
@@ -130,8 +137,9 @@ def seed_archive(trees: list, split: SplitDataset, *, regenerate, fitness=rmse) 
     A slot that fails _SLOT_RETRIES + 1 times in a row aborts the seed with
     the diagnostic, which names the tree's slot, rather than clamping values.
     trees is not empty: `Archive.append_generation` refuses an empty one.
+    capacity is the number of generation slots of the archive's window.
     """
-    archive = Archive(split, fitness=fitness)
+    archive = Archive(split, fitness=fitness, capacity=capacity)
     individuals = []
     for slot, tree in enumerate(trees):
         failures = 0
@@ -157,7 +165,7 @@ def next_generation(
     offset_counts=None,
     rejects=None,
 ) -> list:
-    """Breed, evaluate, and append one generation; returns its individuals.
+    """Breed, evaluate, and append one generation; returns its payloads.
 
     Every open slot's payload is drawn in bulk and the generation is
     evaluated at once (see the module docstring). A slot whose semantics
@@ -193,15 +201,9 @@ def next_generation(
 
     payloads = [archive.best_of_generation(current - 1)] if cfg.elitism else []
     payloads += draw(cfg.population_size - len(payloads))
-    individuals = [None] * len(payloads)
     failures = [0] * len(payloads)
     slots = range(len(payloads))
-    while True:
-        made, failed = archive.evaluate(payloads, slots)
-        for slot, individual in zip(slots, made):
-            individuals[slot] = individual
-        if not failed:
-            break
+    while failed := archive.evaluate_next(payloads, slots):
         if rejects is not None:
             rejects.extend(failed)
         for exc in failed:
@@ -211,8 +213,8 @@ def next_generation(
         slots = [exc.slot for exc in failed]
         for slot, payload in zip(slots, draw(len(slots))):
             payloads[slot] = payload
-    archive.append_generation(individuals)
-    return individuals
+    archive.append_evaluated(payloads)
+    return payloads
 
 
 def run_evolution(
@@ -222,17 +224,24 @@ def run_evolution(
 ) -> RunResult:
     """Seed generation 0 and apply next_generation cfg.generations times.
 
-    After each generation is appended, the archive releases the semantics
-    of every generation older than the distribution's horizon
-    (`Archive.hold_latest`), an individual that a read brought back
-    included. So a run holds the semantics of the last `horizon`
-    generations and nothing more: a reproduction's row is a copy in its own
-    generation's block, so releasing a generation frees all of its blocks.
-    Reading a released individual's semantics, for a winner drawn from
-    beyond the horizon or from the archive that keep_archive=True returns,
-    replays only the released part of its own ancestry and keeps only its
-    row, a new array with the same bits. That archive holds the payloads
-    and fitnesses of every generation, so it still answers every read.
+    The archive keeps the semantics of the generations it holds in one
+    window array of min(horizon, generations) + 1 generation slots: the
+    generations selection can read, plus the one being bred, which is
+    evaluated straight into its slot. There is no per-block or
+    per-individual storage. After each generation is appended, the
+    archive releases every generation older than the distribution's
+    horizon (`Archive.hold_latest`), together with any row a read brought
+    back, and releasing a generation only frees its slot for reuse: a
+    reproduction's row is a copy in its own generation's slot, so no held
+    row depends on a released one, and the window never grows during a
+    run. Reading a released individual's semantics, for a winner drawn
+    from beyond the horizon or from the archive that keep_archive=True
+    returns, replays only the released part of its own ancestry and keeps
+    only its row, a new array with the same bits. That archive holds the
+    payloads and fitnesses of every generation, so it still answers every
+    read, and the views it hands out copy their rows, so they keep their
+    bits after their slot is reused. Each generation's best train RMSE and
+    the test RMSE of that individual are read from the window directly.
 
     A horizon that is not an int >= 1 (None and a bool included) raises
     ValueError naming the distribution's label, before anything is drawn.
@@ -254,7 +263,9 @@ def run_evolution(
         regenerated.append(slot)
         return gen_tree(depth, n_features, [schedule[slot]], rng)[0]
 
-    archive = seed_archive(gen_tree(depth, n_features, schedule, rng), split, regenerate=regenerate)
+    trees = gen_tree(depth, n_features, schedule, rng)
+    capacity = min(horizon, cfg.generations) + 1
+    archive = seed_archive(trees, split, regenerate=regenerate, capacity=capacity)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
     rejects = []
@@ -262,9 +273,9 @@ def run_evolution(
     test_curve = []
 
     def record_best(generation):
-        best = archive.individual(archive.best_of_generation(generation))
-        train_curve.append(best.train_fitness)
-        test = archive.fitness(best.test_semantics[None], archive.test_targets)
+        best = archive.best_of_generation(generation)
+        train_curve.append(float(archive.train_fitness[best]))
+        test = archive.fitness(archive.row(best)[None, archive.n_train :], archive.test_targets)
         test_curve.append(float(test[0]))
 
     record_best(0)

@@ -44,7 +44,7 @@ import numpy as np
 from .data import Dataset, split_70_30, split_sizes_70_30
 from .errors import NonFiniteSemanticsError, checked_int
 from .evolve import RNG_STREAM, EvolutionConfig, RunResult, run_evolution
-from .selection import UniformLastK, parse_distribution
+from .selection import UniformLastK, checked_distribution
 from .stats import median, rank_sum_test
 
 SCHEMA_VERSION = 2
@@ -79,7 +79,10 @@ class Campaign:
     direction 3).
     `runs`, `jobs` and `base_seed` must be integers, not bools; a numpy
     integer is stored as an int. Any integer seeds a campaign, a negative
-    one included.
+    one included. Each item of `strategies` is stored as a distribution: a
+    u:<k> or g:<p> spec is parsed, and an item that is neither a spec nor
+    an object with `sample_many`, `label` and `horizon` raises ValueError
+    naming its index.
     """
 
     dataset: Dataset
@@ -96,6 +99,9 @@ class Campaign:
         self.base_seed = checked_int("base_seed", self.base_seed, -math.inf)
         if not self.strategies:
             raise ValueError("campaign needs at least one strategy")
+        self.strategies = [
+            checked_distribution(f"strategies[{k}]", s) for k, s in enumerate(self.strategies)
+        ]
         split_sizes_70_30(self.dataset.rows)
 
 
@@ -230,11 +236,10 @@ class CampaignReport:
 
 
 def resolve_strategies(strategies) -> list:
-    """Parse specs, dedupe by label, and put the u:1 baseline first if absent."""
+    """Distributions deduped by label, with the u:1 baseline first if absent."""
     resolved = []
     labels = set()
-    for s in strategies:
-        dist = parse_distribution(s) if isinstance(s, str) else s
+    for dist in strategies:
         name = dist.label()
         if name not in labels:
             labels.add(name)

@@ -136,6 +136,19 @@ def parse_distribution(spec: str):
     raise ValueError(f"bad distribution spec {spec!r}: expected u:<k> or g:<p>")
 
 
+def checked_distribution(name: str, value):
+    """value as a distribution, or ValueError naming name.
+
+    A str goes through `parse_distribution`; any other value must have
+    `sample_many`, `label` and `horizon`, as UniformLastK and Geometric do.
+    """
+    if isinstance(value, str):
+        return parse_distribution(value)
+    if not all(hasattr(value, attr) for attr in ("sample_many", "label", "horizon")):
+        raise ValueError(f"{name} must be a u:<k> or g:<p> spec or a distribution, not {value!r}")
+    return value
+
+
 def tournament_select(
     archive: Archive,
     d,

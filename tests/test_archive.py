@@ -4,7 +4,6 @@ import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -361,9 +360,9 @@ def counted_replays(monkeypatch) -> list:
     replays = []
     replay = Archive._replay
 
-    def counting_replay(self, individual, generation):
-        replays.append(generation)
-        replay(self, individual, generation)
+    def counting_replay(self, ref):
+        replays.append(ref.generation)
+        return replay(self, ref)
 
     monkeypatch.setattr(Archive, "_replay", counting_replay)
     return replays
@@ -422,7 +421,7 @@ def three_generation_archive():
 
 def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
     archive = three_generation_archive()
-    generations = archive.generations
+    payloads = [gen.payloads for gen in archive.generations]
     child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
     visited = []
 
@@ -430,7 +429,7 @@ def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
         visited.append(ref)
         return False
 
-    found = archive_module.ancestry(generations, child, 3, never)
+    found = archive_module.ancestry(payloads, child, 3, never)
     assert found == {
         (2, 0): 3, (2, 1): 3,
         (1, 0): 2, (1, 1): 2, (1, 2): 2,
@@ -444,35 +443,32 @@ def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
     for k, ref in enumerate(order):
         assert all(r in order[:k] for r in archive_module._refs(archive.individual(ref).payload))
     # A generation-2 payload's own ancestry stops short of its generation.
-    assert archive_module.ancestry(generations, generations[2][2].payload, 2, never) == {
+    assert archive_module.ancestry(payloads, payloads[2][2], 2, never) == {
         (1, 0): 2, (0, 0): 1, (0, 1): 1,
     }
 
 
 def test_ancestry_does_not_pass_a_stopping_ref_and_a_leaf_has_none():
     archive = three_generation_archive()
-    generations = archive.generations
+    payloads = [gen.payloads for gen in archive.generations]
     child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
     # Past (2, 0) lie (1, 0) and (1, 1), and (0, 1) only through them;
     # (0, 0) is still read through (2, 1).
-    found = archive_module.ancestry(generations, child, 3, lambda ref: ref == (2, 0))
+    found = archive_module.ancestry(payloads, child, 3, lambda ref: ref == (2, 0))
     assert found == {(2, 1): 3, (1, 2): 2, (0, 0): 2, (0, 2): 1}
-    held = archive_module.ancestry(generations, child, 3, lambda ref: ref.generation == 2)
+    held = archive_module.ancestry(payloads, child, 3, lambda ref: ref.generation == 2)
     assert held == {}
     for g in range(3):
-        leaf = archive_module.ancestry(generations, Leaf(Variable(0)), g, lambda ref: False)
+        leaf = archive_module.ancestry(payloads, Leaf(Variable(0)), g, lambda ref: False)
         assert leaf == {}
 
 
 def test_ancestry_of_a_long_chain_does_not_recurse():
     depth = sys.getrecursionlimit() + 50
-    # Anything with a `payload` stands in for an individual; generation g
-    # reproduces generation g - 1.
-    generations = ((SimpleNamespace(payload=Leaf(Variable(0))),),) + tuple(
-        (SimpleNamespace(payload=IndividualRef(g - 1, 0)),) for g in range(1, depth)
-    )
+    # Generation g reproduces generation g - 1.
+    payloads = [(Leaf(Variable(0)),)] + [(IndividualRef(g - 1, 0),) for g in range(1, depth)]
     child = IndividualRef(depth - 1, 0)
-    found = archive_module.ancestry(generations, child, depth, lambda ref: False)
+    found = archive_module.ancestry(payloads, child, depth, lambda ref: False)
     assert found == {(g, 0): g + 1 for g in range(depth)}
 
 
@@ -497,12 +493,12 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
     calls, blocks = [], []
     evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(payloads, columns, row_of):
+    def recording_evaluate(payloads, columns, rows_of, out=None):
         # u:1 parents are one generation back, so a replay holds at most the
         # rows of the generation before the one it evaluates.
         assert all(block() is None for block in blocks[:-1])
         calls.append(payloads)
-        block = evaluate(payloads, columns, row_of)
+        block = evaluate(payloads, columns, rows_of, out)
         blocks.append(weakref.ref(block))
         return block
 
@@ -524,10 +520,15 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
         assert row.base is blocks[-1]() and row.base.shape == (1, len(archive.inputs))
         assert row.tobytes() == clone.individual(ref).semantics.tobytes()
         holding.add((g, i))
-        assert archive._held == {h for h, _ in holding}
-        for h, gen in enumerate(archive.generations):
-            for j, ind in enumerate(gen):
-                assert (type(ind._views) is archive_module._Released) == ((h, j) not in holding)
+        # The window holds generation 12 alone, and the archive keeps the
+        # replayed row of each individual read, and no other row.
+        assert held_generations(archive) == {12}
+        assert set(archive._replayed) == {r for r in holding if r[0] != 12}
+
+
+def held_generations(archive) -> set:
+    """The generations whose rows the archive's window holds."""
+    return {int(g) for g in archive._holder if g >= 0}
 
 
 def test_a_released_individual_that_outlives_its_archive_says_so():
@@ -544,54 +545,48 @@ def test_a_released_individual_that_outlives_its_archive_says_so():
 def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
     monkeypatch, distribution, held
 ):
-    """Every block a run evaluated is freed unless it belongs to a held generation."""
-    blocks = []
-    append = Archive.append_generation
+    """The window holds the latest `held` generations (None: all) and never grows."""
 
-    def recording_append(self, individuals):
-        blocks.append([weakref.ref(ind.semantics.base) for ind in individuals])
-        append(self, individuals)
+    def no_replay(self, ref):
+        raise AssertionError(f"an individual of generation {ref.generation} replayed during the run")
 
-    def no_replay(self, individual, generation):
-        raise AssertionError(f"an individual of generation {generation} replayed during the run")
-
-    monkeypatch.setattr(Archive, "append_generation", recording_append)
     monkeypatch.setattr(Archive, "_replay", no_replay)
     split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=distribution, population_size=20, generations=15, seed=3)
     archive = run_evolution(cfg, split, keep_archive=True).archive
-    alive = [{id(block) for block in (ref() for ref in gen) if block is not None} for gen in blocks]
-    first = len(blocks) - held if held else 0
-    # A released generation pins no block: its reproductions' rows are copies
-    # in their own blocks, not rows of their parents'.
-    assert alive[:first] == [set()] * first
-    assert alive[first:] == [
-        {id(ind.semantics.base) for ind in gen} for gen in archive.generations[first:]
-    ]
-    if held is None:
-        assert all(ref() is not None for gen in blocks for ref in gen)  # nothing was freed
+    # One slot per generation selection can read, plus the one being bred:
+    # the window doubles only when a slot is still held, so it never did.
+    slots = min(distribution.horizon, cfg.generations) + 1
+    assert archive._window.shape == (slots, 20, len(archive.inputs))
+    first = len(archive.generations) - held if held else 0
+    assert held_generations(archive) == set(range(first, len(archive.generations)))
+    assert archive._replayed == {}
     monkeypatch.undo()
-    assert archive.individual(IndividualRef(0, 0)).semantics.base is not None
+    assert archive.individual(IndividualRef(0, 0)).semantics.size == len(archive.inputs)
 
 
 def test_releasing_a_generation_frees_its_blocks_though_the_next_reproduces_it(monkeypatch):
+    """A released generation's window slot is reused, and its reproductions keep their bits."""
     split = split_70_30(synthetic_dataset("polynomial", 40, 2, 0.1, seed=5), seed=1)
     rows = split.train.rows + split.test.rows
     monkeypatch.setattr(archive_module, "_BLOCK_ELEMENTS", 3 * rows)  # 3 children per block
     cfg = EvolutionConfig(population_size=10, generations=0, crossover_rate=0.0,
                           mutation_rate=0.0, seed=4)
-    archive = run_evolution(cfg, split, keep_archive=True).archive
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # a window of one slot
     rng = np.random.default_rng(cfg.seed)
-    next_generation(archive, cfg, rng)
-    blocks = {id(ind.semantics.base): weakref.ref(ind.semantics.base)
-              for ind in archive.generations[1]}
-    assert len(blocks) == 4
-    # Generation 2 is all reproductions of generation 1.
-    next_generation(archive, cfg, rng)
+    next_generation(archive, cfg, rng)  # generation 0 still holds that slot: the window doubles
+    window = archive._window
+    assert len(window) == 2
+    # Generation 2 is all reproductions of generation 1, written into
+    # generation 0's slot; generation 3 then reuses generation 1's.
+    for _ in range(2):
+        archive.hold_latest(1)
+        next_generation(archive, cfg, rng)
+    assert archive._window is window and held_generations(archive) == {2, 3}
     assert {ind.payload.generation for ind in archive.generations[2]} == {1}
-    archive.hold_latest(1)
-    assert [ref() for ref in blocks.values()] == [None] * len(blocks)
-    assert archive.generations[2][0].semantics.base is not None
+    clone = Archive.from_json(archive.to_json(), split)
+    for gen, twin in zip(archive.generations, clone.generations):
+        assert [ind.semantics.tobytes() for ind in gen] == [ind.semantics.tobytes() for ind in twin]
 
 
 @dataclass(frozen=True)
@@ -615,11 +610,11 @@ def test_a_replayed_row_with_a_distant_reader_does_not_pin_its_block(monkeypatch
     blocks = []
     evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(payloads, columns, row_of):
+    def recording_evaluate(payloads, columns, rows_of, out=None):
         # Parents come from up to several generations back, yet a block is
         # freed once the generation after it has been evaluated.
         assert all(block() is None for block in blocks[:-1])
-        block = evaluate(payloads, columns, row_of)
+        block = evaluate(payloads, columns, rows_of, out)
         blocks.append(weakref.ref(block))
         return block
 
@@ -644,7 +639,7 @@ def test_a_winner_beyond_the_horizon_is_replayed_with_the_same_bits(monkeypatch)
     assert len(set(replays)) > 5 and len(replays) > len(set(replays))
     assert near.replays == len(replays)
     # The bound holds after every replay: only the latest generation stays held.
-    assert near.archive._held == {15}
+    assert held_generations(near.archive) == {15} and near.archive._replayed == {}
     del replays[:]
     whole = run(NearSighted(16))  # holds all 16 generations of the run
     assert replays == [] and whole.replays == 0
@@ -665,7 +660,7 @@ def test_each_reported_test_rmse_is_its_best_individuals_replayed_or_not(monkeyp
     cfg = EvolutionConfig(distribution=Geometric(0.5), population_size=10, generations=25, seed=6)
     result = run_evolution(cfg, split, keep_archive=True)
     archive = result.archive
-    assert min(archive._held) > 0  # horizon 9: the oldest generations were released
+    assert min(held_generations(archive)) > 0  # horizon 9: the oldest generations were released
     replays = counted_replays(monkeypatch)
     for g in range(len(archive.generations)):
         best = archive.individual(archive.best_of_generation(g))
@@ -727,7 +722,7 @@ def test_hold_latest_rejects_a_count_below_1(count):
     archive = evolved_archive(pop=4, gens=3)
     with pytest.raises(ValueError, match="count >= 1"):
         archive.hold_latest(count)
-    assert archive._held == {3}
+    assert held_generations(archive) == {3}
 
 
 def json_archive_with(**overrides):
@@ -900,7 +895,7 @@ def test_fitness_table_is_each_generations_train_fitness():
 def test_generations_grow_only_through_append_generation():
     archive = evolved_archive(pop=4, gens=2)
     gens = archive.generations
-    assert type(gens) is tuple and all(type(gen) is tuple for gen in gens)
+    assert type(gens) is tuple and all(type(gen.payloads) is tuple for gen in gens)
     with pytest.raises(AttributeError):
         gens.append(gens[0])
     with pytest.raises(TypeError):
@@ -910,8 +905,11 @@ def test_generations_grow_only_through_append_generation():
     with pytest.raises(AttributeError):
         archive.generations = gens + (gens[0],)
     assert archive.generations is gens  # a read does not rebuild the tuple
+    assert gens[2][1] is gens[2][1] and gens[2][-1] is gens[2][3]  # a view per slot
+    with pytest.raises(IndexError):
+        gens[2][4]
     archive.append_generation(list(gens[0]))
-    assert archive.generations[:3] == gens and archive.generations[3] == gens[0]
+    assert archive.generations[:3] == gens and archive.generations[3].payloads == gens[0].payloads
     assert archive.train_fitness.shape == (4, 4)
 
 
@@ -1016,20 +1014,22 @@ def test_evaluate_from_two_threads_matches_serial_calls():
     archive = evolved_archive(pop=20, gens=1, rows=400)
     rng = np.random.default_rng(3)
     batches = [mixed_payloads(archive, 40, rng) for _ in range(20)]
-    slots = range(40)
-    serial = [archive.evaluate(payloads, slots) for payloads in batches]
+
+    def evaluate(payloads):
+        return [archive.make_individual(payload) for payload in payloads]
+
+    serial = [evaluate(payloads) for payloads in batches]
     # Switch threads as often as the interpreter allows, so the two callers
     # interleave inside each other's evaluations.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(2) as pool:
-            futures = [pool.submit(archive.evaluate, p, slots) for p in batches]
+            futures = [pool.submit(evaluate, p) for p in batches]
             threaded = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    for (expected, expected_rejects), (got, rejects) in zip(serial, threaded):
-        assert expected_rejects == rejects == []
+    for expected, got in zip(serial, threaded):
         for a, b in zip(expected, got):
             assert a.semantics.tobytes() == b.semantics.tobytes()
             assert a.test_semantics.tobytes() == b.test_semantics.tobytes()
@@ -1068,12 +1068,12 @@ def test_nonfinite_generation_names_the_first_failing_slot():
     train_blowup = Leaf(Constant(float("nan")))
     payloads = [IndividualRef(0, 0), ok, test_blowup, ok, train_blowup]
     first = r"Mutation payload in slot 2 at row 1"
-    individuals, rejects = archive.evaluate(payloads, range(5))
-    assert [i is None for i in individuals] == [False, False, True, False, True]
+    rejects = archive.evaluate_next(payloads, range(5))
     assert [(e.slot, e.split, e.row) for e in rejects] == [(2, "test", 1), (4, "train", 0)]
     assert re.search(first, str(rejects[0]))
-    _, rejects = archive.evaluate(payloads[:2] + payloads[3:], range(4))
-    assert (rejects[0].slot, rejects[0].split, rejects[0].row) == (3, "train", 0)
+    # A redraw round evaluates only its slots: with slot 2 drawn again, slot 4 fails alone.
+    rejects = archive.evaluate_next(payloads[:2] + [ok] + payloads[3:], [2, 4])
+    assert [(e.slot, e.split, e.row) for e in rejects] == [(4, "train", 0)]
     # from_json raises the first reject of the generation it evaluates (a
     # NaN constant is refused before evaluation, so slot 4 is replaced).
     blob = archive.to_json()
@@ -1105,22 +1105,21 @@ def test_block_size_never_changes_semantics_or_fitness(payloads):
     trees = [gen_tree(3, 2, [(3, "grow")], np.random.default_rng(i))[0] for i in range(4)]
     archive = seeded_archive(trees, split)
     crossovers = [crossover(i, (i + 1) % 4, trees[i]) for i in range(4)]
-    archive.append_generation(archive.evaluate(crossovers, range(4))[0])
-    slots = range(len(payloads))
-    whole, rejects = archive.evaluate(payloads, slots)
+    archive.append_generation([archive.make_individual(c) for c in crossovers])
+    # The payloads, padded with leaves, fill generations of the population
+    # size, each evaluated in one block; the clone evaluates one child per block.
+    padded = payloads + [Leaf(trees[0])] * (-len(payloads) % 4)
+    for start in range(0, len(padded), 4):
+        assert archive.evaluate_next(padded[start : start + 4], range(4)) == []
+        archive.append_evaluated(padded[start : start + 4])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)  # one child per block
-        single, single_rejects = archive.evaluate(payloads, slots)
-    assert rejects == single_rejects == []
-    for a, b in zip(whole, single):
-        assert np.array_equal(a.semantics, b.semantics)
-        assert a.test_semantics.tobytes() == b.test_semantics.tobytes()
-        assert a.train_fitness == b.train_fitness
-    # Each child fills a generation of the population size on its own, so
-    # append_generation takes it whatever the number of payloads.
-    for ind in whole:
-        archive.append_generation([ind] * 4)
-        ref = IndividualRef(len(archive.generations) - 1, 0)
-        for x, memo in zip(archive.inputs, ind.semantics):
+        patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)
+        clone = Archive.from_json(archive.to_json(), split)
+    assert archive.train_fitness.tobytes() == clone.train_fitness.tobytes()
+    for k in range(len(payloads)):
+        ref = IndividualRef(2 + k // 4, k % 4)
+        row = archive.row(ref)
+        assert row.tobytes() == clone.row(ref).tobytes()
+        for x, memo in zip(archive.inputs, row):
             naive = archive.naive_eval(ref, x)
             assert abs(naive - memo) <= 1e-9 * (1.0 + abs(naive))

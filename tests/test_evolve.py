@@ -1,5 +1,5 @@
 import math
-import weakref
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +194,20 @@ def test_a_bad_config_value_is_refused_naming_its_field(name, bad):
     assert getattr(EvolutionConfig(**{name: good}), name) == good
 
 
+def test_a_distribution_spec_is_parsed_and_anything_else_refused(split):
+    cfg = small_cfg(distribution="u:1", generations=3)
+    assert cfg.distribution == UniformLastK(1)
+    same = run_evolution(small_cfg(distribution=UniformLastK(1), generations=3), split)
+    assert run_evolution(cfg, split).train_rmse == same.train_rmse
+    assert small_cfg(distribution="g:0.25").distribution == Geometric(0.25)
+    for bad in (None, 3, object()):
+        refused = f"distribution must be a u:<k> or g:<p> spec or a distribution, not {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            EvolutionConfig(distribution=bad)
+    with pytest.raises(ValueError, match=r"^bad distribution spec 'u:0'"):
+        EvolutionConfig(distribution="u:0")
+
+
 def test_default_config_matches_benchmark_table():
     cfg = EvolutionConfig()
     assert cfg.population_size == 100
@@ -245,13 +259,13 @@ def test_retry_cap_counts_one_slot_in_a_row(split, monkeypatch):
     monkeypatch.setattr(evolve, "gen_tree", often_overflowing_trees)
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
     rejects = []
-    individuals = next_generation(archive, cfg, np.random.default_rng(3), rejects=rejects)
+    next_generation(archive, cfg, np.random.default_rng(3), rejects=rejects)
     assert len(rejects) > evolve._SLOT_RETRIES + 1  # more than the cap, over many slots
     slots = [e.slot for e in rejects]
     assert max(slots.count(s) for s in set(slots)) <= evolve._SLOT_RETRIES
     drawn = rounds(slots)
     assert all(set(later) <= set(earlier) for earlier, later in zip(drawn, drawn[1:]))
-    assert all(np.isfinite(ind.semantics).all() for ind in individuals)
+    assert all(np.isfinite(ind.semantics).all() for ind in archive.generations[-1])
 
 
 def random_trees(payload) -> int:
@@ -268,8 +282,8 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
 
     The archive is seeded from inputs x 1e150, where products of three
     inputs overflow, so some offspring fail. A round is one
-    Archive.evaluate call: (slots, their payloads, trees evaluated, failed
-    slots). Each round's trees are checked against its payloads, and each
+    Archive.evaluate_next call: (slots, their payloads, trees evaluated,
+    failed slots). Each round's trees are checked against its payloads, and each
     round after the first must evaluate exactly the slots that failed in the
     one before it.
     """
@@ -278,7 +292,7 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     archive = run_evolution(cfg, split, keep_archive=True).archive
     seen = []
     calls = []
-    evaluate = Archive.evaluate
+    evaluate = Archive.evaluate_next
 
     def counting_eval(tree, inputs, out=None):
         seen.append(tree)
@@ -286,13 +300,13 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
 
     def recording_evaluate(self, payloads, slots):
         before = len(seen)
-        made, failed = evaluate(self, payloads, slots)
+        failed = evaluate(self, payloads, slots)
         evaluated = [payloads[s] for s in slots]
         calls.append((list(slots), evaluated, len(seen) - before, [e.slot for e in failed]))
-        return made, failed
+        return failed
 
     monkeypatch.setattr(archive_module, "eval_tree_many", counting_eval)
-    monkeypatch.setattr(Archive, "evaluate", recording_evaluate)
+    monkeypatch.setattr(Archive, "evaluate_next", recording_evaluate)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(30):
         calls.clear()
@@ -331,27 +345,18 @@ def test_without_elitism_a_failed_slot_0_is_redrawn_on_its_own(monkeypatch):
     assert calls[1][2] == random_trees(calls[1][1][0]) > 0
 
 
-def test_a_kept_nonfinite_error_pins_no_block(monkeypatch):
+def test_a_kept_nonfinite_error_pins_no_block():
     data = synthetic_dataset("friedman-like", 200, 5, 0.0, seed=3)
     split = split_70_30(Dataset("scaled", data.inputs * 1e150, data.targets), seed=1)
     cfg = EvolutionConfig(population_size=30, generations=0, seed=1)
     archive = run_evolution(cfg, split, keep_archive=True).archive
-    rejected = []
-    evaluate = archive_module.evaluate_block
-
-    def recording_evaluate(payloads, columns, row_of):
-        block = evaluate(payloads, columns, row_of)
-        if not np.isfinite(block).all():
-            rejected.append(weakref.ref(block))
-        return block
-
-    monkeypatch.setattr(archive_module, "evaluate_block", recording_evaluate)
     rng = np.random.default_rng(3)
     kept = []
     for _ in range(5):
         next_generation(archive, cfg, rng, rejects=kept)
-    # Each error still names its slot and row, but no individual holds a
-    # rejected block, so none outlives the call that evaluated it.
-    assert rejected and len(kept) >= len(rejected)
-    assert all(e.row is not None and "non-finite semantics" in str(e) for e in kept)
-    assert all(block() is None for block in rejected)
+    # Each error still names its slot and row, but it holds no traceback and
+    # no array, so keeping it pins no row of the window or of a block.
+    assert kept and all(e.row is not None and "non-finite semantics" in str(e) for e in kept)
+    for e in kept:
+        assert e.__traceback__ is None and e.__context__ is None
+        assert not any(isinstance(v, np.ndarray) for v in (*e.args, *vars(e).values()))

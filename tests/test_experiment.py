@@ -50,7 +50,7 @@ def test_split_seeds_pair_across_strategies():
 
 
 def test_resolve_strategies_injects_baseline_and_dedupes():
-    resolved = resolve_strategies(["u:5", "g:0.25", "u:5"])
+    resolved = resolve_strategies([UniformLastK(5), Geometric(0.25), UniformLastK(5)])
     assert [s.label() for s in resolved] == ["u:1", "u:5", "g:0.25"]
     kept = resolve_strategies([UniformLastK(1), Geometric(0.5)])
     assert [s.label() for s in kept] == ["u:1", "g:0.5"]
@@ -224,6 +224,16 @@ def test_campaign_validation():
         tiny_campaign(strategies=[])
     # Any integer seeds a campaign: `gsgp --seed -3` runs.
     assert tiny_campaign(base_seed=-3).base_seed == -3
+
+
+def test_each_strategy_is_parsed_or_refused_at_construction():
+    campaign = tiny_campaign(strategies=["u:1", Geometric(0.5), "g:0.25"])
+    assert campaign.strategies == [UniformLastK(1), Geometric(0.5), Geometric(0.25)]
+    refused = r"^strategies\[1\] must be a u:<k> or g:<p> spec or a distribution, not 3$"
+    with pytest.raises(ValueError, match=refused):
+        tiny_campaign(strategies=["u:1", 3])
+    with pytest.raises(ValueError, match=r"^bad distribution spec 'x:1'"):
+        tiny_campaign(strategies=["x:1"])
 
 
 @pytest.mark.parametrize(

@@ -202,7 +202,7 @@ def _tied_archives(draw):
     archive = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
     for _ in range(generations):
         leaves = [Leaf(Constant(c)) for c in draw(values)]
-        archive.append_generation(archive.evaluate(leaves, range(pop))[0])
+        archive.append_generation([archive.make_individual(leaf) for leaf in leaves])
     return archive
 
 

@@ -1,0 +1,100 @@
+"""Whole-run checks of the evaluator that writes each generation into the archive's window.
+
+GSGP's geometry holds for every child a run makes: a crossover child lies
+entry by entry between its parents, and a bounded mutation moves each entry
+of its base by at most its step. The runs are 100 x 100 on 200 rows, so
+each selection strategy reuses its window slots many times over, and each
+generation is checked in its slot before the next one can reuse a slot.
+"""
+
+import numpy as np
+import pytest
+
+from gsgp.archive import Archive, Crossover, IndividualRef, Mutation
+from gsgp.data import synthetic_dataset, split_70_30
+from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
+from gsgp.selection import parse_distribution
+
+
+def friedman_split(rows=200):
+    return split_70_30(synthetic_dataset("friedman-like", rows, 5, 0.0, seed=1), seed=2)
+
+
+def ulps(*blocks, k=4):
+    """k units in the last place of the largest magnitude among blocks, entry by entry."""
+    return k * np.spacing(np.max(np.abs(blocks), axis=0))
+
+
+def rows(archive, refs) -> np.ndarray:
+    """The rows of refs, each read through `Archive.row` (a replay when released)."""
+    return np.array([archive.row(ref) for ref in refs])
+
+
+@pytest.mark.parametrize("spec", ["u:1", "u:5", "g:0.25"])
+def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch, spec):
+    checked = {"crossovers": 0, "mutations": 0}
+    append = Archive.append_evaluated
+
+    def checked_append(self, payloads):
+        # Each generation is checked before it completes: its rows are in
+        # its window slot, and each parent is read again through `row`.
+        g = len(self.generations)
+        slot = self._window[g % len(self._window)]
+        mixes, moves = [], []
+        for i, payload in enumerate(payloads):
+            step = payload.step if isinstance(payload, Mutation) else 0.0
+            base = payload.base if isinstance(payload, Mutation) else payload
+            if isinstance(base, Crossover):
+                mixes.append((i, base.parent1, base.parent2, step))
+            elif isinstance(payload, Mutation) and isinstance(base, IndividualRef):
+                assert payload.random_tree_b is not None  # the default, bounded form
+                moves.append((i, base, step))
+        if mixes:
+            at, first, second, step = zip(*mixes)
+            child, p1, p2 = slot[list(at)], rows(self, first), rows(self, second)
+            # A crossover lies between its parents; a mutated one leaves their
+            # box by at most its step.
+            slack = np.array(step)[:, None] * (1 + 1e-15) + ulps(p1, p2, child)
+            assert np.all(child >= np.minimum(p1, p2) - slack), g
+            assert np.all(child <= np.maximum(p1, p2) + slack), g
+            checked["crossovers"] += step.count(0.0)
+        if moves:
+            at, based, step = zip(*moves)
+            child, base, step = slot[list(at)], rows(self, based), np.array(step)[:, None]
+            assert np.all(np.abs(child - base) <= step * (1 + 1e-15) + ulps(base, child)), g
+            checked["mutations"] += len(at)
+        append(self, payloads)
+
+    monkeypatch.setattr(Archive, "append_evaluated", checked_append)
+    cfg = EvolutionConfig(distribution=parse_distribution(spec), seed=3)
+    archive = run_evolution(cfg, friedman_split(), keep_archive=True).archive
+    assert len(archive._window) == min(cfg.distribution.horizon, cfg.generations) + 1
+    assert checked["crossovers"] > 5000 and checked["mutations"] > 200
+
+
+def test_a_view_keeps_its_bits_after_its_generations_slot_is_reused():
+    split = friedman_split(rows=60)
+    cfg = EvolutionConfig(population_size=10, generations=3, seed=4)  # u:1: a window of 2 slots
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    window = archive._window
+    read, unread = archive.generations[3][0], archive.generations[3][1]
+    bits = read.semantics.tobytes()
+    train = read.train_semantics
+    slot = window[3 % len(window)]
+    rng = np.random.default_rng(5)
+    for _ in range(2):  # generation 5 is written into generation 3's slot
+        next_generation(archive, cfg, rng)
+        archive.hold_latest(1)
+    assert archive._window is window and archive._holder[3 % len(window)] == 5
+    assert slot.tobytes() != bits  # the slot now holds generation 5's rows
+    clone = Archive.from_json(archive.to_json(), split)
+    assert read.semantics.tobytes() == bits == clone.row(IndividualRef(3, 0)).tobytes()
+    assert read.train_semantics is train
+    # A view made while its generation was held, first read after the slot's
+    # reuse, replays its row instead of reading generation 5's.
+    replays = archive.replays
+    assert unread.semantics.tobytes() == clone.row(IndividualRef(3, 1)).tobytes()
+    assert archive.replays == replays + 1
+    # A new view of the released generation replays as well, with the same bits.
+    assert archive.generations[3][0] is not read
+    assert archive.generations[3][0].semantics.tobytes() == bits

@@ -9,11 +9,11 @@ timed around `run_evolution`, and the run's replays of winners from beyond
 the horizon are reported as `RunResult.replays`, the payloads they
 evaluated (None for a source without `archive.evaluate_block`) and the
 time they took. At the end of the run it reports
-`held_block_mb`, the bytes of the distinct blocks behind the rows of the
-generations the archive holds, read without a replay, and `needed_mb`, what
-those generations' rows take (held generations x pop x rows x 8 bytes); the
-two are equal when no held row pins a block of a released generation. The
-worker then keeps the run's archive and reads slot 0 of the newest
+`held_block_mb`, the bytes of the archive's window slots that hold a
+generation (None for a source without the window), and `needed_mb`, what
+the rows of the generations selection can still read take (min(horizon,
+generations + 1) x pop x rows x 8 bytes); the two are equal when the window
+holds exactly those generations. The worker then keeps the run's archive and reads slot 0 of the newest
 generation that the run released, generation
 `generations - horizon`, which replays that individual's ancestry; it
 reports the peak RSS after that read and the read's wall time, or None for
@@ -64,17 +64,17 @@ def run_one(study: dict) -> dict:
     replay = Archive._replay
     evaluate = getattr(gsgp.archive, "evaluate_block", None)  # None for older sources
 
-    def timed_replay(self, individual, generation):
+    def timed_replay(self, *args):
         replaying.append(time.perf_counter())
         try:
-            replay(self, individual, generation)
+            return replay(self, *args)
         finally:
             replayed["seconds"] += time.perf_counter() - replaying.pop()
 
-    def counted_evaluate(payloads, columns, row_of):
+    def counted_evaluate(payloads, *args):
         if replaying:
             replayed["payloads"] += len(payloads)
-        return evaluate(payloads, columns, row_of)
+        return evaluate(payloads, *args)
 
     Archive._replay = timed_replay
     if evaluate is not None:
@@ -93,14 +93,13 @@ def run_one(study: dict) -> dict:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     run_replayed = dict(replayed)
     archive = result.archive
-    # A held individual's row is _views[0], read without a replay, and a view
-    # of the block that stores it.
-    blocks = {
-        id(block): block.nbytes
-        for block in (ind._views[0].base for g in archive._held for ind in archive.generations[g])
-    }
-    held_block_mb = sum(blocks.values()) / 2**20
-    needed_mb = len(archive._held) * study["pop"] * study["rows"] * 8 / 2**20
+    # Slot s of the window holds generation _holder[s], or none when -1.
+    window = getattr(archive, "_window", None)
+    held_block_mb = None
+    if window is not None:
+        held_block_mb = int((archive._holder >= 0).sum()) * window[0].nbytes / 2**20
+    readable = min(cfg.distribution.horizon, len(archive.generations))
+    needed_mb = readable * study["pop"] * study["rows"] * 8 / 2**20
     released = study["generations"] - cfg.distribution.horizon
     read_peak_mb = read_s = None
     if released >= 0:
