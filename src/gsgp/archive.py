@@ -227,7 +227,11 @@ class Individual:
 
 
 class _Generation(Sequence):
-    """A completed generation as read: its payloads, and a view per slot made on first read."""
+    """A completed generation as read: its payloads, and a view per slot made on first read.
+
+    It holds a weak reference to its archive; making a view after the
+    archive is gone raises RuntimeError, as a view's first read does.
+    """
 
     def __init__(self, archive: weakref.ref, generation: int, payloads: tuple):
         self._archive, self.generation, self.payloads = archive, generation, payloads
@@ -241,7 +245,10 @@ class _Generation(Sequence):
             return tuple(map(self.__getitem__, range(len(self.payloads))[i]))
         i = range(len(self.payloads))[i]
         if i not in self._views:
-            self._views[i] = self._archive()._view(self.generation, i)
+            archive, g = self._archive(), self.generation
+            if archive is None:
+                raise RuntimeError(f"generation {g} was released and its archive is gone")
+            self._views[i] = archive._view(g, i)
         return self._views[i]
 
 
@@ -388,9 +395,9 @@ class Archive:
         """
         rejects = []
         for span in self._spans(slots):
-            start = span[0]
-            direct = span == list(range(start, start + len(span)))
-            block = rows[start : start + len(span)] if direct else np.empty((len(span), rows.shape[1]))
+            start, size = span[0], len(span)
+            direct = span == list(range(start, start + size))
+            block = rows[start : start + size] if direct else np.empty((size, rows.shape[1]))
             evaluate_block([payloads[s] for s in span], self._columns, self._gather, block)
             if not direct:
                 rows[span] = block
@@ -454,7 +461,8 @@ class Archive:
         while self._holder[g % len(self._window)] >= 0:  # the slot is still held
             held = [(h, self._window[s]) for s, h in enumerate(self._holder.tolist()) if h >= 0]
             size = 2 * len(self._window)
-            self._window, self._holder = np.empty((size, *self._window.shape[1:])), np.full(size, -1)
+            self._window = np.empty((size, *self._window.shape[1:]))
+            self._holder = np.full(size, -1)
             for h, rows in held:
                 self._window[h % size], self._holder[h % size] = rows, h
         if g == len(self._train_fitness):  # full: double the table

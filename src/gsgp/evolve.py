@@ -24,10 +24,10 @@ Winners and trees are handed out in slot order: a crossover takes the
 next two winners and the next tree, a reproduction the next winner, and a
 mutation then takes the next tree as random_tree_a and, when bounded, the
 one after it as random_tree_b. The whole generation is then evaluated at
-once, straight into its slot of the archive's window. The slots whose semantics are not finite are drawn again the same
-way, with k the number of failed slots, and only they are evaluated
-again. A rejected draw stays consumed: its entrants stay tallied in
-offset_counts.
+once, straight into its slot of the archive's window. The slots whose
+semantics are not finite are drawn again the same way, with k the number
+of failed slots, and only they are evaluated again. A rejected draw stays
+consumed: its entrants stay tallied in offset_counts.
 
 Seeding and breeding share one cap on these redraws, _SLOT_RETRIES: a
 slot whose semantics are not finite _SLOT_RETRIES + 1 times in a row

@@ -533,10 +533,12 @@ def held_generations(archive) -> set:
 
 def test_a_released_individual_that_outlives_its_archive_says_so():
     archive = evolved_archive(pop=4, gens=3)  # u:1 releases generation 0
-    ind = archive.generations[0][0]
+    ind, newest = archive.generations[0][0], archive.generations[3]
     del archive
     with pytest.raises(RuntimeError, match="generation 0 was released and its archive is gone"):
         ind.semantics
+    with pytest.raises(RuntimeError, match="generation 3 was released and its archive is gone"):
+        newest[0]
 
 
 @pytest.mark.parametrize(

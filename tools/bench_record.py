@@ -83,7 +83,8 @@ def summarize(runs: list) -> dict:
             if "baseline" in by and "change" in by:
                 seeds = sorted(set(by["baseline"]) & set(by["change"]))
                 entry["pairs"] = len(seeds)
-                entry["pairs_change_lower"] = sum(by["change"][s] < by["baseline"][s] for s in seeds)
+                lower = sum(by["change"][s] < by["baseline"][s] for s in seeds)
+                entry["pairs_change_lower"] = lower
                 entry["median_ratio"] = entry["change"]["median"] / entry["baseline"]["median"]
             metrics[name] = entry
         summary[workload] = metrics

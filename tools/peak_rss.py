@@ -8,13 +8,13 @@ MB), minor page faults and user and system time. The run's own wall time is
 timed around `run_evolution`, and the run's replays of winners from beyond
 the horizon are reported as `RunResult.replays`, the payloads they
 evaluated (None for a source without `archive.evaluate_block`) and the
-time they took. At the end of the run it reports
-`held_block_mb`, the bytes of the archive's window slots that hold a
-generation (None for a source without the window), and `needed_mb`, what
-the rows of the generations selection can still read take (min(horizon,
-generations + 1) x pop x rows x 8 bytes); the two are equal when the window
-holds exactly those generations. The worker then keeps the run's archive and reads slot 0 of the newest
-generation that the run released, generation
+time they took. At the end of the run it reports `held_block_mb`, the
+bytes of the archive's window slots that hold a generation (None for a
+source without the window), and `needed_mb`, what the rows of the
+generations selection can still read take (min(horizon, generations + 1)
+x pop x rows x 8 bytes); the two are equal when the window holds exactly
+those generations. The worker then keeps the run's archive and reads slot
+0 of the newest generation that the run released, generation
 `generations - horizon`, which replays that individual's ancestry; it
 reports the peak RSS after that read and the read's wall time, or None for
 both when the horizon covers the whole run. The tool prints one JSON object
