@@ -296,12 +296,12 @@ class Archive:
         return self._generations
 
     def individual(self, ref: IndividualRef) -> Individual:
-        generations = self._generations
-        if not 0 <= ref.generation < len(generations):
-            raise ValueError(f"no generation {ref.generation} in archive")
-        if not 0 <= ref.index < len(generations[ref.generation]):
-            raise ValueError(f"index {ref.index} out of range in generation {ref.generation}")
-        return generations[ref.generation][ref.index]
+        g, i = ref
+        if not 0 <= g < len(self._generations):
+            raise ValueError(f"no generation {g} in archive")
+        if not 0 <= i < len(self._generations[g]):
+            raise ValueError(f"index {i} out of range in generation {g}")
+        return self._generations[g][i]
 
     @property
     def train_fitness(self) -> np.ndarray:
@@ -617,7 +617,7 @@ class Archive:
                 )
             raise TypeError(f"unknown payload {payload!r}")
 
-        return eval_payload(ref)
+        return eval_payload(self.individual(ref).payload)
 
     # -- accounting ---------------------------------------------------
 

@@ -107,6 +107,8 @@ def load_csv(path, has_header: bool = False) -> Dataset:
             ) from None
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    if len(rows) < 2:
+        raise CsvFormatError(f"{path}: need at least 2 data rows, got {len(rows)}")
     data = np.array(rows, dtype=float)
     return Dataset(name=str(path), inputs=data[:, :-1], targets=data[:, -1])
 

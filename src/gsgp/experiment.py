@@ -6,17 +6,21 @@ the rank-sum test. Run r of every strategy shares the same 70/30 split
 (paired splits, keyed by run index), while the evolution seed also hashes
 the strategy so searches differ.
 
-A strategy's result is its run outcomes: each run's RunResult, or the
-message that run failed with. Every per-run list in report.json and
-runs.csv is derived from them, and the settings the outputs echo are read
-from the Campaign that ran.
+Each run gives one record (`run_one`): a plain, JSON-ready dict with its
+strategy, run_index, seed and split_seed. A completed run's record adds
+its final_train_rmse, final_test_rmse, offset_histogram (string keys),
+nonfinite_retries, seed_regenerations and duration_seconds; a failed
+run's adds only its error message. Every per-run list in report.json and
+runs.csv is read from the records, and the settings the outputs echo are
+read from the Campaign that ran.
 
 Outputs: report.json (deterministic: identical campaign config gives
 byte-identical bytes; schema 2 records the RNG stream and, per strategy,
 each completed run's non-finite offspring redraws and regenerated seed
 trees, aligned with final_test_rmse), metadata.json (timestamps,
-durations), runs.csv (per-run finals), boxplot.csv (per-strategy final
-test RMSE columns).
+durations), runs.csv (one row per completed record: strategy, run_index,
+seed, split_seed, final_train_rmse, final_test_rmse), boxplot.csv
+(per-strategy final test RMSE columns).
 
 Runs execute one at a time, in task order, on the calling thread, whatever
 `jobs` is. A run spends most of its time in Python bytecode and small
@@ -43,13 +47,14 @@ import numpy as np
 
 from .data import Dataset, split_70_30, split_sizes_70_30
 from .errors import NonFiniteSemanticsError, checked_int
-from .evolve import RNG_STREAM, EvolutionConfig, RunResult, run_evolution
+from .evolve import RNG_STREAM, EvolutionConfig, run_evolution
 from .selection import UniformLastK, checked_distribution
 from .stats import median, rank_sum_test
 
 SCHEMA_VERSION = 2
 BASELINE_LABEL = "u:1"
 _SEED_MASK = (1 << 63) - 1
+_RUN_COLUMNS = ("strategy", "run_index", "seed", "split_seed", "final_train_rmse", "final_test_rmse")
 
 
 def stable_hash64(*parts) -> int:
@@ -105,31 +110,33 @@ class Campaign:
         split_sizes_70_30(self.dataset.rows)
 
 
-def _per_run(read):
-    """A property listing read(run) for each completed run, in run order."""
-    return property(lambda self: [read(o) for o in self.outcomes if isinstance(o, RunResult)])
-
-
 @dataclass
 class StrategyResult:
-    """One strategy's runs: outcomes[r] is run r's RunResult, or the message
-    that run failed with. Every per-run list is derived from outcomes.
+    """One strategy's runs: records[r] is run r's record (see `run_one`).
+
+    A record with an "error" key is a failed run; every per-run list is
+    read from the completed records, in run order, by `completed`.
     """
 
     name: str
-    outcomes: list
+    records: list
 
-    final_train_rmse = _per_run(lambda run: run.train_rmse[-1])
-    final_test_rmse = _per_run(lambda run: run.test_rmse[-1])
-    offset_histograms = _per_run(lambda run: run.offset_histogram)
-    durations = _per_run(lambda run: run.duration_seconds)
-    nonfinite_retries = _per_run(lambda run: run.nonfinite_retries)
-    seed_regenerations = _per_run(lambda run: run.seed_regenerations)
+    def completed(self, key: str) -> list:
+        """record[key] for each completed run, in run order."""
+        return [record[key] for record in self.records if "error" not in record]
+
+    @property
+    def final_test_rmse(self) -> list:
+        return self.completed("final_test_rmse")
+
+    @property
+    def durations(self) -> list:
+        return self.completed("duration_seconds")
 
     @property
     def failures(self) -> list:
         """[run_index, message] pairs of the runs that failed."""
-        return [[r, o] for r, o in enumerate(self.outcomes) if isinstance(o, str)]
+        return [[r["run_index"], r["error"]] for r in self.records if "error" in r]
 
     @property
     def complete(self) -> bool:
@@ -137,7 +144,7 @@ class StrategyResult:
 
     @property
     def runs_requested(self) -> int:
-        return len(self.outcomes)
+        return len(self.records)
 
     @property
     def runs_completed(self) -> int:
@@ -146,10 +153,12 @@ class StrategyResult:
 
 @dataclass
 class CampaignReport:
-    """The campaign that ran, each strategy's results, and when it ran.
+    """The campaign that ran, each strategy's run records, and when it ran.
 
-    The dataset, seeds, runs and evolution template of the report are
-    read from `campaign` when it is written. No code in the package, its
+    report.json, runs.csv and boxplot.csv read each run from its record
+    alone, so records that went through JSON write the same bytes. The
+    dataset, seeds, runs and evolution template of the report are read
+    from `campaign` when it is written. No code in the package, its
     tests, benchmark or tools mutates a Campaign after run_campaign, so they
     are the ones the runs used; a caller that did would change the report.
     """
@@ -171,7 +180,7 @@ class CampaignReport:
         base = self.strategy(BASELINE_LABEL).final_test_rmse
         entries = []
         for s in self.strategies:
-            train, test = s.final_train_rmse, s.final_test_rmse
+            train, test = s.completed("final_train_rmse"), s.final_test_rmse
             entry = {
                 "name": s.name,
                 "complete": s.complete,
@@ -180,11 +189,9 @@ class CampaignReport:
                 "median_test_rmse": median(test) if test else None,
                 "final_train_rmse": train,
                 "final_test_rmse": test,
-                "offset_histograms": [
-                    {str(k): h[k] for k in sorted(h)} for h in s.offset_histograms
-                ],
-                "nonfinite_retries": s.nonfinite_retries,
-                "seed_regenerations": s.seed_regenerations,
+                "offset_histograms": s.completed("offset_histogram"),
+                "nonfinite_retries": s.completed("nonfinite_retries"),
+                "seed_regenerations": s.completed("seed_regenerations"),
                 "failures": s.failures,
                 "p_value_vs_baseline": None,
                 "u_statistic_vs_baseline": None,
@@ -258,43 +265,55 @@ def _evolution_echo(cfg: EvolutionConfig) -> dict:
     }
 
 
+def run_one(campaign: Campaign, dist, run_index: int) -> dict:
+    """The record of run `run_index` of strategy `dist` in `campaign`.
+
+    A run that raises gives a failure record, with its message for
+    NonFiniteSemanticsError and "<Type>: message" for any other exception.
+    """
+    label = dist.label()
+    record = {
+        "strategy": label,
+        "run_index": run_index,
+        "seed": run_seed(campaign.base_seed, label, run_index),
+        "split_seed": split_seed(campaign.base_seed, run_index),
+    }
+    try:
+        split = split_70_30(campaign.dataset, record["split_seed"])
+        cfg = replace(campaign.template, distribution=dist, seed=record["seed"])
+        run = run_evolution(cfg, split)
+    except NonFiniteSemanticsError as exc:
+        return {**record, "error": str(exc)}
+    except Exception as exc:  # one crashed run must not discard the campaign
+        return {**record, "error": f"{type(exc).__name__}: {exc}"}
+    return {
+        **record,
+        "final_train_rmse": run.train_rmse[-1],
+        "final_test_rmse": run.test_rmse[-1],
+        "offset_histogram": {str(k): c for k, c in sorted(run.offset_histogram.items())},
+        "nonfinite_retries": run.nonfinite_retries,
+        "seed_regenerations": run.seed_regenerations,
+        "duration_seconds": run.duration_seconds,
+    }
+
+
 def run_campaign(campaign: Campaign) -> CampaignReport:
     """Execute runs x strategies seeded evolutions and assemble the report.
 
     The runs execute one after another on the calling thread, strategy by
     strategy and, within a strategy, in run order, whatever campaign.jobs is.
-
-    A run that raises is recorded as its strategy's outcome for that run, by
-    its message for NonFiniteSemanticsError and as "<Type>: message" for any
-    other exception, and the other runs go on.
+    A run that fails is recorded as a failure record (see `run_one`), and
+    the other runs go on.
     """
-    strategies = resolve_strategies(campaign.strategies)
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-
-    def one_run(dist, r):
-        try:
-            split = split_70_30(campaign.dataset, split_seed(campaign.base_seed, r))
-            cfg = replace(
-                campaign.template,
-                distribution=dist,
-                seed=run_seed(campaign.base_seed, dist.label(), r),
-            )
-            return run_evolution(cfg, split)
-        except NonFiniteSemanticsError as exc:
-            return str(exc)
-        except Exception as exc:  # one crashed run must not discard the campaign
-            return f"{type(exc).__name__}: {exc}"
-
-    outcomes = [one_run(dist, r) for dist in strategies for r in range(campaign.runs)]
-
-    n = campaign.runs
+    results = [
+        StrategyResult(dist.label(), [run_one(campaign, dist, r) for r in range(campaign.runs)])
+        for dist in resolve_strategies(campaign.strategies)
+    ]
     return CampaignReport(
         campaign=campaign,
-        strategies=[
-            StrategyResult(dist.label(), outcomes[i * n : (i + 1) * n])
-            for i, dist in enumerate(strategies)
-        ],
+        strategies=results,
         started_at=started,
         finished_at=datetime.now(timezone.utc).isoformat(),
         total_seconds=time.perf_counter() - t0,
@@ -326,23 +345,10 @@ def write_outputs(report: CampaignReport, out_dir) -> dict:
         paths[key].write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with open(paths["runs"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["strategy", "run_index", "seed", "split_seed", "final_train_rmse", "final_test_rmse"]
-        )
-        base_seed = report.campaign.base_seed
+        writer.writerow(_RUN_COLUMNS)
         for s in report.strategies:
-            for r, run in enumerate(s.outcomes):
-                if isinstance(run, str):
-                    continue  # a failed run has no row
-                writer.writerow(
-                    [
-                        s.name,
-                        r,
-                        run_seed(base_seed, s.name, r),
-                        split_seed(base_seed, r),
-                        repr(run.train_rmse[-1]),
-                        repr(run.test_rmse[-1]),
-                    ]
-                )
+            for record in s.records:
+                if "error" not in record:  # a failed run has no row
+                    writer.writerow([record[key] for key in _RUN_COLUMNS])
     emit_boxplot_data(report, paths["boxplot"])
     return paths

@@ -250,6 +250,25 @@ def test_naive_eval_matches_memoized_archive():
                 assert abs(naive - memo) <= 1e-9 * (1.0 + abs(naive))
 
 
+def test_a_plain_pair_reads_like_its_ref():
+    archive = evolved_archive(pop=6, gens=3)
+    x = archive.train_inputs[0]
+    for g, i in ((0, 1), (3, 5)):
+        ref = IndividualRef(g, i)
+        assert archive.individual((g, i)).payload == archive.individual(ref).payload
+        assert archive.naive_eval((g, i), x) == archive.naive_eval(ref, x)
+    for pair, message in (
+        ((4, 0), "no generation 4 in archive"),
+        ((-1, 0), "no generation -1 in archive"),
+        ((1, 6), "index 6 out of range in generation 1"),
+        ((1, -1), "index -1 out of range in generation 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            archive.individual(pair)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            archive.naive_eval(pair, x)
+
+
 def test_naive_eval_matches_memoized_archive_at_saturated_weights():
     # Both sigmoid paths clip these finite outputs into (0, 1): naive_eval
     # goes through the scalar path, make_individual through the array path.

@@ -120,6 +120,15 @@ def test_cli_reports_a_csv_line_past_the_field_limit_as_one_error_line(tmp_path,
     assert captured.err.startswith(f"gsgp: error: {path}: unreadable CSV at line 2: ")
 
 
+def test_cli_names_the_path_of_a_one_row_csv(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("1,2,3\n")
+    assert main(["--dataset", str(path), "--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"gsgp: error: {path}: need at least 2 data rows, got 1\n"
+    assert captured.out == ""
+
+
 def test_cli_bad_strategy_is_config_error(capsys):
     code = main(
         ["--synthetic", "polynomial:40:2:0.0", "--strategy", "u:zero", "--runs", "1"]

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +104,15 @@ def test_load_csv_ragged_row(tmp_path):
 def test_load_csv_empty_file(tmp_path):
     with pytest.raises(CsvFormatError, match="no data"):
         load_csv(write(tmp_path, ""))
+
+
+def test_load_csv_needs_two_data_rows(tmp_path):
+    for text in ("1,2,3\n", "\n1,2,3\n\n", "x,y,t\n1,2,3\n"):
+        path = write(tmp_path, text)
+        message = f"{path}: need at least 2 data rows, got 1"
+        with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+            load_csv(path, has_header=text.startswith("x"))
+    assert load_csv(write(tmp_path, "1,2,3\n4,5,6\n")).rows == 2
 
 
 def test_load_csv_needs_two_columns(tmp_path):

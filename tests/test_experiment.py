@@ -13,9 +13,12 @@ from gsgp.evolve import EvolutionConfig, run_evolution
 from gsgp.experiment import (
     BASELINE_LABEL,
     Campaign,
+    CampaignReport,
+    StrategyResult,
     emit_boxplot_data,
     resolve_strategies,
     run_campaign,
+    run_one,
     run_seed,
     split_seed,
     stable_hash64,
@@ -124,9 +127,9 @@ def test_report_contents():
 def test_offset_histograms_respect_strategy():
     report = run_campaign(tiny_campaign(strategies=["u:1", "g:0.5"], runs=2))
     u1 = report.strategy("u:1")
-    assert all(set(h) <= {0} for h in u1.offset_histograms)
+    assert all(set(h) <= {"0"} for h in u1.completed("offset_histogram"))
     g5 = report.strategy("g:0.5")
-    assert any(max(h) > 0 for h in g5.offset_histograms)
+    assert any(max(map(int, h)) > 0 for h in g5.completed("offset_histogram"))
 
 
 def test_boxplot_csv_shape(tmp_path):
@@ -271,3 +274,90 @@ def test_every_run_executes_on_the_calling_thread_in_task_order(monkeypatch, tmp
     assert calls == [(threading.get_ident(), seed) for seed in seeds]
     metadata = json.loads(write_outputs(report, tmp_path)["metadata"].read_text())
     assert "jobs" not in metadata  # it does not say how the runs executed
+
+
+RESULT_KEYS = {
+    "final_train_rmse",
+    "final_test_rmse",
+    "offset_histogram",
+    "nonfinite_retries",
+    "seed_regenerations",
+    "duration_seconds",
+}
+
+
+def fail_run(monkeypatch, seed, exc):
+    real = experiment.run_evolution
+
+    def failing(cfg, split, **kw):
+        if cfg.seed == seed:
+            raise exc
+        return real(cfg, split, **kw)
+
+    monkeypatch.setattr(experiment, "run_evolution", failing)
+
+
+def test_a_report_rebuilt_from_json_records_writes_the_same_bytes(monkeypatch, tmp_path):
+    fail_run(monkeypatch, run_seed(11, "u:3", 1), RuntimeError("injected crash"))
+    report = run_campaign(tiny_campaign())
+    assert report.strategy("u:3").failures == [[1, "RuntimeError: injected crash"]]
+    rebuilt = CampaignReport(
+        campaign=report.campaign,
+        strategies=[
+            StrategyResult(s.name, json.loads(json.dumps(s.records)))
+            for s in report.strategies
+        ],
+        started_at=report.started_at,
+        finished_at=report.finished_at,
+        total_seconds=report.total_seconds,
+    )
+    original = write_outputs(report, tmp_path / "original")
+    again = write_outputs(rebuilt, tmp_path / "rebuilt")
+    assert original.keys() == again.keys()
+    for key in original:
+        assert original[key].read_bytes() == again[key].read_bytes(), key
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (NonFiniteSemanticsError("injected abort"), "injected abort"),
+        (RuntimeError("injected crash"), "RuntimeError: injected crash"),
+    ],
+)
+def test_a_failed_run_record_keeps_its_seeds_and_message_only(monkeypatch, exc, message):
+    campaign = tiny_campaign()
+    fail_run(monkeypatch, run_seed(11, "u:3", 1), exc)
+    record = run_one(campaign, UniformLastK(3), 1)
+    assert record == {
+        "strategy": "u:3",
+        "run_index": 1,
+        "seed": run_seed(11, "u:3", 1),
+        "split_seed": split_seed(11, 1),
+        "error": message,
+    }
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_a_completed_run_record_is_json_ready():
+    record = run_one(tiny_campaign(), Geometric(0.5), 2)
+    assert set(record) == {"strategy", "run_index", "seed", "split_seed"} | RESULT_KEYS
+    assert record["seed"] == run_seed(11, "g:0.5", 2)
+    assert record["split_seed"] == split_seed(11, 2)
+    assert all(isinstance(k, str) for k in record["offset_histogram"])
+    assert json.loads(json.dumps(record)) == record
+
+
+def test_runs_csv_rows_are_the_completed_records_columns(monkeypatch, tmp_path):
+    fail_run(monkeypatch, run_seed(11, "u:1", 0), RuntimeError("injected crash"))
+    report = run_campaign(tiny_campaign())
+    paths = write_outputs(report, tmp_path)
+    with open(paths["runs"], newline="") as fh:
+        rows = list(csv.reader(fh))
+    columns = ["strategy", "run_index", "seed", "split_seed", "final_train_rmse", "final_test_rmse"]
+    assert rows[0] == columns
+    completed = [r for s in report.strategies for r in s.records if "error" not in r]
+    assert len(completed) == 5
+    assert rows[1:] == [[str(record[key]) for key in columns] for record in completed]
+    for row, record in zip(rows[1:], completed):
+        assert float(row[-1]) == record["final_test_rmse"]
