@@ -49,16 +49,16 @@ built once, and a division by a variable whose column has no entry within
 DIV_EPS of zero needs no guard, with the same bits (see the exprtree
 module).
 
-The window. The semantics of the generations the archive holds live in
-one float64 array of shape (capacity, population, train + test rows):
-while generation g is held, row i of `window[g % capacity]` is the
-semantics of its slot i. There is no per-block or per-individual storage.
-`run_evolution` sizes the window at min(horizon, generations) + 1 slots,
-the generations selection can read plus the one being bred, and releases
-each generation as it leaves the horizon, so the next generation always
-finds its slot free and a run never grows the window. A bare
-`Archive(split)` and `from_json` hold every generation: when the next
-generation's slot is still held, the window doubles.
+The window is a fixed ring. An archive holds the semantics of its latest
+`hold` generations in one float64 array of shape (hold + 1, population,
+train + test rows): row i of `window[g % (hold + 1)]` is the semantics of
+slot i of generation g while g is held, and the one slot more is the
+generation being bred. There is no per-block or per-individual storage.
+Appending generation g releases generation g - hold, whose slot is the
+next generation's, so the window never grows, and the semantics a run
+holds grow with its horizon, not with its length. `run_evolution` holds
+min(horizon, generations + 1) generations, those selection can read, and
+`from_json` holds every generation it loads.
 
 The module function `evaluate_block(payloads, columns, rows_of, out)`
 computes one block: the stacked semantics of a list of payloads, written
@@ -67,12 +67,12 @@ applies one `sigmoid` to the rows that need it, and mixes crossovers and
 adds mutation deltas as matrix operations. It reads its parents' rows with
 one `rows_of` call per kind: the crossover parents, then the reproductions
 and mutation bases that are refs. The archive's `rows_of` gathers them
-with one advanced index into the window, `window[g % capacity, i]`; a ref
-whose generation the window no longer holds is read through the replay
-path. Every entry undergoes the same IEEE operations, in the same order, as
-evaluating the payload alone would apply, so the block size never changes
-a result. The archive cuts payloads into blocks of at most
-`_BLOCK_ELEMENTS` stacked values in one place, `Archive._spans`.
+with one advanced index into the window, `window[g % (hold + 1), i]`; a
+ref of a released generation is read through the replay path. Every entry
+undergoes the same IEEE operations, in the same order, as evaluating the
+payload alone would apply, so the block size never changes a result. The
+archive cuts payloads into blocks of at most `_BLOCK_ELEMENTS` stacked
+values in one place, `Archive._spans`.
 
 A run evaluates each generation in place: `evaluate_next` writes each
 block straight into the new generation's window slot and each train
@@ -94,23 +94,18 @@ ref where `stop(ref)` holds and all that only it reads. Its sorted keys
 are that closure in an order where each ref follows the refs it reads.
 
 Reads. `generations[g][i]` and `individual(ref)` return an `Individual`, a
-read view made on its first read and cached until g is released. A view
-owns its row: a copy of the window row, so it never shows a later
-generation that reused the slot, or the row a replay computed.
+read view made on its first read. A view owns its row: a copy of the
+window row, so it never shows a later generation that reused the slot, or
+the row a replay computed.
 
-Release is slot reuse. `release(g)` forgets g's window slot, its cached
-views and its replayed rows, but keeps its payloads and fitnesses; its slot
-is then free for generation g + capacity. `run_evolution` calls
-`hold_latest(h)` after each generation with the distribution's horizon h,
-so the semantics a run holds grow with h, not with the run length.
-Reading a released individual's semantics (through a view, or as a parent
-that a block reads) replays only the released part of its own ancestry
-(its `ancestry`, stopping at every individual that has a row), oldest
-generation first. The archive keeps the row that was read in a map until
-its generation is released again, which on a run is the next
-`hold_latest`. A replayed row is a new array with the same bits. Payloads
-and fitnesses are read without a replay, so `to_json`, tournaments and
-elitism never trigger one.
+A released generation keeps its payloads and fitnesses. Reading one of
+its individuals' semantics (through a view, or as a parent that a block
+reads) replays only the released part of its own ancestry (its
+`ancestry`, stopping at every individual that has a row), oldest
+generation first. A replayed row is a new array with the same bits.
+Payloads and fitnesses are read without a replay, so `to_json`,
+tournaments and elitism never trigger one. What a read brings back, a
+view or a replayed row, is kept until the next generation is appended.
 
 `to_json` writes schema 2: each generation is a list of payloads, where a
 ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
@@ -131,7 +126,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .data import SplitDataset
-from .errors import EvalBudgetExceededError, NonFiniteSemanticsError, finite_number
+from .errors import EvalBudgetExceededError, NonFiniteSemanticsError, checked_int, finite_number
 from .exprtree import (
     Columns,
     Program,
@@ -194,7 +189,8 @@ class Individual:
     view owns it: the row that `make_individual` computed, or, for a view
     of an archived generation, a copy of its window row or its replayed row
     (see `Archive.row`), taken on the first read of its semantics. So a
-    view never shows a later generation that reused its slot. Until that read a
+    view never shows a later generation that reused its slot: read after
+    its generation was released, it replays its row. Until that read a
     view holds a weak reference to its archive, and a first read after the
     archive is gone raises RuntimeError. train_semantics and test_semantics
     are views of `semantics`, each made on its first read; later reads
@@ -227,15 +223,14 @@ class Individual:
 
 
 class _Generation(Sequence):
-    """A completed generation as read: its payloads, and a view per slot made on first read.
+    """A completed generation as read: its payloads, and a view per slot (see `Archive._view`).
 
-    It holds a weak reference to its archive; making a view after the
+    It holds a weak reference to its archive; reading a view after the
     archive is gone raises RuntimeError, as a view's first read does.
     """
 
     def __init__(self, archive: weakref.ref, generation: int, payloads: tuple):
         self._archive, self.generation, self.payloads = archive, generation, payloads
-        self._views = {}  # slot: view, cleared when the generation is released
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -244,25 +239,23 @@ class _Generation(Sequence):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self.payloads))[i]))
         i = range(len(self.payloads))[i]
-        if i not in self._views:
-            archive, g = self._archive(), self.generation
-            if archive is None:
-                raise RuntimeError(f"generation {g} was released and its archive is gone")
-            self._views[i] = archive._view(g, i)
-        return self._views[i]
+        archive, g = self._archive(), self.generation
+        if archive is None:
+            raise RuntimeError(f"generation {g} was released and its archive is gone")
+        return archive._view(g, i)
 
 
 class Archive:
-    """All generations of one run, the held ones' semantics in one window array.
+    """All generations of one run, the latest `hold` ones' semantics in one window array.
 
     fitness(pred, targets) takes a 2-d block with one vector per row and
-    returns one error per row, as `rmse` does. capacity is the window's
-    first number of generation slots; it doubles only when the next
-    generation's slot is still held (see the module docstring). `replays`
-    counts the released individuals whose rows were replayed (see `row`).
+    returns one error per row, as `rmse` does. hold, an int >= 1, is the
+    number of latest generations whose semantics the window holds (see
+    the module docstring). `replays` counts the released individuals whose
+    rows were replayed (see `row`).
     """
 
-    def __init__(self, split: SplitDataset, fitness=rmse, capacity: int = 8):
+    def __init__(self, split: SplitDataset, fitness=rmse, *, hold: int):
         self.train_inputs = split.train.inputs
         self.test_inputs = split.test.inputs
         self.train_targets = split.train.targets
@@ -271,15 +264,16 @@ class Archive:
         self._columns = Columns(self.inputs)
         self.n_train = split.train.rows
         self.fitness = fitness
-        self._capacity = capacity
+        self._hold = checked_int("hold", hold, 1)
         self._generations = ()
         self._slot_refs = ()  # _slot_refs[g][i] is IndividualRef(g, i), one object per slot
         # Made for generation 0: the window, _holder[s] the generation that
         # slot s holds (-1 for none), and the fitness table, whose row g holds
-        # generation g's train fitnesses (rows past the next are capacity).
+        # generation g's train fitnesses (rows past the next are spare).
         self._window = self._holder = self._train_fitness = None
-        self._replayed = {}  # ref: row of a released individual (see `row`)
-        self._kept = set()  # generations with a window slot, cached views or replayed rows
+        # Emptied when a generation is appended: ref: row of a released
+        # individual (see `row`), and ref: view (see `_view`).
+        self._replayed, self._views = {}, {}
         self._weak = weakref.ref(self)
         self.replays = 0
 
@@ -325,9 +319,10 @@ class Archive:
         """The semantics row of an archived individual.
 
         While its generation is held this is a view of its window row, which
-        the slot's next generation overwrites. Otherwise it is the row the
-        archive replayed for it (see `_replay`) on its first read, kept until
-        its generation is released again. The ref must point into the archive.
+        the slot's next generation overwrites. Once it is released, it is the
+        row the archive replayed for it (see `_replay`) on its first read,
+        kept until the next generation is appended. The ref must point into
+        the archive.
         """
         g, i = ref
         slot = g % len(self._window)
@@ -335,14 +330,19 @@ class Archive:
             return self._window[slot, i]
         if ref not in self._replayed:
             self._replayed[ref] = self._replay(ref)
-            self._kept.add(g)
         return self._replayed[ref]
 
     def _view(self, g: int, i: int) -> Individual:
-        """A new view of slot i of generation g (see `Individual`)."""
-        self._kept.add(g)
-        payload, fitness = self._generations[g].payloads[i], float(self._train_fitness[g, i])
-        return Individual(payload, fitness, self.n_train, (self._weak, self._slot_refs[g][i]))
+        """The view of slot i of generation g (see `Individual`), made on its first read.
+
+        It is kept until the next generation is appended, so until then
+        each read returns the same object.
+        """
+        ref = self._slot_refs[g][i]
+        if ref not in self._views:
+            payload, fitness = self._generations[g].payloads[i], float(self._train_fitness[g, i])
+            self._views[ref] = Individual(payload, fitness, self.n_train, (self._weak, ref))
+        return self._views[ref]
 
     # -- creation -----------------------------------------------------
 
@@ -444,27 +444,19 @@ class Archive:
         """(rows, fitness): the next generation's window slot and fitness table row.
 
         A generation of n = 0 slots, or not of the population size, raises
-        ValueError. The window and the table are made for generation 0;
-        the window doubles while the next generation's slot is still held,
-        and the table when it is full.
+        ValueError. The window and the table are made for generation 0,
+        and the table doubles when it is full.
         """
         g = len(self._generations)
         if not n:
             raise ValueError(f"generation {g} is empty")
         if self._window is None:
-            self._window = np.empty((self._capacity, n, self._columns.rows))
-            self._holder = np.full(self._capacity, -1)
+            self._window = np.empty((self._hold + 1, n, self._columns.rows))
+            self._holder = np.full(self._hold + 1, -1)
             self._train_fitness = np.empty((8, n))
         elif n != len(self._window[0]):
             size = len(self._window[0])
             raise ValueError(f"generation {g} has {n} payloads, not the population size {size}")
-        while self._holder[g % len(self._window)] >= 0:  # the slot is still held
-            held = [(h, self._window[s]) for s, h in enumerate(self._holder.tolist()) if h >= 0]
-            size = 2 * len(self._window)
-            self._window = np.empty((size, *self._window.shape[1:]))
-            self._holder = np.full(size, -1)
-            for h, rows in held:
-                self._window[h % size], self._holder[h % size] = rows, h
         if g == len(self._train_fitness):  # full: double the table
             self._train_fitness = np.concatenate([self._train_fitness, np.empty((g, n))])
         return self._window[g % len(self._window)], self._train_fitness[g]
@@ -478,12 +470,15 @@ class Archive:
         ref per slot and a tournament makes none. They are built as
         `tuple.__new__(IndividualRef, (g, i))`, which skips the NamedTuple
         constructor's call overhead and makes the same refs in about half
-        the time.
+        the time. Appending generation g releases generation g - hold, whose
+        slot is the next generation's, and drops every view and replayed
+        row that reads brought back.
         """
         self._next(len(payloads))
         g, n = len(self._generations), len(payloads)
         self._holder[g % len(self._window)] = g
-        self._kept.add(g)
+        self._holder[(g + 1) % len(self._window)] = -1  # generation g - hold's slot
+        self._replayed, self._views = {}, {}
         pairs = zip(repeat(g), range(n))
         self._slot_refs += (tuple(map(tuple.__new__, repeat(IndividualRef), pairs)),)
         self._generations += (_Generation(self._weak, g, tuple(payloads)),)
@@ -502,39 +497,7 @@ class Archive:
         fitness[:] = [individual.train_fitness for individual in individuals]
         self.append_evaluated([individual.payload for individual in individuals])
 
-    # -- release and replay -------------------------------------------
-
-    def release(self, generation: int):
-        """Forget a completed generation's semantics: its slot, cached views and replayed rows.
-
-        The generation keeps its payloads and fitnesses, and its window slot
-        is free for generation + capacity. A view already handed out keeps
-        its own row. Reading one of its individuals afterwards replays that
-        individual alone (see `row`).
-        """
-        if not 0 <= generation < len(self._generations):
-            raise ValueError(f"no generation {generation} in archive")
-        self._kept.discard(generation)
-        slot = generation % len(self._window)
-        if self._holder[slot] == generation:
-            self._holder[slot] = -1
-        self._generations[generation]._views.clear()
-        self._replayed = {ref: row for ref, row in self._replayed.items() if ref[0] != generation}
-
-    def hold_latest(self, count: int):
-        """Release every generation but the latest `count`.
-
-        This visits only the generations that keep anything, so a run that
-        calls it after each generation keeps at most `count` of them,
-        whatever reads brought back, without a scan of the history. A count
-        below 1 raises ValueError: it would release the newest generation
-        too, and the next generation would replay every parent it reads.
-        """
-        if count < 1:
-            raise ValueError(f"hold_latest needs a count >= 1, not {count!r}")
-        cutoff = len(self._generations) - count
-        for g in [g for g in self._kept if g < cutoff]:
-            self.release(g)
+    # -- replay -----------------------------------------------------
 
     def _replay(self, ref: IndividualRef) -> np.ndarray:
         """Recompute the row of a released individual, a new array with the same bits.
@@ -658,7 +621,7 @@ class Archive:
         generations = obj.get("generations")
         if not isinstance(generations, list):
             raise ValueError("archive JSON has no list of generations")
-        archive = cls(split)
+        archive = cls(split, hold=max(1, len(generations)))
         for g, gen in enumerate(generations):
             if not isinstance(gen, list):
                 raise ValueError(f"generation {g} is not a list of payloads")

@@ -128,7 +128,7 @@ class RunResult:
 
 
 def seed_archive(
-    trees: list, split: SplitDataset, *, regenerate, fitness=rmse, capacity: int = 8
+    trees: list, split: SplitDataset, *, regenerate, fitness=rmse, hold: int
 ) -> Archive:
     """Build a one-generation archive from generation-0 trees.
 
@@ -137,9 +137,10 @@ def seed_archive(
     A slot that fails _SLOT_RETRIES + 1 times in a row aborts the seed with
     the diagnostic, which names the tree's slot, rather than clamping values.
     trees is not empty: `Archive.append_generation` refuses an empty one.
-    capacity is the number of generation slots of the archive's window.
+    hold is the number of latest generations whose semantics the archive
+    holds (see `Archive`).
     """
-    archive = Archive(split, fitness=fitness, capacity=capacity)
+    archive = Archive(split, fitness=fitness, hold=hold)
     individuals = []
     for slot, tree in enumerate(trees):
         failures = 0
@@ -224,24 +225,24 @@ def run_evolution(
 ) -> RunResult:
     """Seed generation 0 and apply next_generation cfg.generations times.
 
-    The archive keeps the semantics of the generations it holds in one
-    window array of min(horizon, generations) + 1 generation slots: the
-    generations selection can read, plus the one being bred, which is
-    evaluated straight into its slot. There is no per-block or
-    per-individual storage. After each generation is appended, the
-    archive releases every generation older than the distribution's
-    horizon (`Archive.hold_latest`), together with any row a read brought
+    The archive holds the semantics of its latest min(horizon, generations
+    + 1) generations, those selection can read, in one window array with
+    one slot more for the generation being bred, which is evaluated
+    straight into its slot (see `Archive`). The hold counts generation 0,
+    so a run shorter than its horizon releases nothing. There is no
+    per-block or per-individual storage. Appending a generation releases
+    the one that leaves the horizon and drops every row a read brought
     back, and releasing a generation only frees its slot for reuse: a
     reproduction's row is a copy in its own generation's slot, so no held
-    row depends on a released one, and the window never grows during a
-    run. Reading a released individual's semantics, for a winner drawn
-    from beyond the horizon or from the archive that keep_archive=True
-    returns, replays only the released part of its own ancestry and keeps
-    only its row, a new array with the same bits. That archive holds the
-    payloads and fitnesses of every generation, so it still answers every
-    read, and the views it hands out copy their rows, so they keep their
-    bits after their slot is reused. Each generation's best train RMSE and
-    the test RMSE of that individual are read from the window directly.
+    row depends on a released one. Reading a released individual's
+    semantics, for a winner drawn from beyond the horizon or from the
+    archive that keep_archive=True returns, replays only the released part
+    of its own ancestry and keeps only its row, a new array with the same
+    bits. That archive holds the payloads and fitnesses of every
+    generation, so it still answers every read, and the views it hands out
+    copy their rows, so they keep their bits after their slot is reused.
+    Each generation's best train RMSE and the test RMSE of that individual
+    are read from the window directly.
 
     A horizon that is not an int >= 1 (None and a bool included) raises
     ValueError naming the distribution's label, before anything is drawn.
@@ -264,8 +265,8 @@ def run_evolution(
         return gen_tree(depth, n_features, [schedule[slot]], rng)[0]
 
     trees = gen_tree(depth, n_features, schedule, rng)
-    capacity = min(horizon, cfg.generations) + 1
-    archive = seed_archive(trees, split, regenerate=regenerate, capacity=capacity)
+    hold = min(horizon, cfg.generations + 1)
+    archive = seed_archive(trees, split, regenerate=regenerate, hold=hold)
 
     offset_counts = np.zeros(max(cfg.generations, 1), dtype=np.int64)
     rejects = []
@@ -281,7 +282,6 @@ def run_evolution(
     record_best(0)
     for _ in range(cfg.generations):
         next_generation(archive, cfg, rng, offset_counts=offset_counts, rejects=rejects)
-        archive.hold_latest(horizon)
         record_best(len(archive.generations) - 1)
 
     histogram = {

@@ -87,7 +87,8 @@ class Campaign:
     one included. Each item of `strategies` is stored as a distribution: a
     u:<k> or g:<p> spec is parsed, and an item that is neither a spec nor
     an object with `sample_many`, `label` and `horizon` raises ValueError
-    naming its index.
+    naming its index. A dataset too small to split 70/30 raises ValueError
+    prefixed with the dataset's name (a CSV's path).
     """
 
     dataset: Dataset
@@ -107,7 +108,10 @@ class Campaign:
         self.strategies = [
             checked_distribution(f"strategies[{k}]", s) for k, s in enumerate(self.strategies)
         ]
-        split_sizes_70_30(self.dataset.rows)
+        try:
+            split_sizes_70_30(self.dataset.rows)
+        except ValueError as exc:
+            raise ValueError(f"{self.dataset.name}: {exc}") from None
 
 
 @dataclass

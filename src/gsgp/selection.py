@@ -12,12 +12,13 @@ which returns an integer array of n generation indices in [0, current-1]
 for current >= 1; label(), which returns the spec that parse_distribution
 reads back (campaigns name and seed their strategies by it); and horizon,
 the number of latest generations whose semantics a run holds, an int >= 1.
-A run releases the semantics of every older generation (see
-`run_evolution`), and a winner drawn from one is read by exact replay, so
-the horizon changes only time and memory, never a result. UniformLastK(k)
-draws only from its horizon of k; Geometric's horizon holds the offsets an
-entrant reaches with probability at least 1 - _HORIZON_TAIL, a tail chosen
-from a measured curve of replay time against held memory.
+A run releases each older generation as the next one is appended (see
+`run_evolution`), and a winner drawn from a released one is read by exact
+replay, so the horizon changes only time and memory, never a result.
+UniformLastK(k) draws only from its horizon of k; Geometric's horizon
+holds the offsets an entrant reaches with probability at least
+1 - _HORIZON_TAIL, a tail chosen from a measured curve of replay time
+against held memory.
 
 Tournaments are drawn in bulk (RNG stream 2): `tournament_select` runs n
 tournaments of size t with two draws, every entrant's source generation

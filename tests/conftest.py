@@ -37,8 +37,8 @@ def make_split(train_inputs, train_targets, test_inputs=None, test_targets=None)
     )
 
 
-def seeded_archive(trees, split) -> Archive:
-    """Archive with one generation built from explicit trees."""
-    archive = Archive(split)
+def seeded_archive(trees, split, hold=8) -> Archive:
+    """Archive with one generation built from explicit trees, holding `hold` generations."""
+    archive = Archive(split, hold=hold)
     archive.append_generation([archive.make_individual(Leaf(t)) for t in trees])
     return archive

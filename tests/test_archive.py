@@ -57,7 +57,7 @@ def no_regeneration(slot):
 
 def test_seed_archive_shape(small_split, rng):
     trees = gen_tree(3, 2, [(3, "grow")] * 100, rng)
-    archive = seed_archive(trees, small_split, regenerate=no_regeneration)
+    archive = seed_archive(trees, small_split, regenerate=no_regeneration, hold=1)
     assert len(archive.generations) == 1
     assert len(archive.generations[0]) == 100
     assert all(isinstance(ind.payload, Leaf) for ind in archive.generations[0])
@@ -72,8 +72,8 @@ def test_mean_constant_leaf_fitness_is_population_std(small_split):
 
 def test_seeding_is_deterministic(small_split, rng):
     trees = gen_tree(3, 2, [(3, "grow")] * 10, rng)
-    a = seed_archive(trees, small_split, regenerate=no_regeneration)
-    b = seed_archive(trees, small_split, regenerate=no_regeneration)
+    a = seed_archive(trees, small_split, regenerate=no_regeneration, hold=1)
+    b = seed_archive(trees, small_split, regenerate=no_regeneration, hold=1)
     for x, y in zip(a.generations[0], b.generations[0]):
         assert np.array_equal(x.train_semantics, y.train_semantics)
         assert x.train_fitness == y.train_fitness
@@ -89,7 +89,7 @@ def test_seed_regenerates_nonfinite_trees(small_split):
         return redraws[slot].pop(0)
 
     archive = seed_archive(
-        [Constant(0.5), inf, Constant(-0.5), inf], small_split, regenerate=regenerate
+        [Constant(0.5), inf, Constant(-0.5), inf], small_split, regenerate=regenerate, hold=1
     )
     # A failed slot is redrawn until it passes, before the next slot: slot 1
     # fails twice (its first redraw fails too) and slot 3 once.
@@ -109,7 +109,9 @@ def test_seed_retry_bound(small_split):
         return Constant(float("inf"))
 
     with pytest.raises(NonFiniteSemanticsError):
-        seed_archive([Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate)
+        seed_archive(
+            [Constant(1.0), Constant(float("inf"))], small_split, regenerate=regenerate, hold=1
+        )
     # the same cap as breeding: the slot aborts on its _SLOT_RETRIES + 1-th failure
     assert calls == [1] * evolve_module._SLOT_RETRIES
 
@@ -125,7 +127,7 @@ def test_a_seed_tree_that_fails_for_good_is_reported_in_its_own_slot():
         return product
 
     with pytest.raises(NonFiniteSemanticsError) as caught:
-        seed_archive([Constant(1.0)] * 3 + [product], split, regenerate=regenerate)
+        seed_archive([Constant(1.0)] * 3 + [product], split, regenerate=regenerate, hold=1)
     assert caught.value.slot == 3
     assert "Leaf payload in slot 3 at row" in str(caught.value)
     assert "slot 0" not in str(caught.value)
@@ -391,25 +393,29 @@ def test_generations_released_in_any_order_recompute_once_as_a_json_round_trip_d
     monkeypatch,
 ):
     split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
-    cfg = EvolutionConfig(distribution=Geometric(0.3), population_size=8, generations=9, seed=4)
-    archive = run_evolution(cfg, split, keep_archive=True).archive  # releases nothing
+    cfg = EvolutionConfig(distribution=UniformLastK(2), population_size=8, generations=9, seed=4)
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # holds generations 8 and 9
     clone = Archive.from_json(archive.to_json(), split)
-    for g in (5, 2, 7, 3, 5):
-        archive.release(g)
     replays = counted_replays(monkeypatch)
+    rng = np.random.default_rng(5)
     for _ in range(2):
         for g in (7, 3, 5, 2, 0):
             for a, b in zip(archive.generations[g], clone.generations[g]):
                 assert a.semantics.tobytes() == b.semantics.tobytes()
                 assert a.test_semantics.tobytes() == b.test_semantics.tobytes()
                 assert a.train_fitness == b.train_fitness
+        # A second read, through the view or the row, replays nothing.
+        for g in (0, 5, 7):
+            for i, b in enumerate(clone.generations[g]):
+                assert archive.generations[g][i].semantics.tobytes() == b.semantics.tobytes()
+                assert archive.row(IndividualRef(g, i)).tobytes() == b.semantics.tobytes()
         # each individual of a released generation is replayed on its first read only
-        assert replays == [7] * 8 + [3] * 8 + [5] * 8 + [2] * 8
-    # A read generation can be released again, and then each read replays again.
-    archive.release(5)
-    for a, b in zip(archive.generations[5], clone.generations[5]):
-        assert a.semantics.tobytes() == b.semantics.tobytes()
-    assert replays[32:] == [5] * 8
+        assert replays == [7] * 8 + [3] * 8 + [5] * 8 + [2] * 8 + [0] * 8
+        # Appending a generation (u:2 reads only held ones) drops what the
+        # reads brought back, and then each read replays again.
+        next_generation(archive, cfg, rng)
+        assert archive._replayed == {} and replays[40:] == []
+        del replays[:]
 
 
 def three_generation_archive():
@@ -575,9 +581,9 @@ def test_a_run_keeps_semantics_only_for_the_generations_selection_can_read(
     split = split_70_30(synthetic_dataset("polynomial", 60, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=distribution, population_size=20, generations=15, seed=3)
     archive = run_evolution(cfg, split, keep_archive=True).archive
-    # One slot per generation selection can read, plus the one being bred:
-    # the window doubles only when a slot is still held, so it never did.
-    slots = min(distribution.horizon, cfg.generations) + 1
+    # One slot per generation selection can read, generation 0 counted,
+    # plus the one being bred.
+    slots = min(distribution.horizon, cfg.generations + 1) + 1
     assert archive._window.shape == (slots, 20, len(archive.inputs))
     first = len(archive.generations) - held if held else 0
     assert held_generations(archive) == set(range(first, len(archive.generations)))
@@ -593,17 +599,16 @@ def test_releasing_a_generation_frees_its_blocks_though_the_next_reproduces_it(m
     monkeypatch.setattr(archive_module, "_BLOCK_ELEMENTS", 3 * rows)  # 3 children per block
     cfg = EvolutionConfig(population_size=10, generations=0, crossover_rate=0.0,
                           mutation_rate=0.0, seed=4)
-    archive = run_evolution(cfg, split, keep_archive=True).archive  # a window of one slot
-    rng = np.random.default_rng(cfg.seed)
-    next_generation(archive, cfg, rng)  # generation 0 still holds that slot: the window doubles
+    archive = run_evolution(cfg, split, keep_archive=True).archive  # holds generation 0 alone
     window = archive._window
     assert len(window) == 2
-    # Generation 2 is all reproductions of generation 1, written into
-    # generation 0's slot; generation 3 then reuses generation 1's.
-    for _ in range(2):
-        archive.hold_latest(1)
+    # Generation 1 takes the free slot, and releases generation 0. Generation
+    # 2 is all reproductions of generation 1, written into generation 0's
+    # slot; generation 3 then reuses generation 1's.
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(3):
         next_generation(archive, cfg, rng)
-    assert archive._window is window and held_generations(archive) == {2, 3}
+    assert archive._window is window and held_generations(archive) == {3}
     assert {ind.payload.generation for ind in archive.generations[2]} == {1}
     clone = Archive.from_json(archive.to_json(), split)
     for gen, twin in zip(archive.generations, clone.generations):
@@ -695,35 +700,39 @@ def test_each_reported_test_rmse_is_its_best_individuals_replayed_or_not(monkeyp
     st.booleans(),
 )
 def test_reads_and_releases_in_any_order_match_a_json_round_trip(steps, small_blocks):
-    """(True, g, i) reads slot i of generation g, and (False, g, _) releases generation g.
+    """(True, g, i) reads slot i of generation g, and (False, _, _) appends a generation.
 
-    With small_blocks, the reads evaluate one row per block, so a replay
-    splits a generation's share into several blocks, while the run and the
-    clone were evaluated one block per generation.
+    g is taken modulo the generation count, and each append releases the
+    oldest generation held. With small_blocks, the reads and appends
+    evaluate one row per block, so a replay splits a generation's share
+    into several blocks, while the run and the clone were evaluated one
+    block per generation.
     """
     split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=NearSighted(2), population_size=6, generations=8, seed=2)
     archive = run_evolution(cfg, split, keep_archive=True).archive  # generations 7-8 held
-    clone = Archive.from_json(archive.to_json(), split)
+    rng = np.random.default_rng(3)
+    read = []
 
-    def same(g, i):
-        a, b = archive.generations[g][i], clone.generations[g][i]
-        assert a.train_semantics.tobytes() == b.train_semantics.tobytes()
-        assert a.test_semantics.tobytes() == b.test_semantics.tobytes()
-        assert a.semantics.tobytes() == b.semantics.tobytes()
-        assert a.train_fitness == b.train_fitness
+    def bits(generation, i):
+        ind = generation[i]
+        a, b, c = ind.train_semantics, ind.test_semantics, ind.semantics
+        return a.tobytes(), b.tobytes(), c.tobytes(), ind.train_fitness
 
     with pytest.MonkeyPatch.context() as patch:
         if small_blocks:
             patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)
-        for read, g, i in steps:
-            if read:
-                same(g, i)
+        for is_read, g, i in steps:
+            if is_read:
+                g %= len(archive.generations)
+                read.append((g, i, bits(archive.generations[g], i)))
             else:
-                archive.release(g)
+                next_generation(archive, cfg, rng)
         for g in range(len(archive.generations)):
-            for i in range(6):
-                same(g, i)
+            read += [(g, i, bits(archive.generations[g], i)) for i in range(6)]
+    clone = Archive.from_json(archive.to_json(), split)
+    for g, i, seen in read:
+        assert seen == bits(clone.generations[g], i)
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 1.5, True, None])
@@ -738,12 +747,11 @@ def test_a_run_rejects_a_horizon_that_is_not_an_int_of_at_least_1(monkeypatch, h
         run_evolution(cfg, split)
 
 
-@pytest.mark.parametrize("count", [0, -1])
-def test_hold_latest_rejects_a_count_below_1(count):
-    archive = evolved_archive(pop=4, gens=3)
-    with pytest.raises(ValueError, match="count >= 1"):
-        archive.hold_latest(count)
-    assert held_generations(archive) == {3}
+@pytest.mark.parametrize("hold", [0, -1, 1.5, True, None])
+def test_an_archive_rejects_a_hold_that_is_not_an_int_of_at_least_1(hold):
+    # A hold of 0 would leave the next generation reading every parent by replay.
+    with pytest.raises(ValueError, match="hold must be"):
+        Archive(evolved_split(), hold=hold)
 
 
 def json_archive_with(**overrides):
@@ -897,14 +905,13 @@ def test_nonfinite_semantics_names_split_and_row_within_it():
 def test_best_of_generation_rejects_a_generation_outside_the_archive():
     archive = evolved_archive(gens=3)
     assert len(archive.generations) == 4
-    for method in (archive.best_of_generation, archive.release):
-        for generation in (-1, 4):
-            with pytest.raises(ValueError, match=f"no generation {generation} in archive"):
-                method(generation)
+    for generation in (-1, 4):
+        with pytest.raises(ValueError, match=f"no generation {generation} in archive"):
+            archive.best_of_generation(generation)
 
 
 def test_fitness_table_is_each_generations_train_fitness():
-    archive = evolved_archive(pop=6, gens=20)  # the table grows past its first capacity
+    archive = evolved_archive(pop=6, gens=20)  # the table grows past its first 8 rows
     table = np.array([[ind.train_fitness for ind in gen] for gen in archive.generations])
     assert archive.train_fitness.shape == (21, 6)
     assert archive.train_fitness.tobytes() == table.tobytes()
@@ -961,11 +968,16 @@ def test_train_and_test_views_are_made_once_and_again_after_a_release():
         return train, test
 
     first = [[views_of(ind) for ind in gen] for gen in archive.generations]
-    archive.release(3)
-    for ind, (train, test) in zip(archive.generations[3], first[3]):
-        new_train, new_test = views_of(ind)
-        assert new_train.tobytes() == train.tobytes()
-        assert new_test.tobytes() == test.tobytes()
+    assert all(archive.generations[4][i] is archive.generations[4][i] for i in range(6))
+    # Appending generation 5 releases generation 3 and drops every view, so
+    # each read of generation 3 (replayed) or 4 (held) makes a new one.
+    next_generation(archive, cfg, np.random.default_rng(5))
+    for g in (3, 4):
+        for ind, (train, test) in zip(archive.generations[g], first[g]):
+            new_train, new_test = views_of(ind)
+            assert new_train is not train
+            assert new_train.tobytes() == train.tobytes()
+            assert new_test.tobytes() == test.tobytes()
 
 
 def payload_refs(archive) -> list:

@@ -129,6 +129,15 @@ def test_cli_names_the_path_of_a_one_row_csv(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_cli_names_the_path_of_a_csv_too_small_to_split(tmp_path, capsys):
+    path = tmp_path / "three.csv"
+    path.write_text("1,2\n3,4\n5,6\n")
+    assert main(["--dataset", str(path), "--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"gsgp: error: {path}: a dataset of 3 rows splits 70/30 ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 def test_cli_bad_strategy_is_config_error(capsys):
     code = main(
         ["--synthetic", "polynomial:40:2:0.0", "--strategy", "u:zero", "--runs", "1"]

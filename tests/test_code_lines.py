@@ -57,3 +57,21 @@ def test_the_script_prints_each_file_and_the_total(tmp_path):
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert done.stdout.splitlines() == [f"11 {one}", f"1 {two}", "12 total"]
+
+
+def test_a_directory_counts_the_python_files_directly_in_it(tmp_path):
+    (tmp_path / "b.py").write_text(SNIPPET)
+    (tmp_path / "a.py").write_text("x = 1\n\n# done\n")
+    (tmp_path / "notes.txt").write_text("y = 2\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "c.py").write_text("z = 3\n")
+
+    def printed(*args):
+        done = subprocess.run(
+            [sys.executable, str(TOOL), *map(str, args)],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        return done.stdout.splitlines()
+
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    assert printed(tmp_path) == printed(a, b) == [f"1 {a}", f"11 {b}", "12 total"]

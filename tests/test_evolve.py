@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import gsgp.evolve as evolve
 from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from gsgp.data import Dataset, split_70_30, synthetic_dataset
 from gsgp.errors import NonFiniteSemanticsError
-from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
+from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
 from gsgp.exprtree import MAX_TREE_DEPTH, Constant, eval_tree_many
 from gsgp.selection import Geometric, UniformLastK
 
@@ -25,10 +26,21 @@ def split():
     return split_70_30(synthetic_dataset("polynomial", 40, 2, 0.1, seed=2), seed=3)
 
 
+def holding_archive(cfg, split, hold):
+    """The generation 0 that a run of cfg seeds, in an archive that holds `hold` generations."""
+    seeded = run_evolution(replace(cfg, generations=0), split, keep_archive=True).archive
+    trees = [leaf.tree for leaf in seeded.generations[0].payloads]
+
+    def no_regeneration(slot):
+        raise AssertionError(f"slot {slot} was regenerated")
+
+    return seed_archive(trees, split, regenerate=no_regeneration, hold=hold)
+
+
 def test_reproduction_only_copies_semantics(split):
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=0.0)
-    # next_generation alone releases nothing, so every parent holds its row.
-    grown = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
+    # This archive holds every generation bred into it, so every parent holds its row.
+    grown = holding_archive(cfg, split, hold=cfg.generations + 1)
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.generations):
         next_generation(grown, cfg, rng)
@@ -137,7 +149,7 @@ def test_next_generation_requires_seeded_archive(split, rng):
     from gsgp.archive import Archive
 
     with pytest.raises(ValueError):
-        next_generation(Archive(split), small_cfg(), rng)
+        next_generation(Archive(split, hold=1), small_cfg(), rng)
 
 
 def test_config_validation():
@@ -289,7 +301,10 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     """
     data = synthetic_dataset("friedman-like", 200, 5, 0.0, seed=3)
     split = split_70_30(Dataset("scaled", data.inputs * 1e150, data.targets), seed=1)
-    archive = run_evolution(cfg, split, keep_archive=True).archive
+    bred = 30
+    # Every generation bred stays held, so no entrant is replayed and every
+    # tree counted is one of a round's payloads.
+    archive = holding_archive(cfg, split, hold=bred + 1)
     seen = []
     calls = []
     evaluate = Archive.evaluate_next
@@ -308,7 +323,7 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     monkeypatch.setattr(archive_module, "eval_tree_many", counting_eval)
     monkeypatch.setattr(Archive, "evaluate_next", recording_evaluate)
     rng = np.random.default_rng(cfg.seed)
-    for _ in range(30):
+    for _ in range(bred):
         calls.clear()
         next_generation(archive, cfg, rng)
         if wanted(calls):

@@ -199,7 +199,7 @@ def _tied_archives(draw):
     pop = draw(st.integers(1, 5))
     generations = draw(st.integers(1, 4))
     values = st.lists(st.sampled_from(_FITNESS_CONSTANTS), min_size=pop, max_size=pop)
-    archive = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
+    archive = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]), hold=generations)
     for _ in range(generations):
         leaves = [Leaf(Constant(c)) for c in draw(values)]
         archive.append_generation([archive.make_individual(leaf) for leaf in leaves])
@@ -275,7 +275,7 @@ def test_tournament_requires_archive_and_positive_t(rng):
         tournament_select(archive, UniformLastK(1), 0, 1, rng)
     from gsgp.archive import Archive
 
-    empty = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]))
+    empty = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]), hold=1)
     with pytest.raises(ValueError):
         tournament_select(empty, UniformLastK(1), 2, 1, rng)
 

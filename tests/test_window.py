@@ -5,11 +5,14 @@ entry by entry between its parents, and a bounded mutation moves each entry
 of its base by at most its step. The runs are 100 x 100 on 200 rows, so
 each selection strategy reuses its window slots many times over, and each
 generation is checked in its slot before the next one can reuse a slot.
+The replay path keeps the same geometry: after a run, each released
+generation is read back oldest first and checked the same way.
 """
 
 import numpy as np
 import pytest
 
+import gsgp.archive as archive_module
 from gsgp.archive import Archive, Crossover, IndividualRef, Mutation
 from gsgp.data import synthetic_dataset, split_70_30
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
@@ -30,6 +33,38 @@ def rows(archive, refs) -> np.ndarray:
     return np.array([archive.row(ref) for ref in refs])
 
 
+def check_children(archive, payloads, children, checked):
+    """Check a generation's children, children[i] the row of payloads[i], against their parents.
+
+    A crossover child lies between its parents, and a mutated one leaves
+    their box by at most its step; a bounded mutation of a ref moves each
+    entry of its base by at most its step. Each parent is read through
+    `Archive.row`. checked counts the plain crossovers and the mutations
+    checked.
+    """
+    mixes, moves = [], []
+    for i, payload in enumerate(payloads):
+        step = payload.step if isinstance(payload, Mutation) else 0.0
+        base = payload.base if isinstance(payload, Mutation) else payload
+        if isinstance(base, Crossover):
+            mixes.append((i, base.parent1, base.parent2, step))
+        elif isinstance(payload, Mutation) and isinstance(base, IndividualRef):
+            assert payload.random_tree_b is not None  # the default, bounded form
+            moves.append((i, base, step))
+    if mixes:
+        at, first, second, step = zip(*mixes)
+        child, p1, p2 = children[list(at)], rows(archive, first), rows(archive, second)
+        slack = np.array(step)[:, None] * (1 + 1e-15) + ulps(p1, p2, child)
+        assert np.all(child >= np.minimum(p1, p2) - slack)
+        assert np.all(child <= np.maximum(p1, p2) + slack)
+        checked["crossovers"] += step.count(0.0)
+    if moves:
+        at, based, step = zip(*moves)
+        child, base, step = children[list(at)], rows(archive, based), np.array(step)[:, None]
+        assert np.all(np.abs(child - base) <= step * (1 + 1e-15) + ulps(base, child))
+        checked["mutations"] += len(at)
+
+
 @pytest.mark.parametrize("spec", ["u:1", "u:5", "g:0.25"])
 def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch, spec):
     checked = {"crossovers": 0, "mutations": 0}
@@ -39,37 +74,47 @@ def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch,
         # Each generation is checked before it completes: its rows are in
         # its window slot, and each parent is read again through `row`.
         g = len(self.generations)
-        slot = self._window[g % len(self._window)]
-        mixes, moves = [], []
-        for i, payload in enumerate(payloads):
-            step = payload.step if isinstance(payload, Mutation) else 0.0
-            base = payload.base if isinstance(payload, Mutation) else payload
-            if isinstance(base, Crossover):
-                mixes.append((i, base.parent1, base.parent2, step))
-            elif isinstance(payload, Mutation) and isinstance(base, IndividualRef):
-                assert payload.random_tree_b is not None  # the default, bounded form
-                moves.append((i, base, step))
-        if mixes:
-            at, first, second, step = zip(*mixes)
-            child, p1, p2 = slot[list(at)], rows(self, first), rows(self, second)
-            # A crossover lies between its parents; a mutated one leaves their
-            # box by at most its step.
-            slack = np.array(step)[:, None] * (1 + 1e-15) + ulps(p1, p2, child)
-            assert np.all(child >= np.minimum(p1, p2) - slack), g
-            assert np.all(child <= np.maximum(p1, p2) + slack), g
-            checked["crossovers"] += step.count(0.0)
-        if moves:
-            at, based, step = zip(*moves)
-            child, base, step = slot[list(at)], rows(self, based), np.array(step)[:, None]
-            assert np.all(np.abs(child - base) <= step * (1 + 1e-15) + ulps(base, child)), g
-            checked["mutations"] += len(at)
+        check_children(self, payloads, self._window[g % len(self._window)], checked)
         append(self, payloads)
 
     monkeypatch.setattr(Archive, "append_evaluated", checked_append)
     cfg = EvolutionConfig(distribution=parse_distribution(spec), seed=3)
     archive = run_evolution(cfg, friedman_split(), keep_archive=True).archive
-    assert len(archive._window) == min(cfg.distribution.horizon, cfg.generations) + 1
+    assert len(archive._window) == min(cfg.distribution.horizon, cfg.generations + 1) + 1
     assert checked["crossovers"] > 5000 and checked["mutations"] > 200
+
+
+def test_every_replayed_child_keeps_to_its_parents_box_and_its_step(monkeypatch):
+    split = friedman_split(rows=60)
+    cfg = EvolutionConfig(
+        distribution=parse_distribution("g:0.75"), population_size=30, generations=30, seed=3
+    )
+    archive = run_evolution(cfg, split, keep_archive=True).archive
+    clone = Archive.from_json(archive.to_json(), split)
+    released = len(archive.generations) - min(cfg.distribution.horizon, cfg.generations + 1)
+    assert released == 26
+    blocks = []
+    evaluate = archive_module.evaluate_block
+
+    def counting_evaluate(*args, **kwargs):
+        blocks.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(archive_module, "evaluate_block", counting_evaluate)
+    checked, replays = {"crossovers": 0, "mutations": 0}, archive.replays
+    for g in range(released):  # oldest first
+        children = []
+        for ref in archive._slot_refs[g]:
+            del blocks[:]
+            children.append(archive.row(ref))
+            # Every parent was replayed before, or is held, so the replay
+            # evaluates this one payload alone.
+            assert blocks == [[archive.generations[g].payloads[ref.index]]]
+            assert children[-1].tobytes() == clone.row(ref).tobytes()
+        check_children(archive, archive.generations[g].payloads, np.array(children), checked)
+    # 780 rows replayed; 476 plain crossovers and 23 mutations of a ref checked.
+    assert archive.replays - replays == released * cfg.population_size == 780
+    assert checked["crossovers"] > 400 and checked["mutations"] > 15, checked
 
 
 def test_a_view_keeps_its_bits_after_its_generations_slot_is_reused():
@@ -84,7 +129,6 @@ def test_a_view_keeps_its_bits_after_its_generations_slot_is_reused():
     rng = np.random.default_rng(5)
     for _ in range(2):  # generation 5 is written into generation 3's slot
         next_generation(archive, cfg, rng)
-        archive.hold_latest(1)
     assert archive._window is window and archive._holder[3 % len(window)] == 5
     assert slot.tobytes() != bits  # the slot now holds generation 5's rows
     clone = Archive.from_json(archive.to_json(), split)

@@ -9,13 +9,16 @@ CHANGES.md cite for the size of a module.
 
     python tools/code_lines.py src/gsgp/*.py
 
-prints one line per file, `<lines> <path>`, and the total last.
+prints one line per file, `<lines> <path>`, and the total last. A
+directory argument stands for the sorted `*.py` files directly in it, so
+`python tools/code_lines.py src/gsgp` prints the same lines.
 """
 
 import ast
 import io
 import sys
 import tokenize
+from pathlib import Path
 
 _SKIPPED = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
             tokenize.DEDENT, tokenize.ENDMARKER)
@@ -45,13 +48,20 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(source))
 
 
+def _files(arg: str) -> list:
+    """[arg] for a file, and the sorted `*.py` files directly in arg for a directory."""
+    if not Path(arg).is_dir():
+        return [arg]
+    return sorted(str(path) for path in Path(arg).glob("*.py"))
+
+
 def main(argv=None) -> int:
     paths = sys.argv[1:] if argv is None else argv
     if not paths:
-        print("usage: python tools/code_lines.py FILE.py ...", file=sys.stderr)
+        print("usage: python tools/code_lines.py FILE.py|DIR ...", file=sys.stderr)
         return 2
     total = 0
-    for path in paths:
+    for path in [p for arg in paths for p in _files(arg)]:
         with open(path, encoding="utf-8") as fh:
             count = code_lines(fh.read())
         total += count
