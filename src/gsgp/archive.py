@@ -34,10 +34,11 @@ whole-history selection free. The train fitnesses are kept as one
 generation x slot table (`Archive.train_fitness`), so tournaments and
 elitism read every fitness they need with one array index.
 `append_evaluated` also makes the generation's refs, one `IndividualRef`
-per archived slot, and tournaments, `best_of_generation` and `from_json`
-hand out those objects rather than new ones. So a payload that names an
-earlier individual holds no ref of its own, and a tournament winner costs
-a tuple lookup, not a new object.
+per archived slot, and the generation's record holds them beside its
+payloads. Tournaments, `best_of_generation` and `from_json` hand out those
+objects rather than new ones. So a payload that names an earlier
+individual holds no ref of its own, and a tournament winner costs a tuple
+lookup, not a new object.
 
 The stacked matrix is stored column-major. A tree reads its variables as
 columns, so each operator on a variable is then one unit-stride pass over
@@ -54,9 +55,11 @@ The window is a fixed ring. An archive holds the semantics of its latest
 train + test rows): row i of `window[g % (hold + 1)]` is the semantics of
 slot i of generation g while g is held, and the one slot more is the
 generation being bred. There is no per-block or per-individual storage.
-Appending generation g releases generation g - hold, whose slot is the
-next generation's, so the window never grows, and the semantics a run
-holds grow with its horizon, not with its length. `run_evolution` holds
+Which generations are held follows from their count alone: generation g
+has its row in the window exactly when g >= len(generations) - hold, so
+nothing records it. Appending generation g releases generation g - hold,
+whose slot is the next generation's. So the window never grows, and the
+semantics a run holds grow with its horizon, not with its length. `run_evolution` holds
 min(horizon, generations + 1) generations, those selection can read, and
 `from_json` holds every generation it loads.
 
@@ -223,14 +226,17 @@ class Individual:
 
 
 class _Generation(Sequence):
-    """A completed generation as read: its payloads, and a view per slot (see `Archive._view`).
+    """The one record of a completed generation, read as a view per slot (see `Archive._view`).
 
-    It holds a weak reference to its archive; reading a view after the
-    archive is gone raises RuntimeError, as a view's first read does.
+    payloads[i] is slot i's payload and refs[i] its `IndividualRef`, the
+    one object the archive hands out for the slot. It holds a weak
+    reference to its archive; reading a view after the archive is gone
+    raises RuntimeError, as a view's first read does.
     """
 
-    def __init__(self, archive: weakref.ref, generation: int, payloads: tuple):
-        self._archive, self.generation, self.payloads = archive, generation, payloads
+    def __init__(self, archive: weakref.ref, generation: int, payloads: tuple, refs: tuple):
+        self._archive, self.generation = archive, generation
+        self.payloads, self.refs = payloads, refs
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -266,11 +272,9 @@ class Archive:
         self.fitness = fitness
         self._hold = checked_int("hold", hold, 1)
         self._generations = ()
-        self._slot_refs = ()  # _slot_refs[g][i] is IndividualRef(g, i), one object per slot
-        # Made for generation 0: the window, _holder[s] the generation that
-        # slot s holds (-1 for none), and the fitness table, whose row g holds
-        # generation g's train fitnesses (rows past the next are spare).
-        self._window = self._holder = self._train_fitness = None
+        # Made for generation 0: the window, and the fitness table, whose row
+        # g holds generation g's train fitnesses (rows past the next are spare).
+        self._window = self._train_fitness = None
         # Emptied when a generation is appended: ref: row of a released
         # individual (see `row`), and ref: view (see `_view`).
         self._replayed, self._views = {}, {}
@@ -313,21 +317,20 @@ class Archive:
         """Ref of the lowest-training-error individual (first on ties)."""
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
-        return self._slot_refs[generation][int(np.argmin(self._train_fitness[generation]))]
+        return self._generations[generation].refs[int(np.argmin(self._train_fitness[generation]))]
 
     def row(self, ref: IndividualRef) -> np.ndarray:
         """The semantics row of an archived individual.
 
-        While its generation is held this is a view of its window row, which
-        the slot's next generation overwrites. Once it is released, it is the
-        row the archive replayed for it (see `_replay`) on its first read,
-        kept until the next generation is appended. The ref must point into
-        the archive.
+        While its generation g is held, that is while g >= len(generations)
+        - hold, this is a view of its window row, which the slot's next
+        generation overwrites. Once it is released, it is the row the
+        archive replayed for it (see `_replay`) on its first read, kept until
+        the next generation is appended. The ref must point into the archive.
         """
         g, i = ref
-        slot = g % len(self._window)
-        if self._holder[slot] == g:
-            return self._window[slot, i]
+        if g >= len(self._generations) - self._hold:
+            return self._window[g % len(self._window), i]
         if ref not in self._replayed:
             self._replayed[ref] = self._replay(ref)
         return self._replayed[ref]
@@ -338,7 +341,7 @@ class Archive:
         It is kept until the next generation is appended, so until then
         each read returns the same object.
         """
-        ref = self._slot_refs[g][i]
+        ref = self._generations[g].refs[i]
         if ref not in self._views:
             payload, fitness = self._generations[g].payloads[i], float(self._train_fitness[g, i])
             self._views[ref] = Individual(payload, fitness, self.n_train, (self._weak, ref))
@@ -423,9 +426,8 @@ class Archive:
         """
         pairs = np.fromiter(chain.from_iterable(refs), np.intp, 2 * len(refs))
         g, i = pairs.reshape(-1, 2).T
-        slots = g % len(self._window)
-        rows = self._window[slots, i]
-        for k in np.flatnonzero(self._holder[slots] != g).tolist():
+        rows = self._window[g % len(self._window), i]
+        for k in np.flatnonzero(g < len(self._generations) - self._hold).tolist():
             rows[k] = self.row(refs[k])
         return rows
 
@@ -452,7 +454,6 @@ class Archive:
             raise ValueError(f"generation {g} is empty")
         if self._window is None:
             self._window = np.empty((self._hold + 1, n, self._columns.rows))
-            self._holder = np.full(self._hold + 1, -1)
             self._train_fitness = np.empty((8, n))
         elif n != len(self._window[0]):
             size = len(self._window[0])
@@ -465,23 +466,20 @@ class Archive:
         """Complete the next generation from its payloads, whose rows and fitnesses are in place.
 
         `evaluate_next` puts them there. The refs are made once here,
-        `IndividualRef(g, i)` for each slot i, and every ref the archive
-        hands out for the slot is that object, so a kept archive holds one
-        ref per slot and a tournament makes none. They are built as
-        `tuple.__new__(IndividualRef, (g, i))`, which skips the NamedTuple
-        constructor's call overhead and makes the same refs in about half
-        the time. Appending generation g releases generation g - hold, whose
-        slot is the next generation's, and drops every view and replayed
-        row that reads brought back.
+        `IndividualRef(g, i)` for each slot i, and kept in the generation's
+        record; every ref the archive hands out for the slot is that object,
+        so a kept archive holds one ref per slot and a tournament makes
+        none. They are built as `tuple.__new__(IndividualRef, (g, i))`,
+        which skips the NamedTuple constructor's call overhead and makes the
+        same refs in about half the time. Appending generation g releases
+        generation g - hold (see `row`), whose slot is the next generation's,
+        and drops every view and replayed row that reads brought back.
         """
         self._next(len(payloads))
         g, n = len(self._generations), len(payloads)
-        self._holder[g % len(self._window)] = g
-        self._holder[(g + 1) % len(self._window)] = -1  # generation g - hold's slot
         self._replayed, self._views = {}, {}
-        pairs = zip(repeat(g), range(n))
-        self._slot_refs += (tuple(map(tuple.__new__, repeat(IndividualRef), pairs)),)
-        self._generations += (_Generation(self._weak, g, tuple(payloads)),)
+        refs = tuple(map(tuple.__new__, repeat(IndividualRef), zip(repeat(g), range(n))))
+        self._generations += (_Generation(self._weak, g, tuple(payloads), refs),)
 
     def append_generation(self, individuals: list):
         """Complete the next generation from its individuals, one per slot.
@@ -514,10 +512,10 @@ class Archive:
         """
         self.replays += 1
         payloads = [generation.payloads for generation in self._generations]
-        window, holder, replayed = self._window, self._holder, self._replayed
+        first_held, replayed = len(payloads) - self._hold, self._replayed
 
         def has_row(r):
-            return holder[r[0] % len(window)] == r[0] or r in replayed
+            return r[0] >= first_held or r in replayed
 
         last_read = ancestry(payloads, payloads[ref[0]][ref[1]], ref[0], has_row)
         shares, expiring = {}, {}
@@ -629,7 +627,7 @@ class Archive:
             for i, item in enumerate(gen):
                 try:
                     payloads.append(
-                        _payload_from_json(item, archive._slot_refs, split.train.n_features)
+                        _payload_from_json(item, archive.generations, split.train.n_features)
                     )
                 except KeyError as exc:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
@@ -748,30 +746,26 @@ def _add_steps(block, mutations, delta):
 
 
 def _payload_to_json(payload: Payload):
+    """A ref as its [g, i] pair; any other payload as its kind, then its fields in order.
+
+    A field that is a payload (a ref or an inline crossover) is written
+    recursively, a program (a plain tuple) by `tree_to_json`, and None and
+    the step as they are.
+    """
     if isinstance(payload, IndividualRef):
         return [payload.generation, payload.index]
-    if isinstance(payload, Leaf):
-        return {"kind": "leaf", "tree": tree_to_json(payload.tree)}
-    if isinstance(payload, Crossover):
-        return {
-            "kind": "crossover",
-            "parent1": _payload_to_json(payload.parent1),
-            "parent2": _payload_to_json(payload.parent2),
-            "random_tree": tree_to_json(payload.random_tree),
-        }
-    return {
-        "kind": "mutation",
-        "base": _payload_to_json(payload.base),
-        "random_tree_a": tree_to_json(payload.random_tree_a),
-        "random_tree_b": (
-            None if payload.random_tree_b is None else tree_to_json(payload.random_tree_b)
-        ),
-        "step": payload.step,
-    }
+    obj = {"kind": type(payload).__name__.lower()}
+    for field, value in zip(payload._fields, payload):
+        if type(value) is tuple:
+            value = tree_to_json(value)
+        elif isinstance(value, tuple):
+            value = _payload_to_json(value)
+        obj[field] = value
+    return obj
 
 
 def _ref_from_json(obj, earlier: tuple) -> IndividualRef:
-    """The ref that a `[g, i]` pair names in `earlier`, the archive's refs so far."""
+    """The ref that a `[g, i]` pair names in `earlier`, the archive's generations so far."""
     if not (isinstance(obj, list) and len(obj) == 2 and all(type(v) is int for v in obj)):
         raise ValueError(f"ref {obj!r} is not a [generation, index] pair")
     g, i = obj
@@ -779,7 +773,7 @@ def _ref_from_json(obj, earlier: tuple) -> IndividualRef:
         raise ValueError(f"ref {obj} is not to an earlier generation")
     if not 0 <= i < len(earlier[g]):
         raise ValueError(f"ref {obj} index out of range")
-    return earlier[g][i]
+    return earlier[g].refs[i]
 
 
 def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:

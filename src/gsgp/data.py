@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CsvFormatError, finite_number
+from .errors import CsvFormatError, checked_int, finite_number
 
 SYNTHETIC_KINDS = ("polynomial", "friedman-like")
 
@@ -135,7 +135,8 @@ def split_sizes_70_30(rows: int) -> tuple:
 
 
 def split_70_30(dataset: Dataset, seed: int) -> SplitDataset:
-    """Random 70/30 row partition keyed by seed; see split_sizes_70_30."""
+    """Random 70/30 row partition keyed by seed, an int >= 0; see split_sizes_70_30."""
+    seed = checked_int("seed", seed, 0)
     n_train, _ = split_sizes_70_30(dataset.rows)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(dataset.rows)
@@ -154,10 +155,12 @@ def synthetic_dataset(kind: str, rows: int, n_features: int, noise: float, seed:
     friedman-like: inputs U[0,1], target
     10*sin(pi*x0*x1) + 20*(x2-0.5)^2 + 10*x3 + 5*x4 (needs >= 5 features).
     Gaussian noise with sd `noise`, a finite number >= 0, is added to the
-    target.
+    target. rows (>= 2), n_features (>= 1) and seed (>= 0) are ints, not
+    bools; another value raises ValueError naming its field.
     """
-    if rows < 2:
-        raise ValueError("rows must be >= 2")
+    rows = checked_int("rows", rows, 2)
+    n_features = checked_int("n_features", n_features, 1)
+    seed = checked_int("seed", seed, 0)
     if not (finite_number(noise) and noise >= 0):
         raise ValueError(f"noise must be a finite number >= 0, got {noise!r}")
     if kind not in SYNTHETIC_KINDS:

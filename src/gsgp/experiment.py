@@ -86,8 +86,8 @@ class Campaign:
     integer is stored as an int. Any integer seeds a campaign, a negative
     one included. Each item of `strategies` is stored as a distribution: a
     u:<k> or g:<p> spec is parsed, and an item that is neither a spec nor
-    an object with `sample_many`, `label` and `horizon` raises ValueError
-    naming its index. A dataset too small to split 70/30 raises ValueError
+    an object with `sample_many`, `label` and a `horizon` that is an int
+    >= 1 raises ValueError naming its index. A dataset too small to split 70/30 raises ValueError
     prefixed with the dataset's name (a CSV's path).
     """
 

@@ -32,6 +32,7 @@ that is later rejected for non-finite semantics stay tallied.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +142,17 @@ def checked_distribution(name: str, value):
     """value as a distribution, or ValueError naming name.
 
     A str goes through `parse_distribution`; any other value must have
-    `sample_many`, `label` and `horizon`, as UniformLastK and Geometric do.
+    `sample_many`, `label` and `horizon`, as UniformLastK and Geometric do,
+    and a horizon that is an int >= 1 (None and a bool are not), which the
+    message names with the distribution's label.
     """
     if isinstance(value, str):
         return parse_distribution(value)
     if not all(hasattr(value, attr) for attr in ("sample_many", "label", "horizon")):
         raise ValueError(f"{name} must be a u:<k> or g:<p> spec or a distribution, not {value!r}")
+    horizon = value.horizon
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral) or horizon < 1:
+        raise ValueError(f"{name} {value.label()} has horizon {horizon!r}; expected an int >= 1")
     return value
 
 
@@ -165,7 +171,7 @@ def tournament_select(
     docstring for the draw order). Each tournament's winner is the entrant
     with the lowest training error, the first drawn on ties. Returns the n
     winners' refs, in tournament order; each is the archive's own ref object
-    for its slot (see `Archive.append_generation`), not a new one. When
+    for its slot (made in `Archive.append_evaluated`), not a new one. When
     offset_counts (an integer array indexed by offset) is given, each
     entrant's generation offset is tallied into it. The caller guarantees
     t >= 1 (`EvolutionConfig.tournament_size`) and a seeded archive.
@@ -178,5 +184,5 @@ def tournament_select(
         offset_counts += np.bincount(current - 1 - gens, minlength=len(offset_counts))
     fitness = archive.train_fitness[gens, idx]
     winners = np.argmin(fitness.reshape(n, t), axis=1) + np.arange(0, n * t, t)
-    refs = archive._slot_refs
-    return tuple(refs[g][i] for g, i in zip(gens[winners].tolist(), idx[winners].tolist()))
+    pairs = zip(gens[winners].tolist(), idx[winners].tolist())
+    return tuple(generations[g].refs[i] for g, i in pairs)

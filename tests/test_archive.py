@@ -19,6 +19,7 @@ from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from gsgp.data import Dataset, synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
+from gsgp.experiment import Campaign
 from gsgp.exprtree import (
     MAX_TREE_DEPTH,
     BinaryOp,
@@ -552,8 +553,9 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
 
 
 def held_generations(archive) -> set:
-    """The generations whose rows the archive's window holds."""
-    return {int(g) for g in archive._holder if g >= 0}
+    """The generations whose rows the archive's window holds: the latest len(window) - 1."""
+    n = len(archive.generations)
+    return set(range(max(0, n - len(archive._window) + 1), n))
 
 
 def test_a_released_individual_that_outlives_its_archive_says_so():
@@ -736,15 +738,16 @@ def test_reads_and_releases_in_any_order_match_a_json_round_trip(steps, small_bl
 
 
 @pytest.mark.parametrize("horizon", [0, -1, 1.5, True, None])
-def test_a_run_rejects_a_horizon_that_is_not_an_int_of_at_least_1(monkeypatch, horizon):
-    def no_seed(*args, **kwargs):
-        raise AssertionError("the run seeded an archive")
-
-    monkeypatch.setattr(evolve_module, "seed_archive", no_seed)
-    split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
-    cfg = EvolutionConfig(distribution=NearSighted(horizon), population_size=6, generations=3)
-    with pytest.raises(ValueError, match=re.escape(f"near:{horizon} has horizon {horizon!r}")):
-        run_evolution(cfg, split)
+def test_a_run_rejects_a_horizon_that_is_not_an_int_of_at_least_1(horizon):
+    # A config or a campaign refuses it when made, naming the field, so no
+    # run of it starts.
+    near = NearSighted(horizon)
+    refused = re.escape(f"near:{horizon} has horizon {horizon!r}; expected an int >= 1")
+    with pytest.raises(ValueError, match=f"^distribution {refused}$"):
+        EvolutionConfig(distribution=near, population_size=6, generations=3)
+    dataset = synthetic_dataset("polynomial", 30, 2, 0.1, seed=5)
+    with pytest.raises(ValueError, match=rf"^strategies\[1\] {refused}$"):
+        Campaign(dataset, ["u:1", near], runs=2)
 
 
 @pytest.mark.parametrize("hold", [0, -1, 1.5, True, None])
@@ -1008,14 +1011,14 @@ def test_every_ref_to_a_slot_is_one_object():
         assert all(arch.best_of_generation(b.generation) is b for b in best)
         # Each slot's ref is an immutable IndividualRef, equal to and hashed
         # as a new one and as the tuple (g, i), which it unpacks to.
-        for g, row in enumerate(arch._slot_refs):
+        for g, row in enumerate(gen.refs for gen in arch.generations):
             for i, ref in enumerate(row):
                 assert type(ref) is IndividualRef
                 assert ref == IndividualRef(g, i) == (g, i)
                 assert hash(ref) == hash(IndividualRef(g, i)) == hash((g, i))
                 generation, index = ref
                 assert (generation, index) == (g, i)
-        ref = arch._slot_refs[3][4]
+        ref = arch.generations[3].refs[4]
         for field, value in (("generation", 0), ("index", 0)):
             with pytest.raises(AttributeError):
                 setattr(ref, field, value)

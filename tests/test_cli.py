@@ -36,6 +36,8 @@ def test_bad_synthetic_spec_names_the_field(capsys):
             parse_synthetic_spec(spec)
     assert main(["--synthetic", "friedman-like:abc:5:0", "--runs", "1"]) == 1
     assert "rows 'abc' is not an integer" in capsys.readouterr().err
+    assert main(["--synthetic", "friedman-like:30:5:0:-1", "--runs", "1"]) == 1
+    assert "gsgp: error: seed must be >= 0" in capsys.readouterr().err
     for noise in ("-1", "nan", "inf"):
         with pytest.raises(ValueError, match="noise must be a finite number >= 0"):
             parse_synthetic_spec(f"friedman-like:30:5:{noise}")

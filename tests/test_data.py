@@ -221,6 +221,36 @@ def test_synthetic_validation():
         synthetic_dataset("polynomial", 10, 2, 10**400, seed=0)  # beyond float range
 
 
+@pytest.mark.parametrize(
+    "rows, n_features, seed, refused",
+    [
+        (30, 5, -1, "seed must be >= 0"),
+        (30, 5, 1.5, "seed must be an integer, not 1.5"),
+        (30, 5, True, "seed must be an integer, not True"),
+        (10.0, 5, 0, "rows must be an integer, not 10.0"),
+        (30, 0, 0, "n_features must be >= 1"),
+        (30, 5.0, 0, "n_features must be an integer, not 5.0"),
+    ],
+)
+def test_synthetic_sizes_and_seed_are_checked_by_name(rows, n_features, seed, refused):
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        synthetic_dataset("friedman-like", rows, n_features, 0.0, seed)
+
+
+@pytest.mark.parametrize(
+    "seed, refused",
+    [
+        (-1, "seed must be >= 0"),
+        (1.5, "seed must be an integer, not 1.5"),
+        (True, "seed must be an integer, not True"),
+    ],
+)
+def test_a_split_seed_is_an_int_of_at_least_0(seed, refused):
+    d = synthetic_dataset("polynomial", 30, 2, 0.0, seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+        split_70_30(d, seed)
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset("bad", np.ones((1, 2)), np.ones(1))

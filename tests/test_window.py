@@ -33,12 +33,15 @@ def rows(archive, refs) -> np.ndarray:
     return np.array([archive.row(ref) for ref in refs])
 
 
-def check_children(archive, payloads, children, checked):
-    """Check a generation's children, children[i] the row of payloads[i], against their parents.
+def check_children(archive, payloads, children, fitness, checked):
+    """Check a generation's children against their parents.
 
+    children[i] is the row of payloads[i] and fitness[i] its train fitness.
     A crossover child lies between its parents, and a mutated one leaves
     their box by at most its step; a bounded mutation of a ref moves each
-    entry of its base by at most its step. Each parent is read through
+    entry of its base by at most its step. A plain crossover child's train
+    RMSE is at most the row-wise worse parent's, sqrt(mean(max(e1^2,
+    e2^2))) over the train rows, within 2 ulps. Each parent is read through
     `Archive.row`. checked counts the plain crossovers and the mutations
     checked.
     """
@@ -57,6 +60,11 @@ def check_children(archive, payloads, children, checked):
         slack = np.array(step)[:, None] * (1 + 1e-15) + ulps(p1, p2, child)
         assert np.all(child >= np.minimum(p1, p2) - slack)
         assert np.all(child <= np.maximum(p1, p2) + slack)
+        plain = np.array(step) == 0.0
+        n, targets = archive.n_train, archive.train_targets
+        e1, e2 = p1[plain, :n] - targets, p2[plain, :n] - targets
+        worse = np.sqrt(np.mean(np.maximum(e1**2, e2**2), axis=1))
+        assert np.all(fitness[np.array(at)[plain]] <= worse + 2 * np.spacing(worse))
         checked["crossovers"] += step.count(0.0)
     if moves:
         at, based, step = zip(*moves)
@@ -74,7 +82,8 @@ def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch,
         # Each generation is checked before it completes: its rows are in
         # its window slot, and each parent is read again through `row`.
         g = len(self.generations)
-        check_children(self, payloads, self._window[g % len(self._window)], checked)
+        rows, fitness = self._window[g % len(self._window)], self._train_fitness[g]
+        check_children(self, payloads, rows, fitness, checked)
         append(self, payloads)
 
     monkeypatch.setattr(Archive, "append_evaluated", checked_append)
@@ -104,14 +113,15 @@ def test_every_replayed_child_keeps_to_its_parents_box_and_its_step(monkeypatch)
     checked, replays = {"crossovers": 0, "mutations": 0}, archive.replays
     for g in range(released):  # oldest first
         children = []
-        for ref in archive._slot_refs[g]:
+        for ref in archive.generations[g].refs:
             del blocks[:]
             children.append(archive.row(ref))
             # Every parent was replayed before, or is held, so the replay
             # evaluates this one payload alone.
             assert blocks == [[archive.generations[g].payloads[ref.index]]]
             assert children[-1].tobytes() == clone.row(ref).tobytes()
-        check_children(archive, archive.generations[g].payloads, np.array(children), checked)
+        payloads, fitness = archive.generations[g].payloads, archive.train_fitness[g]
+        check_children(archive, payloads, np.array(children), fitness, checked)
     # 780 rows replayed; 476 plain crossovers and 23 mutations of a ref checked.
     assert archive.replays - replays == released * cfg.population_size == 780
     assert checked["crossovers"] > 400 and checked["mutations"] > 15, checked
@@ -129,7 +139,7 @@ def test_a_view_keeps_its_bits_after_its_generations_slot_is_reused():
     rng = np.random.default_rng(5)
     for _ in range(2):  # generation 5 is written into generation 3's slot
         next_generation(archive, cfg, rng)
-    assert archive._window is window and archive._holder[3 % len(window)] == 5
+    assert archive._window is window and np.shares_memory(archive.row(IndividualRef(5, 0)), slot)
     assert slot.tobytes() != bits  # the slot now holds generation 5's rows
     clone = Archive.from_json(archive.to_json(), split)
     assert read.semantics.tobytes() == bits == clone.row(IndividualRef(3, 0)).tobytes()

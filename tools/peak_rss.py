@@ -10,10 +10,12 @@ the horizon are reported as `RunResult.replays`, the payloads they
 evaluated (None for a source without `archive.evaluate_block`) and the
 time they took. At the end of the run it reports `held_block_mb`, the
 bytes of the archive's window slots that hold a generation (None for a
-source without the window), and `needed_mb`, what the rows of the
-generations selection can still read take (min(horizon, generations + 1)
-x pop x rows x 8 bytes); the two are equal when the window holds exactly
-those generations. The worker then keeps the run's archive and reads slot
+source without the window): a ring of len(window) slots holds the
+latest min(len(window) - 1, len(archive.generations)) generations, the one
+slot more being the next generation's. It also reports `needed_mb`, what
+the rows of the generations selection can still read take (min(horizon,
+generations + 1) x pop x rows x 8 bytes); the two are equal when the
+window holds exactly those generations. The worker then keeps the run's archive and reads slot
 0 of the newest generation that the run released, generation
 `generations - horizon`, which replays that individual's ancestry; it
 reports the peak RSS after that read and the read's wall time, or None for
@@ -93,11 +95,11 @@ def run_one(study: dict) -> dict:
     usage = resource.getrusage(resource.RUSAGE_SELF)
     run_replayed = dict(replayed)
     archive = result.archive
-    # Slot s of the window holds generation _holder[s], or none when -1.
     window = getattr(archive, "_window", None)
     held_block_mb = None
     if window is not None:
-        held_block_mb = int((archive._holder >= 0).sum()) * window[0].nbytes / 2**20
+        held = min(len(window) - 1, len(archive.generations))
+        held_block_mb = held * window[0].nbytes / 2**20
     readable = min(cfg.distribution.horizon, len(archive.generations))
     needed_mb = readable * study["pop"] * study["rows"] * 8 / 2**20
     released = study["generations"] - cfg.distribution.horizon
