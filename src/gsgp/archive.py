@@ -1,7 +1,7 @@
 """Append-only, generation-indexed archive of every individual ever created.
 
 An individual is stored as a payload, the record of how it was made, plus
-its memoized semantics. There are four payload kinds, each a
+its memoized semantics. There are four payload kinds, each read as a
 `typing.NamedTuple`:
 
 - `Leaf`: a generation-0 syntax tree.
@@ -18,13 +18,22 @@ its memoized semantics. There are four payload kinds, each a
   breeding step) plus the random trees and step of the perturbation. A
   bounded mutation moves each entry of its base by at most its step.
 
-A payload is the tuple of its fields, so a ref equals the tuple `(g, i)`,
-unpacks like it and sorts as it does, and setting a field raises
-AttributeError. A payload holds each of its trees as a program, the plain
-postfix tuple of the exprtree module, so a kept archive holds one object
-per tree and no object per node, and the cycle collector stops tracking a
-tree after its first collection. It never stops tracking a payload or a
-ref: CPython untracks plain tuples only, not tuple subclasses.
+A generation stores its payloads packed (`Payloads`), not as objects: one
+kind code, four parent ints (generation and index of parent 1 or the
+base, then of parent 2), three tree indices and a step per slot, in four
+arrays, and every random or generation-0 tree of the generation in one
+`Trees` table of three arrays (node codes, constants, ends). Breeding fills
+these arrays straight from its bulk draws (`Payloads.bred`), so a kept
+archive holds a few arrays per generation, about 9 KB for 100 slots, and
+no object per individual, per tree or per constant that the cycle
+collector would track. The payload objects are the read form: a packed
+slot builds its payload on demand (`generations[g].payloads`, a view's
+`payload`), for `to_json`, `naive_eval` and tests, and `Payloads.pack`
+packs payload objects again, for `make_individual`, `append_generation`
+and `from_json`. A ref is the tuple of its fields, so it equals the tuple
+`(g, i)`, unpacks like it and sorts as it does, and setting a field raises
+AttributeError. Program tuples exist only while their generation is
+evaluated or read.
 
 The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one row over those rows,
@@ -32,13 +41,8 @@ computed once from the stored rows of its parents and the outputs of its
 own random trees. Nothing is ever re-expanded, which is what makes
 whole-history selection free. The train fitnesses are kept as one
 generation x slot table (`Archive.train_fitness`), so tournaments and
-elitism read every fitness they need with one array index.
-`append_evaluated` also makes the generation's refs, one `IndividualRef`
-per archived slot, and the generation's record holds them beside its
-payloads. Tournaments, `best_of_generation` and `from_json` hand out those
-objects rather than new ones. So a payload that names an earlier
-individual holds no ref of its own, and a tournament winner costs a tuple
-lookup, not a new object.
+elitism read every fitness they need with one array index, and hand out
+their winners as index arrays (`Refs`).
 
 The stacked matrix is stored column-major. A tree reads its variables as
 columns, so each operator on a variable is then one unit-stride pass over
@@ -63,15 +67,16 @@ semantics a run holds grow with its horizon, not with its length. `run_evolution
 min(horizon, generations + 1) generations, those selection can read, and
 `from_json` holds every generation it loads.
 
-The module function `evaluate_block(payloads, columns, rows_of, out)`
-computes one block: the stacked semantics of a list of payloads, written
-into `out`. It evaluates each random tree once into a row of a temporary,
-applies one `sigmoid` to the rows that need it, and mixes crossovers and
-adds mutation deltas as matrix operations. It reads its parents' rows with
-one `rows_of` call per kind: the crossover parents, then the reproductions
-and mutation bases that are refs. The archive's `rows_of` gathers them
-with one advanced index into the window, `window[g % (hold + 1), i]`; a
-ref of a released generation is read through the replay path. Every entry
+The module function `evaluate_block(payloads, programs, columns, rows_of,
+out)` computes one block: the stacked semantics of packed payloads,
+written into `out`. It sorts the slots by their kind codes, evaluates each
+random tree once into a row of a temporary, applies one `sigmoid` to the
+rows that need it, and mixes crossovers and adds mutation deltas as
+matrix operations. It reads its parents' rows with one `rows_of` call per
+kind, on index arrays: the reproductions and mutation bases that are refs,
+then the crossover parents. The archive's `rows_of` gathers them with one
+advanced index into the window, `window[g % (hold + 1), i]`; a ref of a
+released generation is read through the replay path. Every entry
 undergoes the same IEEE operations, in the same order, as evaluating the
 payload alone would apply, so the block size never changes a result. The
 archive cuts payloads into blocks of at most `_BLOCK_ELEMENTS` stacked
@@ -82,17 +87,17 @@ block straight into the new generation's window slot and each train
 fitness straight into its table row (selection reads no test fitness, so
 none is kept), and a redraw round writes only its failed slots' rows.
 `append_evaluated` then completes the generation. So a run makes no
-object per individual beyond its slot's ref. `make_individual` evaluates
-one payload into a row of its own and returns an `Individual` view of it;
-`append_generation` copies such views into the next generation.
+object per individual. `make_individual` evaluates one payload into a row
+of its own and returns an `Individual` view of it; `append_generation`
+copies such views into the next generation.
 `evaluate_next` reports every slot whose semantics are not finite, and
 `make_individual` and `from_json` raise the first such slot's
 NonFiniteSemanticsError.
 
-The module function `ancestry(payloads, payload, generation, stop)`
-walks back over payload refs, with a stack and no recursion, and returns
-{ref: the newest generation that reads it} for every ref that evaluating
-the payload reads, directly or through the refs it reaches, leaving out a
+The module function `ancestry(payloads, ref, stop)` walks back over the
+parent index arrays, with a stack and no recursion, and returns {ref: the
+newest generation that reads it} for every ref that evaluating the
+individual reads, directly or through the refs it reaches, leaving out a
 ref where `stop(ref)` holds and all that only it reads. Its sorted keys
 are that closure in an order where each ref follows the refs it reads.
 
@@ -123,7 +128,7 @@ parents it reads hold their rows.
 import weakref
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -133,6 +138,7 @@ from .errors import EvalBudgetExceededError, NonFiniteSemanticsError, checked_in
 from .exprtree import (
     Columns,
     Program,
+    Trees,
     eval_tree,
     eval_tree_many,
     tree_from_json,
@@ -145,6 +151,11 @@ SCHEMA_VERSION = 2
 # Children are evaluated in blocks of at most this many stacked values
 # (children x rows), so a block and its temporaries stay small at any row count.
 _BLOCK_ELEMENTS = 1 << 16
+
+# A packed slot's kind code (see `Payloads`): its base's, plus _RAW or
+# _BOUNDED when the slot is a mutation of that base.
+_LEAF, _REF, _CROSSOVER = 0, 1, 2
+_RAW, _BOUNDED = 3, 6
 
 
 class IndividualRef(NamedTuple):
@@ -183,6 +194,182 @@ class Mutation(NamedTuple):
 
 
 Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
+
+
+class Refs:
+    """Refs packed as two int arrays: refs[k] is IndividualRef(generation[k], index[k]).
+
+    `tournament_select` hands out its winners so. A Refs equals only
+    itself, so it hashes.
+    """
+
+    __slots__ = ("generation", "index")
+
+    def __init__(self, generation, index):
+        self.generation, self.index = generation, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, k) -> IndividualRef:
+        return IndividualRef(int(self.generation[k]), int(self.index[k]))
+
+
+class Payloads:
+    """The payloads of a generation's slots, packed into arrays; payloads[s] is slot s's.
+
+    kind[s] (int8) is slot s's kind: _LEAF, _REF or _CROSSOVER for its base,
+    plus _RAW or _BOUNDED when it mutates that base. parents[s] (int32) is
+    (g1, i1, g2, i2): the generation and index of a ref base or of a
+    crossover's parent1, then of its parent2, -1 where there is none.
+    trees[s] (int32) indexes `table`, a `Trees`: the leaf's tree or the
+    crossover's random tree, then random_tree_a and random_tree_b, -1 where
+    there is none. step[s] (float64) is a mutation's step, 0.0 otherwise.
+    payloads[s] builds slot s's read form, the Leaf, IndividualRef,
+    Crossover or Mutation that was packed; nothing keeps it. A table may
+    also hold trees that no slot reads, those of a redrawn slot's rejected
+    draws (see `put`).
+    """
+
+    __slots__ = ("kind", "parents", "trees", "step", "table")
+
+    def __init__(self, kind, parents, trees, step, table: Trees):
+        self.kind, self.parents, self.trees, self.step = kind, parents, trees, step
+        self.table = table
+
+    @classmethod
+    def pack(cls, payloads) -> "Payloads":
+        """The packed form of payload objects; any payload but the four kinds raises TypeError.
+
+        A mutation's base is a Leaf, a ref or a crossover.
+        """
+        return _pack(payloads)[0]
+
+    @classmethod
+    def bred(
+        cls, crossover, mutation, winners: Refs, trees: Trees, bounded: bool, step: float, elite=()
+    ) -> "Payloads":
+        """The payloads of slots drawn in bulk, handed out in slot order, after the elite.
+
+        The refs of elite take the first slots, as reproductions. crossover
+        and mutation are the other slots' bool coin arrays, winners their
+        tournament winners and trees their random trees. A crossed slot
+        takes the next two winners and the next tree, any other slot the
+        next winner; a mutated slot then takes the next tree as
+        random_tree_a and, when bounded, the one after it as random_tree_b,
+        with `step`.
+        """
+        if elite:
+            generation, index = zip(*elite)
+            kept = np.zeros(len(elite), bool)
+            crossover = np.concatenate([kept, crossover])
+            mutation = np.concatenate([kept, mutation])
+            generation = np.concatenate([generation, winners.generation])
+            winners = Refs(generation, np.concatenate([index, winners.index]))
+        takes = 1 + crossover
+        first = np.cumsum(takes) - takes  # each slot's first winner
+        crossed, mutated = np.flatnonzero(crossover), np.flatnonzero(mutation)
+        parents = np.full((len(crossover), 4), -1, np.int32)
+        parents[:, 0], parents[:, 1] = winners.generation[first], winners.index[first]
+        second = first[crossed] + 1
+        parents[crossed, 2], parents[crossed, 3] = winners.generation[second], winners.index[second]
+        uses = crossover + (1 + bounded) * mutation
+        start = np.cumsum(uses) - uses  # each slot's first tree
+        slot_trees = np.full((len(crossover), 3), -1, np.int32)
+        slot_trees[crossed, 0] = start[crossed]
+        slot_trees[mutated, 1] = start[mutated] + crossover[mutated]
+        if bounded:
+            slot_trees[mutated, 2] = slot_trees[mutated, 1] + 1
+        kind = _REF + crossover + (_BOUNDED if bounded else _RAW) * mutation
+        return cls(kind.astype(np.int8), parents, slot_trees, np.where(mutation, step, 0.0), trees)
+
+    def take(self, slots) -> "Payloads":
+        """The payloads of these slots, in this order, over the same table."""
+        return Payloads(
+            self.kind[slots], self.parents[slots], self.trees[slots], self.step[slots], self.table
+        )
+
+    def put(self, slots, other: "Payloads") -> "Payloads":
+        """These payloads with slots[k] replaced by other[k]; the table keeps the trees of both."""
+        kind, parents, step = self.kind.copy(), self.parents.copy(), self.step.copy()
+        kind[slots], parents[slots], step[slots] = other.kind, other.parents, other.step
+        trees = self.trees.copy()
+        trees[slots] = np.where(other.trees >= 0, other.trees + len(self.table), -1)
+        return Payloads(kind, parents, trees, step, Trees.join([self.table, other.table]))
+
+    def reads(self, s) -> tuple:
+        """The refs whose rows evaluating slot s reads: a ref base, or both crossover parents."""
+        g1, i1, g2, i2 = self.parents[s].tolist()
+        if g2 >= 0:
+            return (IndividualRef(g1, i1), IndividualRef(g2, i2))
+        return (IndividualRef(g1, i1),) if g1 >= 0 else ()
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, s) -> Payload:
+        return self._read(s, self.table)
+
+    def __iter__(self):
+        programs = list(self.table)
+        return (self._read(s, programs) for s in range(len(self)))
+
+    def _read(self, s, programs) -> Payload:
+        """Slot s's payload object, its trees read from programs (the table, or its list)."""
+        kind = int(self.kind[s])
+        g1, i1, g2, i2 = self.parents[s].tolist()
+        t, a, b = self.trees[s].tolist()
+        base = kind % _RAW
+        if base == _LEAF:
+            payload = Leaf(programs[t])
+        elif base == _REF:
+            payload = IndividualRef(g1, i1)
+        else:
+            payload = Crossover(IndividualRef(g1, i1), IndividualRef(g2, i2), programs[t])
+        if kind >= _RAW:
+            rb = programs[b] if kind >= _BOUNDED else None
+            payload = Mutation(payload, programs[a], rb, float(self.step[s]))
+        return payload
+
+
+def _pack(payloads) -> tuple:
+    """(`Payloads.pack(payloads)`, the programs of its table as they were given)."""
+    kind, parents, trees, step, programs = [], [], [], [], []
+
+    def tree(program) -> int:
+        programs.append(program)
+        return len(programs) - 1
+
+    for payload in payloads:
+        base = payload.base if isinstance(payload, Mutation) else payload
+        if isinstance(base, Leaf):
+            code, pair, slot_trees = _LEAF, (-1, -1, -1, -1), [tree(base.tree)]
+        elif isinstance(base, IndividualRef):
+            code, pair, slot_trees = _REF, (*base, -1, -1), [-1]
+        elif isinstance(base, Crossover):
+            code, pair = _CROSSOVER, (*base.parent1, *base.parent2)
+            slot_trees = [tree(base.random_tree)]
+        else:
+            raise TypeError(f"unknown payload {payload!r}")
+        if base is payload:
+            slot_trees += [-1, -1]
+            step.append(0.0)
+        else:
+            b = payload.random_tree_b
+            code += _RAW if b is None else _BOUNDED
+            slot_trees += [tree(payload.random_tree_a), -1 if b is None else tree(b)]
+            step.append(payload.step)
+        kind.append(code)
+        parents.append(pair)
+        trees.append(slot_trees)
+    packed = Payloads(
+        np.array(kind, np.int8),
+        np.array(parents, np.int32).reshape(-1, 4),
+        np.array(trees, np.int32).reshape(-1, 3),
+        np.array(step, float),
+        Trees.pack(programs),
+    )
+    return packed, programs
 
 
 class Individual:
@@ -228,23 +415,26 @@ class Individual:
 class _Generation(Sequence):
     """The one record of a completed generation, read as a view per slot (see `Archive._view`).
 
-    payloads[i] is slot i's payload and refs[i] its `IndividualRef`, the
-    one object the archive hands out for the slot. It holds a weak
-    reference to its archive; reading a view after the archive is gone
+    `packed` holds its payloads (see `Payloads`), and `payloads` builds
+    their read form, a tuple of payload objects, on each read. It holds a
+    weak reference to its archive; reading a view after the archive is gone
     raises RuntimeError, as a view's first read does.
     """
 
-    def __init__(self, archive: weakref.ref, generation: int, payloads: tuple, refs: tuple):
-        self._archive, self.generation = archive, generation
-        self.payloads, self.refs = payloads, refs
+    def __init__(self, archive: weakref.ref, generation: int, packed: Payloads):
+        self._archive, self.generation, self.packed = archive, generation, packed
+
+    @property
+    def payloads(self) -> tuple:
+        return tuple(self.packed)
 
     def __len__(self) -> int:
-        return len(self.payloads)
+        return len(self.packed)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self.payloads))[i]))
-        i = range(len(self.payloads))[i]
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]
         archive, g = self._archive(), self.generation
         if archive is None:
             raise RuntimeError(f"generation {g} was released and its archive is gone")
@@ -289,7 +479,8 @@ class Archive:
 
         Only `append_evaluated` extends it, so every generation has its row
         in the fitness table. generations[g][i] is slot i's view (see
-        `Individual`), and generations[g].payloads the generation's payloads.
+        `Individual`), generations[g].packed the generation's packed
+        payloads and generations[g].payloads their read form.
         """
         return self._generations
 
@@ -317,7 +508,7 @@ class Archive:
         """Ref of the lowest-training-error individual (first on ties)."""
         if not 0 <= generation < len(self._generations):
             raise ValueError(f"no generation {generation} in archive")
-        return self._generations[generation].refs[int(np.argmin(self._train_fitness[generation]))]
+        return IndividualRef(generation, int(np.argmin(self._train_fitness[generation])))
 
     def row(self, ref: IndividualRef) -> np.ndarray:
         """The semantics row of an archived individual.
@@ -341,9 +532,9 @@ class Archive:
         It is kept until the next generation is appended, so until then
         each read returns the same object.
         """
-        ref = self._generations[g].refs[i]
+        ref = IndividualRef(g, i)
         if ref not in self._views:
-            payload, fitness = self._generations[g].payloads[i], float(self._train_fitness[g, i])
+            payload, fitness = self._generations[g].packed[i], float(self._train_fitness[g, i])
             self._views[ref] = Individual(payload, fitness, self.n_train, (self._weak, ref))
         return self._views[ref]
 
@@ -352,56 +543,61 @@ class Archive:
     def make_individual(self, payload: Payload) -> Individual:
         """The individual of one payload (not appended), a view of a row of its own.
 
-        The payload is evaluated as `evaluate_next` evaluates a slot. A ref
-        that does not point into the archive raises ValueError, as
-        `individual` does. Semantics that are not all finite raise the
+        The payload is packed and evaluated as `evaluate_next` evaluates a
+        slot. A ref that does not point into the archive raises ValueError,
+        as `individual` does. Semantics that are not all finite raise the
         NonFiniteSemanticsError that names slot 0, the split and the row
         within it.
         """
-        for ref in _refs(payload):
+        packed, programs = _pack([payload])
+        for ref in packed.reads(0):
             self.individual(ref)
         row, fitness = np.empty((1, self._columns.rows)), np.empty(1)
-        rejects = self._evaluate([payload], [0], row, fitness)
+        rejects = self._evaluate(packed, [0], row, fitness, programs)
         if rejects:
             raise rejects[0]
         return Individual(payload, float(fitness[0]), self.n_train, row[0])
 
-    def evaluate_next(self, payloads: list, slots) -> list:
+    def evaluate_next(self, payloads: Payloads, slots) -> list:
         """Evaluate payloads[s] for s in slots into slot s of the next generation; the rejects.
 
-        payloads is the whole next generation, and slots the ones to
-        evaluate now: first all of them, then each redraw round's. Each row
-        goes straight into the generation's window slot and each train
-        fitness into its table row. A reproduction (a bare IndividualRef)
-        gets a copy of its parent's row and, from its block's `fitness`
-        call, its parent's train fitness bit for bit. Each slot whose
-        semantics are not all finite gets one NonFiniteSemanticsError in the
-        rejects, in slot order, naming the slot, the split and the row
-        within it; its row holds its non-finite values until it is evaluated
-        again. `append_evaluated` completes the generation. A generation
-        that is empty or not of the population size raises ValueError.
+        payloads is the whole next generation, packed, and slots the ones
+        to evaluate now: first all of them, then each redraw round's. Each
+        row goes straight into the generation's window slot and each train
+        fitness into its table row. A reproduction (a bare ref) gets a copy
+        of its parent's row and, from its block's `fitness` call, its
+        parent's train fitness bit for bit. Each slot whose semantics are
+        not all finite gets one NonFiniteSemanticsError in the rejects, in
+        slot order, naming the slot, the split and the row within it; its
+        row holds its non-finite values until it is evaluated again.
+        `append_evaluated` completes the generation. A generation that is
+        empty or not of the population size raises ValueError.
 
-        Every ref must point into the archive, as the refs of
-        `tournament_select` and `from_json` do: the window is indexed
-        without the checks of `individual`.
+        Every ref must point into the archive, as the winners of
+        `tournament_select` and the refs of `from_json` do: the window is
+        indexed without the checks of `individual`.
         """
         return self._evaluate(payloads, list(slots), *self._next(len(payloads)))
 
-    def _evaluate(self, payloads: list, slots: list, rows, fitness) -> list:
+    def _evaluate(self, payloads: Payloads, slots: list, rows, fitness, programs=None) -> list:
         """Evaluate payloads[s] into rows[s] and its train fitness into fitness[s]; the rejects.
 
-        A block of consecutive slots is evaluated straight into their rows,
-        any other block into a new array whose rows are then copied into
-        theirs. Per block, finiteness is checked once and the train fitness
-        computed with one `fitness` call, row by row (a rejected slot's is
-        not finite, and is overwritten when it is evaluated again).
+        programs are the programs of the payloads' table, built from it once
+        for every block when None. A block of
+        consecutive slots is evaluated straight into their rows, any other
+        block into a new array whose rows are then copied into theirs. Per
+        block, finiteness is checked once and the train fitness computed
+        with one `fitness` call, row by row (a rejected slot's is not
+        finite, and is overwritten when it is evaluated again).
         """
         rejects = []
+        programs = list(payloads.table) if programs is None else programs
         for span in self._spans(slots):
             start, size = span[0], len(span)
             direct = span == list(range(start, start + size))
             block = rows[start : start + size] if direct else np.empty((size, rows.shape[1]))
-            evaluate_block([payloads[s] for s in span], self._columns, self._gather, block)
+            part = payloads if direct and size == len(payloads) else payloads.take(span)
+            evaluate_block(part, programs, self._columns, self._gather, block)
             if not direct:
                 rows[span] = block
             for k in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
@@ -418,17 +614,15 @@ class Archive:
         size = max(1, _BLOCK_ELEMENTS // self._columns.rows)
         return [keys[k : k + size] for k in range(0, len(keys), size)]
 
-    def _gather(self, refs: list) -> np.ndarray:
-        """The rows of refs, one per row of a new array.
+    def _gather(self, g, i) -> np.ndarray:
+        """The rows of the refs (g[k], i[k]), one per row of a new array.
 
         One advanced index reads them from the window; a ref whose
         generation the window no longer holds is then read through `row`.
         """
-        pairs = np.fromiter(chain.from_iterable(refs), np.intp, 2 * len(refs))
-        g, i = pairs.reshape(-1, 2).T
         rows = self._window[g % len(self._window), i]
         for k in np.flatnonzero(g < len(self._generations) - self._hold).tolist():
-            rows[k] = self.row(refs[k])
+            rows[k] = self.row(IndividualRef(int(g[k]), int(i[k])))
         return rows
 
     def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
@@ -462,38 +656,31 @@ class Archive:
             self._train_fitness = np.concatenate([self._train_fitness, np.empty((g, n))])
         return self._window[g % len(self._window)], self._train_fitness[g]
 
-    def append_evaluated(self, payloads: list):
-        """Complete the next generation from its payloads, whose rows and fitnesses are in place.
+    def append_evaluated(self, payloads: Payloads):
+        """Complete the next generation from its packed payloads, its rows and fitnesses in place.
 
-        `evaluate_next` puts them there. The refs are made once here,
-        `IndividualRef(g, i)` for each slot i, and kept in the generation's
-        record; every ref the archive hands out for the slot is that object,
-        so a kept archive holds one ref per slot and a tournament makes
-        none. They are built as `tuple.__new__(IndividualRef, (g, i))`,
-        which skips the NamedTuple constructor's call overhead and makes the
-        same refs in about half the time. Appending generation g releases
+        `evaluate_next` puts them there, and the generation's record keeps
+        the packed payloads as they are. Appending generation g releases
         generation g - hold (see `row`), whose slot is the next generation's,
         and drops every view and replayed row that reads brought back.
         """
         self._next(len(payloads))
-        g, n = len(self._generations), len(payloads)
         self._replayed, self._views = {}, {}
-        refs = tuple(map(tuple.__new__, repeat(IndividualRef), zip(repeat(g), range(n))))
-        self._generations += (_Generation(self._weak, g, tuple(payloads), refs),)
+        self._generations += (_Generation(self._weak, len(self._generations), payloads),)
 
     def append_generation(self, individuals: list):
         """Complete the next generation from its individuals, one per slot.
 
         Each is a view (from `make_individual` or a read); its
         row and train fitness are copied into the generation's window slot
-        and table row. A generation that is empty or not of the population
-        size raises ValueError.
+        and table row, and its payload is packed. A generation that is
+        empty or not of the population size raises ValueError.
         """
         rows, fitness = self._next(len(individuals))
         for row, individual in zip(rows, individuals):
             row[:] = individual.semantics
         fitness[:] = [individual.train_fitness for individual in individuals]
-        self.append_evaluated([individual.payload for individual in individuals])
+        self.append_evaluated(Payloads.pack([individual.payload for individual in individuals]))
 
     # -- replay -----------------------------------------------------
 
@@ -511,34 +698,37 @@ class Archive:
         row, in a block of its own, outlives the call.
         """
         self.replays += 1
-        payloads = [generation.payloads for generation in self._generations]
+        payloads = [generation.packed for generation in self._generations]
         first_held, replayed = len(payloads) - self._hold, self._replayed
 
         def has_row(r):
             return r[0] >= first_held or r in replayed
 
-        last_read = ancestry(payloads, payloads[ref[0]][ref[1]], ref[0], has_row)
+        last_read = ancestry(payloads, ref, has_row)
         shares, expiring = {}, {}
         for r in sorted(last_read):
-            shares.setdefault(r.generation, []).append(r)
+            shares.setdefault(r.generation, []).append(r.index)
             expiring.setdefault(last_read[r], []).append(r)
         rows = {}
 
-        def rows_of(refs):
+        def rows_of(g, i):
+            refs = map(IndividualRef, g.tolist(), i.tolist())
             return np.array([rows[r] if r in rows else self.row(r) for r in refs])
 
         steps = [*shares, ref[0]]
         for g, after in zip(steps, steps[1:]):
+            programs = list(payloads[g].table)
             for span in self._spans(shares[g]):
-                block = evaluate_block([payloads[g][r.index] for r in span], self._columns, rows_of)
+                block = evaluate_block(payloads[g].take(span), programs, self._columns, rows_of)
                 # A row that a later step than the next one reads is copied
                 # out, so the block is freed once the next step has read it.
-                rows.update(
-                    (r, row if last_read[r] <= after else row.copy()) for r, row in zip(span, block)
-                )
+                for r, row in zip(map(IndividualRef, repeat(g), span), block):
+                    rows[r] = row if last_read[r] <= after else row.copy()
             for r in expiring.pop(g, ()):
                 del rows[r]
-        return evaluate_block([payloads[ref[0]][ref[1]]], self._columns, rows_of)[0]
+        g, i = ref
+        programs = list(payloads[g].table)
+        return evaluate_block(payloads[g].take([i]), programs, self._columns, rows_of)[0]
 
     # -- oracle -------------------------------------------------------
 
@@ -593,7 +783,7 @@ class Archive:
         return {
             "schema_version": SCHEMA_VERSION,
             "generations": [
-                [_payload_to_json(payload) for payload in gen.payloads]
+                [_payload_to_json(payload) for payload in gen.packed]
                 for gen in self._generations
             ],
         }
@@ -633,116 +823,105 @@ class Archive:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
-            rejects = archive.evaluate_next(payloads, range(len(payloads)))
+            packed = Payloads.pack(payloads)
+            rejects = archive.evaluate_next(packed, range(len(packed)))
             if rejects:
                 raise rejects[0]
-            archive.append_evaluated(payloads)
+            archive.append_evaluated(packed)
         return archive
 
 
-def evaluate_block(payloads: list, columns: Columns, rows_of, out=None) -> np.ndarray:
-    """Stacked semantics of payloads, one row each, written into out and returned.
+def evaluate_block(payloads: Payloads, programs, columns: Columns, rows_of, out=None) -> np.ndarray:
+    """Stacked semantics of packed payloads, one row each, written into out and returned.
 
-    out is a 2-d array with a row per payload, a new block when None.
-    rows_of(refs) returns the semantics rows of a list of refs that the
-    payloads read, one per row of a new array; it is called once for the
-    reproductions and mutation bases that are refs, then once for the
-    crossover parents, all first parents before all second ones. A
-    reproduction's row is a copy of its parent's. Each random tree is
-    evaluated once into a row of a tree temporary; the trees under a
-    sigmoid come first and go through one sigmoid call. Crossover mixing
+    programs[t] is tree t of the payloads' table as a program (the list of
+    the table, built once for all the blocks of a generation). out is a 2-d
+    array with a row per payload, a new block when None. rows_of(g, i)
+    returns the semantics rows of the refs (g[k], i[k]) for two int arrays,
+    one per row of a new array; it is called once for the reproductions and
+    mutation bases that are refs, then once for the crossover parents, all
+    first parents before all second ones. The slots are grouped by their
+    kind codes. A reproduction's row is a copy of its parent's. Each random
+    tree is evaluated once into a row of a tree temporary; the trees under
+    a sigmoid come first and go through one sigmoid call. Crossover mixing
     and mutation deltas are then whole-matrix operations, in the order
     child = w*p1 + (1-w)*p2 and child = base + step*(sig(a) - sig(b))
     (or base + step*a for raw mutation).
     """
     block = np.empty((len(payloads), columns.rows)) if out is None else out
-    leaves, ref_bases, crossovers, bounded, raw = [], [], [], [], []
-    for row, payload in enumerate(payloads):
-        base = payload.base if isinstance(payload, Mutation) else payload
-        if isinstance(base, Leaf):
-            leaves.append((row, base.tree))
-        elif isinstance(base, Crossover):
-            crossovers.append((row, base))
-        elif isinstance(base, IndividualRef):
-            ref_bases.append((row, base))
-        else:
-            raise TypeError(f"unknown payload {payload!r}")
-        if isinstance(payload, Mutation):
-            (raw if payload.random_tree_b is None else bounded).append((row, payload))
+    parents, trees = payloads.parents, payloads.trees.tolist()
+    of_kind = [[] for _ in range(_BOUNDED + _RAW)]  # the slots of each kind code
+    for s, kind in enumerate(payloads.kind.tolist()):
+        of_kind[kind].append(s)
+    leaves, refs, crossovers = (
+        of_kind[base] + of_kind[base + _RAW] + of_kind[base + _BOUNDED]
+        for base in (_LEAF, _REF, _CROSSOVER)
+    )
+    raw, bounded = sum(of_kind[_RAW:_BOUNDED], []), sum(of_kind[_BOUNDED:], [])
     n_cross, n_bounded = len(crossovers), len(bounded)
     n_sigmoid = n_cross + 2 * n_bounded
-    trees = np.empty((n_sigmoid + len(raw), columns.rows))
-    tree_list = (
-        [c.random_tree for _, c in crossovers]
-        + [m.random_tree_a for _, m in bounded]
-        + [m.random_tree_b for _, m in bounded]
-        + [m.random_tree_a for _, m in raw]
+    tree_ids = (
+        [trees[s][0] for s in crossovers]
+        + [trees[s][1] for s in bounded]
+        + [trees[s][2] for s in bounded]
+        + [trees[s][1] for s in raw]
     )
+    values = np.empty((len(tree_ids), columns.rows))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for tree, row in zip(tree_list, trees):
-            eval_tree_many(tree, columns, out=row)
-        for row, tree in leaves:
-            eval_tree_many(tree, columns, out=block[row])
-        if ref_bases:
-            block[[row for row, _ in ref_bases]] = rows_of([ref for _, ref in ref_bases])
+        for t, row in zip(tree_ids, values):
+            eval_tree_many(programs[t], columns, out=row)
+        for s in leaves:
+            eval_tree_many(programs[trees[s][0]], columns, out=block[s])
+        if refs:
+            block[refs] = rows_of(parents[refs, 0], parents[refs, 1])
         if n_sigmoid:
-            sigmoid(trees[:n_sigmoid], out=trees[:n_sigmoid])
-        if crossovers:
-            w = trees[:n_cross]
-            parents = rows_of([c.parent1 for _, c in crossovers] + [c.parent2 for _, c in crossovers])
-            p1, p2 = parents[:n_cross], parents[n_cross:]
+            sigmoid(values[:n_sigmoid], out=values[:n_sigmoid])
+        if n_cross:
+            w = values[:n_cross]
+            g1, i1, g2, i2 = parents[crossovers].T
+            rows = rows_of(np.concatenate([g1, g2]), np.concatenate([i1, i2]))
+            p1, p2 = rows[:n_cross], rows[n_cross:]
             np.multiply(w, p1, out=p1)
             np.subtract(1.0, w, out=w)
             np.multiply(w, p2, out=p2)
-            block[[row for row, _ in crossovers]] = np.add(p1, p2, out=p1)
-        if bounded:
-            delta = trees[n_cross : n_cross + n_bounded]
-            np.subtract(delta, trees[n_cross + n_bounded : n_sigmoid], out=delta)
-            _add_steps(block, bounded, delta)
+            block[crossovers] = np.add(p1, p2, out=p1)
+        if n_bounded:
+            delta = values[n_cross : n_cross + n_bounded]
+            np.subtract(delta, values[n_cross + n_bounded : n_sigmoid], out=delta)
+            _add_steps(block, bounded, payloads.step, delta)
         if raw:
-            _add_steps(block, raw, trees[n_sigmoid:])
+            _add_steps(block, raw, payloads.step, values[n_sigmoid:])
     return block
 
 
-def ancestry(payloads, payload: Payload, generation: int, stop) -> dict:
-    """{ref: the newest generation that reads it} over the ancestry of a payload.
+def ancestry(payloads, ref: IndividualRef, stop) -> dict:
+    """{ref: the newest generation that reads it} over the ancestry of an archived individual.
 
-    The payload is of `generation`, and payloads[g][i] is the payload of
-    slot i of every generation g before it. The ancestry is every ref that
-    evaluating the payload reads, directly or through the payloads of refs
-    already in it. The walk keeps a stack, not recursion, and does not pass
-    a ref where stop(ref) holds: that ref and what only it reads are left
-    out. Sorted, the keys are the closure oldest generation first, an
-    order in which every ref comes after the refs it reads. A Leaf gives {}.
+    payloads[g] is the `Payloads` of generation g, and ref names one of
+    their slots. The ancestry is every ref that evaluating its payload
+    reads, directly or through the payloads of refs already in it. The walk
+    keeps a stack, not recursion, and does not pass a ref where stop(ref)
+    holds: that ref and what only it reads are left out. Sorted, the keys
+    (IndividualRefs) are the closure oldest generation first, an order in
+    which every ref comes after the refs it reads. A Leaf gives {}.
     """
     last_read = {}
-    todo = [(generation, payload)]
+    todo = [ref]
     while todo:
-        reader, payload = todo.pop()
-        for ref in _refs(payload):
-            if ref in last_read:
-                last_read[ref] = max(reader, last_read[ref])
-            elif not stop(ref):
-                last_read[ref] = reader
-                todo.append((ref.generation, payloads[ref.generation][ref.index]))
+        reader, i = todo.pop()
+        for read in payloads[reader].reads(i):
+            if read in last_read:
+                last_read[read] = max(reader, last_read[read])
+            elif not stop(read):
+                last_read[read] = reader
+                todo.append(read)
     return last_read
 
 
-def _refs(payload: Payload) -> tuple:
-    """The refs whose semantics evaluating this payload reads."""
-    if isinstance(payload, Mutation):
-        payload = payload.base
-    if isinstance(payload, IndividualRef):
-        return (payload,)
-    if isinstance(payload, Crossover):
-        return (payload.parent1, payload.parent2)
-    return ()
-
-
-def _add_steps(block, mutations, delta):
-    """block[row] += step * delta[j] for the j-th (row, mutation) pair."""
-    np.multiply(np.array([[m.step] for _, m in mutations]), delta, out=delta)
-    block[[row for row, _ in mutations]] += delta
+def _add_steps(block, rows, step, delta):
+    """block[rows[j]] += step[rows[j]] * delta[j] for each j."""
+    np.multiply(step[rows, None], delta, out=delta)
+    block[rows] += delta
 
 
 def _payload_to_json(payload: Payload):
@@ -773,7 +952,7 @@ def _ref_from_json(obj, earlier: tuple) -> IndividualRef:
         raise ValueError(f"ref {obj} is not to an earlier generation")
     if not 0 <= i < len(earlier[g]):
         raise ValueError(f"ref {obj} index out of range")
-    return earlier[g].refs[i]
+    return IndividualRef(g, i)
 
 
 def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:

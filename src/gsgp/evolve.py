@@ -23,11 +23,16 @@ per kind, in this order:
 Winners and trees are handed out in slot order: a crossover takes the
 next two winners and the next tree, a reproduction the next winner, and a
 mutation then takes the next tree as random_tree_a and, when bounded, the
-one after it as random_tree_b. The whole generation is then evaluated at
-once, straight into its slot of the archive's window. The slots whose
-semantics are not finite are drawn again the same way, with k the number
-of failed slots, and only they are evaluated again. A rejected draw stays
-consumed: its entrants stay tallied in offset_counts.
+one after it as random_tree_b. `Payloads.bred` computes this as index
+arrays from the coins: a slot's first winner and first tree are running
+sums of what the slots before it take, so no Python loop visits a slot,
+and the generation's packed payloads keep the winners' generations and
+indices and the `Trees` table that `gen_tree` returns. The whole
+generation is then evaluated at once, straight into its slot of the
+archive's window. The slots whose semantics are not finite are drawn again
+the same way, with k the number of failed slots, and only they are
+evaluated again. A rejected draw stays consumed: its entrants stay tallied
+in offset_counts, and its trees stay, unread, in the generation's table.
 
 Seeding and breeding share one cap on these redraws, _SLOT_RETRIES: a
 slot whose semantics are not finite _SLOT_RETRIES + 1 times in a row
@@ -40,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import Archive, Crossover, IndividualRef, Leaf, Mutation
+from .archive import Archive, IndividualRef, Leaf, Payloads
 from .data import SplitDataset
 from .errors import NonFiniteSemanticsError, checked_int, finite_number
 from .exprtree import MAX_TREE_DEPTH, gen_tree, ramp_schedule
@@ -56,13 +61,15 @@ RNG_STREAM = 2
 _SLOT_RETRIES = 25
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvolutionConfig:
     """One run's parameters; the defaults are the standard benchmark setup.
 
     distribution is a u:<k> or g:<p> spec, parsed here, or an object with
     `sample_many`, `label` and a `horizon` that is an int >= 1; anything
-    else raises ValueError.
+    else raises ValueError. A config is frozen, so every field keeps the
+    value checked here: `dataclasses.replace` makes a changed copy, checked
+    again.
     """
 
     distribution: object = field(default_factory=lambda: UniformLastK(1))
@@ -78,12 +85,13 @@ class EvolutionConfig:
     bounded_mutation: bool = True  # False: raw single-tree perturbation
 
     def __post_init__(self):
-        self.distribution = checked_distribution("distribution", self.distribution)
-        self.population_size = checked_int("population_size", self.population_size, 1)
-        self.generations = checked_int("generations", self.generations, 0)
-        self.max_initial_depth = checked_int("max_initial_depth", self.max_initial_depth, 0)
-        self.tournament_size = checked_int("tournament_size", self.tournament_size, 1)
-        self.seed = checked_int("seed", self.seed, 0)
+        distribution = checked_distribution("distribution", self.distribution)
+        object.__setattr__(self, "distribution", distribution)
+        for name, least in (
+            ("population_size", 1), ("generations", 0), ("max_initial_depth", 0),
+            ("tournament_size", 1), ("seed", 0),
+        ):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name), least))
         if self.max_initial_depth > MAX_TREE_DEPTH:
             raise ValueError(f"max_initial_depth must be <= MAX_TREE_DEPTH = {MAX_TREE_DEPTH}")
         for name in ("crossover_rate", "mutation_rate"):
@@ -165,8 +173,8 @@ def next_generation(
     rng: np.random.Generator,
     offset_counts=None,
     rejects=None,
-) -> list:
-    """Breed, evaluate, and append one generation; returns its payloads.
+) -> Payloads:
+    """Breed, evaluate, and append one generation; returns its packed payloads.
 
     Every open slot's payload is drawn in bulk and the generation is
     evaluated at once (see the module docstring). A slot whose semantics
@@ -180,28 +188,21 @@ def next_generation(
     depth, n_features = cfg.max_initial_depth, archive.inputs.shape[1]
     trees_per_mutation = 2 if cfg.bounded_mutation else 1
 
-    def draw(k):
-        crossover = (rng.random(k) < cfg.crossover_rate).tolist()
-        mutation = (rng.random(k) < cfg.mutation_rate).tolist()
+    def draw(k, elite=()):
+        crossover = rng.random(k) < cfg.crossover_rate
+        mutation = rng.random(k) < cfg.mutation_rate
+        n_crossovers = int(np.count_nonzero(crossover))
         winners = tournament_select(
-            archive, cfg.distribution, cfg.tournament_size, k + sum(crossover), rng,
-            offset_counts,
+            archive, cfg.distribution, cfg.tournament_size, k + n_crossovers, rng, offset_counts
         )
-        n_trees = sum(crossover) + trees_per_mutation * sum(mutation)
-        winners = iter(winners)
-        trees = iter(gen_tree(depth, n_features, [(depth, "grow")] * n_trees, rng))
-        payloads = []
-        for crossed, mutated in zip(crossover, mutation):
-            base = Crossover(next(winners), next(winners), next(trees)) if crossed else next(winners)
-            if mutated:
-                ra = next(trees)
-                rb = next(trees) if cfg.bounded_mutation else None
-                base = Mutation(base, ra, rb, cfg.mutation_step)
-            payloads.append(base)
-        return payloads
+        n_trees = n_crossovers + trees_per_mutation * int(np.count_nonzero(mutation))
+        trees = gen_tree(depth, n_features, [(depth, "grow")] * n_trees, rng)
+        return Payloads.bred(
+            crossover, mutation, winners, trees, cfg.bounded_mutation, cfg.mutation_step, elite
+        )
 
-    payloads = [archive.best_of_generation(current - 1)] if cfg.elitism else []
-    payloads += draw(cfg.population_size - len(payloads))
+    elite = [archive.best_of_generation(current - 1)] if cfg.elitism else []
+    payloads = draw(cfg.population_size - len(elite), elite)
     failures = [0] * len(payloads)
     slots = range(len(payloads))
     while failed := archive.evaluate_next(payloads, slots):
@@ -212,8 +213,7 @@ def next_generation(
             if failures[exc.slot] > _SLOT_RETRIES:
                 raise exc
         slots = [exc.slot for exc in failed]
-        for slot, payload in zip(slots, draw(len(slots))):
-            payloads[slot] = payload
+        payloads = payloads.put(slots, draw(len(slots)))
     archive.append_evaluated(payloads)
     return payloads
 

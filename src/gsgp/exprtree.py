@@ -4,19 +4,22 @@ Trees are immutable and are never modified after creation; all later
 variation happens in semantic space (see the archive module). The function
 set is {+, -, *, protected /} over variables and ephemeral constants.
 
-Every tree the engine makes or reads is a program: a plain tuple of the
-tree's nodes in postfix order (the left subtree, then the right subtree,
-then the node itself). A float is a constant, an int the index of a
-variable, and a str one of OP_KINDS, applied to the values of the two
-subtrees before it. `Program` is only a name for `tuple` in annotations.
-One stack loop evaluates a program, over the rows of an input matrix
-(`eval_tree_many`) or over one row (`eval_tree`). A program holds no
-object per node beyond its entries, and because it is a plain tuple of
-str, int and float, CPython's cycle collector stops tracking it after the
-first collection that sees it (an instance of a tuple subclass stays
-tracked for good), so a kept archive's trees cost the collector nothing
-on later passes. `Constant(v)`, `Variable(i)` and `BinaryOp(kind, left,
-right)` write a program by hand, checked as it is built.
+Every tree the engine evaluates is a program: a plain tuple of the tree's
+nodes in postfix order (the left subtree, then the right subtree, then the
+node itself). A float is a constant, an int the index of a variable, and a
+str one of OP_KINDS, applied to the values of the two subtrees before it.
+`Program` is only a name for `tuple` in annotations. One stack loop
+evaluates a program, over the rows of an input matrix (`eval_tree_many`)
+or over one row (`eval_tree`). `Constant(v)`, `Variable(i)` and
+`BinaryOp(kind, left, right)` write a program by hand, checked as it is
+built.
+
+Many trees are kept as a `Trees` table: every program's nodes packed into
+one array of small int codes, its constants into one float64 array, and
+the end of each program into a third. A table builds its programs on
+demand, equal to the ones it was packed from, so a kept table costs three
+arrays, not an object per tree or per constant, and nothing the cycle
+collector tracks.
 
 Protected division yields 1.0 where the divisor is not above DIV_EPS in
 magnitude. `eval_tree_many` reads its matrix as `Columns`, which the caller
@@ -27,10 +30,11 @@ safe column then divides with no guard. The guard would pass on every row
 of such a column, so the quotient has the same bits. Every other division
 keeps the guard.
 
-Random trees are drawn in bulk (RNG stream 2). `gen_tree` lays every tree
-it draws out on a heap of depth max_depth, where node j sits at depth
-floor(log2(j + 1)) and has children 2j + 1 and 2j + 2, and makes five array
-draws over all the trees at once, in this order:
+Random trees are drawn in bulk (RNG stream 2). `gen_tree` returns them as
+one `Trees` table. It lays every tree it draws out on a heap of depth
+max_depth, where node j sits at depth floor(log2(j + 1)) and has children
+2j + 1 and 2j + 2, and makes five array draws over all the trees at once,
+in this order:
 
 1. grow-stop uniforms, one per internal node (`rng.random`);
 2. operators, one per internal node (`rng.integers(len(OP_KINDS))`);
@@ -40,7 +44,7 @@ draws over all the trees at once, in this order:
 
 A tree is the live part of its heap: the root, and both children of every
 live node that is an operator. The draws of dead nodes are consumed unread.
-The program lists the live nodes in the postorder of the heap. The heap's
+A tree's nodes are its live nodes in the postorder of the heap. The heap's
 postorder, node depths and ancestors are worked out once per max_depth, on
 the first `gen_tree` call for that depth.
 
@@ -54,6 +58,7 @@ trees that are written by hand and the trees `tree_from_json` accepts.
 import functools
 import operator
 import sys
+from itertools import accumulate
 
 import numpy as np
 
@@ -149,8 +154,8 @@ P_CONSTANT = 0.3
 P_GROW_TERMINAL = 0.3
 
 
-def gen_tree(max_depth: int, n_features: int, slots, rng: np.random.Generator) -> list:
-    """One random program per (depth, method) slot, from five bulk draws.
+def gen_tree(max_depth: int, n_features: int, slots, rng: np.random.Generator) -> "Trees":
+    """One random tree per (depth, method) slot, from five bulk draws, as a `Trees` table.
 
     max_depth (root at depth 0: a lone leaf has depth 0) is the depth of
     the heap every tree is drawn on, so it fixes the shapes of the draws
@@ -169,7 +174,8 @@ def gen_tree(max_depth: int, n_features: int, slots, rng: np.random.Generator) -
     first call for that depth. A node is live when all its ancestors are
     operators: one gather of the operator flags by the plan's ancestor
     columns. Each later draw keeps the shape of the whole heap and is cut
-    to the live nodes that read it with one flat `take`.
+    to the live nodes that read it with one flat `take`, and the cuts are
+    the table's arrays.
     """
     depths = np.array([depth for depth, _ in slots], dtype=int)
     grow = np.array([method == "grow" for _, method in slots], dtype=bool)
@@ -198,20 +204,101 @@ def gen_tree(max_depth: int, n_features: int, slots, rng: np.random.Generator) -
     values = rng.uniform(*CONSTANT_RANGE, size=(n, nodes)).take(leaf_heap[constant])
     variables = rng.integers(n_features, size=(n, nodes)).take(leaf_heap[~constant])
 
-    # An object array turns the values into Python floats and the indices
-    # into Python ints, which the programs hold.
-    code = np.empty(len(rows), dtype=object)
-    code[branch] = _OP_OBJECTS.take(ops)
+    codes = np.empty(len(rows), dtype=_code_type(n_features - 1))
+    codes[branch] = _CONSTANT - 1 - ops
     leaves = np.flatnonzero(leaf)
-    code[leaves[constant]] = values
-    code[leaves[~constant]] = variables
-    flat = code.tolist()
-    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
-    return [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+    codes[leaves[constant]] = _CONSTANT
+    codes[leaves[~constant]] = variables
+    return Trees(codes, values, np.cumsum(np.count_nonzero(live, axis=1), dtype=np.int32))
 
 
-# The operator strings as an object array, indexed by an operator draw.
-_OP_OBJECTS = np.array(OP_KINDS, dtype=object)
+# A packed node (see `Trees`): a variable is its index, a constant
+# _CONSTANT, and operator OP_KINDS[k] is _CONSTANT - 1 - k.
+_CONSTANT = -1
+_OP_CODES = {kind: _CONSTANT - 1 - k for k, kind in enumerate(OP_KINDS)}
+
+
+def _code_type(top: int) -> np.dtype:
+    """The smallest signed int type of the codes of variables up to index top (and operators)."""
+    return np.min_scalar_type(-1 - max(top, 0))
+
+
+class Trees:
+    """Programs packed into three arrays; trees[t] is program t, built on each read.
+
+    codes holds the nodes of every program, one program after another, as
+    small ints: a variable is its index (>= 0), a constant _CONSTANT (-1)
+    and operator OP_KINDS[k] -2 - k. constants holds the constants, in node
+    order, and ends[t] is the end of program t's nodes in codes. Reading a
+    tree or iterating the table builds plain program tuples, equal to
+    the ones the table was packed from (for the programs that `gen_tree`,
+    `tree_from_json` and the constructors make, node by node and type by
+    type); the table keeps none of them.
+    """
+
+    __slots__ = ("codes", "constants", "ends")
+
+    def __init__(self, codes, constants, ends):
+        self.codes, self.constants, self.ends = codes, constants, ends
+
+    @classmethod
+    def pack(cls, programs) -> "Trees":
+        """The table of a sequence of well-formed programs."""
+        flat = [node for program in programs for node in program]
+        codes = [
+            _OP_CODES[node] if type(node) is str else node if type(node) is int else _CONSTANT
+            for node in flat
+        ]
+        constants = [node for node, code in zip(flat, codes) if code == _CONSTANT]
+        ends = np.array([*accumulate(map(len, programs))], np.int32)
+        codes = np.array(codes, _code_type(max(codes, default=0)))
+        return cls(codes, np.array(constants, float), ends)
+
+    @classmethod
+    def join(cls, tables) -> "Trees":
+        """One table of the trees of tables, in order."""
+        starts = np.cumsum([0] + [len(t.codes) for t in tables[:-1]]).tolist()
+        return cls(
+            np.concatenate([t.codes for t in tables]),
+            np.concatenate([t.constants for t in tables]),
+            np.concatenate([t.ends + start for t, start in zip(tables, starts)]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, t: int) -> Program:
+        t = range(len(self))[t]
+        return self._programs(t, t + 1)[0]
+
+    def __iter__(self):
+        return iter(self._programs(0, len(self)))
+
+    def _programs(self, first: int, last: int) -> list:
+        """The programs of trees first..last - 1."""
+        if first == last:
+            return []
+        start = int(self.ends[first - 1]) if first else 0
+        ends = self.ends[first:last].tolist()
+        codes = self.codes[start : ends[-1]]
+        nodes = _node_objects(int(codes.max(initial=0))).take(codes)
+        constant = codes == _CONSTANT
+        skipped = np.count_nonzero(self.codes[:start] == _CONSTANT) if start else 0
+        nodes[constant] = self.constants[skipped : skipped + np.count_nonzero(constant)]
+        flat = nodes.tolist()
+        return [tuple(flat[a - start : b - start]) for a, b in zip([start] + ends[:-1], ends)]
+
+
+@functools.cache
+def _node_objects(top: int) -> np.ndarray:
+    """The node object of each code up to top, a negative code counted from the end.
+
+    Entry c is the Python int c, a variable index, for c in 0..top; entry
+    -2 - k is OP_KINDS[k] itself, and entry _CONSTANT (-1) is None, the
+    place of a constant. So `take` of a table's codes gives its nodes, but
+    for the constants.
+    """
+    return np.array([*range(top + 1), *reversed(OP_KINDS), None], dtype=object)
 
 
 @functools.cache

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .archive import Archive
+from .archive import Archive, Refs
 from .errors import checked_int, finite_number
 
 
@@ -163,15 +163,15 @@ def tournament_select(
     n: int,
     rng: np.random.Generator,
     offset_counts=None,
-) -> tuple:
+) -> Refs:
     """Run n size-t tournaments over the archive under distribution d.
 
     Entrants are drawn independently with replacement, each as a source
     generation from d and then a uniform index inside it (see the module
     docstring for the draw order). Each tournament's winner is the entrant
     with the lowest training error, the first drawn on ties. Returns the n
-    winners' refs, in tournament order; each is the archive's own ref object
-    for its slot (made in `Archive.append_evaluated`), not a new one. When
+    winners, in tournament order, as two index arrays (`Refs`): their
+    generations and their indices, so no object is made per winner. When
     offset_counts (an integer array indexed by offset) is given, each
     entrant's generation offset is tallied into it. The caller guarantees
     t >= 1 (`EvolutionConfig.tournament_size`) and a seeded archive.
@@ -184,5 +184,4 @@ def tournament_select(
         offset_counts += np.bincount(current - 1 - gens, minlength=len(offset_counts))
     fitness = archive.train_fitness[gens, idx]
     winners = np.argmin(fitness.reshape(n, t), axis=1) + np.arange(0, n * t, t)
-    pairs = zip(gens[winners].tolist(), idx[winners].tolist())
-    return tuple(generations[g].refs[i] for g, i in pairs)
+    return Refs(gens[winners], idx[winners])

@@ -1,9 +1,10 @@
+import gc
 import json
 import re
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -15,7 +16,7 @@ from conftest import make_split, seeded_archive
 
 import gsgp.archive as archive_module
 import gsgp.evolve as evolve_module
-from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
+from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation, Payloads
 from gsgp.data import Dataset, synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
@@ -445,17 +446,23 @@ def three_generation_archive():
     return archive
 
 
-def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
+def three_generation_records(child):
+    """The packed payloads of three_generation_archive plus a generation 3 of `child` alone."""
     archive = three_generation_archive()
-    payloads = [gen.payloads for gen in archive.generations]
+    archive.append_generation([archive.make_individual(child)] * 3)
+    return [gen.packed for gen in archive.generations]
+
+
+def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
     child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
+    payloads = three_generation_records(child)
     visited = []
 
     def never(ref):
         visited.append(ref)
         return False
 
-    found = archive_module.ancestry(payloads, child, 3, never)
+    found = archive_module.ancestry(payloads, IndividualRef(3, 0), never)
     assert found == {
         (2, 0): 3, (2, 1): 3,
         (1, 0): 2, (1, 1): 2, (1, 2): 2,
@@ -467,34 +474,34 @@ def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
     # The sorted keys put each ref after every ref that its payload reads.
     order = sorted(found)
     for k, ref in enumerate(order):
-        assert all(r in order[:k] for r in archive_module._refs(archive.individual(ref).payload))
+        assert all(r in order[:k] for r in payloads[ref.generation].reads(ref.index))
     # A generation-2 payload's own ancestry stops short of its generation.
-    assert archive_module.ancestry(payloads, payloads[2][2], 2, never) == {
+    assert archive_module.ancestry(payloads, IndividualRef(2, 2), never) == {
         (1, 0): 2, (0, 0): 1, (0, 1): 1,
     }
 
 
 def test_ancestry_does_not_pass_a_stopping_ref_and_a_leaf_has_none():
-    archive = three_generation_archive()
-    payloads = [gen.payloads for gen in archive.generations]
     child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
+    payloads = three_generation_records(child)
+    ref = IndividualRef(3, 0)
     # Past (2, 0) lie (1, 0) and (1, 1), and (0, 1) only through them;
     # (0, 0) is still read through (2, 1).
-    found = archive_module.ancestry(payloads, child, 3, lambda ref: ref == (2, 0))
+    found = archive_module.ancestry(payloads, ref, lambda ref: ref == (2, 0))
     assert found == {(2, 1): 3, (1, 2): 2, (0, 0): 2, (0, 2): 1}
-    held = archive_module.ancestry(payloads, child, 3, lambda ref: ref.generation == 2)
+    held = archive_module.ancestry(payloads, ref, lambda ref: ref.generation == 2)
     assert held == {}
-    for g in range(3):
-        leaf = archive_module.ancestry(payloads, Leaf(Variable(0)), g, lambda ref: False)
+    for i in range(3):
+        leaf = archive_module.ancestry(payloads, IndividualRef(0, i), lambda ref: False)
         assert leaf == {}
 
 
 def test_ancestry_of_a_long_chain_does_not_recurse():
     depth = sys.getrecursionlimit() + 50
     # Generation g reproduces generation g - 1.
-    payloads = [(Leaf(Variable(0)),)] + [(IndividualRef(g - 1, 0),) for g in range(1, depth)]
-    child = IndividualRef(depth - 1, 0)
-    found = archive_module.ancestry(payloads, child, depth, lambda ref: False)
+    payloads = [Payloads.pack([Leaf(Variable(0))])]
+    payloads += [Payloads.pack([IndividualRef(g - 1, 0)]) for g in range(1, depth + 1)]
+    found = archive_module.ancestry(payloads, IndividualRef(depth, 0), lambda ref: False)
     assert found == {(g, 0): g + 1 for g in range(depth)}
 
 
@@ -502,7 +509,8 @@ def released_ancestry(archive, ref, holding) -> list:
     """Refs of ref's ancestors reached over individuals not in `holding`, a set of (g, i)."""
     found, todo = {}, [ref]
     while todo:
-        for parent in archive_module._refs(archive.individual(todo.pop()).payload):
+        g, i = todo.pop()
+        for parent in archive.generations[g].packed.reads(i):
             key = (parent.generation, parent.index)
             if key not in holding and key not in found:
                 found[key] = parent
@@ -519,12 +527,12 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
     calls, blocks = [], []
     evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(payloads, columns, rows_of, out=None):
+    def recording_evaluate(payloads, programs, columns, rows_of, out=None):
         # u:1 parents are one generation back, so a replay holds at most the
         # rows of the generation before the one it evaluates.
         assert all(block() is None for block in blocks[:-1])
         calls.append(payloads)
-        block = evaluate(payloads, columns, rows_of, out)
+        block = evaluate(payloads, programs, columns, rows_of, out)
         blocks.append(weakref.ref(block))
         return block
 
@@ -535,12 +543,15 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
         del calls[:], blocks[:]
         row = archive.individual(ref).semantics
         shares = sorted({a.generation for a in ancestry})
-        expected = [
-            [archive.individual(a).payload for a in ancestry if a.generation == h] for h in shares
-        ]
-        assert [[id(p) for p in call] for call in calls] == [
-            [id(p) for p in share] for share in expected + [[archive.individual(ref).payload]]
-        ]
+        # Each call evaluates one generation's share, in slot order, then the
+        # read individual alone.
+        expected = [(h, [a.index for a in ancestry if a.generation == h]) for h in shares]
+        assert len(calls) == len(expected) + 1
+        for call, (h, slots) in zip(calls, expected + [(g, [i])]):
+            packed = archive.generations[h].packed
+            assert call.table is packed.table
+            for name in ("kind", "parents", "trees", "step"):
+                assert getattr(call, name).tobytes() == getattr(packed, name)[slots].tobytes()
         assert len(ancestry) > len(shares)  # some generation evaluates several individuals
         assert [block() is None for block in blocks] == [True] * len(shares) + [False]
         assert row.base is blocks[-1]() and row.base.shape == (1, len(archive.inputs))
@@ -638,11 +649,11 @@ def test_a_replayed_row_with_a_distant_reader_does_not_pin_its_block(monkeypatch
     blocks = []
     evaluate = archive_module.evaluate_block
 
-    def recording_evaluate(payloads, columns, rows_of, out=None):
+    def recording_evaluate(payloads, programs, columns, rows_of, out=None):
         # Parents come from up to several generations back, yet a block is
         # freed once the generation after it has been evaluated.
         assert all(block() is None for block in blocks[:-1])
-        block = evaluate(payloads, columns, rows_of, out)
+        block = evaluate(payloads, programs, columns, rows_of, out)
         blocks.append(weakref.ref(block))
         return block
 
@@ -984,52 +995,65 @@ def test_train_and_test_views_are_made_once_and_again_after_a_release():
 
 
 def payload_refs(archive) -> list:
-    """Every ref that the archive's payloads hold, in archive order."""
+    """Every ref that the archive's payloads read, in archive order."""
     return [
         ref
         for gen in archive.generations
-        for ind in gen
-        for ref in archive_module._refs(ind.payload)
+        for i in range(len(gen))
+        for ref in gen.packed.reads(i)
     ]
 
 
-def test_every_ref_to_a_slot_is_one_object():
+def test_every_ref_is_an_immutable_pair_equal_to_its_slot():
     split = split_70_30(synthetic_dataset("polynomial", 30, 2, 0.1, seed=5), seed=1)
     cfg = EvolutionConfig(distribution=Geometric(0.5), population_size=10, generations=12, seed=4)
     result = run_evolution(cfg, split, keep_archive=True)
     archive = result.archive
     clone = Archive.from_json(json.loads(json.dumps(archive.to_json())), split)
     assert json.dumps(clone.to_json()) == json.dumps(archive.to_json())
+    assert payload_refs(clone) == payload_refs(archive)
     for arch in (archive, clone):
         refs = payload_refs(arch)
         assert len(refs) > len(arch.generations) * 10
         best = [arch.best_of_generation(g) for g in range(len(arch.generations))]
-        one = {}
         winners = tournament_select(arch, Geometric(0.5), 3, 200, np.random.default_rng(1))
+        # Each ref, built on demand from the packed index arrays, is an
+        # immutable IndividualRef, equal to and hashed as a new one and as
+        # the tuple (g, i), which it unpacks to.
         for ref in refs + best + list(winners):
-            assert one.setdefault((ref.generation, ref.index), ref) is ref
-        assert all(arch.best_of_generation(b.generation) is b for b in best)
-        # Each slot's ref is an immutable IndividualRef, equal to and hashed
-        # as a new one and as the tuple (g, i), which it unpacks to.
-        for g, row in enumerate(gen.refs for gen in arch.generations):
-            for i, ref in enumerate(row):
-                assert type(ref) is IndividualRef
-                assert ref == IndividualRef(g, i) == (g, i)
-                assert hash(ref) == hash(IndividualRef(g, i)) == hash((g, i))
-                generation, index = ref
-                assert (generation, index) == (g, i)
-        ref = arch.generations[3].refs[4]
+            assert type(ref) is IndividualRef and type(ref.generation) is int
+            g, i = ref
+            assert 0 <= g < len(arch.generations) and 0 <= i < 10
+            assert ref == IndividualRef(g, i) == (g, i)
+            assert hash(ref) == hash(IndividualRef(g, i)) == hash((g, i))
         for field, value in (("generation", 0), ("index", 0)):
             with pytest.raises(AttributeError):
-                setattr(ref, field, value)
-        assert (ref.generation, ref.index) == (3, 4)
-    assert result.final_best is archive.best_of_generation(len(archive.generations) - 1)
+                setattr(best[3], field, value)
+        assert best == [arch.best_of_generation(b.generation) for b in best]
+    assert result.final_best == archive.best_of_generation(len(archive.generations) - 1)
+
+
+def test_a_kept_generation_adds_no_tracked_object_per_individual():
+    split = split_70_30(synthetic_dataset("friedman-like", 60, 5, 0.0, seed=1), seed=2)
+    cfg = EvolutionConfig(distribution=Geometric(0.25), population_size=50, seed=3)
+    tracked = {}
+    for generations in (40, 80):
+        result = run_evolution(replace(cfg, generations=generations), split, keep_archive=True)
+        assert len(result.archive.generations) == generations + 1
+        gc.collect()
+        tracked[generations] = len(gc.get_objects())
+        del result
+        gc.collect()
+    # A generation is a few arrays and objects, not one object per slot,
+    # per ref, per payload or per tree.
+    per_generation = (tracked[80] - tracked[40]) / 40
+    assert per_generation < cfg.population_size, per_generation
 
 
 def mixed_payloads(archive, n, rng):
     """n payloads of every evaluated kind over the archive's first generation."""
     pop = len(archive.generations[0])
-    trees = gen_tree(3, 2, [(3, "grow")] * (3 * n), rng)
+    trees = list(gen_tree(3, 2, [(3, "grow")] * (3 * n), rng))
     payloads = []
     for k in range(n):
         i, j = rng.integers(pop, size=2).tolist()
@@ -1104,11 +1128,11 @@ def test_nonfinite_generation_names_the_first_failing_slot():
     train_blowup = Leaf(Constant(float("nan")))
     payloads = [IndividualRef(0, 0), ok, test_blowup, ok, train_blowup]
     first = r"Mutation payload in slot 2 at row 1"
-    rejects = archive.evaluate_next(payloads, range(5))
+    rejects = archive.evaluate_next(Payloads.pack(payloads), range(5))
     assert [(e.slot, e.split, e.row) for e in rejects] == [(2, "test", 1), (4, "train", 0)]
     assert re.search(first, str(rejects[0]))
     # A redraw round evaluates only its slots: with slot 2 drawn again, slot 4 fails alone.
-    rejects = archive.evaluate_next(payloads[:2] + [ok] + payloads[3:], [2, 4])
+    rejects = archive.evaluate_next(Payloads.pack(payloads[:2] + [ok] + payloads[3:]), [2, 4])
     assert [(e.slot, e.split, e.row) for e in rejects] == [(4, "train", 0)]
     # from_json raises the first reject of the generation it evaluates (a
     # NaN constant is refused before evaluation, so slot 4 is replaced).
@@ -1146,8 +1170,10 @@ def test_block_size_never_changes_semantics_or_fitness(payloads):
     # size, each evaluated in one block; the clone evaluates one child per block.
     padded = payloads + [Leaf(trees[0])] * (-len(payloads) % 4)
     for start in range(0, len(padded), 4):
-        assert archive.evaluate_next(padded[start : start + 4], range(4)) == []
-        archive.append_evaluated(padded[start : start + 4])
+        packed = Payloads.pack(padded[start : start + 4])
+        assert archive.evaluate_next(packed, range(4)) == []
+        archive.append_evaluated(packed)
+        assert archive.generations[-1].payloads == tuple(padded[start : start + 4])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)
         clone = Archive.from_json(archive.to_json(), split)

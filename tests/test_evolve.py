@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
 from gsgp.data import Dataset, split_70_30, synthetic_dataset
 from gsgp.errors import NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
-from gsgp.exprtree import MAX_TREE_DEPTH, Constant, eval_tree_many
+from gsgp.exprtree import MAX_TREE_DEPTH, Constant, Trees, eval_tree_many
 from gsgp.selection import Geometric, UniformLastK
 
 
@@ -220,6 +220,20 @@ def test_a_distribution_spec_is_parsed_and_anything_else_refused(split):
         EvolutionConfig(distribution="u:0")
 
 
+def test_a_config_is_frozen_and_a_replaced_field_is_checked_again():
+    cfg = small_cfg()
+    for name, value in (("distribution", "u:0"), ("population_size", 0), ("seed", 3)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+    assert cfg == small_cfg()
+    with pytest.raises(ValueError, match=r"^bad distribution spec 'u:0'"):
+        replace(cfg, distribution="u:0")
+    with pytest.raises(ValueError, match="^population_size must be "):
+        replace(cfg, population_size=0)
+    # A replaced spec is parsed, as at construction.
+    assert replace(cfg, distribution="g:0.25").distribution == Geometric(0.25)
+
+
 def test_default_config_matches_benchmark_table():
     cfg = EvolutionConfig()
     assert cfg.population_size == 100
@@ -238,7 +252,7 @@ def test_slot_failing_every_redraw_aborts_after_the_retry_cap(split, rng, monkey
 
     def overflowing_trees(max_depth, n_features, slots, tree_rng):
         tree_rng.random(len(slots))  # draws stay consumed like real trees'
-        return [Constant(math.inf) for _ in slots]
+        return Trees.pack([Constant(math.inf) for _ in slots])
 
     monkeypatch.setattr(evolve, "gen_tree", overflowing_trees)
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
@@ -266,7 +280,9 @@ def test_retry_cap_counts_one_slot_in_a_row(split, monkeypatch):
     archive = run_evolution(small_cfg(generations=0), split, keep_archive=True).archive
 
     def often_overflowing_trees(max_depth, n_features, slots, tree_rng):
-        return [Constant(math.inf if u < 0.8 else 1.0) for u in tree_rng.random(len(slots))]
+        return Trees.pack(
+            [Constant(math.inf if u < 0.8 else 1.0) for u in tree_rng.random(len(slots))]
+        )
 
     monkeypatch.setattr(evolve, "gen_tree", often_overflowing_trees)
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)

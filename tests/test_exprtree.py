@@ -24,6 +24,7 @@ from gsgp.exprtree import (
     Columns,
     Constant,
     Program,
+    Trees,
     Variable,
     eval_tree,
     eval_tree_many,
@@ -451,8 +452,8 @@ def test_generation_is_deterministic_per_seed():
     slots = [(4, "grow"), (3, "full")] * 10
     t1 = gen_tree(4, 2, slots, np.random.default_rng(99))
     t2 = gen_tree(4, 2, slots, np.random.default_rng(99))
-    assert t1 == t2
-    assert gen_tree(4, 2, slots, np.random.default_rng(100)) != t1
+    assert list(t1) == list(t2)
+    assert list(gen_tree(4, 2, slots, np.random.default_rng(100))) != list(t1)
 
 
 def test_tree_json_round_trip(rng):
@@ -531,10 +532,29 @@ def test_gen_tree_matches_the_reference_in_programs_types_and_stream(request):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     trees = gen_tree(max_depth, n_features, slots, rng)
     expected = reference_gen_tree(max_depth, n_features, slots, reference_rng)
-    assert trees == expected
+    assert list(trees) == expected
     assert [[type(node) for node in t] for t in trees] == [
         [type(node) for node in t] for t in expected
     ]
     assert all(type(t) is tuple for t in trees)
     # All five draws consumed the same numbers.
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@settings(max_examples=60)
+@given(generation_requests())
+def test_a_tree_table_reads_back_each_program_and_packs_again_to_the_same_arrays(request):
+    max_depth, n_features, slots, seed = request
+    table = gen_tree(max_depth, n_features, slots, np.random.default_rng(seed))
+    programs = list(table)
+    assert [table[t] for t in range(len(table))] == programs
+    if programs:
+        assert table[-1] == programs[-1]
+    assert all(type(node) in (str, int, float) for t in programs for node in t)
+    again = Trees.pack(programs)
+    for name in ("codes", "constants", "ends"):
+        assert getattr(again, name).tobytes() == getattr(table, name).tobytes()
+    joined = Trees.join([table, again, Trees.pack([])])
+    assert list(joined) == programs + programs
+    # Nodes are int8 codes while the variables fit; constants are float64.
+    assert table.codes.dtype == np.int8 and table.constants.dtype == np.float64

@@ -26,6 +26,7 @@ def test_each_strategy_reports_its_own_process():
         assert run["replays"] == run["replayed_payloads"] == run["replay_s"] == 0
         # The held generations' rows pin no block of a released generation.
         assert run["held_block_mb"] == run["needed_mb"] > 0
+        assert run["payload_kb_per_generation"] > 0
     assert [run["horizon"] for run in report["runs"]] == [1, 5, 21]
     # u:1 released generation 2 and reads it back; the horizons of u:5 (5) and
     # g:0.25 (21) cover all four generations, so they release nothing to read.
@@ -46,6 +47,12 @@ def test_a_winner_from_beyond_the_horizon_is_replayed_and_counted():
     assert run["horizon"] == 5
     assert run["replays"] >= 1
     assert run["replayed_payloads"] > 0 and run["replay_s"] > 0
+    # Each replay evaluates at least the winner's own payload, counted
+    # through the packed blocks that `evaluate_block` takes.
+    assert run["replayed_payloads"] >= run["replays"]
+    # A kept generation of 100 slots holds a few arrays: about 9 KB, against
+    # about 41 KB as one object per payload, ref and tree.
+    assert 0 < run["payload_kb_per_generation"] <= 20
     # A replay keeps only the winner's row, so it pins no block of a released generation.
     assert run["held_block_mb"] == run["needed_mb"]
 
@@ -67,6 +74,9 @@ def test_horizon_curve_reports_each_cell_and_checks_the_trajectories():
     assert cells[0]["replay_share_worst"] == 0 and cells[0]["paired_ratio_median"] == 1.0
     assert report["same_trajectories"] is True
     assert [len(cell["runs"]) for cell in report["runs"]] == [2, 2]
+    # The grid's runs skip the tracemalloc run of payload memory.
+    runs = [run for cell in report["runs"] for run in cell["runs"]]
+    assert all(run["payload_kb_per_generation"] is None for run in runs)
     chosen = [c for c in cells if c["tail"] == report["chosen_tail"]]
     assert chosen and all(
         c["replay_share_median"] <= 0.02 and c["replay_share_worst"] <= 0.2 for c in chosen

@@ -2,11 +2,14 @@
 
 GSGP's geometry holds for every child a run makes: a crossover child lies
 entry by entry between its parents, and a bounded mutation moves each entry
-of its base by at most its step. The runs are 100 x 100 on 200 rows, so
-each selection strategy reuses its window slots many times over, and each
-generation is checked in its slot before the next one can reuse a slot.
-The replay path keeps the same geometry: after a run, each released
-generation is read back oldest first and checked the same way.
+of its base by at most its step. Beyond the geometry, each child is the
+row its own payload defines, recomputed from its read form alone, so a
+child mixed with the wrong weight, parent order or step fails though it
+keeps to the box. The runs are 100 x 100 on 200 rows, so each selection
+strategy reuses its window slots many times over, and each generation is
+checked in its slot before the next one can reuse a slot. The replay path
+keeps the same geometry: after a run, each released generation is read
+back oldest first and checked the same way.
 """
 
 import numpy as np
@@ -16,7 +19,9 @@ import gsgp.archive as archive_module
 from gsgp.archive import Archive, Crossover, IndividualRef, Mutation
 from gsgp.data import synthetic_dataset, split_70_30
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
+from gsgp.exprtree import eval_tree_many
 from gsgp.selection import parse_distribution
+from gsgp.semantics import sigmoid
 
 
 def friedman_split(rows=200):
@@ -41,9 +46,10 @@ def check_children(archive, payloads, children, fitness, checked):
     their box by at most its step; a bounded mutation of a ref moves each
     entry of its base by at most its step. A plain crossover child's train
     RMSE is at most the row-wise worse parent's, sqrt(mean(max(e1^2,
-    e2^2))) over the train rows, within 2 ulps. Each parent is read through
-    `Archive.row`. checked counts the plain crossovers and the mutations
-    checked.
+    e2^2))) over the train rows, within 2 ulps. And every child is the row
+    its definition gives (`defined_row`), within 4 ulps. Each parent is read
+    through `Archive.row`. checked counts the plain crossovers, the
+    mutations of a ref and the children weighed.
     """
     mixes, moves = [], []
     for i, payload in enumerate(payloads):
@@ -71,11 +77,45 @@ def check_children(archive, payloads, children, fitness, checked):
         child, base, step = children[list(at)], rows(archive, based), np.array(step)[:, None]
         assert np.all(np.abs(child - base) <= step * (1 + 1e-15) + ulps(base, child))
         checked["mutations"] += len(at)
+    expected = np.array([defined_row(archive, payload) for payload in payloads])
+    assert np.all(np.abs(children - expected) <= ulps(children, expected))
+    checked["weighed"] += len(payloads)
+
+
+def defined_row(archive, payload) -> np.ndarray:
+    """The row that a payload's definition gives, computed for it alone.
+
+    Its own trees are evaluated from its read form and its parents' rows
+    read through `Archive.row`: a crossover is w*p1 + (1-w)*p2 with w the
+    sigmoid of its random tree, and a mutation adds step*(sig(a) - sig(b))
+    (step*a for the raw form) to its base. So a child mixed with the wrong
+    weight, the wrong parent order or the wrong step fails, though it may
+    keep to its parents' box.
+    """
+    columns = archive._columns
+
+    def weight(tree):
+        return sigmoid(eval_tree_many(tree, columns))
+
+    base = payload.base if isinstance(payload, Mutation) else payload
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if isinstance(base, IndividualRef):
+            row = archive.row(base).copy()
+        elif isinstance(base, Crossover):
+            w = weight(base.random_tree)
+            row = w * archive.row(base.parent1) + (1.0 - w) * archive.row(base.parent2)
+        else:
+            row = eval_tree_many(base.tree, columns)
+        if isinstance(payload, Mutation):
+            a, b = payload.random_tree_a, payload.random_tree_b
+            delta = eval_tree_many(a, columns) if b is None else weight(a) - weight(b)
+            row += payload.step * delta
+    return row
 
 
 @pytest.mark.parametrize("spec", ["u:1", "u:5", "g:0.25"])
 def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch, spec):
-    checked = {"crossovers": 0, "mutations": 0}
+    checked = {"crossovers": 0, "mutations": 0, "weighed": 0}
     append = Archive.append_evaluated
 
     def checked_append(self, payloads):
@@ -83,7 +123,7 @@ def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch,
         # its window slot, and each parent is read again through `row`.
         g = len(self.generations)
         rows, fitness = self._window[g % len(self._window)], self._train_fitness[g]
-        check_children(self, payloads, rows, fitness, checked)
+        check_children(self, list(payloads), rows, fitness, checked)
         append(self, payloads)
 
     monkeypatch.setattr(Archive, "append_evaluated", checked_append)
@@ -91,6 +131,7 @@ def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch,
     archive = run_evolution(cfg, friedman_split(), keep_archive=True).archive
     assert len(archive._window) == min(cfg.distribution.horizon, cfg.generations + 1) + 1
     assert checked["crossovers"] > 5000 and checked["mutations"] > 200
+    assert checked["weighed"] == (cfg.generations + 1) * cfg.population_size  # leaves too
 
 
 def test_every_replayed_child_keeps_to_its_parents_box_and_its_step(monkeypatch):
@@ -110,21 +151,23 @@ def test_every_replayed_child_keeps_to_its_parents_box_and_its_step(monkeypatch)
         return evaluate(*args, **kwargs)
 
     monkeypatch.setattr(archive_module, "evaluate_block", counting_evaluate)
-    checked, replays = {"crossovers": 0, "mutations": 0}, archive.replays
+    checked, replays = {"crossovers": 0, "mutations": 0, "weighed": 0}, archive.replays
     for g in range(released):  # oldest first
         children = []
-        for ref in archive.generations[g].refs:
+        payloads, fitness = archive.generations[g].payloads, archive.train_fitness[g]
+        for i, payload in enumerate(payloads):
+            ref = IndividualRef(g, i)
             del blocks[:]
             children.append(archive.row(ref))
             # Every parent was replayed before, or is held, so the replay
             # evaluates this one payload alone.
-            assert blocks == [[archive.generations[g].payloads[ref.index]]]
+            assert [list(block) for block in blocks] == [[payload]]
             assert children[-1].tobytes() == clone.row(ref).tobytes()
-        payloads, fitness = archive.generations[g].payloads, archive.train_fitness[g]
         check_children(archive, payloads, np.array(children), fitness, checked)
     # 780 rows replayed; 476 plain crossovers and 23 mutations of a ref checked.
     assert archive.replays - replays == released * cfg.population_size == 780
     assert checked["crossovers"] > 400 and checked["mutations"] > 15, checked
+    assert checked["weighed"] == 780
 
 
 def test_a_view_keeps_its_bits_after_its_generations_slot_is_reused():

@@ -128,8 +128,10 @@ def main(argv=None) -> int:
             for prob in args.ps:
                 digests = set()
                 for tail in tails:
+                    # Payload memory does not depend on the tail: no tracemalloc run.
                     study = {"rows": rows, "pop": args.pop, "generations": args.generations,
-                             "seed": seed, "strategy": f"g:{prob!r}", "tail": tail}
+                             "seed": seed, "strategy": f"g:{prob!r}", "tail": tail,
+                             "payload_kb": False}
                     run = peak_rss.run_worker(peak_rss.__file__, args.src, study)
                     runs.setdefault((rows, prob, tail), []).append(run)
                     digests.add(run["trajectory_sha256"])

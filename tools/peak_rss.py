@@ -19,8 +19,13 @@ window holds exactly those generations. The worker then keeps the run's archive 
 0 of the newest generation that the run released, generation
 `generations - horizon`, which replays that individual's ancestry; it
 reports the peak RSS after that read and the read's wall time, or None for
-both when the horizon covers the whole run. The tool prints one JSON object
-with a row per strategy:
+both when the horizon covers the whole run. Last, it makes the same run
+again under tracemalloc, which slows a run several times, and reports
+`payload_kb_per_generation`: the bytes that the kept archive retains, less
+its window and its fitness table, in KB of 1024 bytes per generation, the
+payload history that a kept run holds for each generation (None for a
+study with "payload_kb" false). The tool prints one JSON object with a row
+per strategy:
 
     python tools/peak_rss.py
     python tools/peak_rss.py --src /path/to/other/src --strategies u:1
@@ -73,10 +78,11 @@ def run_one(study: dict) -> dict:
         finally:
             replayed["seconds"] += time.perf_counter() - replaying.pop()
 
-    def counted_evaluate(payloads, *args):
+    def counted_evaluate(payloads, *args, **kwargs):
+        # The first argument is the block's payloads, packed or a list.
         if replaying:
             replayed["payloads"] += len(payloads)
-        return evaluate(payloads, *args)
+        return evaluate(payloads, *args, **kwargs)
 
     Archive._replay = timed_replay
     if evaluate is not None:
@@ -109,6 +115,13 @@ def run_one(study: dict) -> dict:
         archive.generations[released][0].semantics
         read_s = time.perf_counter() - start
         read_peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    replays, final_test_rmse = getattr(result, "replays", None), result.test_rmse[-1]
+    # float repr round-trips, so equal digests mean bit-identical curves
+    curves = json.dumps([result.train_rmse, result.test_rmse, result.offset_histogram])
+    del result, archive, window
+    payload_kb = None
+    if study.get("payload_kb", True):
+        payload_kb = payload_kb_per_generation(gsgp.run_evolution, cfg, split)
     return {
         "strategy": study["strategy"],
         "peak_rss_mb": usage.ru_maxrss / 1024,  # KiB on Linux
@@ -117,19 +130,43 @@ def run_one(study: dict) -> dict:
         "system_s": usage.ru_stime,
         "run_wall_s": wall,
         "horizon": cfg.distribution.horizon,
-        "replays": getattr(result, "replays", None),  # None for sources without the count
+        "replays": replays,  # None for sources without the count
         "replayed_payloads": None if evaluate is None else run_replayed["payloads"],
         "replay_s": run_replayed["seconds"],
         "held_block_mb": held_block_mb,
         "needed_mb": needed_mb,
         "read_peak_rss_mb": read_peak_mb,
         "read_s": read_s,
-        "final_test_rmse": result.test_rmse[-1],
-        # float repr round-trips, so equal digests mean bit-identical curves
-        "trajectory_sha256": hashlib.sha256(
-            json.dumps([result.train_rmse, result.test_rmse, result.offset_histogram]).encode()
-        ).hexdigest(),
+        "payload_kb_per_generation": payload_kb,
+        "final_test_rmse": final_test_rmse,
+        "trajectory_sha256": hashlib.sha256(curves.encode()).hexdigest(),
     }
+
+
+def payload_kb_per_generation(run_evolution, cfg, split):
+    """KB (of 1024 bytes) per generation that a kept run's archive retains, less its window.
+
+    The run is made under tracemalloc, and what it allocated and still holds
+    once its result but the archive is dropped, less the archive's window
+    and fitness table, is divided by the generation count. That is the
+    payload history and the archive's few fixed arrays. The caches that a
+    first run fills are warm by then.
+    """
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        archive = run_evolution(cfg, split, keep_archive=True).archive
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    arrays = (getattr(archive, name, None) for name in ("_window", "_train_fitness"))
+    held -= sum(array.nbytes for array in arrays if array is not None)
+    return held / 1024 / len(archive.generations)
 
 
 def run_worker(script, src, study: dict):
