@@ -2,7 +2,7 @@
 evolutionary history kept in a structurally shared archive so tournament
 selection can draw candidates from any earlier generation."""
 
-from .archive import Archive, Crossover, IndividualRef, Leaf, Mutation
+from .archive import Archive, IndividualRef
 from .data import Dataset, SplitDataset, load_csv, split_70_30, synthetic_dataset
 from .errors import CsvFormatError, NonFiniteSemanticsError
 from .evolve import EvolutionConfig, RunResult, run_evolution
@@ -15,14 +15,11 @@ __all__ = [
     "Archive",
     "Campaign",
     "CampaignReport",
-    "Crossover",
     "CsvFormatError",
     "Dataset",
     "EvolutionConfig",
     "Geometric",
     "IndividualRef",
-    "Leaf",
-    "Mutation",
     "NonFiniteSemanticsError",
     "RankSumResult",
     "RunResult",

@@ -1,39 +1,37 @@
 """Append-only, generation-indexed archive of every individual ever created.
 
 An individual is stored as a payload, the record of how it was made, plus
-its memoized semantics. There are four payload kinds, each read as a
-`typing.NamedTuple`:
+its memoized semantics. A payload is one slot of a generation's packed
+record (`Payloads`), and the slot's kind code tells which of four kinds it
+is:
 
-- `Leaf`: a generation-0 syntax tree.
-- `IndividualRef`: reproduction, a bare reference to an earlier individual.
-  The child's row is a copy of its parent's, in its own generation's slot,
-  and has its parent's train fitness.
-- `Crossover`: two earlier individuals and the random tree that weighs them.
+- leaf: a generation-0 syntax tree.
+- reproduction: a bare reference to an earlier individual. The child's row
+  is a copy of its parent's, in its own generation's slot, and has its
+  parent's train fitness.
+- crossover: two earlier individuals and the random tree that weighs them.
   The child lies entry by entry between its parents. Its train RMSE is at
   most the row-wise worse parent's, sqrt(mean(max(e1^2, e2^2))), but it is
   not bounded by the worse parent's RMSE: the weight varies from row to
   row, and in 100 x 100 runs on 200 rows 2-9% of crossovers gave a child
   worse than both parents, by up to 22%.
-- `Mutation`: a base (a ref, or an inline `Crossover` made in the same
+- mutation: a base (a reproduction, or a crossover made in the same
   breeding step) plus the random trees and step of the perturbation. A
   bounded mutation moves each entry of its base by at most its step.
 
-A generation stores its payloads packed (`Payloads`), not as objects: one
-kind code, four parent ints (generation and index of parent 1 or the
-base, then of parent 2), three tree indices and a step per slot, in four
-arrays, and every random or generation-0 tree of the generation in one
-`Trees` table of three arrays (node codes, constants, ends). Breeding fills
-these arrays straight from its bulk draws (`Payloads.bred`), so a kept
-archive holds a few arrays per generation, about 9 KB for 100 slots, and
-no object per individual, per tree or per constant that the cycle
-collector would track. The payload objects are the read form: a packed
-slot builds its payload on demand (`generations[g].payloads`, a view's
-`payload`), for `to_json`, `naive_eval` and tests, and `Payloads.pack`
-packs payload objects again, for `make_individual`, `append_generation`
-and `from_json`. A ref is the tuple of its fields, so it equals the tuple
-`(g, i)`, unpacks like it and sorts as it does, and setting a field raises
-AttributeError. Program tuples exist only while their generation is
-evaluated or read.
+A generation's record is one kind code, four parent ints (generation and
+index of parent 1 or the base, then of parent 2), three tree indices and a
+step per slot, in four arrays, and every random or generation-0 tree of
+the generation in one `Trees` table of three arrays (node codes,
+constants, ends). Breeding fills these arrays straight from its bulk draws
+(`Payloads.bred`), so a kept archive holds a few arrays per generation,
+about 9 KB for 100 slots, and no object per individual, per tree or per
+constant that the cycle collector would track. There is no payload object:
+`to_json`, `from_json`, `naive_eval` and the non-finite diagnostics read
+and write the arrays and the table directly. A ref (`IndividualRef`) is
+the tuple of its fields, so it equals the tuple `(g, i)`, unpacks like it
+and sorts as it does, and setting a field raises AttributeError. Program
+tuples exist only while their generation is evaluated or read.
 
 The archive evaluates over one stacked input matrix, the train rows followed
 by the test rows. A payload's semantics are one row over those rows,
@@ -87,9 +85,10 @@ block straight into the new generation's window slot and each train
 fitness straight into its table row (selection reads no test fitness, so
 none is kept), and a redraw round writes only its failed slots' rows.
 `append_evaluated` then completes the generation. So a run makes no
-object per individual. `make_individual` evaluates one payload into a row
-of its own and returns an `Individual` view of it; `append_generation`
-copies such views into the next generation.
+object per individual. `make_individual` evaluates one payload, a
+generation-0 program or a one-slot `Payloads`, into a row of its own and
+returns an `Individual` view of it that keeps the one-slot record;
+`append_generation` copies such individuals into the next generation.
 `evaluate_next` reports every slot whose semantics are not finite, and
 `make_individual` and `from_json` raise the first such slot's
 NonFiniteSemanticsError.
@@ -115,10 +114,12 @@ Payloads and fitnesses are read without a replay, so `to_json`,
 tournaments and elitism never trigger one. What a read brings back, a
 view or a replayed row, is kept until the next generation is appended.
 
-`to_json` writes schema 2: each generation is a list of payloads, where a
-ref (a reproduction, a parent, a mutation base) is the pair `[g, i]` and
-every other payload is an object with a "kind" of "leaf", "crossover" or
-"mutation". Semantics are not stored; `from_json` recomputes them.
+`to_json` writes schema 2, each slot straight from the arrays: each
+generation is a list of payloads, where a ref (a reproduction, a parent, a
+mutation base) is the pair `[g, i]` and every other payload is an object
+with a "kind" of "leaf", "crossover" or "mutation". `from_json` parses each
+slot straight into its array rows and the generation's table. Semantics
+are not stored; `from_json` recomputes them.
 
 An archive belongs to one thread: nothing in it is locked.
 `make_individual` writes only arrays that the call allocates when the
@@ -129,7 +130,7 @@ import weakref
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,7 +138,6 @@ from .data import SplitDataset
 from .errors import EvalBudgetExceededError, NonFiniteSemanticsError, checked_int, finite_number
 from .exprtree import (
     Columns,
-    Program,
     Trees,
     eval_tree,
     eval_tree_many,
@@ -163,39 +163,6 @@ class IndividualRef(NamedTuple):
     index: int
 
 
-class Leaf(NamedTuple):
-    tree: Program
-
-
-class Crossover(NamedTuple):
-    parent1: IndividualRef
-    parent2: IndividualRef
-    random_tree: Program
-
-
-class Mutation(NamedTuple):
-    """Semantic mutation record.
-
-    random_tree_b set: bounded two-tree form, child = base + step*(sig(Ra)-sig(Rb)).
-    random_tree_b None: literal raw form, child = base + step*Ra.
-    base is an earlier individual's IndividualRef (a mutated reproduction)
-    or an inline Crossover (a freshly crossed child mutated in the same
-    breeding step). The base's semantics, the stored vector of the ref or
-    the crossover's mix, are computed in the same block as the child's, and
-    the random trees are evaluated once over the stacked train-then-test
-    rows. In JSON (schema 2) the base is the pair [g, i] or a nested
-    crossover object.
-    """
-
-    base: Union[IndividualRef, Crossover]
-    random_tree_a: Program
-    random_tree_b: Optional[Program]
-    step: float
-
-
-Payload = Union[Leaf, IndividualRef, Crossover, Mutation]
-
-
 class Refs:
     """Refs packed as two int arrays: refs[k] is IndividualRef(generation[k], index[k]).
 
@@ -216,19 +183,18 @@ class Refs:
 
 
 class Payloads:
-    """The payloads of a generation's slots, packed into arrays; payloads[s] is slot s's.
+    """The payloads of a generation's slots, packed into arrays: the one payload form.
 
     kind[s] (int8) is slot s's kind: _LEAF, _REF or _CROSSOVER for its base,
     plus _RAW or _BOUNDED when it mutates that base. parents[s] (int32) is
     (g1, i1, g2, i2): the generation and index of a ref base or of a
-    crossover's parent1, then of its parent2, -1 where there is none.
+    crossover's first parent, then of its second, -1 where there is none.
     trees[s] (int32) indexes `table`, a `Trees`: the leaf's tree or the
-    crossover's random tree, then random_tree_a and random_tree_b, -1 where
-    there is none. step[s] (float64) is a mutation's step, 0.0 otherwise.
-    payloads[s] builds slot s's read form, the Leaf, IndividualRef,
-    Crossover or Mutation that was packed; nothing keeps it. A table may
-    also hold trees that no slot reads, those of a redrawn slot's rejected
-    draws (see `put`).
+    crossover's random tree, then a mutation's random trees a and b, -1
+    where there is none. step[s] (float64) is a mutation's step, 0.0
+    otherwise. A bounded mutation is base + step*(sig(a) - sig(b)), a raw
+    one base + step*a. A table may also hold trees that no slot reads,
+    those of a redrawn slot's rejected draws (see `put`).
     """
 
     __slots__ = ("kind", "parents", "trees", "step", "table")
@@ -236,14 +202,6 @@ class Payloads:
     def __init__(self, kind, parents, trees, step, table: Trees):
         self.kind, self.parents, self.trees, self.step = kind, parents, trees, step
         self.table = table
-
-    @classmethod
-    def pack(cls, payloads) -> "Payloads":
-        """The packed form of payload objects; any payload but the four kinds raises TypeError.
-
-        A mutation's base is a Leaf, a ref or a crossover.
-        """
-        return _pack(payloads)[0]
 
     @classmethod
     def bred(
@@ -255,9 +213,8 @@ class Payloads:
         and mutation are the other slots' bool coin arrays, winners their
         tournament winners and trees their random trees. A crossed slot
         takes the next two winners and the next tree, any other slot the
-        next winner; a mutated slot then takes the next tree as
-        random_tree_a and, when bounded, the one after it as random_tree_b,
-        with `step`.
+        next winner; a mutated slot then takes the next tree as its tree a
+        and, when bounded, the one after it as its tree b, with `step`.
         """
         if elite:
             generation, index = zip(*elite)
@@ -307,73 +264,9 @@ class Payloads:
     def __len__(self) -> int:
         return len(self.kind)
 
-    def __getitem__(self, s) -> Payload:
-        return self._read(s, self.table)
-
-    def __iter__(self):
-        programs = list(self.table)
-        return (self._read(s, programs) for s in range(len(self)))
-
-    def _read(self, s, programs) -> Payload:
-        """Slot s's payload object, its trees read from programs (the table, or its list)."""
-        kind = int(self.kind[s])
-        g1, i1, g2, i2 = self.parents[s].tolist()
-        t, a, b = self.trees[s].tolist()
-        base = kind % _RAW
-        if base == _LEAF:
-            payload = Leaf(programs[t])
-        elif base == _REF:
-            payload = IndividualRef(g1, i1)
-        else:
-            payload = Crossover(IndividualRef(g1, i1), IndividualRef(g2, i2), programs[t])
-        if kind >= _RAW:
-            rb = programs[b] if kind >= _BOUNDED else None
-            payload = Mutation(payload, programs[a], rb, float(self.step[s]))
-        return payload
-
-
-def _pack(payloads) -> tuple:
-    """(`Payloads.pack(payloads)`, the programs of its table as they were given)."""
-    kind, parents, trees, step, programs = [], [], [], [], []
-
-    def tree(program) -> int:
-        programs.append(program)
-        return len(programs) - 1
-
-    for payload in payloads:
-        base = payload.base if isinstance(payload, Mutation) else payload
-        if isinstance(base, Leaf):
-            code, pair, slot_trees = _LEAF, (-1, -1, -1, -1), [tree(base.tree)]
-        elif isinstance(base, IndividualRef):
-            code, pair, slot_trees = _REF, (*base, -1, -1), [-1]
-        elif isinstance(base, Crossover):
-            code, pair = _CROSSOVER, (*base.parent1, *base.parent2)
-            slot_trees = [tree(base.random_tree)]
-        else:
-            raise TypeError(f"unknown payload {payload!r}")
-        if base is payload:
-            slot_trees += [-1, -1]
-            step.append(0.0)
-        else:
-            b = payload.random_tree_b
-            code += _RAW if b is None else _BOUNDED
-            slot_trees += [tree(payload.random_tree_a), -1 if b is None else tree(b)]
-            step.append(payload.step)
-        kind.append(code)
-        parents.append(pair)
-        trees.append(slot_trees)
-    packed = Payloads(
-        np.array(kind, np.int8),
-        np.array(parents, np.int32).reshape(-1, 4),
-        np.array(trees, np.int32).reshape(-1, 3),
-        np.array(step, float),
-        Trees.pack(programs),
-    )
-    return packed, programs
-
 
 class Individual:
-    """A read view of one individual: its payload, train fitness and semantics.
+    """A read view of one individual: its train fitness and semantics.
 
     `semantics` is its row over the stacked train-then-test rows, and the
     view owns it: the row that `make_individual` computed, or, for a view
@@ -384,14 +277,16 @@ class Individual:
     view holds a weak reference to its archive, and a first read after the
     archive is gone raises RuntimeError. train_semantics and test_semantics
     are views of `semantics`, each made on its first read; later reads
-    return the same object.
+    return the same object. An individual that `make_individual` returned
+    also keeps its one-slot `Payloads`, for `append_generation`; a view of
+    an archived generation keeps none (its generation's record holds it).
     """
 
-    def __init__(self, payload, train_fitness: float, n_train: int, source):
-        self.payload = payload
+    def __init__(self, train_fitness: float, n_train: int, source, record=None):
         self.train_fitness = train_fitness
         self._n_train = n_train
         self._source = source  # the row, or (weak archive ref, IndividualRef)
+        self._record = record
 
     @cached_property
     def semantics(self) -> np.ndarray:
@@ -415,18 +310,13 @@ class Individual:
 class _Generation(Sequence):
     """The one record of a completed generation, read as a view per slot (see `Archive._view`).
 
-    `packed` holds its payloads (see `Payloads`), and `payloads` builds
-    their read form, a tuple of payload objects, on each read. It holds a
-    weak reference to its archive; reading a view after the archive is gone
-    raises RuntimeError, as a view's first read does.
+    `packed` holds its payloads (see `Payloads`). It holds a weak reference
+    to its archive; reading a view after the archive is gone raises
+    RuntimeError, as a view's first read does.
     """
 
     def __init__(self, archive: weakref.ref, generation: int, packed: Payloads):
         self._archive, self.generation, self.packed = archive, generation, packed
-
-    @property
-    def payloads(self) -> tuple:
-        return tuple(self.packed)
 
     def __len__(self) -> int:
         return len(self.packed)
@@ -479,8 +369,8 @@ class Archive:
 
         Only `append_evaluated` extends it, so every generation has its row
         in the fitness table. generations[g][i] is slot i's view (see
-        `Individual`), generations[g].packed the generation's packed
-        payloads and generations[g].payloads their read form.
+        `Individual`) and generations[g].packed the generation's packed
+        payloads.
         """
         return self._generations
 
@@ -534,29 +424,38 @@ class Archive:
         """
         ref = IndividualRef(g, i)
         if ref not in self._views:
-            payload, fitness = self._generations[g].packed[i], float(self._train_fitness[g, i])
-            self._views[ref] = Individual(payload, fitness, self.n_train, (self._weak, ref))
+            fitness = float(self._train_fitness[g, i])
+            self._views[ref] = Individual(fitness, self.n_train, (self._weak, ref))
         return self._views[ref]
 
     # -- creation -----------------------------------------------------
 
-    def make_individual(self, payload: Payload) -> Individual:
+    def make_individual(self, payload) -> Individual:
         """The individual of one payload (not appended), a view of a row of its own.
 
-        The payload is packed and evaluated as `evaluate_next` evaluates a
-        slot. A ref that does not point into the archive raises ValueError,
-        as `individual` does. Semantics that are not all finite raise the
+        The payload is a program (a plain tuple), a generation-0 leaf, or a
+        one-slot `Payloads`; it is evaluated as `evaluate_next` evaluates a
+        slot. Anything else, a bare ref among them, raises TypeError. A ref
+        that does not point into the archive raises ValueError, as
+        `individual` does. Semantics that are not all finite raise the
         NonFiniteSemanticsError that names slot 0, the split and the row
         within it.
         """
-        packed, programs = _pack([payload])
-        for ref in packed.reads(0):
+        if isinstance(payload, Payloads):
+            record, programs = payload, list(payload.table)
+        elif type(payload) is not tuple:
+            raise TypeError(f"{payload!r} is neither a program nor a one-slot Payloads")
+        else:
+            programs, kind = [payload], np.zeros(1, np.int8)  # a leaf, _LEAF
+            parents, trees = np.full((1, 4), -1, np.int32), np.array([[0, -1, -1]], np.int32)
+            record = Payloads(kind, parents, trees, np.zeros(1), Trees.pack(programs))
+        for ref in record.reads(0):
             self.individual(ref)
         row, fitness = np.empty((1, self._columns.rows)), np.empty(1)
-        rejects = self._evaluate(packed, [0], row, fitness, programs)
+        rejects = self._evaluate(record, [0], row, fitness, programs)
         if rejects:
             raise rejects[0]
-        return Individual(payload, float(fitness[0]), self.n_train, row[0])
+        return Individual(float(fitness[0]), self.n_train, row[0], record)
 
     def evaluate_next(self, payloads: Payloads, slots) -> list:
         """Evaluate payloads[s] for s in slots into slot s of the next generation; the rejects.
@@ -601,7 +500,7 @@ class Archive:
             if not direct:
                 rows[span] = block
             for k in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
-                rejects.append(self._nonfinite(payloads[span[k]], span[k], block[k]))
+                rejects.append(self._nonfinite(int(payloads.kind[span[k]]), span[k], block[k]))
             fitness[span] = self.fitness(block[:, : self.n_train], self.train_targets)
         return rejects
 
@@ -625,9 +524,13 @@ class Archive:
             rows[k] = self.row(IndividualRef(int(g[k]), int(i[k])))
         return rows
 
-    def _nonfinite(self, payload, slot, values) -> NonFiniteSemanticsError:
-        """The error for a slot's non-finite values, naming a train row before a test row."""
-        context = f"{type(payload).__name__} payload in slot {slot}"
+    def _nonfinite(self, kind, slot, values) -> NonFiniteSemanticsError:
+        """The error for a slot's non-finite values, naming a train row before a test row.
+
+        kind is the slot's kind code, named as the payload kind it codes.
+        """
+        name = ("Leaf", "IndividualRef", "Crossover")[kind] if kind < _RAW else "Mutation"
+        context = f"{name} payload in slot {slot}"
         try:
             check_finite(values[: self.n_train], context, split="train", slot=slot)
             check_finite(values[self.n_train :], context, split="test", slot=slot)
@@ -669,18 +572,29 @@ class Archive:
         self._generations += (_Generation(self._weak, len(self._generations), payloads),)
 
     def append_generation(self, individuals: list):
-        """Complete the next generation from its individuals, one per slot.
+        """Complete the next generation from individuals that `make_individual` returned.
 
-        Each is a view (from `make_individual` or a read); its
-        row and train fitness are copied into the generation's window slot
-        and table row, and its payload is packed. A generation that is
-        empty or not of the population size raises ValueError.
+        Each one's row and train fitness are copied into the generation's
+        window slot and table row, and their one-slot records are joined
+        into the generation's record, over one table. A generation that is
+        empty or not of the population size raises ValueError, and a read
+        view, which keeps no record, TypeError.
         """
         rows, fitness = self._next(len(individuals))
+        records = [individual._record for individual in individuals]
+        if None in records:
+            raise TypeError("append_generation takes only individuals that make_individual made")
         for row, individual in zip(rows, individuals):
             row[:] = individual.semantics
         fitness[:] = [individual.train_fitness for individual in individuals]
-        self.append_evaluated(Payloads.pack([individual.payload for individual in individuals]))
+        kind, parents, trees, step = (
+            np.concatenate([getattr(record, name) for record in records])
+            for name in ("kind", "parents", "trees", "step")
+        )
+        starts = np.cumsum([0] + [len(record.table) for record in records[:-1]], dtype=np.int32)
+        trees = np.where(trees >= 0, trees + starts[:, None], -1)
+        table = Trees.join([record.table for record in records])
+        self.append_evaluated(Payloads(kind, parents, trees, step, table))
 
     # -- replay -----------------------------------------------------
 
@@ -735,40 +649,40 @@ class Archive:
     def naive_eval(self, ref: IndividualRef, x, max_expansions: int = 1_000_000) -> float:
         """Evaluate an individual by full recursive expansion on one row.
 
-        Never touches memoized semantics; cost is exponential in the
-        generation count, so this is a testing oracle for tiny archives
-        only. Exceeding max_expansions payload visits raises instead of
-        hanging.
+        Never touches memoized semantics: it recurses over the kind codes
+        and parent ints of the packed records and evaluates each tree of
+        their tables on the row. Its cost is exponential in the generation
+        count, so this is a testing oracle for tiny archives only.
+        Exceeding max_expansions payload visits raises instead of hanging.
+        A ref that does not point into the archive raises ValueError, as
+        `individual` does.
         """
+        self.individual(ref)
         budget = [max_expansions]
 
-        def eval_payload(payload):
+        def value(g, i):
             budget[0] -= 1
             if budget[0] < 0:
                 raise EvalBudgetExceededError(
                     f"naive_eval exceeded {max_expansions} payload expansions; "
                     "archive too large for the oracle"
                 )
-            if isinstance(payload, IndividualRef):
-                return eval_payload(self.individual(payload).payload)
-            if isinstance(payload, Leaf):
-                return eval_tree(payload.tree, x)
-            if isinstance(payload, Crossover):
-                w = sigmoid(eval_tree(payload.random_tree, x))
-                return w * eval_payload(payload.parent1) + (1.0 - w) * eval_payload(
-                    payload.parent2
-                )
-            if isinstance(payload, Mutation):
-                base = eval_payload(payload.base)
-                if payload.random_tree_b is None:
-                    return base + payload.step * eval_tree(payload.random_tree_a, x)
-                return base + payload.step * (
-                    sigmoid(eval_tree(payload.random_tree_a, x))
-                    - sigmoid(eval_tree(payload.random_tree_b, x))
-                )
-            raise TypeError(f"unknown payload {payload!r}")
+            packed = self._generations[g].packed
+            kind, step = int(packed.kind[i]), float(packed.step[i])
+            g1, i1, g2, i2 = packed.parents[i].tolist()
+            tree, a, b = (packed.table[t] if t >= 0 else None for t in packed.trees[i].tolist())
+            if kind % _RAW == _LEAF:
+                v = eval_tree(tree, x)
+            elif kind % _RAW == _REF:
+                v = value(g1, i1)
+            else:
+                w = sigmoid(eval_tree(tree, x))
+                v = w * value(g1, i1) + (1.0 - w) * value(g2, i2)
+            if kind >= _BOUNDED:
+                return v + step * (sigmoid(eval_tree(a, x)) - sigmoid(eval_tree(b, x)))
+            return v + step * eval_tree(a, x) if kind >= _RAW else v
 
-        return eval_payload(self.individual(ref).payload)
+        return value(*ref)
 
     # -- accounting ---------------------------------------------------
 
@@ -782,10 +696,7 @@ class Archive:
         """JSON form of the structure (schema 2); semantics are recomputed on load."""
         return {
             "schema_version": SCHEMA_VERSION,
-            "generations": [
-                [_payload_to_json(payload) for payload in gen.packed]
-                for gen in self._generations
-            ],
+            "generations": [_generation_to_json(gen.packed) for gen in self._generations],
         }
 
     @classmethod
@@ -810,20 +721,28 @@ class Archive:
         if not isinstance(generations, list):
             raise ValueError("archive JSON has no list of generations")
         archive = cls(split, hold=max(1, len(generations)))
+        n_features = split.train.n_features
         for g, gen in enumerate(generations):
             if not isinstance(gen, list):
                 raise ValueError(f"generation {g} is not a list of payloads")
-            payloads = []
+            columns, programs = ([], [], [], []), []
             for i, item in enumerate(gen):
                 try:
-                    payloads.append(
-                        _payload_from_json(item, archive.generations, split.train.n_features)
-                    )
+                    slot = _slot_from_json(item, archive.generations, n_features, programs)
                 except KeyError as exc:
                     raise ValueError(f"generation {g}, slot {i}: missing key {exc}") from None
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"generation {g}, slot {i}: {exc}") from None
-            packed = Payloads.pack(payloads)
+                for column, value in zip(columns, slot):
+                    column.append(value)
+            kind, parents, trees, step = columns
+            packed = Payloads(
+                np.array(kind, np.int8),
+                np.array(parents, np.int32).reshape(-1, 4),
+                np.array(trees, np.int32).reshape(-1, 3),
+                np.array(step, float),
+                Trees.pack(programs),
+            )
             rejects = archive.evaluate_next(packed, range(len(packed)))
             if rejects:
                 raise rejects[0]
@@ -903,7 +822,7 @@ def ancestry(payloads, ref: IndividualRef, stop) -> dict:
     keeps a stack, not recursion, and does not pass a ref where stop(ref)
     holds: that ref and what only it reads are left out. Sorted, the keys
     (IndividualRefs) are the closure oldest generation first, an order in
-    which every ref comes after the refs it reads. A Leaf gives {}.
+    which every ref comes after the refs it reads. A leaf's slot gives {}.
     """
     last_read = {}
     todo = [ref]
@@ -924,23 +843,30 @@ def _add_steps(block, rows, step, delta):
     block[rows] += delta
 
 
-def _payload_to_json(payload: Payload):
-    """A ref as its [g, i] pair; any other payload as its kind, then its fields in order.
+def _generation_to_json(packed: Payloads) -> list:
+    """Each slot's payload in schema 2: a ref as its [g, i] pair, any other as an object.
 
-    A field that is a payload (a ref or an inline crossover) is written
-    recursively, a program (a plain tuple) by `tree_to_json`, and None and
-    the step as they are.
+    The object holds the kind, then the fields in order: a leaf's tree; a
+    crossover's parent1, parent2 and random_tree; a mutation's base (the
+    pair, or the crossover's object), random_tree_a, random_tree_b (None
+    in the raw form) and step. A tree is written by `tree_to_json`.
     """
-    if isinstance(payload, IndividualRef):
-        return [payload.generation, payload.index]
-    obj = {"kind": type(payload).__name__.lower()}
-    for field, value in zip(payload._fields, payload):
-        if type(value) is tuple:
-            value = tree_to_json(value)
-        elif isinstance(value, tuple):
-            value = _payload_to_json(value)
-        obj[field] = value
-    return obj
+    programs, payloads = list(packed.table), []
+    slots = zip(*(getattr(packed, name).tolist() for name in ("kind", "parents", "trees", "step")))
+    for kind, (g1, i1, g2, i2), (t, a, b), step in slots:
+        if kind % _RAW == _LEAF:
+            obj = {"kind": "leaf", "tree": tree_to_json(programs[t])}
+        elif kind % _RAW == _REF:
+            obj = [g1, i1]
+        else:
+            obj = {"kind": "crossover", "parent1": [g1, i1], "parent2": [g2, i2],
+                   "random_tree": tree_to_json(programs[t])}
+        if kind >= _RAW:
+            obj = {"kind": "mutation", "base": obj, "random_tree_a": tree_to_json(programs[a]),
+                   "random_tree_b": tree_to_json(programs[b]) if kind >= _BOUNDED else None,
+                   "step": step}
+        payloads.append(obj)
+    return payloads
 
 
 def _ref_from_json(obj, earlier: tuple) -> IndividualRef:
@@ -955,18 +881,27 @@ def _ref_from_json(obj, earlier: tuple) -> IndividualRef:
     return IndividualRef(g, i)
 
 
-def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:
+def _slot_from_json(obj, earlier: tuple, n_features: int, programs: list) -> tuple:
+    """(kind code, parents, trees, step) of a slot's schema-2 payload; its trees go to programs.
+
+    earlier is the archive's generations so far. A tree is parsed by
+    `tree_from_json` and appended to programs, the generation's trees so
+    far; the slot's trees are their indices there.
+    """
+
+    def tree(obj) -> int:
+        programs.append(tree_from_json(obj, n_features))
+        return len(programs) - 1
+
     if isinstance(obj, list):
-        return _ref_from_json(obj, earlier)
+        return _REF, (*_ref_from_json(obj, earlier), -1, -1), (-1, -1, -1), 0.0
     kind = obj["kind"]
     if kind == "leaf":
-        return Leaf(tree_from_json(obj["tree"], n_features))
+        return _LEAF, (-1, -1, -1, -1), (tree(obj["tree"]), -1, -1), 0.0
     if kind == "crossover":
-        return Crossover(
-            _ref_from_json(obj["parent1"], earlier),
-            _ref_from_json(obj["parent2"], earlier),
-            tree_from_json(obj["random_tree"], n_features),
-        )
+        first, second = (_ref_from_json(obj[key], earlier) for key in ("parent1", "parent2"))
+        parents = (*first, *second)
+        return _CROSSOVER, parents, (tree(obj["random_tree"]), -1, -1), 0.0
     if kind == "mutation":
         # The base is told by its form before it is parsed, so a payload is
         # parsed at most two levels deep however deeply its base nests.
@@ -974,15 +909,12 @@ def _payload_from_json(obj, earlier: tuple, n_features: int) -> Payload:
         crossover = isinstance(base, dict) and base.get("kind") == "crossover"
         if not (isinstance(base, list) or crossover):
             raise ValueError("mutation base is neither a ref nor a crossover")
-        base = _payload_from_json(base, earlier, n_features)
+        code, parents, (t, _, _), _ = _slot_from_json(base, earlier, n_features, programs)
         rb = obj["random_tree_b"]
         step = obj["step"]
         if not (finite_number(step) and step >= 0):
             raise ValueError(f"mutation step {step!r} is not a finite number >= 0")
-        return Mutation(
-            base,
-            tree_from_json(obj["random_tree_a"], n_features),
-            None if rb is None else tree_from_json(rb, n_features),
-            float(step),
-        )
+        a = tree(obj["random_tree_a"])
+        code += _RAW if rb is None else _BOUNDED
+        return code, parents, (t, a, -1 if rb is None else tree(rb)), float(step)
     raise ValueError(f"unknown payload kind {kind!r}")

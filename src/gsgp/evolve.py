@@ -2,16 +2,16 @@
 
 Offspring composition per slot: with probability crossover_rate the slot is
 a crossover of two tournament winners, otherwise a reproduction of one;
-independently, with probability mutation_rate the result is wrapped in a
-mutation record. Slot 0 is the previous generation's best individual when
-elitism is on, exempt from variation.
+independently, with probability mutation_rate the slot then mutates that
+base, and its kind code says both. Slot 0 is the previous generation's
+best individual when elitism is on, exempt from variation.
 
 Randomness follows RNG stream 2 (RNG_STREAM). A run first draws its
 generation-0 trees, one `gen_tree` call over the `ramp_schedule` slots, and
-`seed_archive` evaluates them in slot order; a seed tree with non-finite
-semantics is replaced at once by a `gen_tree` call for its slot alone. Then
-`next_generation` draws the payloads of its k open slots in bulk, one draw
-per kind, in this order:
+`seed_archive` hands each program to `Archive.make_individual` in slot
+order, as a leaf; a seed tree with non-finite semantics is replaced at once
+by a `gen_tree` call for its slot alone. Then `next_generation` draws the
+payloads of its k open slots in bulk, one draw per kind, in this order:
 
 1. crossover coins, `rng.random(k)`;
 2. mutation coins, `rng.random(k)`;
@@ -20,19 +20,19 @@ per kind, in this order:
 4. one `gen_tree` call for all random trees, grow at max_initial_depth:
    one per crossover and two per bounded mutation (one per raw mutation).
 
-Winners and trees are handed out in slot order: a crossover takes the
-next two winners and the next tree, a reproduction the next winner, and a
-mutation then takes the next tree as random_tree_a and, when bounded, the
-one after it as random_tree_b. `Payloads.bred` computes this as index
-arrays from the coins: a slot's first winner and first tree are running
-sums of what the slots before it take, so no Python loop visits a slot,
-and the generation's packed payloads keep the winners' generations and
-indices and the `Trees` table that `gen_tree` returns. The whole
-generation is then evaluated at once, straight into its slot of the
-archive's window. The slots whose semantics are not finite are drawn again
-the same way, with k the number of failed slots, and only they are
-evaluated again. A rejected draw stays consumed: its entrants stay tallied
-in offset_counts, and its trees stay, unread, in the generation's table.
+Winners and trees are handed out in slot order: a crossover takes the next
+two winners and the next tree, a reproduction the next winner, and a
+mutation then takes the next tree as its tree a and, when bounded, the one
+after it as its tree b. `Payloads.bred` computes this as index arrays from
+the coins: a slot's first winner and first tree are running sums of what
+the slots before it take, so no Python loop visits a slot, and the
+generation's packed payloads keep the winners' generations and indices and
+the `Trees` table that `gen_tree` returns. The whole generation is then
+evaluated at once, straight into its slot of the archive's window. The
+slots whose semantics are not finite are drawn again the same way, with k
+the number of failed slots, and only they are evaluated again. A rejected
+draw stays consumed: its entrants stay tallied in offset_counts, and its
+trees stay, unread, in the generation's table.
 
 Seeding and breeding share one cap on these redraws, _SLOT_RETRIES: a
 slot whose semantics are not finite _SLOT_RETRIES + 1 times in a row
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .archive import Archive, IndividualRef, Leaf, Payloads
+from .archive import Archive, IndividualRef, Payloads
 from .data import SplitDataset
 from .errors import NonFiniteSemanticsError, checked_int, finite_number
 from .exprtree import MAX_TREE_DEPTH, gen_tree, ramp_schedule
@@ -154,7 +154,7 @@ def seed_archive(
         failures = 0
         while True:
             try:
-                individuals.append(archive.make_individual(Leaf(tree)))
+                individuals.append(archive.make_individual(tree))
                 break
             except NonFiniteSemanticsError as exc:
                 failures += 1

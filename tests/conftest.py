@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gsgp.archive import Archive, Leaf
+from gsgp.archive import Archive
 from gsgp.data import Dataset, SplitDataset, split_70_30, synthetic_dataset
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
@@ -40,5 +40,5 @@ def make_split(train_inputs, train_targets, test_inputs=None, test_targets=None)
 def seeded_archive(trees, split, hold=8) -> Archive:
     """Archive with one generation built from explicit trees, holding `hold` generations."""
     archive = Archive(split, hold=hold)
-    archive.append_generation([archive.make_individual(Leaf(t)) for t in trees])
+    archive.append_generation([archive.make_individual(t) for t in trees])
     return archive

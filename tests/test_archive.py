@@ -1,3 +1,5 @@
+import copy
+import functools
 import gc
 import json
 import re
@@ -12,11 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import records
 from conftest import make_split, seeded_archive
+from records import generation, holds_slots, leaf, leaf_trees, mutation, reproduction
 
 import gsgp.archive as archive_module
 import gsgp.evolve as evolve_module
-from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation, Payloads
+from gsgp.archive import _LEAF, _REF, Archive, IndividualRef, Payloads
 from gsgp.data import Dataset, synthetic_dataset, split_70_30
 from gsgp.errors import EvalBudgetExceededError, NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
@@ -28,6 +32,7 @@ from gsgp.exprtree import (
     Variable,
     eval_tree,
     gen_tree,
+    tree_to_json,
 )
 from gsgp.selection import Geometric, UniformLastK, tournament_select
 from gsgp.semantics import rmse, sigmoid
@@ -40,8 +45,8 @@ def two_leaf_archive():
 
 
 def crossover(i, j, random_tree):
-    """Crossover payload of two generation-0 individuals."""
-    return Crossover(IndividualRef(0, i), IndividualRef(0, j), random_tree)
+    """Crossover record of two generation-0 individuals."""
+    return records.crossover((0, i), (0, j), random_tree)
 
 
 def evolved_split(rows=20):
@@ -62,7 +67,7 @@ def test_seed_archive_shape(small_split, rng):
     archive = seed_archive(trees, small_split, regenerate=no_regeneration, hold=1)
     assert len(archive.generations) == 1
     assert len(archive.generations[0]) == 100
-    assert all(isinstance(ind.payload, Leaf) for ind in archive.generations[0])
+    assert archive.generations[0].packed.kind.tolist() == [_LEAF] * 100
 
 
 def test_mean_constant_leaf_fitness_is_population_std(small_split):
@@ -97,7 +102,7 @@ def test_seed_regenerates_nonfinite_trees(small_split):
     # fails twice (its first redraw fails too) and slot 3 once.
     assert calls == [1, 1, 3]
     seeded = archive.generations[0]
-    assert [ind.payload.tree for ind in seeded] == [
+    assert leaf_trees(seeded.packed) == [
         Constant(0.5), Constant(1.0), Constant(-0.5), Constant(2.0)
     ]
     assert all(ind.train_fitness < float("inf") for ind in seeded)
@@ -158,21 +163,22 @@ def test_crossover_of_equal_parents_is_identity():
 def test_crossover_rejects_bad_refs():
     archive = two_leaf_archive()
     with pytest.raises(ValueError):
-        archive.make_individual(Crossover(IndividualRef(0, 0), IndividualRef(1, 0), Constant(0.0)))
+        archive.make_individual(records.crossover((0, 0), (1, 0), Constant(0.0)))
     with pytest.raises(ValueError):
-        archive.make_individual(Crossover(IndividualRef(0, 5), IndividualRef(0, 0), Constant(0.0)))
+        archive.make_individual(records.crossover((0, 5), (0, 0), Constant(0.0)))
 
 
 def test_mutation_step_zero_is_identity():
     archive = two_leaf_archive()
-    child = archive.make_individual(Mutation(IndividualRef(0, 0), Constant(3.0), Constant(-1.0), 0.0))
+    unmoved = mutation(reproduction((0, 0)), Constant(3.0), Constant(-1.0), 0.0)
+    child = archive.make_individual(unmoved)
     assert np.array_equal(child.train_semantics, archive.generations[0][0].train_semantics)
 
 
 def test_mutation_equal_trees_cancel():
     archive = two_leaf_archive()
     tree = BinaryOp("mul", Variable(0), Constant(0.7))
-    child = archive.make_individual(Mutation(IndividualRef(0, 0), tree, tree, 0.1))
+    child = archive.make_individual(mutation(reproduction((0, 0)), tree, tree, 0.1))
     assert np.array_equal(child.train_semantics, archive.generations[0][0].train_semantics)
 
 
@@ -181,13 +187,13 @@ def test_mutation_bounded_by_step(rng):
     parent = archive.generations[0][0]
     for _ in range(100):
         ra, rb = gen_tree(4, 1, [(4, "grow")] * 2, rng)
-        child = archive.make_individual(Mutation(IndividualRef(0, 0), ra, rb, 0.1))
+        child = archive.make_individual(mutation(reproduction((0, 0)), ra, rb, 0.1))
         assert np.all(np.abs(child.train_semantics - parent.train_semantics) <= 0.1 + 1e-12)
 
 
 def test_mutation_raw_single_tree_form():
     archive = two_leaf_archive()
-    child = archive.make_individual(Mutation(IndividualRef(0, 0), Constant(5.0), None, 0.1))
+    child = archive.make_individual(mutation(reproduction((0, 0)), Constant(5.0), None, 0.1))
     parent = archive.generations[0][0]
     assert np.allclose(child.train_semantics, parent.train_semantics + 0.5)
 
@@ -200,7 +206,7 @@ def test_crossover_betweenness_sweep(rng):
         r1 = IndividualRef(int(g1), int(rng.integers(len(gens[g1]))))
         r2 = IndividualRef(int(g2), int(rng.integers(len(gens[g2]))))
         (tree,) = gen_tree(4, 2, [(4, "grow")], rng)
-        child = archive.make_individual(Crossover(r1, r2, tree))
+        child = archive.make_individual(records.crossover(r1, r2, tree))
         for which in ("train_semantics", "test_semantics"):
             c = getattr(child, which)
             a = getattr(archive.individual(r1), which)
@@ -213,19 +219,32 @@ def test_crossover_betweenness_sweep(rng):
 def test_reference_copies_parent_semantics():
     archive = two_leaf_archive()
     parent = archive.generations[0][1]
-    ind = archive.make_individual(IndividualRef(0, 1))
-    assert ind.payload == IndividualRef(0, 1)
+    ind = archive.make_individual(reproduction((0, 1)))
     # A row of its own block with its parent's bits, so it pins no parent block.
     assert ind.semantics.tobytes() == parent.semantics.tobytes()
     assert not np.shares_memory(ind.semantics, parent.semantics)
     assert ind.train_semantics.tobytes() == parent.train_semantics.tobytes()
     assert ind.test_semantics.tobytes() == parent.test_semantics.tobytes()
     assert ind.train_fitness == parent.train_fitness
+    # The individual keeps its record: appended, its slot reproduces (0, 1).
+    archive.append_generation([ind, ind])
+    assert archive.generations[1].packed.kind.tolist() == [_REF, _REF]
+    assert archive.generations[1].packed.reads(1) == (IndividualRef(0, 1),)
+
+
+def test_make_individual_takes_a_program_or_a_record_and_nothing_else():
+    archive = two_leaf_archive()
+    leaf_of_program = archive.make_individual(Variable(0))
+    assert leaf_of_program.semantics.tobytes() == archive.generations[0][0].semantics.tobytes()
+    # A ref is a tuple too, but not a program: it must come as a reproduction record.
+    for payload in (IndividualRef(0, 1), [0], None):
+        with pytest.raises(TypeError, match="is neither a program nor a one-slot Payloads"):
+            archive.make_individual(payload)
 
 
 def test_naive_eval_leaf_equals_eval_tree():
     archive = two_leaf_archive()
-    tree = archive.generations[0][1].payload.tree
+    tree = leaf_trees(archive.generations[0].packed)[1]
     for x in archive.train_inputs:
         assert archive.naive_eval(IndividualRef(0, 1), x) == eval_tree(tree, x)
 
@@ -235,8 +254,7 @@ def test_naive_eval_crossover_hand_expansion():
     rt = BinaryOp("mul", Variable(0), Constant(0.3))
     child = archive.make_individual(crossover(0, 1, rt))
     archive.append_generation([child, child])
-    t1 = archive.generations[0][0].payload.tree
-    t2 = archive.generations[0][1].payload.tree
+    t1, t2 = leaf_trees(archive.generations[0].packed)
     for x in archive.train_inputs:
         w = sigmoid(eval_tree(rt, x))
         expected = w * eval_tree(t1, x) + (1.0 - w) * eval_tree(t2, x)
@@ -259,7 +277,7 @@ def test_a_plain_pair_reads_like_its_ref():
     x = archive.train_inputs[0]
     for g, i in ((0, 1), (3, 5)):
         ref = IndividualRef(g, i)
-        assert archive.individual((g, i)).payload == archive.individual(ref).payload
+        assert archive.individual((g, i)) is archive.individual(ref)
         assert archive.naive_eval((g, i), x) == archive.naive_eval(ref, x)
     for pair, message in (
         ((4, 0), "no generation 4 in archive"),
@@ -290,10 +308,10 @@ def test_naive_eval_matches_memoized_archive_at_saturated_weights():
     archive.append_generation(
         [
             archive.make_individual(
-                Mutation(IndividualRef(1, 0), Constant(40.0), Constant(-800.0), 0.1)
+                mutation(reproduction((1, 0)), Constant(40.0), Constant(-800.0), 0.1)
             ),
             archive.make_individual(
-                Mutation(IndividualRef(1, 1), Constant(-800.0), Constant(40.0), 0.1)
+                mutation(reproduction((1, 1)), Constant(-800.0), Constant(40.0), 0.1)
             ),
         ]
     )
@@ -333,7 +351,7 @@ def test_record_count_linear_in_generations():
 def test_generation_size_is_enforced():
     archive = two_leaf_archive()
     with pytest.raises(ValueError, match="size"):
-        archive.append_generation([archive.make_individual(IndividualRef(0, 0))])
+        archive.append_generation([archive.make_individual(reproduction((0, 0)))])
     with pytest.raises(ValueError, match="empty"):
         archive.append_generation([])
 
@@ -344,8 +362,9 @@ def test_json_round_trip_recomputes_identical_semantics():
     clone = Archive.from_json(json.loads(blob), evolved_split())
     assert len(clone.generations) == len(archive.generations)
     for gen_a, gen_b in zip(archive.generations, clone.generations):
+        assert gen_a.packed.kind.tobytes() == gen_b.packed.kind.tobytes()
+        assert gen_a.packed.parents.tobytes() == gen_b.packed.parents.tobytes()
         for a, b in zip(gen_a, gen_b):
-            assert type(a.payload) is type(b.payload)
             assert np.array_equal(a.train_semantics, b.train_semantics)
             assert np.array_equal(a.test_semantics, b.test_semantics)
             assert a.train_fitness == b.train_fitness
@@ -432,14 +451,14 @@ def three_generation_archive():
     half = BinaryOp("mul", Variable(0), Constant(0.5))
     for payloads in (
         [
-            Crossover(IndividualRef(0, 0), IndividualRef(0, 1), half),
-            Mutation(IndividualRef(0, 1), Variable(0), Constant(1.0), 0.1),
-            IndividualRef(0, 2),
+            records.crossover((0, 0), (0, 1), half),
+            mutation(reproduction((0, 1)), Variable(0), Constant(1.0), 0.1),
+            reproduction((0, 2)),
         ],
         [
-            Crossover(IndividualRef(1, 0), IndividualRef(1, 1), half),
-            Mutation(Crossover(IndividualRef(1, 2), IndividualRef(0, 0), half), half, None, 0.1),
-            IndividualRef(1, 0),
+            records.crossover((1, 0), (1, 1), half),
+            mutation(records.crossover((1, 2), (0, 0), half), half, None, 0.1),
+            reproduction((1, 0)),
         ],
     ):
         archive.append_generation([archive.make_individual(p) for p in payloads])
@@ -454,7 +473,7 @@ def three_generation_records(child):
 
 
 def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
-    child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
+    child = records.crossover((2, 0), (2, 1), Constant(0.0))
     payloads = three_generation_records(child)
     visited = []
 
@@ -482,7 +501,7 @@ def test_ancestry_gives_the_closure_with_each_refs_newest_reader():
 
 
 def test_ancestry_does_not_pass_a_stopping_ref_and_a_leaf_has_none():
-    child = Crossover(IndividualRef(2, 0), IndividualRef(2, 1), Constant(0.0))
+    child = records.crossover((2, 0), (2, 1), Constant(0.0))
     payloads = three_generation_records(child)
     ref = IndividualRef(3, 0)
     # Past (2, 0) lie (1, 0) and (1, 1), and (0, 1) only through them;
@@ -499,8 +518,8 @@ def test_ancestry_does_not_pass_a_stopping_ref_and_a_leaf_has_none():
 def test_ancestry_of_a_long_chain_does_not_recurse():
     depth = sys.getrecursionlimit() + 50
     # Generation g reproduces generation g - 1.
-    payloads = [Payloads.pack([Leaf(Variable(0))])]
-    payloads += [Payloads.pack([IndividualRef(g - 1, 0)]) for g in range(1, depth + 1)]
+    payloads = [leaf(Variable(0))]
+    payloads += [reproduction((g - 1, 0)) for g in range(1, depth + 1)]
     found = archive_module.ancestry(payloads, IndividualRef(depth, 0), lambda ref: False)
     assert found == {(g, 0): g + 1 for g in range(depth)}
 
@@ -548,10 +567,7 @@ def test_a_read_evaluates_exactly_the_released_ancestry_and_keeps_only_its_row(m
         expected = [(h, [a.index for a in ancestry if a.generation == h]) for h in shares]
         assert len(calls) == len(expected) + 1
         for call, (h, slots) in zip(calls, expected + [(g, [i])]):
-            packed = archive.generations[h].packed
-            assert call.table is packed.table
-            for name in ("kind", "parents", "trees", "step"):
-                assert getattr(call, name).tobytes() == getattr(packed, name)[slots].tobytes()
+            assert holds_slots(call, archive.generations[h].packed, slots)
         assert len(ancestry) > len(shares)  # some generation evaluates several individuals
         assert [block() is None for block in blocks] == [True] * len(shares) + [False]
         assert row.base is blocks[-1]() and row.base.shape == (1, len(archive.inputs))
@@ -622,7 +638,9 @@ def test_releasing_a_generation_frees_its_blocks_though_the_next_reproduces_it(m
     for _ in range(3):
         next_generation(archive, cfg, rng)
     assert archive._window is window and held_generations(archive) == {3}
-    assert {ind.payload.generation for ind in archive.generations[2]} == {1}
+    reproduced = archive.generations[2].packed
+    assert reproduced.kind.tolist() == [_REF] * 10
+    assert set(reproduced.parents[:, 0].tolist()) == {1}
     clone = Archive.from_json(archive.to_json(), split)
     for gen, twin in zip(archive.generations, clone.generations):
         assert [ind.semantics.tobytes() for ind in gen] == [ind.semantics.tobytes() for ind in twin]
@@ -790,7 +808,8 @@ def test_json_schema_2_writes_refs_as_pairs():
     elite = blob["generations"][1][0]
     assert elite == [0, archive.best_of_generation(0).index]
     clone = Archive.from_json(json.loads(json.dumps(blob)), evolved_split())
-    assert clone.generations[1][0].payload == archive.generations[1][0].payload
+    assert clone.generations[1].packed.kind[0] == archive.generations[1].packed.kind[0] == _REF
+    assert clone.generations[1].packed.reads(0) == archive.generations[1].packed.reads(0)
 
 
 def test_json_rejects_other_schema_version():
@@ -911,7 +930,7 @@ def test_nonfinite_semantics_names_split_and_row_within_it():
     archive = seeded_archive([Variable(0)], split)
     blowup = BinaryOp("mul", Variable(0), Constant(1e308))
     with pytest.raises(NonFiniteSemanticsError) as exc:
-        archive.make_individual(Mutation(IndividualRef(0, 0), blowup, None, 1.0))
+        archive.make_individual(mutation(reproduction((0, 0)), blowup, None, 1.0))
     assert exc.value.split == "test"
     assert exc.value.row == 1
 
@@ -937,7 +956,7 @@ def test_fitness_table_is_each_generations_train_fitness():
 def test_generations_grow_only_through_append_generation():
     archive = evolved_archive(pop=4, gens=2)
     gens = archive.generations
-    assert type(gens) is tuple and all(type(gen.payloads) is tuple for gen in gens)
+    assert type(gens) is tuple and all(type(gen.packed) is Payloads for gen in gens)
     with pytest.raises(AttributeError):
         gens.append(gens[0])
     with pytest.raises(TypeError):
@@ -950,8 +969,13 @@ def test_generations_grow_only_through_append_generation():
     assert gens[2][1] is gens[2][1] and gens[2][-1] is gens[2][3]  # a view per slot
     with pytest.raises(IndexError):
         gens[2][4]
-    archive.append_generation(list(gens[0]))
-    assert archive.generations[:3] == gens and archive.generations[3].payloads == gens[0].payloads
+    # A read view keeps no record: a generation is appended from made individuals.
+    with pytest.raises(TypeError, match="only individuals that make_individual made"):
+        archive.append_generation(list(gens[0]))
+    archive.append_generation([archive.make_individual(reproduction((0, i))) for i in range(4)])
+    assert archive.generations[:3] == gens
+    reproduced = archive.generations[3].packed
+    assert [reproduced.reads(i) for i in range(4)] == [((0, i),) for i in range(4)]
     assert archive.train_fitness.shape == (4, 4)
 
 
@@ -1061,10 +1085,10 @@ def mixed_payloads(archive, n, rng):
         payloads.append(
             [
                 crossover(i, j, ra),
-                Mutation(IndividualRef(0, i), ra, rb, 0.1),
-                Mutation(crossover(i, j, ra), rb, rc, 0.1),
-                Mutation(IndividualRef(0, j), rc, None, 0.1),
-                Leaf(rb),
+                mutation(reproduction((0, i)), ra, rb, 0.1),
+                mutation(crossover(i, j, ra), rb, rc, 0.1),
+                mutation(reproduction((0, j)), rc, None, 0.1),
+                leaf(rb),
             ][k % 5]
         )
     return payloads
@@ -1098,8 +1122,8 @@ def test_evaluate_from_two_threads_matches_serial_calls():
 
 def test_mutation_of_inline_crossover_payload():
     archive = two_leaf_archive()
-    inner = Crossover(IndividualRef(0, 0), IndividualRef(0, 1), Constant(0.0))
-    child = archive.make_individual(Mutation(inner, Constant(9.0), Constant(-9.0), 0.1))
+    inner = crossover(0, 1, Constant(0.0))
+    child = archive.make_individual(mutation(inner, Constant(9.0), Constant(-9.0), 0.1))
     midpoint = archive.make_individual(inner)
     delta = child.train_semantics - midpoint.train_semantics
     assert np.all(np.abs(delta) <= 0.1 + 1e-12)
@@ -1122,22 +1146,24 @@ def test_json_rejects_mutation_of_a_mutation():
 def test_nonfinite_generation_names_the_first_failing_slot():
     split = make_split([[0.5], [1.0]], [0.0, 0.0], [[0.25], [10.0]], [0.0, 0.0])
     archive = seeded_archive([Variable(0)] * 5, split)
-    ok = Mutation(IndividualRef(0, 0), Constant(1.0), None, 1.0)
+    ok = mutation(reproduction((0, 0)), Constant(1.0), None, 1.0)
     blowup = BinaryOp("mul", Variable(0), Constant(1e308))
-    test_blowup = Mutation(IndividualRef(0, 0), blowup, None, 1.0)
-    train_blowup = Leaf(Constant(float("nan")))
-    payloads = [IndividualRef(0, 0), ok, test_blowup, ok, train_blowup]
+    test_blowup = mutation(reproduction((0, 0)), blowup, None, 1.0)
+    train_blowup = leaf(Constant(float("nan")))
+    payloads = [reproduction((0, 0)), ok, test_blowup, ok, train_blowup]
     first = r"Mutation payload in slot 2 at row 1"
-    rejects = archive.evaluate_next(Payloads.pack(payloads), range(5))
+    rejects = archive.evaluate_next(generation(payloads), range(5))
     assert [(e.slot, e.split, e.row) for e in rejects] == [(2, "test", 1), (4, "train", 0)]
     assert re.search(first, str(rejects[0]))
     # A redraw round evaluates only its slots: with slot 2 drawn again, slot 4 fails alone.
-    rejects = archive.evaluate_next(Payloads.pack(payloads[:2] + [ok] + payloads[3:]), [2, 4])
+    rejects = archive.evaluate_next(generation(payloads[:2] + [ok] + payloads[3:]), [2, 4])
     assert [(e.slot, e.split, e.row) for e in rejects] == [(4, "train", 0)]
     # from_json raises the first reject of the generation it evaluates (a
     # NaN constant is refused before evaluation, so slot 4 is replaced).
     blob = archive.to_json()
-    blob["generations"].append([archive_module._payload_to_json(p) for p in payloads[:4] + [ok]])
+    raw = {"kind": "mutation", "base": [0, 0], "random_tree_b": None, "step": 1.0}
+    fine, bad = ({**raw, "random_tree_a": tree_to_json(t)} for t in (Constant(1.0), blowup))
+    blob["generations"].append([[0, 0], fine, bad, fine, fine])
     with pytest.raises(NonFiniteSemanticsError, match=first) as exc:
         Archive.from_json(blob, split)
     assert (exc.value.slot, exc.value.split, exc.value.row) == (2, "test", 1)
@@ -1146,15 +1172,16 @@ def test_nonfinite_generation_names_the_first_failing_slot():
 _trees = st.integers(0, 2**32 - 1).map(
     lambda seed: gen_tree(3, 2, [(3, "grow")], np.random.default_rng(seed))[0]
 )
-_refs = st.builds(IndividualRef, st.integers(0, 1), st.integers(0, 3))
-_crossovers = st.builds(Crossover, _refs, _refs, _trees)
+_refs = st.tuples(st.integers(0, 1), st.integers(0, 3))
+_reproductions = st.builds(reproduction, _refs)
+_crossovers = st.builds(records.crossover, _refs, _refs, _trees)
 _steps = st.floats(0.0, 2.0)
 _payloads = st.one_of(
-    st.builds(Leaf, _trees),
-    _refs,
+    st.builds(leaf, _trees),
+    _reproductions,
     _crossovers,
-    st.builds(Mutation, st.one_of(_refs, _crossovers), _trees, _trees, _steps),
-    st.builds(Mutation, st.one_of(_refs, _crossovers), _trees, st.none(), _steps),
+    st.builds(mutation, st.one_of(_reproductions, _crossovers), _trees, _trees, _steps),
+    st.builds(mutation, st.one_of(_reproductions, _crossovers), _trees, st.none(), _steps),
 )
 
 
@@ -1168,12 +1195,12 @@ def test_block_size_never_changes_semantics_or_fitness(payloads):
     archive.append_generation([archive.make_individual(c) for c in crossovers])
     # The payloads, padded with leaves, fill generations of the population
     # size, each evaluated in one block; the clone evaluates one child per block.
-    padded = payloads + [Leaf(trees[0])] * (-len(payloads) % 4)
+    padded = payloads + [leaf(trees[0])] * (-len(payloads) % 4)
     for start in range(0, len(padded), 4):
-        packed = Payloads.pack(padded[start : start + 4])
+        packed = generation(padded[start : start + 4])
         assert archive.evaluate_next(packed, range(4)) == []
         archive.append_evaluated(packed)
-        assert archive.generations[-1].payloads == tuple(padded[start : start + 4])
+        assert archive.generations[-1].packed is packed
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(archive_module, "_BLOCK_ELEMENTS", 1)
         clone = Archive.from_json(archive.to_json(), split)
@@ -1185,3 +1212,60 @@ def test_block_size_never_changes_semantics_or_fitness(payloads):
         for x, memo in zip(archive.inputs, row):
             naive = archive.naive_eval(ref, x)
             assert abs(naive - memo) <= 1e-9 * (1.0 + abs(naive))
+
+
+# Arbitrary JSON values, with the keys and kind names of schema 2 among
+# their strings, so a mutated blob reaches the parser's deeper checks.
+_KEYS = ("kind", "tree", "parent1", "parent2", "random_tree", "base", "random_tree_a",
+         "random_tree_b", "step", "op", "left", "right", "const", "var", "generations")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats()
+    | st.sampled_from(("leaf", "crossover", "mutation", "add", "pow", *_KEYS)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner),
+    max_leaves=6,
+)
+
+
+@functools.cache
+def fuzz_blob() -> tuple:
+    """The JSON of a 5 x 3 run of every payload kind, its split, and the key path of each node."""
+    split = evolved_split(rows=12)
+    cfg = EvolutionConfig(population_size=5, generations=3, mutation_rate=0.5, seed=2)
+    blob = run_evolution(cfg, split, keep_archive=True).archive.to_json()
+    paths, todo = [], [((), blob)]
+    while todo:
+        path, node = todo.pop()
+        paths.append(path)
+        keys = node if isinstance(node, dict) else ()
+        keys = range(len(node)) if isinstance(node, list) else keys
+        todo += [((*path, key), node[key]) for key in keys]
+    return blob, split, paths
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_mutated_archive_blob_lets_only_a_positioned_value_error_escape(data):
+    """Replace or delete one node of a valid blob: from_json raises ValueError or loads it.
+
+    A message about a generation or a slot starts with its generation, and
+    a NonFiniteSemanticsError (a ValueError) names its slot.
+    """
+    valid, split, paths = fuzz_blob()
+    blob = copy.deepcopy(valid)
+    *path, key = data.draw(st.sampled_from(paths)) or (None,)
+    if key is None:
+        blob = data.draw(_json_values)
+    else:
+        parent = functools.reduce(lambda node, k: node[k], path, blob)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_json_values)
+    try:
+        Archive.from_json(blob, split)
+    except NonFiniteSemanticsError as exc:
+        assert exc.slot is not None and f" slot {exc.slot} " in str(exc)
+    except ValueError as exc:
+        top = ("archive JSON is a ", "unsupported archive schema_version ",
+               "archive JSON has no list of generations")
+        assert str(exc).startswith(top) or re.match(r"generation \d+[ ,]", str(exc)), str(exc)

@@ -5,9 +5,11 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from records import leaf_trees
+
 import gsgp.archive as archive_module
 import gsgp.evolve as evolve
-from gsgp.archive import Archive, Crossover, IndividualRef, Leaf, Mutation
+from gsgp.archive import _BOUNDED, _CROSSOVER, _LEAF, _RAW, _REF, Archive
 from gsgp.data import Dataset, split_70_30, synthetic_dataset
 from gsgp.errors import NonFiniteSemanticsError
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution, seed_archive
@@ -29,7 +31,7 @@ def split():
 def holding_archive(cfg, split, hold):
     """The generation 0 that a run of cfg seeds, in an archive that holds `hold` generations."""
     seeded = run_evolution(replace(cfg, generations=0), split, keep_archive=True).archive
-    trees = [leaf.tree for leaf in seeded.generations[0].payloads]
+    trees = leaf_trees(seeded.generations[0].packed)
 
     def no_regeneration(slot):
         raise AssertionError(f"slot {slot} was regenerated")
@@ -52,10 +54,12 @@ def test_reproduction_only_copies_semantics(split):
         clone = Archive.from_json(archive.to_json(), split)
         newest = len(archive.generations) - 1
         for g in range(1, newest + 1):
-            for ind, twin in zip(archive.generations[g], clone.generations[g]):
-                assert isinstance(ind.payload, IndividualRef)
-                assert ind.payload.generation == g - 1
-                parent = archive.individual(ind.payload)
+            packed = archive.generations[g].packed
+            assert packed.kind.tolist() == [_REF] * cfg.population_size
+            for i, (ind, twin) in enumerate(zip(archive.generations[g], clone.generations[g])):
+                (ref,) = packed.reads(i)
+                assert ref.generation == g - 1
+                parent = archive.individual(ref)
                 assert not np.shares_memory(ind.semantics, parent.semantics)
                 assert ind.semantics.tobytes() == parent.semantics.tobytes()
                 assert ind.train_fitness == parent.train_fitness
@@ -114,35 +118,33 @@ def test_elite_slot_is_reference_to_previous_best(split):
     result = run_evolution(small_cfg(), split, keep_archive=True)
     archive = result.archive
     for g in range(1, len(archive.generations)):
-        payload = archive.generations[g][0].payload
-        assert payload == archive.best_of_generation(g - 1)
+        packed = archive.generations[g].packed
+        assert packed.kind[0] == _REF
+        assert packed.reads(0) == (archive.best_of_generation(g - 1),)
 
 
 def test_forced_crossover_and_mutation_compose(split):
     cfg = small_cfg(crossover_rate=1.0, mutation_rate=1.0)
     result = run_evolution(cfg, split, keep_archive=True)
-    for ind in result.archive.generations[1][1:]:
-        assert isinstance(ind.payload, Mutation)
-        assert isinstance(ind.payload.base, Crossover)
-        assert ind.payload.random_tree_b is not None
-        assert ind.payload.step == cfg.mutation_step
+    packed = result.archive.generations[1].packed
+    # A bounded mutation of a crossover: its random tree and both mutation trees are set.
+    assert packed.kind[1:].tolist() == [_CROSSOVER + _BOUNDED] * (cfg.population_size - 1)
+    assert np.all(packed.trees[1:] >= 0)
+    assert packed.step[1:].tolist() == [cfg.mutation_step] * (cfg.population_size - 1)
 
 
 def test_raw_mutation_mode_drops_second_tree(split):
     cfg = small_cfg(crossover_rate=0.0, mutation_rate=1.0, bounded_mutation=False)
     result = run_evolution(cfg, split, keep_archive=True)
-    mutants = [
-        ind.payload
-        for ind in result.archive.generations[1]
-        if isinstance(ind.payload, Mutation)
-    ]
-    assert mutants
-    assert all(m.random_tree_b is None for m in mutants)
+    packed = result.archive.generations[1].packed
+    mutants = packed.kind >= _RAW
+    assert mutants.any()
+    assert np.all(packed.kind[mutants] < _BOUNDED) and np.all(packed.trees[mutants, 2] == -1)
 
 
 def test_generation_zero_uses_leaves_only(split):
     result = run_evolution(small_cfg(), split, keep_archive=True)
-    assert all(isinstance(i.payload, Leaf) for i in result.archive.generations[0])
+    assert result.archive.generations[0].packed.kind.tolist() == [_LEAF] * 20
 
 
 def test_next_generation_requires_seeded_archive(split, rng):
@@ -296,13 +298,9 @@ def test_retry_cap_counts_one_slot_in_a_row(split, monkeypatch):
     assert all(np.isfinite(ind.semantics).all() for ind in archive.generations[-1])
 
 
-def random_trees(payload) -> int:
-    """The random and generation-0 trees a payload evaluates."""
-    if isinstance(payload, IndividualRef):
-        return 0
-    if isinstance(payload, (Leaf, Crossover)):
-        return 1
-    return random_trees(payload.base) + (1 if payload.random_tree_b is None else 2)
+def random_trees(payloads) -> int:
+    """The random and generation-0 trees that packed payloads evaluate."""
+    return int(np.count_nonzero(payloads.trees >= 0))
 
 
 def evaluation_rounds(monkeypatch, cfg, wanted):
@@ -332,7 +330,7 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     def recording_evaluate(self, payloads, slots):
         before = len(seen)
         failed = evaluate(self, payloads, slots)
-        evaluated = [payloads[s] for s in slots]
+        evaluated = payloads.take(list(slots))
         calls.append((list(slots), evaluated, len(seen) - before, [e.slot for e in failed]))
         return failed
 
@@ -349,7 +347,7 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     for (_, _, _, failed), (slots, _, _, _) in zip(calls, calls[1:]):
         assert slots == failed
     for _, payloads, trees, _ in calls:
-        assert trees == sum(random_trees(p) for p in payloads)
+        assert trees == random_trees(payloads)
     return calls
 
 
@@ -371,9 +369,9 @@ def test_without_elitism_a_failed_slot_0_is_redrawn_on_its_own(monkeypatch):
         bounded_mutation=False, elitism=False,
     )
     calls = evaluation_rounds(monkeypatch, cfg, lambda calls: 0 in calls[0][3])
-    assert not isinstance(calls[0][1][0], IndividualRef)
+    assert calls[0][1].kind[0] != _REF
     assert [slots for slots, _, _, _ in calls[1:]] == [[0]]
-    assert calls[1][2] == random_trees(calls[1][1][0]) > 0
+    assert calls[1][2] == random_trees(calls[1][1]) > 0
 
 
 def test_a_kept_nonfinite_error_pins_no_block():

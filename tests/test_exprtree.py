@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from records import leaf_trees
+
 import gsgp.exprtree as exprtree
 from gsgp.data import split_70_30, synthetic_dataset
 from gsgp.evolve import EvolutionConfig, run_evolution
@@ -40,7 +42,7 @@ def generation_zero_trees(population_size, seed, n_features=2):
     data = synthetic_dataset("polynomial", 20, n_features, 0.0, seed=1)
     cfg = EvolutionConfig(population_size=population_size, generations=0, seed=seed)
     archive = run_evolution(cfg, split_70_30(data, seed=2), keep_archive=True).archive
-    return [ind.payload.tree for ind in archive.generations[0]]
+    return leaf_trees(archive.generations[0].packed)
 
 
 def json_nodes(tree):

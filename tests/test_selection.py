@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import make_split, seeded_archive
 from test_golden import datasets, golden_config
 
-from gsgp.archive import Archive, IndividualRef, Leaf, Refs
+from gsgp.archive import Archive, IndividualRef, Refs
 from gsgp.data import split_70_30
 from gsgp.evolve import run_evolution
 from gsgp.exprtree import Constant
@@ -31,9 +31,10 @@ def constant_archive(fitnesses, generations=1):
     A leaf Constant(c) against zero targets has RMSE |c|.
     """
     split = make_split([[0.0], [0.0]], [0.0, 0.0])
-    archive = seeded_archive([Constant(float(f)) for f in fitnesses], split)
+    leaves = [Constant(float(f)) for f in fitnesses]
+    archive = seeded_archive(leaves, split)
     for _ in range(generations - 1):
-        archive.append_generation(list(archive.generations[0]))
+        archive.append_generation([archive.make_individual(leaf) for leaf in leaves])
     return archive
 
 
@@ -201,7 +202,7 @@ def _tied_archives(draw):
     values = st.lists(st.sampled_from(_FITNESS_CONSTANTS), min_size=pop, max_size=pop)
     archive = Archive(make_split([[0.0], [0.0]], [0.0, 0.0]), hold=generations)
     for _ in range(generations):
-        leaves = [Leaf(Constant(c)) for c in draw(values)]
+        leaves = [Constant(c) for c in draw(values)]
         archive.append_generation([archive.make_individual(leaf) for leaf in leaves])
     return archive
 

@@ -2,115 +2,30 @@
 
 GSGP's geometry holds for every child a run makes: a crossover child lies
 entry by entry between its parents, and a bounded mutation moves each entry
-of its base by at most its step. Beyond the geometry, each child is the
-row its own payload defines, recomputed from its read form alone, so a
-child mixed with the wrong weight, parent order or step fails though it
-keeps to the box. The runs are 100 x 100 on 200 rows, so each selection
-strategy reuses its window slots many times over, and each generation is
-checked in its slot before the next one can reuse a slot. The replay path
-keeps the same geometry: after a run, each released generation is read
-back oldest first and checked the same way.
+of its base by at most its step. Beyond the geometry, each child is the row
+its own payload defines, recomputed from its packed slot alone (see
+`records.defined_row`), so a child mixed with the wrong weight, parent
+order or step fails though it keeps to the box. The runs are 100 x 100 on
+200 rows, so each selection strategy reuses its window slots many times
+over, and each generation is checked in its slot before the next one can
+reuse a slot. The replay path keeps the same geometry: after a run, each
+released generation is read back oldest first and checked the same way.
 """
 
 import numpy as np
 import pytest
 
+from records import check_children, holds_slots
+
 import gsgp.archive as archive_module
-from gsgp.archive import Archive, Crossover, IndividualRef, Mutation
+from gsgp.archive import Archive, IndividualRef
 from gsgp.data import synthetic_dataset, split_70_30
 from gsgp.evolve import EvolutionConfig, next_generation, run_evolution
-from gsgp.exprtree import eval_tree_many
 from gsgp.selection import parse_distribution
-from gsgp.semantics import sigmoid
 
 
 def friedman_split(rows=200):
     return split_70_30(synthetic_dataset("friedman-like", rows, 5, 0.0, seed=1), seed=2)
-
-
-def ulps(*blocks, k=4):
-    """k units in the last place of the largest magnitude among blocks, entry by entry."""
-    return k * np.spacing(np.max(np.abs(blocks), axis=0))
-
-
-def rows(archive, refs) -> np.ndarray:
-    """The rows of refs, each read through `Archive.row` (a replay when released)."""
-    return np.array([archive.row(ref) for ref in refs])
-
-
-def check_children(archive, payloads, children, fitness, checked):
-    """Check a generation's children against their parents.
-
-    children[i] is the row of payloads[i] and fitness[i] its train fitness.
-    A crossover child lies between its parents, and a mutated one leaves
-    their box by at most its step; a bounded mutation of a ref moves each
-    entry of its base by at most its step. A plain crossover child's train
-    RMSE is at most the row-wise worse parent's, sqrt(mean(max(e1^2,
-    e2^2))) over the train rows, within 2 ulps. And every child is the row
-    its definition gives (`defined_row`), within 4 ulps. Each parent is read
-    through `Archive.row`. checked counts the plain crossovers, the
-    mutations of a ref and the children weighed.
-    """
-    mixes, moves = [], []
-    for i, payload in enumerate(payloads):
-        step = payload.step if isinstance(payload, Mutation) else 0.0
-        base = payload.base if isinstance(payload, Mutation) else payload
-        if isinstance(base, Crossover):
-            mixes.append((i, base.parent1, base.parent2, step))
-        elif isinstance(payload, Mutation) and isinstance(base, IndividualRef):
-            assert payload.random_tree_b is not None  # the default, bounded form
-            moves.append((i, base, step))
-    if mixes:
-        at, first, second, step = zip(*mixes)
-        child, p1, p2 = children[list(at)], rows(archive, first), rows(archive, second)
-        slack = np.array(step)[:, None] * (1 + 1e-15) + ulps(p1, p2, child)
-        assert np.all(child >= np.minimum(p1, p2) - slack)
-        assert np.all(child <= np.maximum(p1, p2) + slack)
-        plain = np.array(step) == 0.0
-        n, targets = archive.n_train, archive.train_targets
-        e1, e2 = p1[plain, :n] - targets, p2[plain, :n] - targets
-        worse = np.sqrt(np.mean(np.maximum(e1**2, e2**2), axis=1))
-        assert np.all(fitness[np.array(at)[plain]] <= worse + 2 * np.spacing(worse))
-        checked["crossovers"] += step.count(0.0)
-    if moves:
-        at, based, step = zip(*moves)
-        child, base, step = children[list(at)], rows(archive, based), np.array(step)[:, None]
-        assert np.all(np.abs(child - base) <= step * (1 + 1e-15) + ulps(base, child))
-        checked["mutations"] += len(at)
-    expected = np.array([defined_row(archive, payload) for payload in payloads])
-    assert np.all(np.abs(children - expected) <= ulps(children, expected))
-    checked["weighed"] += len(payloads)
-
-
-def defined_row(archive, payload) -> np.ndarray:
-    """The row that a payload's definition gives, computed for it alone.
-
-    Its own trees are evaluated from its read form and its parents' rows
-    read through `Archive.row`: a crossover is w*p1 + (1-w)*p2 with w the
-    sigmoid of its random tree, and a mutation adds step*(sig(a) - sig(b))
-    (step*a for the raw form) to its base. So a child mixed with the wrong
-    weight, the wrong parent order or the wrong step fails, though it may
-    keep to its parents' box.
-    """
-    columns = archive._columns
-
-    def weight(tree):
-        return sigmoid(eval_tree_many(tree, columns))
-
-    base = payload.base if isinstance(payload, Mutation) else payload
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if isinstance(base, IndividualRef):
-            row = archive.row(base).copy()
-        elif isinstance(base, Crossover):
-            w = weight(base.random_tree)
-            row = w * archive.row(base.parent1) + (1.0 - w) * archive.row(base.parent2)
-        else:
-            row = eval_tree_many(base.tree, columns)
-        if isinstance(payload, Mutation):
-            a, b = payload.random_tree_a, payload.random_tree_b
-            delta = eval_tree_many(a, columns) if b is None else weight(a) - weight(b)
-            row += payload.step * delta
-    return row
 
 
 @pytest.mark.parametrize("spec", ["u:1", "u:5", "g:0.25"])
@@ -123,7 +38,7 @@ def test_every_child_of_a_run_keeps_to_its_parents_box_and_its_step(monkeypatch,
         # its window slot, and each parent is read again through `row`.
         g = len(self.generations)
         rows, fitness = self._window[g % len(self._window)], self._train_fitness[g]
-        check_children(self, list(payloads), rows, fitness, checked)
+        check_children(self, payloads, rows, fitness, checked)
         append(self, payloads)
 
     monkeypatch.setattr(Archive, "append_evaluated", checked_append)
@@ -154,14 +69,14 @@ def test_every_replayed_child_keeps_to_its_parents_box_and_its_step(monkeypatch)
     checked, replays = {"crossovers": 0, "mutations": 0, "weighed": 0}, archive.replays
     for g in range(released):  # oldest first
         children = []
-        payloads, fitness = archive.generations[g].payloads, archive.train_fitness[g]
-        for i, payload in enumerate(payloads):
+        payloads, fitness = archive.generations[g].packed, archive.train_fitness[g]
+        for i in range(len(payloads)):
             ref = IndividualRef(g, i)
             del blocks[:]
             children.append(archive.row(ref))
             # Every parent was replayed before, or is held, so the replay
             # evaluates this one payload alone.
-            assert [list(block) for block in blocks] == [[payload]]
+            assert len(blocks) == 1 and holds_slots(blocks[0], payloads, [i])
             assert children[-1].tobytes() == clone.row(ref).tobytes()
         check_children(archive, payloads, np.array(children), fitness, checked)
     # 780 rows replayed; 476 plain crossovers and 23 mutations of a ref checked.
