@@ -67,18 +67,19 @@ min(horizon, generations + 1) generations, those selection can read, and
 
 The module function `evaluate_block(payloads, programs, columns, rows_of,
 out)` computes one block: the stacked semantics of packed payloads,
-written into `out`. It sorts the slots by their kind codes, evaluates each
-random tree once into a row of a temporary, applies one `sigmoid` to the
-rows that need it, and mixes crossovers and adds mutation deltas as
-matrix operations. It reads its parents' rows with one `rows_of` call per
-kind, on index arrays: the reproductions and mutation bases that are refs,
-then the crossover parents. The archive's `rows_of` gathers them with one
-advanced index into the window, `window[g % (hold + 1), i]`; a ref of a
-released generation is read through the replay path. Every entry
-undergoes the same IEEE operations, in the same order, as evaluating the
-payload alone would apply, so the block size never changes a result. The
-archive cuts payloads into blocks of at most `_BLOCK_ELEMENTS` stacked
-values in one place, `Archive._spans`.
+written into `out`. It sorts the slots by their kind codes, evaluates all
+its random trees with one `eval_tree_many` call, each once into a row of a
+temporary, and its leaves with one more, straight into their rows. It
+applies one `sigmoid` to the rows that need it, and mixes crossovers and
+adds mutation deltas as matrix operations. It reads its parents' rows with
+one `rows_of` call per kind, on index arrays: the reproductions and
+mutation bases that are refs, then the crossover parents. The archive's
+`rows_of` gathers them with one advanced index into the window,
+`window[g % (hold + 1), i]`; a ref of a released generation is read
+through the replay path. Every entry undergoes the same IEEE operations,
+in the same order, as evaluating the payload alone would apply, so the
+block size never changes a result. The archive cuts payloads into blocks
+of at most `_BLOCK_ELEMENTS` stacked values in one place, `Archive._spans`.
 
 A run evaluates each generation in place: `evaluate_next` writes each
 block straight into the new generation's window slot and each train
@@ -760,12 +761,14 @@ def evaluate_block(payloads: Payloads, programs, columns: Columns, rows_of, out=
     one per row of a new array; it is called once for the reproductions and
     mutation bases that are refs, then once for the crossover parents, all
     first parents before all second ones. The slots are grouped by their
-    kind codes. A reproduction's row is a copy of its parent's. Each random
-    tree is evaluated once into a row of a tree temporary; the trees under
-    a sigmoid come first and go through one sigmoid call. Crossover mixing
-    and mutation deltas are then whole-matrix operations, in the order
-    child = w*p1 + (1-w)*p2 and child = base + step*(sig(a) - sig(b))
-    (or base + step*a for raw mutation).
+    kind codes. A reproduction's row is a copy of its parent's. One
+    `eval_tree_many` call evaluates every random tree once, each into a row
+    of a tree temporary, and one more the leaves, into their rows of out;
+    the trees under a sigmoid come first and go through one sigmoid call.
+    Crossover mixing and mutation deltas are then whole-matrix operations,
+    in the order child = w*p1 + (1-w)*p2 and
+    child = base + step*(sig(a) - sig(b)) (or base + step*a for raw
+    mutation).
     """
     block = np.empty((len(payloads), columns.rows)) if out is None else out
     parents, trees = payloads.parents, payloads.trees.tolist()
@@ -787,10 +790,11 @@ def evaluate_block(payloads: Payloads, programs, columns: Columns, rows_of, out=
     )
     values = np.empty((len(tree_ids), columns.rows))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t, row in zip(tree_ids, values):
-            eval_tree_many(programs[t], columns, out=row)
-        for s in leaves:
-            eval_tree_many(programs[trees[s][0]], columns, out=block[s])
+        if tree_ids:
+            eval_tree_many([programs[t] for t in tree_ids], columns, values)
+        if leaves:
+            leaf_trees = [programs[trees[s][0]] for s in leaves]
+            eval_tree_many(leaf_trees, columns, [block[s] for s in leaves])
         if refs:
             block[refs] = rows_of(parents[refs, 0], parents[refs, 1])
         if n_sigmoid:

@@ -8,11 +8,11 @@ Every tree the engine evaluates is a program: a plain tuple of the tree's
 nodes in postfix order (the left subtree, then the right subtree, then the
 node itself). A float is a constant, an int the index of a variable, and a
 str one of OP_KINDS, applied to the values of the two subtrees before it.
-`Program` is only a name for `tuple` in annotations. One stack loop
-evaluates a program, over the rows of an input matrix (`eval_tree_many`)
-or over one row (`eval_tree`). `Constant(v)`, `Variable(i)` and
-`BinaryOp(kind, left, right)` write a program by hand, checked as it is
-built.
+`Program` is only a name for `tuple` in annotations. A stack loop
+evaluates programs: `eval_tree_many` evaluates a list of them over the
+rows of an input matrix in one call, and `eval_tree` one of them over one
+row. `Constant(v)`, `Variable(i)` and `BinaryOp(kind, left, right)` write
+a program by hand, checked as it is built.
 
 Many trees are kept as a `Trees` table: every program's nodes packed into
 one array of small int codes, its constants into one float64 array, and
@@ -29,6 +29,16 @@ DIV_EPS in magnitude. A division whose divisor is a lone variable leaf on a
 safe column then divides with no guard. The guard would pass on every row
 of such a column, so the quotient has the same bits. Every other division
 keeps the guard.
+
+`eval_tree_many` keeps each stack slot's value in a row of its own, a
+register, and every operator writes into its slot's register with `out=`.
+Slot 0's register is the program's output row, so the last operator
+writes the result where it belongs. The other registers, and the guard's
+|b| and mask rows, are allocated once per call, never per operator, and
+belong to the call, so threads may evaluate over one shared `Columns`.
+Every element still gets the same IEEE operations in the same order as
+per-row scalar evaluation, so the bits do not depend on how many programs
+a call evaluates.
 
 Random trees are drawn in bulk (RNG stream 2). `gen_tree` returns them as
 one `Trees` table. It lays every tree it draws out on a heap of depth
@@ -350,30 +360,38 @@ def ramp_schedule(max_depth: int, count: int) -> list:
     return slots
 
 
-def _divide(a, b, out=None):
-    """Protected division of floats or arrays: a / b where |b| > DIV_EPS, else 1.0.
-
-    With `out`, the result is written into that array and returned.
-    """
-    if type(b) is float:
-        if abs(b) > DIV_EPS:
-            return a / b if out is None else np.divide(a, b, out=out)
-        if out is not None:
-            out.fill(1.0)
-            return out
-        return 1.0 if type(a) is float else np.ones_like(a)
-    ok = np.abs(b) > DIV_EPS  # False where a divisor is NaN
-    if np.count_nonzero(ok) == b.size:
-        return a / b if out is None else np.divide(a, b, out=out)
-    if out is None:
-        out = np.ones_like(b)
-    else:
-        out.fill(1.0)
-    np.divide(a, b, out=out, where=ok)
-    return out
+def _divide(a: float, b: float) -> float:
+    """Protected division of floats: a / b where |b| > DIV_EPS, else 1.0."""
+    return a / b if abs(b) > DIV_EPS else 1.0
 
 
 _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+
+
+def _divide_rows(a, b, out, guard: list):
+    """Protected division into the row out: a / b where |b| > DIV_EPS, else 1.0.
+
+    a is a float or a row, b a float or a row, and out may be a itself: the
+    quotient is written only where the guard passes, and 1.0 only then
+    where it fails. A row divisor's |b| and mask go into guard's two rows,
+    which the first such call allocates.
+    """
+    if type(b) is float:
+        if abs(b) > DIV_EPS:
+            np.divide(a, b, out)
+        else:
+            out.fill(1.0)
+        return
+    if not guard:
+        guard += (np.empty(len(out)), np.empty(len(out), dtype=bool))
+    size, ok = guard
+    np.greater(np.abs(b, size), DIV_EPS, ok)  # False where the divisor is NaN
+    if np.count_nonzero(ok) == ok.size:
+        np.divide(a, b, out)
+    else:
+        np.divide(a, b, out, where=ok)
+        np.copyto(out, 1.0, where=np.logical_not(ok, ok))
 
 
 class Columns:
@@ -384,9 +402,11 @@ class Columns:
     column j is above DIV_EPS in magnitude. A division whose divisor is a
     lone variable leaf on a safe column skips the protected-division guard:
     that guard would pass on every row, so the quotient is the same.
+    Nothing an evaluation writes is kept here, so threads may share one
+    `Columns`.
     """
 
-    __slots__ = ("vectors", "safe", "rows", "_apply", "_apply_into")
+    __slots__ = ("vectors", "safe", "rows", "_unguarded")
 
     def __init__(self, matrix):
         X = np.asarray(matrix, dtype=float)
@@ -397,51 +417,27 @@ class Columns:
         self.rows = len(X)
         # A column reaches the stack only as its variable leaf's value, so
         # a divisor that is a safe column's own array is such a leaf.
-        safe = {id(v) for v, ok in zip(self.vectors, self.safe) if ok}
-
-        def divide(a, b, out=None):
-            if id(b) in safe:
-                return a / b if out is None else np.divide(a, b, out=out)
-            return _divide(a, b, out)
-
-        self._apply = {**_APPLY, "div": divide}
-        # The operators with an output array: (left, right, out) -> out.
-        self._apply_into = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": divide}
+        self._unguarded = frozenset(id(v) for v, ok in zip(self.vectors, self.safe) if ok)
 
 
-def _run(program: Program, columns, out=None, apply=_APPLY, apply_into=None):
-    """The value of a program whose variable i reads columns[i].
-
-    A value stays a Python float until it meets a column, so a constant
-    subtree is computed once, with the same IEEE operations the columns get.
-    With `out`, the value is written into that array, by the last operator
-    itself when the program ends in one through `apply_into` (operator to
-    function (left, right, out) -> out), and `out` is returned. `apply` maps
-    each operator to its function, as _APPLY does.
-    """
-    last = program[-1] if out is not None else None
+def _run(program: Program, row):
+    """The value of a program on one input row, a list of floats: variable i reads row[i]."""
     stack = []
-    for node in program[:-1] if type(last) is str else program:
+    for node in program:
         kind = type(node)
         if kind is str:
             right = stack.pop()
-            stack[-1] = apply[node](stack[-1], right)
+            stack[-1] = _APPLY[node](stack[-1], right)
         elif kind is int:
             try:
-                stack.append(columns[node])
+                stack.append(row[node])
             except IndexError:
                 raise ValueError(
-                    f"variable index {node} out of range for {len(columns)} features"
+                    f"variable index {node} out of range for {len(row)} features"
                 ) from None
         else:
             stack.append(node)
-    if type(last) is str:
-        right = stack.pop()
-        return apply_into[last](stack.pop(), right, out)
-    if out is None:
-        return stack.pop()
-    out[...] = stack.pop()
-    return out
+    return stack.pop()
 
 
 def eval_tree(tree: Program, x) -> float:
@@ -449,21 +445,63 @@ def eval_tree(tree: Program, x) -> float:
     return _run(tree, np.asarray(x, dtype=float).tolist())
 
 
-def eval_tree_many(tree: Program, columns: Columns, out=None) -> np.ndarray:
-    """Evaluate a tree on every row of a rows x n_features matrix at once.
+def eval_tree_many(programs, columns: Columns, out=None):
+    """Evaluate programs over every row of a matrix, each into its row of out; out.
 
-    Agrees bitwise with a per-row eval_tree loop (the same IEEE operations,
-    applied componentwise); this is the hot path for semantics computation.
-    The caller passes the matrix's `Columns`, prepared once and shared by
-    every call over that matrix; a bare matrix is not accepted. A division
-    by a safe column (one whose every entry is above DIV_EPS in magnitude)
-    skips the guard, which could not fail there. The result is written into
-    `out`, a float64 vector of one entry per row, and `out` is returned;
-    without one it goes into a new array.
+    programs is a list of programs and out a 2-d float64 array, or a list
+    of rows, with a row of `columns.rows` entries per program; or programs
+    is one program and out one such row. Without out the results go into a
+    new array. The caller passes the matrix's `Columns`, prepared once and
+    shared by every call over that matrix; a bare matrix is not accepted.
+
+    Each row agrees bitwise with a per-row eval_tree loop: the same IEEE
+    operations, componentwise, in the same order. A value stays a Python
+    float until it meets a column, so a constant subtree is folded once.
+    Every other operator writes into its stack slot's register, in place
+    when its left operand is already there (see the module docstring). The
+    registers beyond slot 0 and the guard's rows are allocated on first
+    use, only as deep as this call's stack grows. A division by a safe
+    column skips the guard, which could not fail there.
     """
+    one = type(programs) is tuple
     if out is None:
-        out = np.empty(columns.rows)
-    return _run(tree, columns.vectors, out, columns._apply, columns._apply_into)
+        out = np.empty(columns.rows if one else (len(programs), columns.rows))
+    vectors, unguarded = columns.vectors, columns._unguarded
+    registers, guard = [None], []  # the row of each stack slot; the guard's rows
+    for program, target in zip([programs] if one else programs, [out] if one else out):
+        registers[0] = target
+        stack = []
+        for node in program:
+            kind = type(node)
+            if kind is str:
+                b = stack.pop()
+                a = stack[-1]
+                if type(a) is float and type(b) is float:
+                    stack[-1] = _APPLY[node](a, b)
+                    continue
+                slot = len(stack) - 1
+                while len(registers) <= slot:
+                    registers.append(np.empty(columns.rows))
+                into = stack[-1] = registers[slot]
+                if node != "div":
+                    _UFUNCS[node](a, b, into)
+                elif id(b) in unguarded:
+                    np.divide(a, b, into)
+                else:
+                    _divide_rows(a, b, into, guard)
+            elif kind is int:
+                try:
+                    stack.append(vectors[node])
+                except IndexError:
+                    raise ValueError(
+                        f"variable index {node} out of range for {len(vectors)} features"
+                    ) from None
+            else:
+                stack.append(node)
+        value = stack.pop()
+        if value is not target:
+            target[...] = value
+    return out
 
 
 def tree_to_json(tree: Program):

@@ -323,9 +323,9 @@ def evaluation_rounds(monkeypatch, cfg, wanted):
     calls = []
     evaluate = Archive.evaluate_next
 
-    def counting_eval(tree, inputs, out=None):
-        seen.append(tree)
-        return eval_tree_many(tree, inputs, out=out)
+    def counting_eval(programs, inputs, out=None):
+        seen.extend([programs] if type(programs) is tuple else programs)  # one or a list
+        return eval_tree_many(programs, inputs, out=out)
 
     def recording_evaluate(self, payloads, slots):
         before = len(seen)

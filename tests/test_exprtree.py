@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -432,12 +434,140 @@ def test_a_computed_zero_divisor_gives_one():
 def test_a_division_by_a_safe_column_skips_the_guard(monkeypatch):
     columns = Columns(np.array([[1.0, 0.0], [2.0, 3.0]]))
     guarded = []
-    divide = exprtree._divide
-    monkeypatch.setattr(exprtree, "_divide", lambda *args: guarded.append(1) or divide(*args))
+    divide = exprtree._divide_rows  # the guard of a division by a row runs here
+    monkeypatch.setattr(exprtree, "_divide_rows", lambda *a: guarded.append(1) or divide(*a))
     assert eval_tree_many(BinaryOp("div", Variable(1), Variable(0)), columns).tolist() == [0.0, 1.5]
     assert guarded == []
     assert eval_tree_many(BinaryOp("div", Variable(0), Variable(1)), columns).tolist() == [1.0, 2 / 3]
     assert guarded == [1]
+
+
+# Inputs for hand-built guarded divisions: a dividend column, a divisor
+# column with an entry within DIV_EPS of zero, a NaN, both infinities and
+# -DIV_EPS, and a column with no entry near zero.
+_GUARD_X = np.array([
+    [1.5, DIV_EPS / 2, 2.0],
+    [-2.0, math.nan, 3.0],
+    [3.0, math.inf, -1.5],
+    [0.25, -math.inf, 0.5],
+    [5.0, -DIV_EPS, 4.0],
+    [7.0, 2.0, -3.0],
+])
+_X0, _X1, _X2 = Variable(0), Variable(1), Variable(2)
+_GUARDED_DIVISIONS = [
+    BinaryOp("div", _X0, _X1),
+    # The last operator divides an intermediate dividend, which lives in
+    # the output row it writes to.
+    BinaryOp("div", BinaryOp("mul", _X0, _X2), _X1),
+    # An inner division of an intermediate dividend, in its own stack row.
+    BinaryOp("add", _X2, BinaryOp("div", BinaryOp("sub", _X0, _X2), _X1)),
+    BinaryOp("mul", BinaryOp("div", BinaryOp("add", _X0, _X0), _X1), _X2),
+    # An intermediate divisor: x1 * x2 is exactly DIV_EPS on the first row.
+    BinaryOp("div", BinaryOp("sub", _X2, _X0), BinaryOp("mul", _X1, _X2)),
+    # x1 - x1 is 0.0 where x1 is finite and NaN where it is not.
+    BinaryOp("div", BinaryOp("mul", _X0, _X2), BinaryOp("sub", _X1, _X1)),
+    # Constant-only subtrees fold: to a zero divisor, a guarded 1.0 and a dividend.
+    BinaryOp("div", BinaryOp("mul", _X0, _X2), BinaryOp("sub", Constant(0.5), Constant(0.5))),
+    BinaryOp("mul", BinaryOp("div", Constant(2.0), Constant(1e-10)), _X0),
+    BinaryOp("div", BinaryOp("mul", Constant(0.5), Constant(4.0)), _X1),
+    BinaryOp("div", _X1, Constant(DIV_EPS)),
+    BinaryOp("div", BinaryOp("div", _X1, _X0), _X2),  # x2 is safe: no guard
+]
+
+
+def test_guarded_divisions_match_the_row_loop_listed_and_alone():
+    columns = Columns(np.asfortranarray(_GUARD_X))
+    assert columns.safe == (True, False, True)
+    rows = len(_GUARD_X)
+    expected = [[eval_tree(p, x) for x in _GUARD_X] for p in _GUARDED_DIVISIONS]
+    with np.errstate(all="ignore"):
+        # Output rows start as 7.0, so no result can lean on what was there.
+        out = np.full((len(_GUARDED_DIVISIONS), rows), 7.0)
+        assert eval_tree_many(_GUARDED_DIVISIONS, columns, out) is out
+        for program, want, listed in zip(_GUARDED_DIVISIONS, expected, out):
+            assert same_bits(listed, want), program
+            alone = np.full(rows, 7.0)
+            assert eval_tree_many(program, columns, alone) is alone
+            assert same_bits(alone, want), program
+            assert same_bits(eval_tree_many(program, columns), want), program
+    # The guarded rows differ from 1.0 where the guard passes, so a division
+    # that overwrote its in-place dividend would show.
+    assert expected[1] == [1.0, 1.0, -0.0, -0.0, 1.0, -10.5]
+
+
+def test_a_list_evaluation_allocates_only_its_stack_rows():
+    depth, rows = 4, 6000
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(rows, 5))
+    X[::97] = 1e-12  # an entry within DIV_EPS of zero in every column keeps every guard
+    columns = Columns(np.asfortranarray(X))
+    assert not any(columns.safe)
+    programs = list(gen_tree(depth, 5, [(depth, "grow"), (depth, "full")] * 75, rng))
+    out = np.empty((len(programs), rows))
+    row_bytes = out[0].nbytes
+    tracemalloc.start()
+    try:
+        with np.errstate(all="ignore"):
+            eval_tree_many(programs, columns, out)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        np.empty(rows)
+        _, one_row = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert one_row >= row_bytes  # tracemalloc sees numpy's buffers
+    # Slot 0's row is the program's row of out, so the call needs at most
+    # depth - 1 stack rows, plus the guard's |b| row and its bool mask. An
+    # evaluator that allocated a row per operator peaked above depth + 1 rows.
+    assert peak <= (depth + 1) * row_bytes
+    with np.errstate(all="ignore"):
+        assert all(same_bits(eval_tree_many(p, columns), r) for p, r in zip(programs, out))
+
+
+_NEAR_ZERO = st.one_of(
+    st.sampled_from(_EDGES + [DIV_EPS / 2, math.nan, math.inf, -math.inf]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@st.composite
+def tables_and_columns(draw):
+    """A `gen_tree` table, and inputs whose entries are often near zero."""
+    n_features = draw(st.integers(1, 4))
+    X = draw(arrays(float, (draw(st.integers(1, 6)), n_features), elements=_NEAR_ZERO))
+    depth = draw(st.integers(0, 6))
+    slot = st.tuples(st.integers(0, depth), st.sampled_from(["grow", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return gen_tree(depth, n_features, draw(st.lists(slot, min_size=1, max_size=12)), rng), X
+
+
+@settings(max_examples=100)
+@given(tables_and_columns())
+def test_list_and_single_evaluation_agree_also_from_two_threads(case):
+    table, X = case
+    programs = list(table)
+    columns = Columns(np.asfortranarray(X))
+
+    def evaluate(repeats):
+        with np.errstate(all="ignore"):
+            return [eval_tree_many(programs, columns) for _ in range(repeats)]
+
+    (listed,) = evaluate(1)
+    with np.errstate(all="ignore"):
+        for program, row in zip(programs, listed):
+            assert same_bits(eval_tree_many(program, columns), row)
+            assert same_bits([eval_tree(program, x) for x in X], row)
+    # Switch threads as often as the interpreter allows, so the two callers
+    # interleave inside each other's evaluations of the shared Columns.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(evaluate, 20) for _ in range(2)]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(same_bits(got, listed) for results in threaded for got in results)
 
 
 def test_importing_builds_no_heap_plan():
